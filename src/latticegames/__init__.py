@@ -27,7 +27,7 @@ from .simulate import (ChainPath, MomentReport, OdePath, OutcomeEstimate,
 from .solver import (SolveResult, ValueGrid, auto_dt, dt_ceiling, hamiltonian,
                      hamiltonian_field, minimax_control_indices, read_slice_csv,
                      solve_backward, truncate_domain, weighted_norm, write_slice_csv)
-from .viscous import ViscousResult, auto_cfl_dt, cfl_ceiling, solve_viscous, viscosity_gap
+from .viscous import auto_cfl_dt, cfl_ceiling, solve_viscous, viscosity_gap
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "OdePath", "OutcomeEstimate", "PairedTrajectory", "Partition",
     "RandomAdversary", "RateList", "ResidualReport", "ResourceError",
     "SolveResult", "StepSizeError", "TruncationError", "ValueGrid",
-    "ViscousResult", "alpha2_reference", "apply_generator", "assemble",
+    "alpha2_reference", "apply_generator", "assemble",
     "auto_cfl_dt", "auto_dt", "beta", "chain_characteristics", "check_isaacs",
     "chi", "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2",
     "eval_drift", "eval_payoff", "g1", "g2", "game_from_dict", "hamiltonian",

@@ -107,11 +107,19 @@ class LatticeDomain:
         return np.array([math.ceil(c / self.h - 0.5) for c in x], dtype=int)
 
     def contains_state(self, x, tol: float = 1e-9) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = np.round(x / self.h).astype(int)
-        if np.max(np.abs(x - self.h * k)) > tol * max(1.0, self.h):
-            return False
-        return bool(np.all(k >= np.asarray(self.lo)) and np.all(k <= np.asarray(self.hi)))
+        return bool(self.indices_of_states(x, tol)[0] >= 0)
+
+    def indices_of_states(self, xs, tol: float = 1e-9) -> np.ndarray:
+        """Flat indices of a batch of states, one per row of ``xs``; -1 marks
+        a state off the mesh-h lattice (beyond ``tol``) or outside the box."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
+        k = np.round(xs / self.h).astype(int)
+        rel = k - np.asarray(self.lo)
+        ok = np.max(np.abs(xs - self.h * k), axis=1) <= tol * max(1.0, self.h)
+        ok &= np.all((rel >= 0) & (k <= np.asarray(self.hi)), axis=1)
+        out = np.full(len(xs), -1, dtype=np.int64)
+        out[ok] = np.ravel_multi_index(tuple(rel[ok].T), self.shape)
+        return out
 
     def index_of_state(self, x, tol: float = 1e-9) -> int:
         """Flat index of an (exactly representable) lattice state."""

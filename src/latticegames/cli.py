@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import GameSpecError, LatticeGamesError
+from .errors import GameSpecError, LatticeGamesError, TruncationError
 from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
@@ -174,18 +174,19 @@ def _meta(cfg: dict, spec: GameSpec, **extra) -> dict:
     return meta
 
 
-def _bounds_path(out: Path, h: float, many: bool) -> Path:
-    return out / (f"bounds_h{_label(h)}.json" if many else "bounds.json")
-
-
-def _write_bounds(cfg: dict, spec: GameSpec, out: Path) -> None:
+def _write_bounds(cfg: dict, spec: GameSpec, out: Path) -> dict[str, bounds_mod.BoundsReport]:
+    """Write bounds.json per h (tagged when several); returns the reports by file stem."""
     hs = cfg["h"]
     sigma = cfg["sigma"][0] if cfg["sigma"] else None
+    reports = {}
     for h in hs:
         report = bounds_mod.assemble(spec, h, sigma, seed=cfg["seed"])
+        stem = f"bounds_h{_label(h)}" if len(hs) > 1 else "bounds"
         payload = report.to_dict()
         payload["config_sha256"] = config_sha256(cfg)
-        _bounds_path(out, h, len(hs) > 1).write_text(json.dumps(payload, indent=2) + "\n")
+        (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        reports[stem] = report
+    return reports
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -225,14 +226,8 @@ def cmd_bounds(cfg: dict) -> int:
     spec = _load(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_bounds(cfg, spec, out)
-    hs = cfg["h"]
-    sigma = cfg["sigma"][0] if cfg["sigma"] else None
-    for h in hs:
-        report = bounds_mod.assemble(spec, h, sigma, seed=cfg["seed"])
-        txt = f"config_sha256={config_sha256(cfg)}\n" + report.to_text()
-        path = out / (f"bounds_h{_label(h)}.txt" if len(hs) > 1 else "bounds.txt")
-        path.write_text(txt)
+    for stem, report in _write_bounds(cfg, spec, out).items():
+        (out / f"{stem}.txt").write_text(f"config_sha256={config_sha256(cfg)}\n" + report.to_text())
     return 0
 
 
@@ -257,14 +252,16 @@ def _reference_values(cfg: dict, spec: GameSpec, points: np.ndarray) -> np.ndarr
         raise UsageError("reference file lacks an 'h' or 'dx' metadata line")
     h_ref = float(meta.get("h", meta.get("dx")))
     grid, _ = read_slice_csv(path, h_ref)
-    return np.array([grid.value_at(x) for x in points])
+    idx = grid.domain.indices_of_states(points)
+    if np.any(idx < 0):
+        raise TruncationError(f"reference slice does not hold the point "
+                              f"{points[np.argmax(idx < 0)].tolist()}")
+    return grid.values[idx]
 
 
-def _eval_points(spec: GameSpec, domain) -> np.ndarray:
+def _eval_mask(domain) -> np.ndarray:
     """Error metric points: all lattice nodes with max-norm <= 1."""
-    states = domain.states()
-    keep = np.max(np.abs(states), axis=1) <= 1.0 + 1e-12
-    return states[keep]
+    return np.max(np.abs(domain.states()), axis=1) <= 1.0 + 1e-12
 
 
 def cmd_converge(cfg: dict) -> int:
@@ -276,26 +273,24 @@ def cmd_converge(cfg: dict) -> int:
     if cfg["sigma"]:
         dx = cfg["h"][0]
         domain = truncate_domain(spec, x0, dx, pad=cfg["pad"])
-        points = _eval_points(spec, domain)
-        ref = _reference_values(cfg, spec, points)
+        keep = _eval_mask(domain)
+        ref = _reference_values(cfg, spec, domain.states()[keep])
         param_kind = "sigma"
         for sigma in cfg["sigma"]:
             res = solve_viscous(spec, domain, sigma, kind=cfg["kind"],
                                 dt=_dt(cfg, spec, dx), checkpoints=[0.0])
-            grid = res.slice_at(0.0)
-            err = float(np.max(np.abs(np.array([grid.value_at(x) for x in points]) - ref)))
+            err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
             report = bounds_mod.assemble(spec, dx, sigma, seed=cfg["seed"])
             rows.append((sigma, err, report.bound_visc))
     else:
         param_kind = "h"
         for h in cfg["h"]:
             domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
-            points = _eval_points(spec, domain)
-            ref = _reference_values(cfg, spec, points)
+            keep = _eval_mask(domain)
+            ref = _reference_values(cfg, spec, domain.states()[keep])
             res = solve_backward(spec, domain, kind=cfg["kind"],
                                  dt=_dt(cfg, spec, h), checkpoints=[0.0])
-            grid = res.slice_at(0.0)
-            err = float(np.max(np.abs(np.array([grid.value_at(x) for x in points]) - ref)))
+            err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
             report = bounds_mod.assemble(spec, h, seed=cfg["seed"])
             rows.append((h, err, report.bound_thm2))
 

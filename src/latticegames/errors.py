@@ -23,8 +23,8 @@ class TruncationError(LatticeGamesError):
 
 
 class StepSizeError(LatticeGamesError):
-    """A time step violates the stability ceiling, or runaway growth was
-    detected during backward integration."""
+    """A time step violates the stability ceiling, or a backward step left
+    the bounds its scheme guarantees (the payoff range for monotone steps)."""
 
 
 class ResourceError(LatticeGamesError):

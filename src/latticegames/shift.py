@@ -27,7 +27,7 @@ import numpy as np
 from .errors import GameSpecError
 from .games import Control, GameSpec, payoff_batch
 from .simulate import RngLike, as_rng, replica_rng, rate_majorant
-from .solver import SolveResult, _TIME_FUZZ
+from .solver import SolveResult, _TIME_FUZZ, _upwind_generator
 
 BRANCHES = (1, 2)
 
@@ -122,7 +122,7 @@ def model_feedback(eta: SolveResult, spec: GameSpec, t: float, y) -> tuple[int, 
     grid = eta.slice_at_or_below(t)
     idx_point = grid.domain.index_of_state(y)
     iu = int(minimax_control_indices(grid.values, spec, t, grid.domain,
-                                     np.array([idx_point]), kind="upper")[0])
+                                     np.array([idx_point]))[0])
     return iu, spec.u_grid[iu]
 
 
@@ -299,11 +299,6 @@ def _drift_pairs(spec: GameSpec, t, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _argmin_first(values: np.ndarray, axis: int) -> np.ndarray:
-    # np.argmin already returns the first occurrence on ties
-    return np.argmin(values, axis=axis)
-
-
 def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
                   adversary, rngs: Sequence[np.random.Generator], branch: int,
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
@@ -382,7 +377,7 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
         node_x = np.empty((r + 1, d))
         node_y = np.empty((r + 1, d))
 
-    nu, nv = len(spec.u_grid), len(spec.v_grid)
+    nv = len(spec.v_grid)
 
     for l in range(r):
         t_l = partition.times[l]
@@ -399,7 +394,7 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
         at = X if branch == 1 else Y
         f_pairs = _drift_pairs(spec, t_l, at)                      # (nu, nv, n, d)
         w = np.einsum("uvnd,nd->uvn", f_pairs, dz)
-        u_sel = _argmin_first(w.max(axis=1), axis=0)               # (n,)
+        u_sel = np.argmin(w.max(axis=1), axis=0)                  # (n,), first on ties
         v_hat = np.argmax(w.min(axis=0), axis=0)                   # (n,)
         v_adv = adversary.select(l, t_l, X, Y, drawn, v_hat)
         v_adv = np.where(v_adv < 0, v_adv + nv, v_adv).astype(np.int64)
@@ -448,19 +443,11 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
             # value-greedy model control, then rates under the aiming response
             f_p = _drift_pairs(spec, tc, ys)                       # (nu,nv,m,d)
             m = len(idx_rep)
-            vals_self = table[js, flat[idx_rep]]
-            gen = np.zeros((nu, nv, m))
-            for i_dim in range(d):
-                fi = f_p[..., i_dim]
-                up_i = up[i_dim, flat[idx_rep]]
-                down_i = down[i_dim, flat[idx_rep]]
-                vals_up = table[js, up_i]
-                vals_down = table[js, down_i]
-                pos = fi > RATE_DROP_TOL
-                neg = fi < -RATE_DROP_TOL
-                nbr = np.where(pos, vals_up, np.where(neg, vals_down, vals_self))
-                gen += np.where(pos | neg, np.abs(fi) / h, 0.0) * (nbr - vals_self)
-            u_star = _argmin_first(gen.max(axis=1), axis=0)        # (m,)
+            here = flat[idx_rep]
+            vals_self = table[js, here]
+            gen = _upwind_generator(f_p, table[js, up[:, here]] - vals_self,
+                                    table[js, down[:, here]] - vals_self, h)
+            u_star = np.argmin(gen.max(axis=1), axis=0)            # (m,)
             f_chosen = f_p[u_star, v_hat[idx_rep], np.arange(m)]   # (m, d)
             rates = np.abs(f_chosen) / h
             rates[np.abs(f_chosen) <= RATE_DROP_TOL] = 0.0

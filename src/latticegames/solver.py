@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import LatticeDomain, kolmogorov_rates, neighbor_tables, RATE_DROP_TOL
 from .errors import GameSpecError, ResourceError, StepSizeError, TruncationError
-from .games import Control, GameSpec, drift_batch, payoff_batch
+from .games import GameSpec, drift_batch, payoff_batch
 
 VALUE_KINDS = ("upper", "lower")
 BOUNDARY_POLICIES = ("freeze", "strict")
@@ -53,7 +53,11 @@ class ValueGrid:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Backward solve output: recorded slices ordered by decreasing time."""
+    """Backward solve output: recorded slices ordered by decreasing time.
+
+    ``sigma`` is the viscosity of a ``solve_viscous`` run (whose ``h`` is the
+    spatial step dx) and None for the chain solver.
+    """
 
     game: str
     kind: str
@@ -62,6 +66,7 @@ class SolveResult:
     scheme: str
     boundary: str
     slices: tuple[ValueGrid, ...]
+    sigma: float | None = None
 
     @property
     def domain(self) -> LatticeDomain:
@@ -148,94 +153,78 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, t0: float = 0.0, pad: floa
 
 
 # ---------------------------------------------------------------------------
-# vectorized Hamiltonian sweeps
+# the generator kernel
 
 
-def _generator_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-                     states: np.ndarray, u: Control, v: Control,
-                     up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Generator applied to a whole slice for one fixed control pair."""
-    f = drift_batch(spec, t, states, u, v)
-    h = domain.h
-    out = np.zeros(len(values))
-    for i in range(spec.d):
-        fi = f[:, i]
-        pos = fi > RATE_DROP_TOL
-        neg = fi < -RATE_DROP_TOL
-        nbr = np.where(pos, values[up[i]], np.where(neg, values[down[i]], values))
-        rate = np.where(pos | neg, np.abs(fi) / h, 0.0)
-        out += rate * (nbr - values)
+def _upwind_generator(f: np.ndarray, d_up: np.ndarray, d_down: np.ndarray,
+                      h: float) -> np.ndarray:
+    """Chain generator sum_i (f_i+/h)(V[up_i] - V) + (f_i-/h)(V[down_i] - V).
+
+    ``f`` holds drifts of shape (..., m, d); ``d_up[i]``/``d_down[i]`` hold the
+    value differences V[up_i] - V and V[down_i] - V at the m points.  This is
+    also the first-order upwind difference of <grad V, f>.  Components with
+    |f_i| <= RATE_DROP_TOL do not jump, as in ``chain.jump_measure``.
+    """
+    out = np.zeros(f.shape[:-1])
+    for i in range(f.shape[-1]):
+        fi = f[..., i]
+        out += np.where(fi > RATE_DROP_TOL, fi, 0.0) / h * d_up[i]
+        out += np.where(fi < -RATE_DROP_TOL, -fi, 0.0) / h * d_down[i]
     return out
+
+
+def _committed_generators(values: np.ndarray, spec: GameSpec, t: float,
+                          domain: LatticeDomain, kind: str, states: np.ndarray,
+                          idx: np.ndarray | None = None):
+    """Per control of the committing player, the other player's best
+    generator value at the points ``idx`` (all points when None)."""
+    up, down, _ = neighbor_tables(domain)
+    if idx is not None:
+        up, down, base = up[:, idx], down[:, idx], values[idx]
+    else:
+        base = values
+    d_up, d_down = values[up] - base, values[down] - base
+    # u always minimises and v always maximises; upper commits u first
+    # (min_u max_v), lower commits v first (max_v min_u)
+    first, second = (spec.u_grid, spec.v_grid) if kind == "upper" else (spec.v_grid, spec.u_grid)
+    best = np.maximum if kind == "upper" else np.minimum
+    for a in first:
+        inner = None
+        for b in second:
+            u, v = (a, b) if kind == "upper" else (b, a)
+            g = _upwind_generator(drift_batch(spec, t, states, u, v), d_up, d_down, domain.h)
+            inner = g if inner is None else best(inner, g)
+        yield inner
+
+
+def _minimax(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
+             kind: str, states: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    if kind not in VALUE_KINDS:
+        raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
+    best = np.minimum if kind == "upper" else np.maximum
+    outer = None
+    for inner in _committed_generators(values, spec, t, domain, kind, states, idx):
+        outer = inner if outer is None else best(outer, inner)
+    return outer
 
 
 def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
                       kind: str, states: np.ndarray | None = None) -> np.ndarray:
     """Minimax (upper) or maximin (lower) of the generator over both grids."""
-    if kind not in VALUE_KINDS:
-        raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
     if states is None:
         states = domain.states()
-    up, down, _ = neighbor_tables(domain)
-    # u always minimises and v always maximises; upper commits u first
-    # (min_u max_v), lower commits v first (max_v min_u)
-    first = spec.u_grid if kind == "upper" else spec.v_grid
-    second = spec.v_grid if kind == "upper" else spec.u_grid
-    outer = None
-    for a in first:
-        inner = None
-        for b in second:
-            u, v = (a, b) if kind == "upper" else (b, a)
-            g = _generator_field(values, spec, t, domain, states, u, v, up, down)
-            if kind == "upper":
-                inner = g if inner is None else np.maximum(inner, g)
-            else:
-                inner = g if inner is None else np.minimum(inner, g)
-        if kind == "upper":
-            outer = inner if outer is None else np.minimum(outer, inner)
-        else:
-            outer = inner if outer is None else np.maximum(outer, inner)
-    return outer
+    return _minimax(values, spec, t, domain, kind, states)
 
 
 def minimax_control_indices(values: np.ndarray, spec: GameSpec, t: float,
-                            domain: LatticeDomain, point_indices: np.ndarray,
-                            kind: str = "upper") -> np.ndarray:
+                            domain: LatticeDomain, point_indices: np.ndarray) -> np.ndarray:
     """First-player control index attaining min_u max_v of the generator.
 
-    Evaluated only at ``point_indices``; ties resolve to the lowest grid
-    index because updates use strict inequality in grid order.
+    Evaluated only at ``point_indices``; ties resolve to the lowest grid index.
     """
-    if kind != "upper":
-        raise GameSpecError("feedback selection is defined for the upper construction")
-    up, down, _ = neighbor_tables(domain)
     states = domain.states()[point_indices]
-    up = up[:, point_indices]
-    down = down[:, point_indices]
-    sub_values = values  # full slice: neighbour tables index into it
-    best = None
-    best_idx = None
-    for iu, u in enumerate(spec.u_grid):
-        inner = None
-        for v in spec.v_grid:
-            f = drift_batch(spec, t, states, u, v)
-            g = np.zeros(len(point_indices))
-            for i in range(spec.d):
-                fi = f[:, i]
-                pos = fi > RATE_DROP_TOL
-                neg = fi < -RATE_DROP_TOL
-                nbr = np.where(pos, sub_values[up[i]],
-                               np.where(neg, sub_values[down[i]], sub_values[point_indices]))
-                rate = np.where(pos | neg, np.abs(fi) / domain.h, 0.0)
-                g += rate * (nbr - sub_values[point_indices])
-            inner = g if inner is None else np.maximum(inner, g)
-        if best is None:
-            best = inner
-            best_idx = np.zeros(len(point_indices), dtype=np.int64)
-        else:
-            better = inner < best
-            best = np.where(better, inner, best)
-            best_idx = np.where(better, iu, best_idx)
-    return best_idx
+    inner = list(_committed_generators(values, spec, t, domain, "upper", states, point_indices))
+    return np.argmin(np.stack(inner), axis=0)
 
 
 def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
@@ -256,8 +245,8 @@ def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
                             f"jump target {target.tolist()} leaves the box at x="
                             f"{domain.state_of(idx).tolist()} under strict boundary policy"
                         )
-    out = hamiltonian_field(grid.values, spec, t, domain, kind)
-    return float(out[idx])
+    return float(_minimax(grid.values, spec, t, domain, kind, domain.state_of(idx)[None],
+                          np.array([idx]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +258,48 @@ def dt_ceiling(spec: GameSpec, h: float) -> float:
     return h / (2.0 * spec.d * spec.M1)
 
 
-def auto_dt(spec: GameSpec, h: float, t_min: float = 0.0) -> float:
-    """Largest dt <= ceiling that tiles [t_min, T] with an integer number of steps."""
-    span = spec.T - t_min
-    n = max(1, math.ceil(span / dt_ceiling(spec, h) * (1.0 - 1e-12)))
+def _tiling_dt(span: float, ceiling: float) -> float:
+    """Largest dt <= ceiling that tiles ``span`` with an integer number of steps."""
+    n = max(1, math.ceil(span / ceiling * (1.0 - 1e-12)))
     return span / n
 
-def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper",
-                   dt: float | None = None, checkpoints: Sequence[float] | None = None,
-                   scheme: str = "euler", boundary: str = "freeze",
-                   stability_check: bool = True) -> SolveResult:
-    """Integrate the value system backward from the terminal payoff.
 
-    Slices are recorded at checkpoint times snapped *down* to the integration
-    grid t_k = T - k*dt (a checkpoint maps to the largest grid time <= it).
-    ``checkpoints=None`` records every step down to t=0, which the feedback
-    strategy machinery relies on.  Explicit Euler is the reference monotone
-    scheme; ``scheme="rk4"`` is a higher-accuracy non-monotone alternative
-    under the same step ceiling.
+def auto_dt(spec: GameSpec, h: float, t_min: float = 0.0) -> float:
+    """Largest dt <= ceiling that tiles [t_min, T] with an integer number of steps."""
+    return _tiling_dt(spec.T - t_min, dt_ceiling(spec, h))
+
+
+def _range_check(g: np.ndarray) -> Callable[[np.ndarray, float], None]:
+    """Maximum principle of a monotone step: values stay in [min g, max g]."""
+    lo, hi = float(g.min()), float(g.max())
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+
+    def check(values: np.ndarray, t: float) -> None:
+        # written so that a NaN anywhere fails the comparison too
+        if not (values.min() >= lo - tol and values.max() <= hi + tol):
+            raise StepSizeError(
+                f"values at t={t:.6g} leave the terminal payoff range "
+                f"[{lo:.6g}, {hi:.6g}]; reduce dt"
+            )
+    return check
+
+
+def _sweep(spec: GameSpec, domain: LatticeDomain, values: np.ndarray,
+           step: Callable[[np.ndarray, float, float, float], np.ndarray], *,
+           dt: float | None, checkpoints: Sequence[float] | None,
+           ceiling: float, ceiling_name: str,
+           check: Callable[[np.ndarray, float], None] | None = None
+           ) -> tuple[float, tuple[ValueGrid, ...]]:
+    """Backward explicit sweep from the terminal slice ``values`` at T.
+
+    Each step maps (values, t, t_next, dt) to the slice at t_next = T - k*dt;
+    ``check`` (default: the payoff-range check) then vets it.  Slices are
+    recorded at checkpoint times snapped *down* to that grid (a checkpoint
+    maps to the largest grid time <= it); ``checkpoints=None`` records every
+    step down to t=0.  Returns dt and the slices ordered by decreasing time.
     """
-    if kind not in VALUE_KINDS:
-        raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
-    if scheme not in ("euler", "rk4"):
-        raise GameSpecError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
-    if boundary not in BOUNDARY_POLICIES:
-        raise GameSpecError(f"boundary must be one of {BOUNDARY_POLICIES}")
     if checkpoints is None:
-        targets = None
+        want = None
         t_min = 0.0
     else:
         targets = sorted(float(c) for c in checkpoints)
@@ -304,74 +308,90 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
         if targets[0] < -_TIME_FUZZ or targets[-1] > spec.T + _TIME_FUZZ:
             raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
         t_min = targets[0]
-    ceiling = dt_ceiling(spec, domain.h)
     if dt is None:
-        dt = auto_dt(spec, domain.h, t_min)
+        dt = _tiling_dt(spec.T - t_min, ceiling)
     dt = float(dt)
     if dt <= 0:
         raise GameSpecError(f"dt must be positive, got {dt}")
     if dt > ceiling * (1 + 1e-9):
-        raise StepSizeError(
-            f"dt={dt:.6g} exceeds the stability ceiling h/(2*d*M1)={ceiling:.6g}"
-        )
+        raise StepSizeError(f"dt={dt:.6g} exceeds the {ceiling_name}={ceiling:.6g}")
+    if checkpoints is not None:
+        # each checkpoint's snapped step count k = ceil((T - c)/dt)
+        want = {max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ)) for c in targets}
+        k_last = max(want)
+    if check is None:
+        check = _range_check(values)
+
+    t = spec.T
+    k = 0
+    slices = [ValueGrid(t=t, domain=domain, values=values.copy())] if want is None or 0 in want else []
+    while t > _TIME_FUZZ if want is None else k < k_last:
+        k += 1
+        t_next = spec.T - k * dt
+        values = step(values, t, t_next, dt)
+        t = t_next
+        check(values, t)
+        if want is None or k in want:
+            slices.append(ValueGrid(t=t, domain=domain, values=values.copy()))
+    return dt, tuple(slices)
+
+
+def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper",
+                   dt: float | None = None, checkpoints: Sequence[float] | None = None,
+                   scheme: str = "euler", boundary: str = "freeze") -> SolveResult:
+    """Integrate the value system backward from the terminal payoff.
+
+    Checkpoints snap down to the integration grid t_k = T - k*dt;
+    ``checkpoints=None`` records every step down to t=0, which the feedback
+    strategy machinery relies on.  Explicit Euler is the reference monotone
+    scheme and is checked against the maximum principle; ``scheme="rk4"`` is a
+    higher-accuracy non-monotone alternative under the same step ceiling,
+    checked against exp(3*d*M1*(T-t)) growth of the mesh-weighted norm.
+    """
+    if kind not in VALUE_KINDS:
+        raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
+    if scheme not in ("euler", "rk4"):
+        raise GameSpecError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
+    if boundary not in BOUNDARY_POLICIES:
+        raise GameSpecError(f"boundary must be one of {BOUNDARY_POLICIES}")
     if boundary == "strict":
         _assert_strict_feasible(spec, domain, spec.T)
 
     states = domain.states()
     values = payoff_batch(spec, states).astype(float)
-    norms = np.linalg.norm(states, axis=1)
-    weights = domain.h + norms
-    g_norm = float(np.max(np.abs(values) / weights))
-    growth_rate = 3.0 * spec.d * spec.M1
 
-    def record(t: float, vals: np.ndarray) -> ValueGrid:
-        return ValueGrid(t=t, domain=domain, values=vals.copy())
+    def H(vals: np.ndarray, t: float) -> np.ndarray:
+        return hamiltonian_field(vals, spec, t, domain, kind, states)
 
-    slices: list[ValueGrid] = []
-    if targets is None:
-        slices.append(record(spec.T, values))
+    check = None
+    if scheme == "euler":
+        def step(vals, t, t_next, dt):
+            return vals + dt * H(vals, t)
     else:
-        # map each checkpoint to its snapped step count k = ceil((T - c)/dt)
-        want: dict[int, float] = {}
-        for c in targets:
-            k = max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
-            want.setdefault(k, spec.T - k * dt)
-        if 0 in want:
-            slices.append(record(want[0], values))
-        k_last = max(want)
+        def step(vals, t, t_next, dt):
+            k1 = H(vals, t)
+            k2 = H(vals + 0.5 * dt * k1, t - 0.5 * dt)
+            k3 = H(vals + 0.5 * dt * k2, t - 0.5 * dt)
+            k4 = H(vals + dt * k3, t_next)
+            return vals + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    t = spec.T
-    k = 0
-    while True:
-        if targets is None:
-            if t <= _TIME_FUZZ:
-                break
-        elif k >= k_last:
-            break
-        t_next = spec.T - (k + 1) * dt
-        if scheme == "euler":
-            values = values + dt * hamiltonian_field(values, spec, t, domain, kind, states)
-        else:
-            k1 = hamiltonian_field(values, spec, t, domain, kind, states)
-            k2 = hamiltonian_field(values + 0.5 * dt * k1, spec, t - 0.5 * dt, domain, kind, states)
-            k3 = hamiltonian_field(values + 0.5 * dt * k2, spec, t - 0.5 * dt, domain, kind, states)
-            k4 = hamiltonian_field(values + dt * k3, spec, t_next, domain, kind, states)
-            values = values + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t_next
-        k += 1
-        if stability_check:
+        weights = domain.h + np.linalg.norm(states, axis=1)
+        g_norm = float(np.max(np.abs(values) / weights))
+        growth_rate = 3.0 * spec.d * spec.M1
+
+        def check(vals, t):
             ceiling_norm = g_norm * math.exp(growth_rate * (spec.T - t)) * (1 + 1e-6)
-            if not np.all(np.isfinite(values)) or np.max(np.abs(values) / weights) > ceiling_norm:
+            if not np.all(np.isfinite(vals)) or np.max(np.abs(vals) / weights) > ceiling_norm:
                 raise StepSizeError(
                     f"runaway growth at t={t:.6g}: weighted norm exceeds "
                     f"exp({growth_rate:.3g}*(T-t)) * terminal norm; reduce dt"
                 )
-        if targets is None or k in want:
-            slices.append(record(t, values))
 
-    slices.sort(key=lambda s: -s.t)
+    dt, slices = _sweep(spec, domain, values, step, dt=dt, checkpoints=checkpoints,
+                        ceiling=dt_ceiling(spec, domain.h),
+                        ceiling_name="stability ceiling h/(2*d*M1)", check=check)
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, scheme=scheme,
-                       boundary=boundary, slices=tuple(slices))
+                       boundary=boundary, slices=slices)
 
 
 def _assert_strict_feasible(spec: GameSpec, domain: LatticeDomain, t: float) -> None:
@@ -455,7 +475,7 @@ def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:
     domain = LatticeDomain(h=h, lo=lo, hi=hi)
     if domain.n_points != len(vals):
         raise GameSpecError(f"slice file {path} does not cover a full box")
-    ordered = np.empty(domain.n_points)
-    for k_vec, val in zip(ks, vals):
-        ordered[domain.index_of(k_vec)] = val
+    # a repeated row leaves a hole, which ValueGrid rejects as non-finite
+    ordered = np.full(domain.n_points, np.nan)
+    ordered[np.ravel_multi_index(tuple((ks - np.asarray(lo)).T), domain.shape)] = vals
     return ValueGrid(t=t, domain=domain, values=ordered), meta

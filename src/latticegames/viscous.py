@@ -13,44 +13,18 @@ CFL ceiling the update is again a convex combination of current values.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, neighbor_tables, RATE_DROP_TOL
-from .errors import GameSpecError, StepSizeError
-from .games import GameSpec, drift_batch, payoff_batch
-from .solver import ValueGrid, VALUE_KINDS, _TIME_FUZZ
+from .chain import LatticeDomain, neighbor_tables
+from .errors import GameSpecError
+# drift_batch is no longer called here; perfbench's install_probes patches it
+from .games import GameSpec, drift_batch, payoff_batch  # noqa: F401
+from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _sweep, _tiling_dt,
+                     hamiltonian_field)
 
-__all__ = ["ViscousResult", "cfl_ceiling", "auto_cfl_dt", "solve_viscous", "viscosity_gap"]
-
-
-@dataclass(frozen=True)
-class ViscousResult:
-    """Backward viscous solve output; slices ordered by decreasing time."""
-
-    game: str
-    kind: str
-    sigma: float
-    dx: float
-    dt: float
-    slices: tuple[ValueGrid, ...]
-
-    @property
-    def domain(self) -> LatticeDomain:
-        return self.slices[0].domain
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.slices])
-
-    def slice_at(self, t: float) -> ValueGrid:
-        for s in self.slices:
-            if abs(s.t - t) <= _TIME_FUZZ:
-                return s
-        raise GameSpecError(f"no recorded slice at t={t}; have {self.times.tolist()}")
+__all__ = ["cfl_ceiling", "auto_cfl_dt", "solve_viscous", "viscosity_gap"]
 
 
 def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
@@ -59,52 +33,20 @@ def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
 
 
 def auto_cfl_dt(spec: GameSpec, dx: float, sigma: float, t_min: float = 0.0) -> float:
-    span = spec.T - t_min
-    n = max(1, math.ceil(span / cfl_ceiling(spec, dx, sigma) * (1.0 - 1e-12)))
-    return span / n
-
-
-def _advection_minimax(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-                       states: np.ndarray, kind: str,
-                       up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """min_u max_v (or max_v min_u) of the upwinded advection term."""
-    dx = domain.h
-    # upper commits u first (min_u max_v), lower commits v first (max_v min_u)
-    first = spec.u_grid if kind == "upper" else spec.v_grid
-    second = spec.v_grid if kind == "upper" else spec.u_grid
-    outer = None
-    for a in first:
-        inner = None
-        for b in second:
-            u, v = (a, b) if kind == "upper" else (b, a)
-            f = drift_batch(spec, t, states, u, v)
-            term = np.zeros(len(values))
-            for i in range(spec.d):
-                fi = f[:, i]
-                pos = fi > RATE_DROP_TOL
-                neg = fi < -RATE_DROP_TOL
-                nbr = np.where(pos, values[up[i]], np.where(neg, values[down[i]], values))
-                term += np.where(pos | neg, np.abs(fi) / dx, 0.0) * (nbr - values)
-            if kind == "upper":
-                inner = term if inner is None else np.maximum(inner, term)
-            else:
-                inner = term if inner is None else np.minimum(inner, term)
-        if kind == "upper":
-            outer = inner if outer is None else np.minimum(outer, inner)
-        else:
-            outer = inner if outer is None else np.maximum(outer, inner)
-    return outer
+    return _tiling_dt(spec.T - t_min, cfl_ceiling(spec, dx, sigma))
 
 
 def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
                   kind: str = "upper", dt: float | None = None,
-                  checkpoints: Sequence[float] | None = None) -> ViscousResult:
+                  checkpoints: Sequence[float] | None = None) -> SolveResult:
     """Backward explicit sweep of the viscous minimax equation.
 
+    The step is the chain solver's generator kernel (the upwind advection
+    term) plus the centered Laplacian, with the boundary ring re-frozen.
     ``domain.h`` doubles as the spatial spacing dx.  Checkpoints follow the
-    same snap-down convention as the chain solver; ``None`` records every
-    step down to t=0.  sigma=0 degenerates to the first-order upwind scheme
-    for the inviscid equation.
+    chain solver's snap-down convention; ``None`` records every step down to
+    t=0.  sigma=0 degenerates to the first-order upwind scheme for the
+    inviscid equation.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
@@ -112,76 +54,28 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     if sigma < 0:
         raise GameSpecError(f"sigma must be >= 0, got {sigma}")
     dx = domain.h
-    if checkpoints is None:
-        targets = None
-        t_min = 0.0
-    else:
-        targets = sorted(float(c) for c in checkpoints)
-        if not targets:
-            raise GameSpecError("checkpoints must be non-empty when given")
-        if targets[0] < -_TIME_FUZZ or targets[-1] > spec.T + _TIME_FUZZ:
-            raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
-        t_min = targets[0]
-    ceiling = cfl_ceiling(spec, dx, sigma)
-    if dt is None:
-        dt = auto_cfl_dt(spec, dx, sigma, t_min)
-    dt = float(dt)
-    if dt <= 0:
-        raise GameSpecError(f"dt must be positive, got {dt}")
-    if dt > ceiling * (1 + 1e-9):
-        raise StepSizeError(
-            f"dt={dt:.6g} exceeds the CFL stability ceiling {ceiling:.6g}"
-        )
-
     states = domain.states()
     up, down, interior = neighbor_tables(domain)
-    values = payoff_batch(spec, states).astype(float)
-    frozen = values[~interior].copy()  # Dirichlet data on the boundary ring
     half_sig2 = 0.5 * sigma**2
     dx2 = dx * dx
 
-    def record(t: float, vals: np.ndarray) -> ValueGrid:
-        return ValueGrid(t=t, domain=domain, values=vals.copy())
-
-    slices: list[ValueGrid] = []
-    if targets is None:
-        slices.append(record(spec.T, values))
-    else:
-        want: dict[int, float] = {}
-        for c in targets:
-            kk = max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
-            want.setdefault(kk, spec.T - kk * dt)
-        if 0 in want:
-            slices.append(record(want[0], values))
-        k_last = max(want)
-
-    t = spec.T
-    k = 0
-    while True:
-        if targets is None:
-            if t <= _TIME_FUZZ:
-                break
-        elif k >= k_last:
-            break
-        rhs = _advection_minimax(values, spec, t, domain, states, kind, up, down)
+    def step(values, t, t_next, dt):
+        rhs = hamiltonian_field(values, spec, t, domain, kind, states)
         if sigma > 0:
             # centered second differences; boundary values are re-frozen below
             lap = np.zeros(len(values))
             for i in range(spec.d):
                 lap += (values[up[i]] - 2.0 * values + values[down[i]]) / dx2
             rhs = rhs + half_sig2 * lap
-        values = values + dt * rhs
-        values[~interior] = frozen  # boundary ring stays at terminal data
-        t = spec.T - (k + 1) * dt
-        k += 1
-        if not np.all(np.isfinite(values)):
-            raise StepSizeError(f"non-finite values at t={t:.6g}; reduce dt")
-        if targets is None or k in want:
-            slices.append(record(t, values))
+        out = values + dt * rhs
+        out[~interior] = values[~interior]  # boundary ring stays at terminal data
+        return out
 
-    slices.sort(key=lambda s: -s.t)
-    return ViscousResult(game=spec.name, kind=kind, sigma=sigma, dx=dx, dt=dt,
-                         slices=tuple(slices))
+    dt, slices = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
+                        dt=dt, checkpoints=checkpoints, ceiling=cfl_ceiling(spec, dx, sigma),
+                        ceiling_name="CFL stability ceiling")
+    return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, scheme="euler",
+                       boundary="dirichlet", slices=slices, sigma=sigma)
 
 
 def viscosity_gap(slice_a: ValueGrid, slice_b: ValueGrid, tol: float = 1e-9) -> float:
@@ -190,13 +84,8 @@ def viscosity_gap(slice_a: ValueGrid, slice_b: ValueGrid, tol: float = 1e-9) -> 
     Slices may live on different meshes; points are matched by state up to
     ``tol``.  Raises when the meshes share no points.
     """
-    states_a = slice_a.domain.states()
-    dom_b = slice_b.domain
-    gap = None
-    for idx, x in enumerate(states_a):
-        if dom_b.contains_state(x, tol=tol):
-            diff = abs(float(slice_a.values[idx]) - float(slice_b.values[dom_b.index_of_state(x, tol=tol)]))
-            gap = diff if gap is None else max(gap, diff)
-    if gap is None:
+    idx_b = slice_b.domain.indices_of_states(slice_a.domain.states(), tol)
+    shared = idx_b >= 0
+    if not np.any(shared):
         raise GameSpecError("slices share no lattice points")
-    return gap
+    return float(np.max(np.abs(slice_a.values[shared] - slice_b.values[idx_b[shared]])))

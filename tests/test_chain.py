@@ -35,6 +35,13 @@ def test_domain_index_roundtrip():
         dom.index_of(np.array([21]))
 
 
+def test_indices_of_states_marks_misses():
+    dom = make_domain(h=0.5, lo=(-4,), hi=(4,))
+    xs = np.array([[-2.0], [0.5], [0.25], [2.5], [1.5]])
+    assert dom.indices_of_states(xs).tolist() == [0, 5, -1, -1, 7]
+    assert dom.contains_state([1.5]) and not dom.contains_state([0.25])
+
+
 def test_nearest_lattice_ties_round_down():
     dom = make_domain(h=0.5, lo=(-4,), hi=(4,))
     assert dom.nearest_lattice(np.array([0.74])).tolist() == [1]

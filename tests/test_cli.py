@@ -1,10 +1,12 @@
 """Command-line front end: files, metadata, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
 
 from latticegames.cli import config_sha256, main
+from latticegames.solver import read_slice_csv
 
 
 def run(*argv):
@@ -161,3 +163,40 @@ def test_reruns_are_byte_identical(tmp_path):
                    "--adversaries", "random") == 0
     for name in ("eta_upper_t0.csv", "bounds.json", "simulate.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_false_runaway_alarm_regression(tmp_path):
+    # the maximiser dominates, so the value |x| + 0.5(T - t) grows at the
+    # origin; the old weighted-norm growth check rejected it at any dt
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "d": 1, "T": 1, "drift": {"kind": "control_sum"},
+        "u_grid": [-0.5, 0, 0.5], "v_grid": [-1, 0, 1],
+        "payoff": {"kind": "norm"}, "R": 1, "M1": 1.5, "K1": 0}))
+    for policy in ("auto", "0.0001"):
+        out = tmp_path / policy
+        assert run("solve", "--game", str(game), "--out", str(out), "--dt-policy", policy) == 0
+        grid, _ = read_slice_csv(out / "eta_upper_t0.csv", 0.05)
+        assert abs(grid.value_at([0.0]) - 0.5) <= 0.05  # true value 0.5 at (0, 0)
+
+
+# sha256 of the g1 outputs as produced before the generator kernel and the
+# backward sweep were unified; any change to these files must be deliberate
+GOLDEN_G1 = {
+    "chain/bounds.json": "fca23fd31629fa08f24d4e3efe5d271a8529da848ba5698e1c4b1bf939e310d8",
+    "chain/eta_upper_t0.csv": "70b7a5239a6ac22379219cea410970cf3fb4be5781043bd9bf704f1228922959",
+    "chain/simulate.csv": "3e164c99070691f066511516602f32a36d22d19538aaeb4d879309c73d436eb2",
+    "visc/bounds.json": "7260ab6e4c110038e2fca8eb83f53bd26e3640a5e058541056d2550d129760f4",
+    "visc/psi_upper_t0_s0.2.csv": "8b4b68b27b23aef3202d09dcb8e5379d406b4a55c5e506760e21197222f58911",
+}
+
+
+def test_g1_outputs_match_golden_digests(tmp_path):
+    chain, visc = tmp_path / "chain", tmp_path / "visc"
+    assert run("solve", "--game", "g1", "--out", str(chain)) == 0
+    assert run("solve", "--game", "g1", "--sigma", "0.2", "--out", str(visc)) == 0
+    assert run("simulate", "--game", "g1", "--replicas", "200",
+               "--partition-diam", "0.05", "--out", str(chain)) == 0
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert got == GOLDEN_G1

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import latticegames as lg
-from latticegames.chain import LatticeDomain
-from latticegames.games import payoff_norm
+from latticegames.chain import LatticeDomain, apply_generator, neighbor_tables
+from latticegames.games import game_from_dict, payoff_norm
 from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling, hamiltonian,
                                  hamiltonian_field, minimax_control_indices,
                                  read_slice_csv, solve_backward, truncate_domain,
@@ -103,6 +103,45 @@ def test_minimax_control_indices_anchor():
     idxs = minimax_control_indices(grid.values, spec, 1.0, dom,
                                    np.array([right, left]))
     assert idxs.tolist() == [0, 2]
+
+
+AFFINE_GAME = {
+    "d": 2, "T": 1.0,
+    "drift": {"kind": "affine", "a": [[0.3, 1.0], [-1.0, 0.2]], "bu": [[1.0], [0.5]],
+              "bv": [[0.2], [1.0]], "c": [0.1, -0.3]},
+    "u_grid": [-1, 0, 1], "v_grid": [-1, 1], "payoff": {"kind": "norm"},
+    "R": 1.0, "M1": 6.0, "K1": 1.5,
+}
+
+
+def generator_tables(values, spec, t, dom):
+    """Per interior point, the (u, v) table of chain.apply_generator."""
+    def lookup(y):
+        return values[dom.index_of_state(y)]
+
+    _, _, interior = neighbor_tables(dom)
+    points = np.flatnonzero(interior)
+    tables = np.array([[[apply_generator(lookup, spec, t, dom.state_of(i), u, v, dom.h)
+                         for v in spec.v_grid] for u in spec.u_grid] for i in points])
+    return points, tables
+
+
+@pytest.mark.parametrize("spec, dom, rtol", [
+    (lg.g1(), g1_domain(), 0.0),
+    (lg.g2(), LatticeDomain(h=0.1, lo=(-8, -8), hi=(8, 8)), 0.0),
+    # the batched affine matmul may differ from the per-point one in the last bits
+    (game_from_dict(AFFINE_GAME, name="affine"), LatticeDomain(h=0.1, lo=(-6, -6), hi=(6, 6)), 1e-12),
+], ids=["g1", "g2", "affine"])
+def test_hamiltonian_field_matches_generator_reference(spec, dom, rtol):
+    values = np.random.default_rng(3).normal(size=dom.n_points)
+    t = 0.37
+    points, tables = generator_tables(values, spec, t, dom)
+    refs = {"upper": tables.max(axis=2).min(axis=1), "lower": tables.min(axis=1).max(axis=1)}
+    for kind, ref in refs.items():
+        field = hamiltonian_field(values, spec, t, dom, kind)[points]
+        assert np.all(np.abs(field - ref) <= rtol * np.maximum(1.0, np.abs(ref))), kind
+    idxs = minimax_control_indices(values, spec, t, dom, points)
+    assert np.array_equal(idxs, np.argmin(tables.max(axis=2), axis=1))
 
 
 def test_solve_preserves_constants():
@@ -220,6 +259,17 @@ def test_instability_detector():
     dom = LatticeDomain(h=0.1, lo=(-40,), hi=(40,))
     with pytest.raises(lg.StepSizeError):
         solve_backward(spec, dom)
+
+
+def test_csv_rejects_repeated_row(tmp_path):
+    dom = g1_domain(h=0.25, lo=-2, hi=2)
+    path = tmp_path / "slice.csv"
+    write_slice_csv(terminal_grid(lg.g1(), dom), path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[2]  # the point of row 3 is missing, row 2 appears twice
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(lg.GameSpecError):
+        read_slice_csv(path, 0.25)
 
 
 def test_csv_roundtrip(tmp_path):

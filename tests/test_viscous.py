@@ -48,6 +48,26 @@ def test_zero_viscosity_matches_backward_euler():
     assert np.max(np.abs(a.values[inner] - b.values[inner])) < 5e-3
 
 
+def test_result_records_sigma():
+    spec = lg.g1()
+    res = solve_viscous(spec, domain(dx=0.1, lo=-25, hi=25), 0.3, checkpoints=[0.0, 0.5])
+    assert isinstance(res, lg.SolveResult)
+    assert res.sigma == 0.3 and res.h == 0.1 and res.boundary == "dirichlet"
+    assert res.times.tolist() == [0.5, 0.0]
+    assert lg.solve_backward(spec, domain(dx=0.1, lo=-25, hi=25), checkpoints=[0.0]).sigma is None
+
+
+def test_range_check_fires():
+    # a drift 400 times its declared bound M1: the step under the CFL ceiling
+    # for M1 is no longer a convex combination and values leave [min g, max g]
+    spec = lg.GameSpec(name="lie", d=1, T=1.0,
+                       drift=lambda t, x, u, v: 40.0 * np.sign(x),
+                       u_grid=(0.0,), v_grid=(0.0,), payoff=lg.payoff_norm(),
+                       R=1.0, M1=0.1, K1=0.0, vectorized=True)
+    with pytest.raises(lg.StepSizeError, match="payoff range"):
+        solve_viscous(spec, domain(dx=0.1, lo=-40, hi=40), 0.0)
+
+
 def test_boundary_ring_frozen():
     spec = lg.g1()
     dom = domain(dx=0.1, lo=-25, hi=25)
