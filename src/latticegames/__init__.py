@@ -24,16 +24,17 @@ from .simulate import (ChainPath, MomentReport, OdePath, OutcomeEstimate,
                        ResidualReport, integrate_ode, martingale_residual,
                        moment_growth_check, monte_carlo_outcome, rate_majorant,
                        replica_rng, simulate_chain)
-from .solver import (SolveResult, ValueGrid, auto_dt, dt_ceiling, hamiltonian,
-                     hamiltonian_field, minimax_control_indices, read_slice_csv,
-                     solve_backward, truncate_domain, weighted_norm, write_slice_csv)
+from .solver import (FeedbackTable, SolveResult, ValueGrid, auto_dt, dt_ceiling,
+                     feedback_table, hamiltonian, hamiltonian_field,
+                     minimax_control_indices, read_slice_csv, solve_backward,
+                     truncate_domain, weighted_norm, write_slice_csv)
 from .viscous import auto_cfl_dt, cfl_ceiling, solve_viscous, viscosity_gap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BangBangAdversary", "BatchOutcomes", "BoundsReport", "ChainPath",
-    "ConstantAdversary", "GameSpec", "GameSpecError", "IsaacsReport",
+    "ConstantAdversary", "FeedbackTable", "GameSpec", "GameSpecError", "IsaacsReport",
     "LatticeDomain", "LatticeGamesError", "MirrorAdversary", "MomentReport",
     "OdePath", "OutcomeEstimate", "PairedTrajectory", "Partition",
     "RandomAdversary", "RateList", "ResidualReport", "ResourceError",
@@ -41,7 +42,7 @@ __all__ = [
     "alpha2_reference", "apply_generator", "assemble",
     "auto_cfl_dt", "auto_dt", "beta", "chain_characteristics", "check_isaacs",
     "chi", "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2",
-    "eval_drift", "eval_payoff", "g1", "g2", "game_from_dict", "hamiltonian",
+    "eval_drift", "eval_payoff", "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian",
     "hamiltonian_field", "integrate_ode", "jump_measure", "kappa",
     "kolmogorov_rates", "load_game", "martingale_residual", "minimax_control_indices",
     "model_feedback", "moment_growth_check", "monte_carlo_outcome", "neighbor_tables",

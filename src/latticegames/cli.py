@@ -26,8 +26,8 @@ from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
-from .solver import (read_slice_csv, solve_backward, truncate_domain,
-                     write_slice_csv)
+from .solver import (auto_dt, feedback_table, read_slice_csv, solve_backward,
+                     truncate_domain, write_slice_csv)
 from .viscous import solve_viscous
 
 _CONFIG_KEYS = ("command", "game", "h", "sigma", "dt_policy", "partition_diam",
@@ -310,33 +310,50 @@ def cmd_converge(cfg: dict) -> int:
     return 0
 
 
+def _check_reused_slice(name: str, meta: dict, **expected) -> None:
+    """A slice file from an earlier 'solve' must match this run's settings."""
+    for key, want in expected.items():
+        # 'solve' writes floats with str(), which round-trips exactly
+        want = want if isinstance(want, str) else str(float(want))
+        if meta.get(key) != want:
+            raise UsageError(f"{name} was solved with {key}={meta.get(key)}, this run has "
+                             f"{key}={want}; rerun 'solve' with the same settings")
+
+
 def cmd_simulate(cfg: dict) -> int:
     spec = _load(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     if cfg["replicas"] < 2:
         raise UsageError("simulate needs at least 2 replicas for a standard error")
+    if cfg["kind"] != "upper":
+        raise UsageError("simulate plays the upper-value feedback; --kind must be 'upper'")
     x0 = _x0(cfg, spec)
     h = cfg["h"][0]
-
-    eta_path = out / f"eta_{cfg['kind']}_t0.csv"
-    if not eta_path.exists():
-        raise UsageError(f"missing {eta_path.name} in --out; run 'solve' first")
-    ref_grid, _ = read_slice_csv(eta_path, h)
-    eta_ref = float(ref_grid.value_at(ref_grid.domain.nearest_lattice(x0) * h))
-
-    domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
-    eta = solve_backward(spec, domain, kind=cfg["kind"], dt=_dt(cfg, spec, h),
-                         checkpoints=None)
-    partition = Partition.uniform(0.0, spec.T, cfg["partition_diam"])
-    report = bounds_mod.assemble(spec, h, seed=cfg["seed"])
-    bound = report.guarantee_thm1
-
     wanted = [s.strip() for s in cfg["adversaries"].split(",") if s.strip()]
     panel = {a.name: a for a in standard_adversaries(spec)}
     unknown = [w for w in wanted if w not in panel]
     if unknown:
         raise UsageError(f"unknown adversaries {unknown}; choose from {sorted(panel)}")
+
+    eta_path = out / f"eta_{cfg['kind']}_t0.csv"
+    if not eta_path.exists():
+        raise UsageError(f"missing {eta_path.name} in --out; run 'solve' first")
+    ref_grid, ref_meta = read_slice_csv(eta_path, h)
+    domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
+    dt = auto_dt(spec, h) if cfg["dt_policy"] == "auto" else float(cfg["dt_policy"])
+    _check_reused_slice(eta_path.name, ref_meta, game=spec.name, h=h, kind=cfg["kind"], dt=dt)
+    x_ref = ref_grid.domain.nearest_lattice(x0) * h
+    eta_ref = float(ref_grid.value_at(x_ref))
+
+    eta = feedback_table(spec, domain, dt=dt)
+    fresh = eta.value0.value_at(x_ref)
+    if abs(fresh - eta_ref) > 1e-12 * max(1.0, abs(fresh)):
+        raise UsageError(f"{eta_path.name} holds {eta_ref!r} at x0 but this run's solve "
+                         f"gives {fresh!r}; rerun 'solve' with the same settings")
+    partition = Partition.uniform(0.0, spec.T, cfg["partition_diam"])
+    report = bounds_mod.assemble(spec, h, seed=cfg["seed"])
+    bound = report.guarantee_thm1
 
     lines = [f"# config_sha256={config_sha256(cfg)}", f"# seed={cfg['seed']}",
              f"# game={spec.name}", f"# h={_fmt(h)}",
@@ -347,6 +364,11 @@ def cmd_simulate(cfg: dict) -> int:
         adv = panel[name]
         batch = run_extremal_shift_batch(spec, eta, partition, x0, adv,
                                          n_replicas=cfg["replicas"], seed=cfg["seed"])
+        frozen = int(batch.n_frozen.sum())
+        if frozen:
+            print(f"warning: {name}: {frozen} model jumps in "
+                  f"{int(np.count_nonzero(batch.n_frozen))} replicas would have left the "
+                  f"box and were frozen; increase --pad", file=sys.stderr)
         est = OutcomeEstimate.from_outcomes(batch.outcomes)
         threshold = eta_ref + bound + 3.0 * est.std_error
         ok = "true" if est.mean <= threshold else "false"

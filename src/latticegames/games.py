@@ -246,7 +246,12 @@ def drift_affine(a: Sequence[Sequence[float]], bu: Sequence[Sequence[float]],
         x = np.asarray(x, dtype=float)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
         vv = np.atleast_1d(np.asarray(v, dtype=float))
-        return x @ A.T + Bu @ uu + Bv @ vv + cc
+        # A x summed column by column in a fixed order: a BLAS product rounds
+        # a row differently depending on how many rows share the call
+        ax = x[..., 0:1] * A[:, 0]
+        for j in range(1, d):
+            ax = ax + x[..., j:j + 1] * A[:, j]
+        return ax + Bu @ uu + Bv @ vv + cc
 
     return f
 

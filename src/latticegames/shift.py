@@ -1,13 +1,19 @@
 """Feedback coupling of the original dynamics to the lattice chain model.
 
 The first player steers the real system while tracking a simulated chain
-whose value slices were precomputed.  On each partition interval the player
-measures the gap z - xi between the real state and the model state and plays
-the control that minimises the worst-case inner product of that gap with the
-drift (aiming rule); the model chain meanwhile jumps under the value-greedy
-feedback control and the aiming rule's worst second-player response.  The gap
-then grows at most linearly in the partition diameter plus the model's
-quadratic characteristic, which is what the guarantee bounds quantify.
+whose feedback was precomputed: a ``FeedbackTable`` holds, per grid time and
+lattice point, the first player's control index minimising the generator of
+the upper value (a ``SolveResult`` is converted to one).  A thinning
+candidate reads the entry of the latest grid time at or below it, so the
+drift inside that minimisation is taken at the grid time, as in the backward
+sweep itself; for drifts that ignore t this is exact.  On each partition
+interval the player measures the gap z - xi between the real state and the
+model state and plays the control that minimises the worst-case inner
+product of that gap with the drift (aiming rule); the model chain meanwhile
+jumps under the value-greedy feedback control and the aiming rule's worst
+second-player response.  The gap then grows at most linearly in the
+partition diameter plus the model's quadratic characteristic, which is what
+the guarantee bounds quantify.
 
 All replica randomness follows a fixed per-replica draw protocol (candidate
 count, candidate times, acceptance uniforms, direction uniforms, adversary
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import GameSpecError
 from .games import Control, GameSpec, payoff_batch
 from .simulate import RngLike, as_rng, replica_rng, rate_majorant
-from .solver import SolveResult, _TIME_FUZZ, _upwind_generator
+from .solver import FeedbackTable, SolveResult, _TIME_FUZZ
 
 BRANCHES = (1, 2)
 
@@ -272,6 +278,7 @@ class BatchOutcomes:
     model_outcomes: np.ndarray  # g(Y(T)) per replica
     sq_gap: np.ndarray          # ||X - Y||^2 at partition nodes, (n, r+1)
     n_jumps: np.ndarray
+    n_frozen: np.ndarray        # accepted moves that would leave the box, per replica
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +306,19 @@ def _drift_pairs(spec: GameSpec, t, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
+def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: Partition, x0,
                   adversary, rngs: Sequence[np.random.Generator], branch: int,
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
-    if eta.kind != "upper":
-        raise GameSpecError("the feedback construction tracks the upper value; solve with kind='upper'")
+    table = eta if isinstance(eta, FeedbackTable) else FeedbackTable.from_result(spec, eta)
     if branch not in BRANCHES:
         raise GameSpecError(f"branch must be 1 or 2, got {branch}")
-    domain = eta.domain
-    h = eta.h
+    domain = table.domain
+    h = table.h
     d = spec.d
     t0 = partition.t0
     if abs(partition.t_end - spec.T) > _TIME_FUZZ:
         raise GameSpecError("partition must end at the horizon T")
-    if eta.times.min() > t0 + _TIME_FUZZ:
+    if table.times[0] > t0 + _TIME_FUZZ:
         raise GameSpecError("value slices do not cover the start time; solve with checkpoints=None")
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -324,13 +330,7 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
     if np.any(k0 <= lo) or np.any(k0 >= hi):
         raise GameSpecError(f"x0={x0.tolist()} does not round into the domain interior")
 
-    # ascending slice table for feedback lookups
-    order = np.argsort(eta.times)
-    ts_asc = eta.times[order]
-    table = np.stack([eta.slices[i].values for i in order])
-
-    from .chain import neighbor_tables, RATE_DROP_TOL
-    up, down, _ = neighbor_tables(domain)
+    from .chain import RATE_DROP_TOL
     strides = np.array([int(np.prod(domain.shape[i + 1:])) for i in range(d)], dtype=np.int64)
 
     n = len(rngs)
@@ -364,6 +364,7 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
     r = partition.n_intervals
     sq_gap = np.empty((n, r + 1))
     n_jumps = np.zeros(n, dtype=np.int64)
+    n_frozen = np.zeros(n, dtype=np.int64)
 
     log = record_paths
     if log:
@@ -438,16 +439,13 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
             slots = slots[active]
             tc = tc[active]
             ys = h * K[idx_rep].astype(float)
-            js = np.clip(np.searchsorted(ts_asc, tc + _TIME_FUZZ, side="right") - 1, 0, len(ts_asc) - 1)
+            js = np.clip(np.searchsorted(table.times, tc + _TIME_FUZZ, side="right") - 1,
+                         0, len(table.times) - 1)
 
             # value-greedy model control, then rates under the aiming response
             f_p = _drift_pairs(spec, tc, ys)                       # (nu,nv,m,d)
             m = len(idx_rep)
-            here = flat[idx_rep]
-            vals_self = table[js, here]
-            gen = _upwind_generator(f_p, table[js, up[:, here]] - vals_self,
-                                    table[js, down[:, here]] - vals_self, h)
-            u_star = np.argmin(gen.max(axis=1), axis=0)            # (m,)
+            u_star = table.u_index[js, flat[idx_rep]]              # (m,)
             f_chosen = f_p[u_star, v_hat[idx_rep], np.arange(m)]   # (m, d)
             rates = np.abs(f_chosen) / h
             rates[np.abs(f_chosen) <= RATE_DROP_TOL] = 0.0
@@ -474,6 +472,7 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
                 # frozen truncation: a move that would exit the box is a
                 # self-loop, matching the generator the value slices solve
                 inside = (newk >= lo[coord]) & (newk <= hi[coord])
+                n_frozen[reps[~inside]] += 1
                 reps, coord = reps[inside], coord[inside]
                 sign, newk = sign[inside], newk[inside]
                 acc_rows = acc_rows[inside]
@@ -496,7 +495,7 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
 
     batch = BatchOutcomes(adversary=getattr(adversary, "name", "custom"), n_replicas=n,
                           outcomes=outcomes, model_outcomes=model_outcomes,
-                          sq_gap=sq_gap, n_jumps=n_jumps)
+                          sq_gap=sq_gap, n_jumps=n_jumps, n_frozen=n_frozen)
     paths: list[PairedTrajectory] = []
     if log:
         paths.append(PairedTrajectory(
@@ -512,17 +511,20 @@ def _run_replicas(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
     return batch, paths
 
 
-def run_extremal_shift(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
-                       adversary, rng: RngLike = 0, branch: int = 1) -> PairedTrajectory:
-    """One fully logged coupled replica driven by ``adversary``."""
+def run_extremal_shift(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: Partition,
+                       x0, adversary, rng: RngLike = 0, branch: int = 1) -> PairedTrajectory:
+    """One fully logged coupled replica driven by ``adversary``.
+
+    ``eta`` is a ``FeedbackTable`` or an upper ``SolveResult``, whose recorded
+    slices are converted by ``FeedbackTable.from_result``."""
     _, paths = _run_replicas(spec, eta, partition, x0, adversary, [as_rng(rng)],
                              branch, record_paths=True)
     return paths[0]
 
 
-def run_extremal_shift_batch(spec: GameSpec, eta: SolveResult, partition: Partition, x0,
-                             adversary, n_replicas: int, seed: int = 0,
-                             branch: int = 1) -> BatchOutcomes:
+def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable | SolveResult,
+                             partition: Partition, x0, adversary, n_replicas: int,
+                             seed: int = 0, branch: int = 1) -> BatchOutcomes:
     """Vectorized replicas; replica i draws from the documented stream
     SeedSequence(entropy=seed, spawn_key=(i,)), identical to a looped
     sequence of single runs."""

@@ -93,6 +93,45 @@ class SolveResult:
         return self.slice_at(t).value_at(x)
 
 
+@dataclass(frozen=True)
+class FeedbackTable:
+    """First-player feedback of the upper chain game, without the values.
+
+    ``u_index[j, p]`` is the lowest u-grid index attaining min_u max_v of the
+    generator applied to the upper value slice at ``times[j]`` (ascending),
+    at lattice point p, with the drift evaluated at ``times[j]``.  This is all
+    the extremal-shift strategy reads from the value function; one byte per
+    entry instead of the float64 slice history.  ``value0`` is the t=0 slice.
+    """
+
+    game: str
+    h: float
+    dt: float
+    domain: LatticeDomain
+    times: np.ndarray
+    u_index: np.ndarray
+    value0: ValueGrid
+
+    @classmethod
+    def from_result(cls, spec: GameSpec, result: SolveResult) -> FeedbackTable:
+        """Reference table: ``minimax_control_indices`` at every point of each
+        recorded slice of an upper solve."""
+        if result.kind != "upper":
+            raise GameSpecError("the feedback construction tracks the upper value; "
+                                "solve with kind='upper'")
+        order = np.argsort(result.times)
+        domain = result.domain
+        everywhere = np.arange(domain.n_points)
+        u_index = np.empty((len(order), domain.n_points),
+                           dtype=np.min_scalar_type(len(spec.u_grid) - 1))
+        for row, i in enumerate(order):
+            grid = result.slices[i]
+            u_index[row] = minimax_control_indices(grid.values, spec, grid.t, domain, everywhere)
+        return cls(game=result.game, h=result.h, dt=result.dt, domain=domain,
+                   times=result.times[order], u_index=u_index,
+                   value0=result.slices[order[0]])
+
+
 def weighted_norm(grid: ValueGrid, other: ValueGrid | None = None) -> float:
     """Mesh-weighted sup norm sup_x |a(x) - b(x)| / (h + ||x||) over the box."""
     diff = grid.values if other is None else grid.values - other.values
@@ -222,9 +261,27 @@ def minimax_control_indices(values: np.ndarray, spec: GameSpec, t: float,
 
     Evaluated only at ``point_indices``; ties resolve to the lowest grid index.
     """
-    states = domain.states()[point_indices]
+    # the same floats as domain.states()[point_indices], built for those rows only
+    ks = np.stack(np.unravel_index(point_indices, domain.shape), axis=1) + np.asarray(domain.lo)
+    states = domain.h * ks.astype(float)
     inner = list(_committed_generators(values, spec, t, domain, "upper", states, point_indices))
     return np.argmin(np.stack(inner), axis=0)
+
+
+def _upper_field_and_argmin(values: np.ndarray, spec: GameSpec, t: float,
+                            domain: LatticeDomain, states: np.ndarray,
+                            u_index: np.ndarray) -> np.ndarray:
+    """Upper ``hamiltonian_field``, also writing into ``u_index`` the lowest
+    u index attaining the min over u at each point (``np.argmin``'s ties)."""
+    field = None
+    for iu, inner in enumerate(_committed_generators(values, spec, t, domain, "upper", states)):
+        if field is None:
+            field = inner
+            u_index[:] = 0
+        else:
+            u_index[inner < field] = iu
+            field = np.minimum(field, inner)
+    return field
 
 
 def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
@@ -251,6 +308,9 @@ def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
 
 # ---------------------------------------------------------------------------
 # backward integration
+
+
+_CEILING_NAME = "stability ceiling h/(2*d*M1)"
 
 
 def dt_ceiling(spec: GameSpec, h: float) -> float:
@@ -284,6 +344,25 @@ def _range_check(g: np.ndarray) -> Callable[[np.ndarray, float], None]:
     return check
 
 
+def _resolve_dt(spec: GameSpec, dt: float | None, t_min: float, ceiling: float,
+                ceiling_name: str) -> float:
+    """The given dt, validated, or the largest one under ``ceiling`` that
+    tiles [t_min, T]."""
+    if dt is None:
+        dt = _tiling_dt(spec.T - t_min, ceiling)
+    dt = float(dt)
+    if dt <= 0:
+        raise GameSpecError(f"dt must be positive, got {dt}")
+    if dt > ceiling * (1 + 1e-9):
+        raise StepSizeError(f"dt={dt:.6g} exceeds the {ceiling_name}={ceiling:.6g}")
+    return dt
+
+
+def _snapped_steps(spec: GameSpec, c: float, dt: float) -> int:
+    """Step count k = ceil((T - c)/dt) of the grid time a checkpoint c snaps to."""
+    return max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
+
+
 def _sweep(spec: GameSpec, domain: LatticeDomain, values: np.ndarray,
            step: Callable[[np.ndarray, float, float, float], np.ndarray], *,
            dt: float | None, checkpoints: Sequence[float] | None,
@@ -308,16 +387,9 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, values: np.ndarray,
         if targets[0] < -_TIME_FUZZ or targets[-1] > spec.T + _TIME_FUZZ:
             raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
         t_min = targets[0]
-    if dt is None:
-        dt = _tiling_dt(spec.T - t_min, ceiling)
-    dt = float(dt)
-    if dt <= 0:
-        raise GameSpecError(f"dt must be positive, got {dt}")
-    if dt > ceiling * (1 + 1e-9):
-        raise StepSizeError(f"dt={dt:.6g} exceeds the {ceiling_name}={ceiling:.6g}")
+    dt = _resolve_dt(spec, dt, t_min, ceiling, ceiling_name)
     if checkpoints is not None:
-        # each checkpoint's snapped step count k = ceil((T - c)/dt)
-        want = {max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ)) for c in targets}
+        want = {_snapped_steps(spec, c, dt) for c in targets}
         k_last = max(want)
     if check is None:
         check = _range_check(values)
@@ -388,10 +460,43 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
                 )
 
     dt, slices = _sweep(spec, domain, values, step, dt=dt, checkpoints=checkpoints,
-                        ceiling=dt_ceiling(spec, domain.h),
-                        ceiling_name="stability ceiling h/(2*d*M1)", check=check)
+                        ceiling=dt_ceiling(spec, domain.h), ceiling_name=_CEILING_NAME,
+                        check=check)
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, scheme=scheme,
                        boundary=boundary, slices=slices)
+
+
+def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
+                   dt: float | None = None) -> FeedbackTable:
+    """Upper-value Euler sweep down to t=0 that keeps only the feedback table.
+
+    Each step already evaluates min_u max_v of the generator on the current
+    slice; the table records the u index attaining it, and the t=0 slice gets
+    one more evaluation.  The values of every step are the ones
+    ``solve_backward(spec, domain, dt=dt, checkpoints=[0.0])`` computes, but
+    only the last slice is kept.  Like the sweep, the table evaluates the
+    drift at each slice's grid time t_k.
+    """
+    ceiling = dt_ceiling(spec, domain.h)
+    dt = _resolve_dt(spec, dt, 0.0, ceiling, _CEILING_NAME)
+    n_steps = _snapped_steps(spec, 0.0, dt)
+    u_index = np.empty((n_steps + 1, domain.n_points),
+                       dtype=np.min_scalar_type(len(spec.u_grid) - 1))
+    times = np.empty(n_steps + 1)
+    rows = iter(range(n_steps, 0, -1))
+    states = domain.states()
+
+    def step(vals, t, t_next, dt):
+        row = next(rows)
+        times[row] = t
+        return vals + dt * _upper_field_and_argmin(vals, spec, t, domain, states, u_index[row])
+
+    dt, (value0,) = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
+                           dt=dt, checkpoints=[0.0], ceiling=ceiling, ceiling_name=_CEILING_NAME)
+    times[0] = value0.t
+    _upper_field_and_argmin(value0.values, spec, value0.t, domain, states, u_index[0])
+    return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
+                         u_index=u_index, value0=value0)
 
 
 def _assert_strict_feasible(spec: GameSpec, domain: LatticeDomain, t: float) -> None:

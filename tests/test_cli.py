@@ -107,6 +107,47 @@ def test_simulate_verdict_and_trajectories(tmp_path):
     assert (tmp_path / "trajectory_worst_case_0.csv").exists()
 
 
+def test_simulate_checks_the_reused_slice(tmp_path, capsys):
+    g1_dir, dt_dir = tmp_path / "g1", tmp_path / "dt"
+    assert run("solve", "--game", "g1", "--out", str(g1_dir)) == 0
+    # a g2 run must not reuse the g1 slice
+    assert run("simulate", "--game", "g2", "--out", str(g1_dir), "--replicas", "10") == 2
+    assert "game=g1" in capsys.readouterr().err
+    # nor may an auto-dt run reuse a slice solved at another dt
+    assert run("solve", "--game", "g1", "--out", str(dt_dir), "--dt-policy", "0.001") == 0
+    assert run("simulate", "--game", "g1", "--out", str(dt_dir), "--replicas", "10") == 2
+    assert "dt=0.001" in capsys.readouterr().err
+    # matching metadata but a different value at x0 fails the cross-check
+    path = g1_dir / "eta_upper_t0.csv"
+    lines = path.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("0,0,"))
+    lines[row] = "0,0,0.5"
+    path.write_text("\n".join(lines) + "\n")
+    assert run("simulate", "--game", "g1", "--out", str(g1_dir), "--replicas", "10") == 2
+    assert "holds 0.5 at x0" in capsys.readouterr().err
+    assert not (g1_dir / "simulate.csv").exists()
+
+
+def test_simulate_rejects_lower_kind(tmp_path, capsys):
+    assert run("simulate", "--game", "g1", "--out", str(tmp_path), "--kind", "lower",
+               "--replicas", "10") == 2
+    assert "--kind must be 'upper'" in capsys.readouterr().err
+
+
+def test_simulate_warns_on_frozen_boundary_moves(tmp_path, capsys):
+    # drift +1 always: with pad 0 the model chain keeps running into the face
+    game = tmp_path / "push.json"
+    game.write_text(json.dumps({
+        "d": 1, "T": 1, "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],
+        "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}))
+    assert run("solve", "--game", str(game), "--out", str(tmp_path), "--pad", "0") == 0
+    assert run("simulate", "--game", str(game), "--out", str(tmp_path), "--pad", "0",
+               "--replicas", "40", "--adversaries", "constant,random") == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert [w.split(":")[1].strip() for w in warnings] == ["constant", "random"]
+    assert all("increase --pad" in w for w in warnings)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run("solve", "--game", "nope", "--out", str(tmp_path)) == 2
     assert run("solve", "--game", "g1", "--out", str(tmp_path), "--h", "1.5") == 2

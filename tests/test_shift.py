@@ -5,6 +5,14 @@ import pytest
 
 import latticegames as lg
 
+AFFINE_GAME = {
+    "d": 2, "T": 1.0,
+    "drift": {"kind": "affine", "a": [[0.3, 1.0], [-1.0, 0.2]], "bu": [[1.0], [0.5]],
+              "bv": [[0.2], [1.0]], "c": [0.1, -0.3]},
+    "u_grid": [-1, 0, 1], "v_grid": [-1, 1], "payoff": {"kind": "norm"},
+    "R": 1.0, "M1": 6.0, "K1": 1.5,
+}
+
 
 @pytest.fixture(scope="module")
 def g1_solution():
@@ -144,21 +152,65 @@ def test_trajectory_csv_roundtrip(tmp_path, g1_solution):
     assert float(first[1]) == 0.0 and float(first[2]) == 0.0
 
 
-def test_batch_matches_looped_singles_bitwise(g1_solution):
-    spec, eta = g1_solution
+@pytest.fixture(scope="module")
+def affine_table():
+    spec = lg.game_from_dict(AFFINE_GAME, name="affine")
+    return spec, lg.feedback_table(spec, lg.truncate_domain(spec, [0.0, 0.0], 0.1))
+
+
+# replica 5 differed between batch and single while the affine drift was a
+# BLAS product, whose rounding of a row depends on the batch size
+@pytest.mark.parametrize("case, x0, n", [
+    ("g1_solution", [0.0], 4),
+    ("affine_table", [0.0, 0.0], 8),
+], ids=["g1", "affine"])
+def test_batch_matches_looped_singles_bitwise(request, case, x0, n):
+    spec, eta = request.getfixturevalue(case)
     part = lg.Partition.uniform(0.0, 1.0, 0.02)
     adv = lg.RandomAdversary(len(spec.v_grid))
-    batch = lg.run_extremal_shift_batch(spec, eta, part, [0.0], adv,
-                                        n_replicas=4, seed=9)
-    for i in range(4):
-        single = lg.run_extremal_shift(spec, eta, part, [0.0], adv,
+    batch = lg.run_extremal_shift_batch(spec, eta, part, x0, adv,
+                                        n_replicas=n, seed=9)
+    for i in range(n):
+        single = lg.run_extremal_shift(spec, eta, part, x0, adv,
                                        rng=lg.replica_rng(9, i))
         assert single.outcome == batch.outcomes[i]
         assert single.model_outcome == batch.model_outcomes[i]
         assert np.array_equal(single.sq_gap, batch.sq_gap[i])
     assert batch.adversary == "random"
-    assert batch.n_replicas == 4
-    assert batch.n_jumps.shape == (4,)
+    assert batch.n_replicas == n
+    assert batch.n_jumps.shape == (n,)
+
+
+def test_table_and_dense_solve_drive_identical_replicas(g1_solution):
+    spec, eta = g1_solution
+    table = lg.feedback_table(spec, eta.domain)
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    for adv in lg.standard_adversaries(spec):
+        a = lg.run_extremal_shift_batch(spec, eta, part, [0.0], adv, n_replicas=50, seed=3)
+        b = lg.run_extremal_shift_batch(spec, table, part, [0.0], adv, n_replicas=50, seed=3)
+        assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a.sq_gap, b.sq_gap)
+        assert np.array_equal(a.n_jumps, b.n_jumps)
+
+
+def test_frozen_boundary_moves_are_counted():
+    # one control each and drift +1: the real state ends at the box face
+    # x = M1*T when pad = 0, and about half the model chains try to pass it
+    spec = lg.game_from_dict({
+        "d": 1, "T": 1.0, "drift": {"kind": "control_sum"}, "u_grid": [0.0],
+        "v_grid": [1.0], "payoff": {"kind": "norm"}, "R": 1.0, "M1": 1.0, "K1": 0.0})
+    part = lg.Partition.uniform(0.0, 1.0, 0.05)
+    tight = lg.truncate_domain(spec, [0.0], 0.05, pad=0.0)
+    batch = lg.run_extremal_shift_batch(spec, lg.feedback_table(spec, tight), part, [0.0],
+                                        lg.ConstantAdversary(), n_replicas=40, seed=0)
+    assert batch.n_frozen.dtype == np.int64 and batch.n_frozen.shape == (40,)
+    assert np.count_nonzero(batch.n_frozen) > 0
+    # a frozen move is a self-loop: no model state leaves the box
+    assert np.all(batch.model_outcomes <= tight.h * tight.hi[0] + 1e-12)
+    roomy = lg.truncate_domain(spec, [0.0], 0.05, pad=2.0)
+    batch = lg.run_extremal_shift_batch(spec, lg.feedback_table(spec, roomy), part, [0.0],
+                                        lg.ConstantAdversary(), n_replicas=40, seed=0)
+    assert not batch.n_frozen.any()
 
 
 def test_batch_outcomes_near_value(g1_solution):

@@ -6,10 +6,10 @@ import pytest
 import latticegames as lg
 from latticegames.chain import LatticeDomain, apply_generator, neighbor_tables
 from latticegames.games import game_from_dict, payoff_norm
-from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling, hamiltonian,
-                                 hamiltonian_field, minimax_control_indices,
-                                 read_slice_csv, solve_backward, truncate_domain,
-                                 weighted_norm, write_slice_csv)
+from latticegames.solver import (FeedbackTable, ValueGrid, auto_dt, dt_ceiling,
+                                 feedback_table, hamiltonian, hamiltonian_field,
+                                 minimax_control_indices, read_slice_csv, solve_backward,
+                                 truncate_domain, weighted_norm, write_slice_csv)
 
 
 def g1_domain(h=0.1, lo=-20, hi=20):
@@ -129,8 +129,8 @@ def generator_tables(values, spec, t, dom):
 @pytest.mark.parametrize("spec, dom, rtol", [
     (lg.g1(), g1_domain(), 0.0),
     (lg.g2(), LatticeDomain(h=0.1, lo=(-8, -8), hi=(8, 8)), 0.0),
-    # the batched affine matmul may differ from the per-point one in the last bits
-    (game_from_dict(AFFINE_GAME, name="affine"), LatticeDomain(h=0.1, lo=(-6, -6), hi=(6, 6)), 1e-12),
+    # the affine drift sums A x in a fixed order, so a batch row equals a single point
+    (game_from_dict(AFFINE_GAME, name="affine"), LatticeDomain(h=0.1, lo=(-6, -6), hi=(6, 6)), 0.0),
 ], ids=["g1", "g2", "affine"])
 def test_hamiltonian_field_matches_generator_reference(spec, dom, rtol):
     values = np.random.default_rng(3).normal(size=dom.n_points)
@@ -259,6 +259,40 @@ def test_instability_detector():
     dom = LatticeDomain(h=0.1, lo=(-40,), hi=(40,))
     with pytest.raises(lg.StepSizeError):
         solve_backward(spec, dom)
+
+
+@pytest.mark.parametrize("spec, dom, dt", [
+    (lg.g1(), truncate_domain(lg.g1(), [-1.0, 1.0], 0.05), None),
+    # a dt that does not tile [0, T]: the last grid time is below 0
+    (lg.g1(), truncate_domain(lg.g1(), [-1.0, 1.0], 0.05), 0.013),
+    (lg.g2(), truncate_domain(lg.g2(), [0.0, 0.0], 0.1), None),
+    (game_from_dict(AFFINE_GAME, name="affine"), LatticeDomain(h=0.1, lo=(-6, -6), hi=(6, 6)), None),
+], ids=["g1", "g1-untiled-dt", "g2", "affine"])
+def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
+    table = feedback_table(spec, dom, dt=dt)
+    dense = solve_backward(spec, dom, dt=dt)  # every step recorded
+    ref = FeedbackTable.from_result(spec, dense)
+    steps = len(dense.slices) - 1
+    assert table.u_index.dtype == np.uint8
+    assert table.u_index.shape == (steps + 1, dom.n_points)
+    assert np.array_equal(table.times, ref.times)
+    assert np.all(np.diff(table.times) > 0)
+    assert np.array_equal(table.u_index, ref.u_index)
+    assert table.dt == dense.dt and table.h == dom.h and table.domain == dom
+    at0 = solve_backward(spec, dom, dt=dt, checkpoints=[0.0])
+    last = at0.slice_at(0.0) if dt is None else at0.slices[-1]
+    assert table.value0.t == last.t
+    assert np.array_equal(table.value0.values, last.values)
+
+
+def test_feedback_table_dtype_follows_grid():
+    spec = lg.g1()
+    many = lg.GameSpec(name="many", d=1, T=1.0, drift=spec.drift,
+                       u_grid=tuple(np.linspace(-1.0, 1.0, 300)), v_grid=(0.0,),
+                       payoff=spec.payoff, R=1.0, M1=1.0, K1=0.0, vectorized=True)
+    table = feedback_table(many, g1_domain(h=0.1, lo=-15, hi=15))
+    assert table.u_index.dtype == np.uint16
+    assert table.u_index.max() < 300
 
 
 def test_csv_rejects_repeated_row(tmp_path):
