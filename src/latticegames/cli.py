@@ -7,7 +7,8 @@ verdict, ``bounds`` emits the constants report alone.
 
 Every output file embeds the resolved-config hash and the seed; reruns with
 the same config are bit-identical.  Exit codes: 0 success, 2 usage/config
-error, 3 numerical or runtime failure.
+error, 3 numerical failure; any other exception is a bug and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ _DEFAULTS = {
     "adversaries": "constant,bang_bang,random,worst_case",
     "dump_trajectories": 0,
 }
+
+
+# JSON types a --config file may give each key; list entries are numbers
+_NUMBER = (int, float)
+_FILE_TYPES = {"command": str, "config": str, "game": str, "h": list,
+               "sigma": (list, type(None)), "dt_policy": (str, *_NUMBER),
+               "partition_diam": _NUMBER, "replicas": int, "seed": int, "out": str,
+               "threads": int, "x0": (list, type(None)), "kind": str, "checkpoints": list,
+               "pad": _NUMBER, "reference": str, "adversaries": str, "dump_trajectories": int}
 
 
 class UsageError(Exception):
@@ -118,6 +128,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(_CONFIG_KEYS) - set(_HASH_EXCLUDED)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            if not isinstance(val, _FILE_TYPES[key]) or (
+                    isinstance(val, list) and not all(isinstance(c, _NUMBER) for c in val)):
+                raise UsageError(f"config key {key!r} has a value of the wrong type: {val!r}")
         cfg.update(file_cfg)
     for key in list(_CONFIG_KEYS) + ["out", "threads"]:
         if key == "command":
@@ -250,7 +264,11 @@ def _reference_values(cfg: dict, spec: GameSpec, points: np.ndarray) -> np.ndarr
             meta[k] = v
     if "h" not in meta and "dx" not in meta:
         raise UsageError("reference file lacks an 'h' or 'dx' metadata line")
-    h_ref = float(meta.get("h", meta.get("dx")))
+    mesh = meta.get("h", meta.get("dx"))
+    try:
+        h_ref = float(mesh)
+    except ValueError:
+        raise UsageError(f"reference file has a non-numeric mesh: {mesh!r}")
     grid, _ = read_slice_csv(path, h_ref)
     idx = grid.domain.indices_of_states(points)
     if np.any(idx < 0):
@@ -402,9 +420,6 @@ def main(argv=None) -> int:
         return 2
     except LatticeGamesError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except Exception as e:  # replica or solver failure of any other shape
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

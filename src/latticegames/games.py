@@ -60,6 +60,10 @@ class GameSpec:
     vectorized: whether ``drift`` accepts (n, d) state batches.
     closed_form: optional exact value function ``(t, x) -> value`` used as a
                convergence reference; only catalog games carry one.
+    autonomous: whether ``drift`` ignores t; the solvers then build the jump
+               rates once per solve, at T, instead of at every kernel time.
+               Declared, never checked: a drift that does depend on t is
+               frozen at T under this flag.
     """
 
     name: str
@@ -74,6 +78,7 @@ class GameSpec:
     K1: float
     vectorized: bool = False
     closed_form: Callable[[float, np.ndarray], float] | None = None
+    autonomous: bool = False
 
     def __post_init__(self):
         if self.d < 1:
@@ -321,6 +326,7 @@ def _make_g1() -> GameSpec:
         K1=0.0,
         vectorized=True,
         closed_form=_g1_closed_form,
+        autonomous=True,
     )
 
 
@@ -339,6 +345,7 @@ def _make_g2() -> GameSpec:
         M1=4.5,
         K1=1.0,
         vectorized=True,
+        autonomous=True,
     )
 
 
@@ -375,8 +382,16 @@ def game_from_dict(data: dict, name: str = "custom") -> GameSpec:
     Required keys: d, T, drift{kind,...}, u_grid, v_grid, payoff{kind,...},
     R, M1, K1.  Drift kinds: control_sum (alias g1), rotation_mix (alias g2),
     affine (a, bu, bv, c), zero.  Payoff kinds: norm (optional center),
-    linear (a), constant (value).
+    linear (a), constant (value).  A field of the wrong type or value
+    raises ``GameSpecError``, like a missing one.
     """
+    try:
+        return _game_from_dict(data, name)
+    except (ValueError, TypeError) as exc:
+        raise GameSpecError(f"malformed game definition: {type(exc).__name__}: {exc}") from exc
+
+
+def _game_from_dict(data: dict, name: str) -> GameSpec:
     missing = [k for k in ("d", "T", "drift", "u_grid", "v_grid", "payoff", "R", "M1", "K1")
                if k not in data]
     if missing:
@@ -413,6 +428,7 @@ def game_from_dict(data: dict, name: str = "custom") -> GameSpec:
         M1=float(data["M1"]),
         K1=float(data["K1"]),
         vectorized=True,
+        autonomous=True,
     )
 
 

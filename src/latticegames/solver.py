@@ -12,13 +12,14 @@ of the terminal data.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, kolmogorov_rates, neighbor_tables, RATE_DROP_TOL
+from .chain import LatticeDomain, neighbor_tables, RATE_DROP_TOL
 from .errors import GameSpecError, ResourceError, StepSizeError, TruncationError
 from .games import GameSpec, drift_batch, payoff_batch
 
@@ -115,18 +116,21 @@ class FeedbackTable:
     @classmethod
     def from_result(cls, spec: GameSpec, result: SolveResult) -> FeedbackTable:
         """Reference table: ``minimax_control_indices`` at every point of each
-        recorded slice of an upper solve."""
+        recorded slice of an upper solve, with the rates built as a sweep
+        builds them (once, at T, for an autonomous spec)."""
         if result.kind != "upper":
             raise GameSpecError("the feedback construction tracks the upper value; "
                                 "solve with kind='upper'")
         order = np.argsort(result.times)
         domain = result.domain
         everywhere = np.arange(domain.n_points)
+        rates_at = _rates_by_time(spec, domain, domain.states())
         u_index = np.empty((len(order), domain.n_points),
                            dtype=np.min_scalar_type(len(spec.u_grid) - 1))
         for row, i in enumerate(order):
             grid = result.slices[i]
-            u_index[row] = minimax_control_indices(grid.values, spec, grid.t, domain, everywhere)
+            u_index[row] = minimax_control_indices(grid.values, spec, grid.t, domain, everywhere,
+                                                   rates=rates_at(grid.t))
         return cls(game=result.game, h=result.h, dt=result.dt, domain=domain,
                    times=result.times[order], u_index=u_index,
                    value0=result.slices[order[0]])
@@ -194,29 +198,82 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, t0: float = 0.0, pad: floa
 # ---------------------------------------------------------------------------
 # the generator kernel
 
+# (up, rate), each of shape (nu, nv, d, n): entry [iu, iv, i] belongs to the
+# control pair (u_grid[iu], v_grid[iv]) on axis i at the n points
+Rates = tuple[np.ndarray, np.ndarray]
 
-def _upwind_generator(f: np.ndarray, d_up: np.ndarray, d_down: np.ndarray,
-                      h: float) -> np.ndarray:
-    """Chain generator sum_i (f_i+/h)(V[up_i] - V) + (f_i-/h)(V[down_i] - V).
 
-    ``f`` holds drifts of shape (..., m, d); ``d_up[i]``/``d_down[i]`` hold the
-    value differences V[up_i] - V and V[down_i] - V at the m points.  This is
-    also the first-order upwind difference of <grad V, f>.  Components with
-    |f_i| <= RATE_DROP_TOL do not jump, as in ``chain.jump_measure``.
+def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates:
+    """Upwind jump rates of every control pair at the points ``states``.
+
+    Along axis i the chain jumps to the up neighbour where ``up`` is set and
+    to the down neighbour elsewhere, at ``rate`` = |f_i|/h; components with
+    |f_i| <= RATE_DROP_TOL do not jump (rate 0), as in ``chain.jump_measure``.
+    Both arrays live in one anonymous memory mapping of their own, which is
+    unmapped when the last view goes: in the malloc heap the freed block
+    stayed resident under the later phases of a process.
     """
-    out = np.zeros(f.shape[:-1])
-    for i in range(f.shape[-1]):
-        fi = f[..., i]
-        out += np.where(fi > RATE_DROP_TOL, fi, 0.0) / h * d_up[i]
-        out += np.where(fi < -RATE_DROP_TOL, -fi, 0.0) / h * d_down[i]
+    shape = (len(spec.u_grid), len(spec.v_grid), spec.d, len(states))
+    size = math.prod(shape)
+    block = mmap.mmap(-1, max(1, 9 * size))  # a mapping cannot be empty
+    rate = np.frombuffer(block, dtype=float, count=size).reshape(shape)
+    up = np.frombuffer(block, dtype=bool, count=size, offset=8 * size).reshape(shape)
+    for iu, u in enumerate(spec.u_grid):
+        for iv, v in enumerate(spec.v_grid):
+            f = drift_batch(spec, t, states, u, v).T
+            np.greater(f, RATE_DROP_TOL, out=up[iu, iv])
+            r = rate[iu, iv]
+            np.abs(f, out=r)
+            r[r <= RATE_DROP_TOL] = 0.0
+            r /= h
+    return up, rate
+
+
+def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
+                   strict: bool = False) -> Callable[[float], Rates]:
+    """The kernel's rates at time t, for a sweep over ``states``.
+
+    An autonomous spec's rates are built once, at T.  Other specs' are
+    rebuilt at each new kernel time; consecutive calls at one time (RK4's
+    middle stages, a step and the next one's start) share the build.  The
+    strict boundary policy vets every build.
+    """
+    built: dict[float, Rates] = {}
+
+    def at(t: float) -> Rates:
+        t = spec.T if spec.autonomous else t
+        if t not in built:
+            built.clear()
+            built[t] = _pair_rates(spec, t, states, domain.h)
+            if strict:
+                _assert_strict_feasible(domain, built[t], states)
+        return built[t]
+    return at
+
+
+def _upwind_generator(ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
+                      d_down: np.ndarray) -> np.ndarray:
+    """Chain generator sum_i rate_i * (V[up_i] - V or V[down_i] - V) of one
+    control pair, the upwind direction per ``up_i``.
+
+    ``ups``/``rates`` are the pair's (d, n) slices of ``_pair_rates``;
+    ``d_up[i]``/``d_down[i]`` hold the value differences V[up_i] - V and
+    V[down_i] - V at its points.  This is also the first-order upwind
+    difference of <grad V, f>.
+    """
+    out = np.zeros(d_up.shape[1])
+    for up, rate, du, dd in zip(ups, rates, d_up, d_down):
+        w = np.where(up, du, dd)
+        w *= rate
+        out += w
     return out
 
 
-def _committed_generators(values: np.ndarray, spec: GameSpec, t: float,
-                          domain: LatticeDomain, kind: str, states: np.ndarray,
-                          idx: np.ndarray | None = None):
+def _committed_generators(values: np.ndarray, rates: Rates, domain: LatticeDomain,
+                          kind: str, idx: np.ndarray | None = None):
     """Per control of the committing player, the other player's best
-    generator value at the points ``idx`` (all points when None)."""
+    generator value at the points ``idx`` (all points when None), on which
+    ``rates`` were built."""
     up, down, _ = neighbor_tables(domain)
     if idx is not None:
         up, down, base = up[:, idx], down[:, idx], values[idx]
@@ -225,62 +282,76 @@ def _committed_generators(values: np.ndarray, spec: GameSpec, t: float,
     d_up, d_down = values[up] - base, values[down] - base
     # u always minimises and v always maximises; upper commits u first
     # (min_u max_v), lower commits v first (max_v min_u)
-    first, second = (spec.u_grid, spec.v_grid) if kind == "upper" else (spec.v_grid, spec.u_grid)
+    ups, rate = rates
+    nu, nv = rate.shape[:2]
+    n_first, n_second = (nu, nv) if kind == "upper" else (nv, nu)
     best = np.maximum if kind == "upper" else np.minimum
-    for a in first:
+    for a in range(n_first):
         inner = None
-        for b in second:
-            u, v = (a, b) if kind == "upper" else (b, a)
-            g = _upwind_generator(drift_batch(spec, t, states, u, v), d_up, d_down, domain.h)
-            inner = g if inner is None else best(inner, g)
+        for b in range(n_second):
+            iu, iv = (a, b) if kind == "upper" else (b, a)
+            g = _upwind_generator(ups[iu, iv], rate[iu, iv], d_up, d_down)
+            inner = g if inner is None else best(inner, g, out=inner)
         yield inner
 
 
-def _minimax(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-             kind: str, states: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
+             idx: np.ndarray | None = None) -> np.ndarray:
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
     best = np.minimum if kind == "upper" else np.maximum
     outer = None
-    for inner in _committed_generators(values, spec, t, domain, kind, states, idx):
-        outer = inner if outer is None else best(outer, inner)
+    for inner in _committed_generators(values, rates, domain, kind, idx):
+        outer = inner if outer is None else best(outer, inner, out=outer)
     return outer
 
 
 def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-                      kind: str, states: np.ndarray | None = None) -> np.ndarray:
-    """Minimax (upper) or maximin (lower) of the generator over both grids."""
-    if states is None:
-        states = domain.states()
-    return _minimax(values, spec, t, domain, kind, states)
+                      kind: str, states: np.ndarray | None = None, *,
+                      rates: Rates | None = None) -> np.ndarray:
+    """Minimax (upper) or maximin (lower) of the generator over both grids.
+
+    ``rates`` are the ``_pair_rates`` of all points, which a sweep builds
+    once per solve for an autonomous spec; without them they are built here
+    at t from ``states`` (default ``domain.states()``).
+    """
+    if rates is None:
+        rates = _pair_rates(spec, t, domain.states() if states is None else states, domain.h)
+    return _minimax(values, rates, domain, kind)
+
+
+def _row_states(domain: LatticeDomain, point_indices: np.ndarray) -> np.ndarray:
+    """The same floats as domain.states()[point_indices], built for those rows only."""
+    ks = np.stack(np.unravel_index(point_indices, domain.shape), axis=1) + np.asarray(domain.lo)
+    return domain.h * ks.astype(float)
 
 
 def minimax_control_indices(values: np.ndarray, spec: GameSpec, t: float,
-                            domain: LatticeDomain, point_indices: np.ndarray) -> np.ndarray:
+                            domain: LatticeDomain, point_indices: np.ndarray, *,
+                            rates: Rates | None = None) -> np.ndarray:
     """First-player control index attaining min_u max_v of the generator.
 
-    Evaluated only at ``point_indices``; ties resolve to the lowest grid index.
+    Evaluated only at ``point_indices``, with ``rates`` built on those rows
+    (here at t when not given); ties resolve to the lowest grid index.
     """
-    # the same floats as domain.states()[point_indices], built for those rows only
-    ks = np.stack(np.unravel_index(point_indices, domain.shape), axis=1) + np.asarray(domain.lo)
-    states = domain.h * ks.astype(float)
-    inner = list(_committed_generators(values, spec, t, domain, "upper", states, point_indices))
+    if rates is None:
+        rates = _pair_rates(spec, t, _row_states(domain, point_indices), domain.h)
+    inner = list(_committed_generators(values, rates, domain, "upper", point_indices))
     return np.argmin(np.stack(inner), axis=0)
 
 
-def _upper_field_and_argmin(values: np.ndarray, spec: GameSpec, t: float,
-                            domain: LatticeDomain, states: np.ndarray,
+def _upper_field_and_argmin(values: np.ndarray, rates: Rates, domain: LatticeDomain,
                             u_index: np.ndarray) -> np.ndarray:
     """Upper ``hamiltonian_field``, also writing into ``u_index`` the lowest
     u index attaining the min over u at each point (``np.argmin``'s ties)."""
     field = None
-    for iu, inner in enumerate(_committed_generators(values, spec, t, domain, "upper", states)):
+    for iu, inner in enumerate(_committed_generators(values, rates, domain, "upper")):
         if field is None:
             field = inner
             u_index[:] = 0
         else:
             u_index[inner < field] = iu
-            field = np.minimum(field, inner)
+            np.minimum(field, inner, out=field)
     return field
 
 
@@ -290,20 +361,12 @@ def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
     if boundary not in BOUNDARY_POLICIES:
         raise GameSpecError(f"boundary must be one of {BOUNDARY_POLICIES}")
     domain = grid.domain
-    idx = domain.index_of_state(x)
+    idx = np.array([domain.index_of_state(x)])
+    states = _row_states(domain, idx)
+    rates = _pair_rates(spec, t, states, domain.h)
     if boundary == "strict":
-        # every control pair must keep all its jump targets inside the box
-        for u in spec.u_grid:
-            for v in spec.v_grid:
-                rl = kolmogorov_rates(spec, t, domain.state_of(idx), u, v, domain.h)
-                for target in rl.targets:
-                    if not domain.contains_state(target):
-                        raise TruncationError(
-                            f"jump target {target.tolist()} leaves the box at x="
-                            f"{domain.state_of(idx).tolist()} under strict boundary policy"
-                        )
-    return float(_minimax(grid.values, spec, t, domain, kind, domain.state_of(idx)[None],
-                          np.array([idx]))[0])
+        _assert_strict_feasible(domain, rates, states, idx)
+    return float(_minimax(grid.values, rates, domain, kind, idx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +489,13 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
         raise GameSpecError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
     if boundary not in BOUNDARY_POLICIES:
         raise GameSpecError(f"boundary must be one of {BOUNDARY_POLICIES}")
-    if boundary == "strict":
-        _assert_strict_feasible(spec, domain, spec.T)
-
     states = domain.states()
+    rates_at = _rates_by_time(spec, domain, states, strict=boundary == "strict")
+    rates_at(spec.T)  # the strict policy is vetted at T before anything else
     values = payoff_batch(spec, states).astype(float)
 
     def H(vals: np.ndarray, t: float) -> np.ndarray:
-        return hamiltonian_field(vals, spec, t, domain, kind, states)
+        return hamiltonian_field(vals, spec, t, domain, kind, states, rates=rates_at(t))
 
     check = None
     if scheme == "euler":
@@ -475,7 +537,7 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     one more evaluation.  The values of every step are the ones
     ``solve_backward(spec, domain, dt=dt, checkpoints=[0.0])`` computes, but
     only the last slice is kept.  Like the sweep, the table evaluates the
-    drift at each slice's grid time t_k.
+    drift at each slice's grid time t_k (once, at T, for an autonomous spec).
     """
     ceiling = dt_ceiling(spec, domain.h)
     dt = _resolve_dt(spec, dt, 0.0, ceiling, _CEILING_NAME)
@@ -485,44 +547,41 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     times = np.empty(n_steps + 1)
     rows = iter(range(n_steps, 0, -1))
     states = domain.states()
+    rates_at = _rates_by_time(spec, domain, states)
 
     def step(vals, t, t_next, dt):
         row = next(rows)
         times[row] = t
-        return vals + dt * _upper_field_and_argmin(vals, spec, t, domain, states, u_index[row])
+        return vals + dt * _upper_field_and_argmin(vals, rates_at(t), domain, u_index[row])
 
     dt, (value0,) = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
                            dt=dt, checkpoints=[0.0], ceiling=ceiling, ceiling_name=_CEILING_NAME)
     times[0] = value0.t
-    _upper_field_and_argmin(value0.values, spec, value0.t, domain, states, u_index[0])
+    _upper_field_and_argmin(value0.values, rates_at(value0.t), domain, u_index[0])
     return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
                          u_index=u_index, value0=value0)
 
 
-def _assert_strict_feasible(spec: GameSpec, domain: LatticeDomain, t: float) -> None:
-    """Strict boundary policy: no control may push any face point outside.
+def _assert_strict_feasible(domain: LatticeDomain, rates: Rates, states: np.ndarray,
+                            idx: np.ndarray | None = None) -> None:
+    """Strict boundary policy: no control pair may jump a point out of the box.
 
-    Checked at the sweep's start time; time-dependent drifts that only turn
-    outward later are the caller's responsibility under this policy.
+    ``rates`` were built on ``states``, the domain points ``idx`` (all points
+    when None).  Reports the first offending point, in point order, of the
+    first offending pair, in grid order.
     """
-    _, _, interior = neighbor_tables(domain)
-    if np.all(interior):
-        return
-    states = domain.states()[~interior]
-    ks = [domain.lattice_of(i) for i in np.flatnonzero(~interior)]
-    for u in spec.u_grid:
-        for v in spec.v_grid:
-            f = drift_batch(spec, t, states, u, v)
-            for row, k_vec, fx in zip(states, ks, f):
-                for i in range(spec.d):
-                    if fx[i] > RATE_DROP_TOL and k_vec[i] == domain.hi[i]:
-                        raise TruncationError(
-                            f"strict boundary: drift pushes {row.tolist()} out of the box"
-                        )
-                    if fx[i] < -RATE_DROP_TOL and k_vec[i] == domain.lo[i]:
-                        raise TruncationError(
-                            f"strict boundary: drift pushes {row.tolist()} out of the box"
-                        )
+    up, down, _ = neighbor_tables(domain)
+    points = np.arange(domain.n_points) if idx is None else idx
+    if idx is not None:
+        up, down = up[:, idx], down[:, idx]
+    # the neighbour tables clamp a move out of the box to the point itself
+    ups, rate = rates
+    leaves = (np.where(ups, up == points, down == points) & (rate > 0)).any(axis=2)
+    leaves = leaves.reshape(-1, len(points))
+    if leaves.any():
+        first_pair = np.argmax(leaves.any(axis=1))
+        raise TruncationError(f"strict boundary: drift pushes "
+                              f"{states[np.argmax(leaves[first_pair])].tolist()} out of the box")
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +592,32 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+_CSV_BLOCK = 4096  # rows formatted per write
+
+
 def write_slice_csv(grid: ValueGrid, path: str | Path, meta: dict | None = None) -> None:
-    """Write one slice as CSV: comment metadata lines, header, one row per point."""
-    path = Path(path)
-    d = grid.domain.d
-    lines = []
-    for key, val in (meta or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append("t," + ",".join(f"x_{i + 1}" for i in range(d)) + ",value")
+    """Write one slice as CSV: comment metadata lines, header, one row per point.
+
+    Rows are formatted and written in blocks, never the whole text at once.
+    """
+    t = _fmt(grid.t)
     states = grid.domain.states()
-    for row, val in zip(states, grid.values):
-        lines.append(",".join([_fmt(grid.t)] + [_fmt(c) for c in row] + [_fmt(val)]))
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        for key, val in (meta or {}).items():
+            fh.write(f"# {key}={val}\n")
+        fh.write("t," + ",".join(f"x_{i + 1}" for i in range(grid.domain.d)) + ",value\n")
+        for lo in range(0, len(states), _CSV_BLOCK):
+            block = zip(states[lo:lo + _CSV_BLOCK].tolist(),
+                        grid.values[lo:lo + _CSV_BLOCK].tolist())
+            fh.write("".join(",".join([t, *map(_fmt, row), _fmt(val)]) + "\n"
+                             for row, val in block))
 
 
 def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:
     """Read a slice CSV back onto its lattice; returns (grid, metadata)."""
     path = Path(path)
     meta: dict[str, str] = {}
-    rows: list[list[float]] = []
+    rows: list[str] = []
     header_seen = False
     for line in path.read_text().splitlines():
         if not line.strip():
@@ -565,10 +631,13 @@ def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:
         if not header_seen:
             header_seen = True
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        rows.append(line)
     if not rows:
         raise GameSpecError(f"slice file {path} holds no data rows")
-    data = np.asarray(rows)
+    try:
+        data = np.array([[float(tok) for tok in line.split(",")] for line in rows])
+    except ValueError as exc:
+        raise GameSpecError(f"slice file {path} has a malformed data row: {exc}") from exc
     t = float(data[0, 0])
     states = data[:, 1:-1]
     vals = data[:, -1]

@@ -21,8 +21,8 @@ from .chain import LatticeDomain, neighbor_tables
 from .errors import GameSpecError
 # drift_batch is no longer called here; perfbench's install_probes patches it
 from .games import GameSpec, drift_batch, payoff_batch  # noqa: F401
-from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _sweep, _tiling_dt,
-                     hamiltonian_field)
+from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _rates_by_time, _sweep,
+                     _tiling_dt, hamiltonian_field)
 
 __all__ = ["cfl_ceiling", "auto_cfl_dt", "solve_viscous", "viscosity_gap"]
 
@@ -42,7 +42,8 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     """Backward explicit sweep of the viscous minimax equation.
 
     The step is the chain solver's generator kernel (the upwind advection
-    term) plus the centered Laplacian, with the boundary ring re-frozen.
+    term, its jump rates built as in the chain sweep) plus the centered
+    Laplacian, with the boundary ring re-frozen.
     ``domain.h`` doubles as the spatial spacing dx.  Checkpoints follow the
     chain solver's snap-down convention; ``None`` records every step down to
     t=0.  sigma=0 degenerates to the first-order upwind scheme for the
@@ -56,11 +57,12 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     dx = domain.h
     states = domain.states()
     up, down, interior = neighbor_tables(domain)
+    rates_at = _rates_by_time(spec, domain, states)
     half_sig2 = 0.5 * sigma**2
     dx2 = dx * dx
 
     def step(values, t, t_next, dt):
-        rhs = hamiltonian_field(values, spec, t, domain, kind, states)
+        rhs = hamiltonian_field(values, spec, t, domain, kind, states, rates=rates_at(t))
         if sigma > 0:
             # centered second differences; boundary values are re-frozen below
             lap = np.zeros(len(values))

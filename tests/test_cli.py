@@ -162,6 +162,34 @@ def test_exit_codes(tmp_path, capsys):
                "--adversaries", "zigzag", "--replicas", "10") == 2
 
 
+def test_malformed_game_field_is_a_usage_error(tmp_path, capsys):
+    game = tmp_path / "bad.json"
+    game.write_text(json.dumps({
+        "d": 1, "T": "abc", "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],
+        "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}))
+    assert run("solve", "--game", str(game), "--out", str(tmp_path)) == 2
+    assert "malformed game definition" in capsys.readouterr().err
+
+
+def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    for bad in ({"replicas": "ten"}, {"h": ["a"]}, {"h": 0.1}, {"pad": [1]}):
+        cfg_file.write_text(json.dumps({"game": "g1", **bad}))
+        assert run("bounds", "--config", str(cfg_file), "--out", str(tmp_path)) == 2
+        assert "wrong type" in capsys.readouterr().err
+
+
+def test_bugs_propagate_with_a_traceback(tmp_path, monkeypatch):
+    import latticegames.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(cli.bounds_mod, "assemble", broken)
+    with pytest.raises(ZeroDivisionError):
+        run("bounds", "--game", "g1", "--out", str(tmp_path))
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"game": "g1", "h": [0.1], "seed": 5}))

@@ -166,6 +166,17 @@ def test_game_from_dict_rejects_bad_input():
                         "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", "abc"), ("d", "two"), ("u_grid", 5), ("v_grid", [["a"]]), ("M1", None),
+    ("drift", {"kind": "affine", "a": [["x"]], "bu": [[1]], "bv": [[1]], "c": [0]}),
+])
+def test_game_from_dict_wraps_malformed_fields(field, value):
+    data = {"d": 1, "T": 1, "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],
+            "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0, field: value}
+    with pytest.raises(lg.GameSpecError, match="malformed game definition"):
+        game_from_dict(data)
+
+
 def test_load_game_unknown_source():
     with pytest.raises(lg.GameSpecError):
         lg.load_game("not_a_game_or_file")

@@ -1,0 +1,117 @@
+"""Property tests over randomly generated JSON games.
+
+Every catalog and JSON drift ignores t, so the sweeps build the jump rates
+once per solve; ``dataclasses.replace(spec, autonomous=False)`` rebuilds them
+at every kernel time instead.  Both must give the same floats, bit for bit,
+in every solver that reads the rates.  M1 is chosen so that each generated
+game satisfies its declared bound on the truncated box, which keeps the
+monotone schemes inside the payoff range; a failure would still have to be
+the same failure on both paths.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import latticegames as lg
+from latticegames.games import game_from_dict
+
+T = 0.5
+PAD = 0.5
+
+coefficient = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+def _matrix(rows: int, cols: int):
+    return st.lists(st.lists(coefficient, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def payoffs(draw, d: int) -> dict:
+    kind = draw(st.sampled_from(["norm", "linear", "constant"]))
+    if kind == "norm":
+        return {"kind": "norm", "center": draw(st.lists(coefficient, min_size=d, max_size=d))}
+    if kind == "linear":
+        return {"kind": "linear", "a": draw(st.lists(coefficient, min_size=d, max_size=d))}
+    return {"kind": "constant", "value": draw(coefficient)}
+
+
+@st.composite
+def json_games(draw) -> dict:
+    kind = draw(st.sampled_from(["control_sum", "rotation_mix", "affine"]))
+    if kind == "control_sum":
+        # |u + v| <= 2 <= 2 d M1
+        d, m, drift, M1 = 1, 1, {"kind": "control_sum"}, 2.0
+    elif kind == "rotation_mix":
+        # |v x2 - u| + |u x1 + v| <= 2 (M1 T + 1) + 2 <= 2 d M1
+        d, m, drift, M1 = 2, 1, {"kind": "rotation_mix"}, 2.0
+    else:
+        d, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        drift = {"kind": "affine", "a": draw(_matrix(d, d)), "bu": draw(_matrix(d, m)),
+                 "bv": draw(_matrix(d, m)), "c": draw(st.lists(coefficient, min_size=d,
+                                                               max_size=d))}
+        # the box reaches M1 T + PAD + h < M1 T + 1 per coordinate, so
+        # sum_i |f_i| <= d^2 (M1 T + 1) + 3 d m <= 2 d M1
+        M1 = (d + 3 * m) / (2 - d * T)
+    control = coefficient if m == 1 else st.lists(coefficient, min_size=m, max_size=m)
+    u_grid = draw(st.lists(control, min_size=1, max_size=3, unique_by=repr))
+    v_grid = draw(st.lists(control, min_size=1, max_size=3, unique_by=repr))
+    return {"d": d, "T": T, "drift": drift, "u_grid": u_grid, "v_grid": v_grid,
+            "payoff": draw(payoffs(d)), "R": 1.0, "M1": M1, "K1": 1.0}
+
+
+def _outcome(fn):
+    """A run's floats as bytes, or the failure it raised."""
+    try:
+        return fn()
+    except lg.LatticeGamesError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _slices(res) -> list:
+    return [(s.t, s.values.tobytes()) for s in res.slices] + [res.dt]
+
+
+def _table(table) -> tuple:
+    return (table.times.tobytes(), table.u_index.tobytes(), table.value0.values.tobytes(),
+            table.dt)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(), h=st.sampled_from([0.25, 0.5]), sigma=st.sampled_from([0.0, 0.2]))
+def test_rate_cache_matches_per_step_rates(data, h, sigma):
+    cached = game_from_dict(data, name="random")
+    assert cached.autonomous
+    per_step = dataclasses.replace(cached, autonomous=False)
+    dom = lg.truncate_domain(cached, np.zeros(cached.d), h, pad=PAD)
+
+    def runs(spec):
+        out = {}
+        for kind in ("upper", "lower"):
+            for scheme in ("euler", "rk4"):
+                out[kind, scheme] = _outcome(lambda: _slices(lg.solve_backward(
+                    spec, dom, kind=kind, scheme=scheme)))
+        out["viscous"] = _outcome(lambda: _slices(lg.solve_viscous(spec, dom, sigma)))
+        out["table"] = _outcome(lambda: _table(lg.feedback_table(spec, dom)))
+        return out
+
+    a, b = runs(cached), runs(per_step)
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key] == b[key], key
+    # valid games by construction: the monotone Euler sweeps never fail
+    assert isinstance(a["upper", "euler"], list) and isinstance(a["table"], tuple)
+
+
+def test_catalog_and_json_games_declare_autonomy():
+    assert lg.g1().autonomous and lg.g2().autonomous
+    data = {"d": 1, "T": 1, "drift": {"kind": "zero"}, "u_grid": [0], "v_grid": [0],
+            "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}
+    assert game_from_dict(data).autonomous
+    spec = lg.g1()
+    python_game = lg.GameSpec(name="py", d=1, T=1.0, drift=spec.drift, u_grid=spec.u_grid,
+                              v_grid=spec.v_grid, payoff=spec.payoff, R=1.0, M1=1.5, K1=0.0)
+    assert not python_game.autonomous

@@ -237,3 +237,27 @@ def test_engine_preconditions(g1_solution):
     lower = lg.solve_backward(spec, eta.domain, kind="lower", checkpoints=[0.0])
     with pytest.raises(lg.GameSpecError):
         lg.run_extremal_shift(spec, lower, part, [0.0], adv)
+
+
+def _late_drift(t, x, u, v):
+    # per-row evaluation with a time dependence, for the non-vectorized path
+    x = np.asarray(x, dtype=float)
+    return np.array([u * x[1] + v * t, v - u * x[0]])
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["g2", "per-row"])
+def test_grouped_drift_matches_all_pairs(vectorized):
+    from latticegames.shift import _drift_grouped, _drift_pairs, _pair_groups
+
+    spec = lg.g2() if vectorized else lg.GameSpec(
+        name="rows", d=2, T=1.0, drift=_late_drift, u_grid=(-1.0, 0.5, 1.0),
+        v_grid=(-1.0, 1.0), payoff=lg.g2().payoff, R=1.0, M1=5.0, K1=1.0)
+    rng = np.random.default_rng(4)
+    n = 40
+    states = rng.uniform(-2.0, 2.0, size=(n, 2))
+    iu = rng.integers(0, len(spec.u_grid), size=n).astype(np.uint8)
+    iv = rng.integers(0, len(spec.v_grid), size=n)
+    for t in (0.25, rng.uniform(0.0, 1.0, size=n)):
+        want = _drift_pairs(spec, t, states)[iu, iv, np.arange(n)]
+        got = _drift_grouped(spec, t, states, _pair_groups(spec, iu, iv))
+        assert got.tobytes() == want.tobytes()

@@ -1,10 +1,14 @@
 """Backward minimax sweeps: stability, monotonicity, anchors, CSV round trip."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import latticegames as lg
-from latticegames.chain import LatticeDomain, apply_generator, neighbor_tables
+from latticegames import solver
+from latticegames.chain import RATE_DROP_TOL, LatticeDomain, apply_generator, neighbor_tables
 from latticegames.games import game_from_dict, payoff_norm
 from latticegames.solver import (FeedbackTable, ValueGrid, auto_dt, dt_ceiling,
                                  feedback_table, hamiltonian, hamiltonian_field,
@@ -233,6 +237,61 @@ def test_strict_boundary_raises_when_drift_exits():
         solve_backward(spec, dom, boundary="strict")
 
 
+def test_strict_boundary_reports_first_offending_point():
+    spec = lg.g2()
+    dom = LatticeDomain(h=0.5, lo=(-2, -2), hi=(2, 2))
+    states = dom.states()
+    ks = np.round(states / dom.h).astype(int)
+    # the policy's definition, pair by pair in grid order, then point by point
+    first = next(
+        x.tolist()
+        for u in spec.u_grid for v in spec.v_grid
+        for x, k, fx in zip(states, ks, spec.drift(spec.T, states, u, v))
+        if any((fx[i] > RATE_DROP_TOL and k[i] == dom.hi[i])
+               or (fx[i] < -RATE_DROP_TOL and k[i] == dom.lo[i]) for i in range(spec.d)))
+    message = f"pushes {re.escape(str(first))} out of the box"
+    with pytest.raises(lg.TruncationError, match=message):
+        solve_backward(spec, dom, boundary="strict")
+    grid = terminal_grid(spec, dom)
+    with pytest.raises(lg.TruncationError, match=message):
+        hamiltonian(grid, spec, spec.T, first, "upper", boundary="strict")
+    assert hamiltonian(grid, spec, spec.T, [0.0, 0.0], "upper", boundary="strict") == \
+        hamiltonian(grid, spec, spec.T, [0.0, 0.0], "upper")
+
+
+def _late_push_game() -> lg.GameSpec:
+    def drift(t, x, u, v):
+        # motionless until t = 0.5, then a push up that carries the upper face out
+        return np.full_like(np.asarray(x, dtype=float), 1.0 if t < 0.5 else 0.0)
+
+    return lg.GameSpec(name="late_push", d=1, T=1.0, drift=drift, u_grid=(0.0,),
+                       v_grid=(0.0,), payoff=payoff_norm(), R=1.0, M1=1.0, K1=0.0,
+                       vectorized=True)
+
+
+def test_strict_boundary_checks_every_step_of_a_time_dependent_drift():
+    spec = _late_push_game()
+    dom = g1_domain()
+    for scheme in ("euler", "rk4"):
+        with pytest.raises(lg.TruncationError, match=r"pushes \[2.0\] out"):
+            solve_backward(spec, dom, boundary="strict", scheme=scheme)
+    # a wrong autonomy declaration freezes the drift at T, where it is zero
+    solve_backward(dataclasses.replace(spec, autonomous=True), dom, boundary="strict")
+
+
+def test_time_dependent_drift_rebuilds_rates_per_step():
+    spec = _late_push_game()
+    dom = g1_domain()
+    moved = solve_backward(spec, dom, checkpoints=[0.0]).slice_at(0.0).values
+    frozen = solve_backward(dataclasses.replace(spec, autonomous=True), dom,
+                            checkpoints=[0.0]).slice_at(0.0).values
+    g = terminal_grid(spec, dom).values
+    assert np.array_equal(frozen, g)
+    assert not np.array_equal(moved, g)
+    # half a unit of upward transport: the value at -0.5 approaches |0|
+    assert moved[dom.index_of_state([-0.5])] < g[dom.index_of_state([-0.5])]
+
+
 def test_boundary_influence_vanishes_when_pad_doubles():
     # reachability padding keeps the frozen ring outside the reported
     # region's numerical domain of dependence, so doubling the pad must not
@@ -304,6 +363,38 @@ def test_csv_rejects_repeated_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(lg.GameSpecError):
         read_slice_csv(path, 0.25)
+
+
+def test_csv_rejects_malformed_row(tmp_path):
+    dom = g1_domain(h=0.25, lo=-2, hi=2)
+    path = tmp_path / "slice.csv"
+    write_slice_csv(terminal_grid(lg.g1(), dom), path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace(",", ",x", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(lg.GameSpecError, match="malformed data row"):
+        read_slice_csv(path, 0.25)
+
+
+def _joined_csv(grid: ValueGrid, meta: dict) -> bytes:
+    """The slice CSV built as one string, the way it was written before
+    the writer streamed its rows."""
+    lines = [f"# {key}={val}" for key, val in meta.items()]
+    lines.append("t," + ",".join(f"x_{i + 1}" for i in range(grid.domain.d)) + ",value")
+    for row, val in zip(grid.domain.states(), grid.values):
+        lines.append(",".join(f"{float(c):.17g}" for c in [grid.t, *row, val]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_streamed_csv_matches_joined_text(tmp_path):
+    spec = lg.g2()
+    dom = truncate_domain(spec, [0.0, 0.0], 0.1)
+    assert dom.n_points > 2 * solver._CSV_BLOCK  # whole blocks and a partial one
+    grid = solve_backward(spec, dom, checkpoints=[0.5]).slice_at(0.5)
+    meta = {"config_sha256": "abc", "seed": 0, "game": "g2", "h": 0.1, "dt": 0.25 / 45}
+    path = tmp_path / "slice.csv"
+    write_slice_csv(grid, path, meta)
+    assert path.read_bytes() == _joined_csv(grid, meta)
 
 
 def test_csv_roundtrip(tmp_path):
