@@ -101,11 +101,10 @@ def empirical_m0_2(spec: GameSpec, h: float, n_samples: int = 200, rng_seed: int
     (t, x, u, v); always dominated by the certified d^{3/2}*M1*h."""
     ts, xs = _sample_points(spec, n_samples, rng_seed, box)
     worst = 0.0
-    for t, x in zip(ts, xs):
-        for u in spec.u_grid:
-            for v in spec.v_grid:
-                _, sigma2 = chain_characteristics(spec, float(t), x, u, v, h)
-                worst = max(worst, sigma2)
+    for u in spec.u_grid:
+        for v in spec.v_grid:
+            _, sigma2 = chain_characteristics(spec, ts, xs, u, v, h)
+            worst = float(np.max(sigma2, initial=worst))
     return worst
 
 

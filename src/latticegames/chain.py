@@ -4,7 +4,8 @@ Given a drift value f = f(t, x, u, v), the chain at mesh h jumps from x to
 x + h*sign(f_i)*e_i at rate |f_i|/h, independently per coordinate.  Its
 instantaneous mean velocity therefore equals f exactly, and its quadratic
 characteristic is h * sum_i |f_i| -- vanishing linearly in h.  Everything in
-this module is defined per (t, x, u, v) point; time stepping lives elsewhere.
+this module is defined per (t, x, u, v) point, and ``chain_characteristics``
+also takes a batch of states; time stepping lives elsewhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GameSpecError, TruncationError
-from .games import Control, GameSpec
+from .games import Control, GameSpec, drift_batch
 
 # components with |f_i| below this are treated as exact zeros (no jump)
 RATE_DROP_TOL = 1e-14
@@ -237,18 +238,37 @@ def apply_generator(values, spec: GameSpec, t: float, x, u: Control, v: Control,
     return acc
 
 
-def chain_characteristics(spec: GameSpec, t: float, x, u: Control, v: Control, h: float
-                          ) -> tuple[np.ndarray, float]:
-    """Mean velocity and quadratic characteristic of the chain at one point.
+def chain_characteristics(spec: GameSpec, t, x, u: Control, v: Control, h: float
+                          ) -> tuple[np.ndarray, np.ndarray | float]:
+    """Mean velocity and quadratic characteristic of the chain.
 
-    Computed from the jump measure itself: b2 = sum(mass * offset) which
-    reproduces the drift componentwise, and sigma2 = sum(mass * ||offset||^2)
-    = h * sum_i |f_i|.
+    ``x`` is one state, shape (d,), or a batch, shape (n, d); ``t`` is a
+    scalar or one time per row.  From the jump measure, axis by axis:
+    b2_i = mass_i * (h * sign_i), which reproduces the drift componentwise,
+    and sigma2 = sum_i mass_i * (h * h) = h * sum_i |f_i|, summed over the
+    active axes in order, with mass_i = |f_i|/h.  A batch gives b2 of shape
+    (n, d) and sigma2 of shape (n,); one state gives (b2, float).  Each row
+    is bitwise the point result.
     """
-    measure = jump_measure(spec, t, x, u, v, h)
-    b2 = np.zeros(spec.d)
-    sigma2 = 0.0
-    for offset, mass in measure:
-        b2 += mass * offset
-        sigma2 += mass * float(offset @ offset)
+    h = _check_mesh(h)
+    x = np.asarray(x, dtype=float)
+    point = x.ndim <= 1
+    xs = np.atleast_1d(x)[None, :] if point else x
+    f = drift_batch(spec, t, xs, u, v)
+    if f.shape[1:] != (spec.d,):
+        raise GameSpecError(f"drift returned rows of shape {f.shape[1:]}, expected ({spec.d},)")
+    finite = np.all(np.isfinite(f), axis=1)
+    if not np.all(finite):
+        r = int(np.argmin(finite))
+        t_r = np.broadcast_to(np.asarray(t, dtype=float), finite.shape)[r]
+        raise GameSpecError(f"drift not finite at t={t_r}, x={xs[r].tolist()}")
+    mass = np.abs(f) / h
+    active = np.abs(f) > RATE_DROP_TOL  # chi(f_i) != 0
+    b2 = np.where(active, mass * (h * np.sign(f)), 0.0)
+    terms = np.where(active, mass * (h * h), 0.0)
+    sigma2 = terms[:, 0]
+    for i in range(1, spec.d):
+        sigma2 = sigma2 + terms[:, i]
+    if point:
+        return b2[0], float(sigma2[0])
     return b2, sigma2

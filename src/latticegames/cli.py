@@ -34,7 +34,7 @@ from .viscous import solve_viscous
 _CONFIG_KEYS = ("command", "game", "h", "sigma", "dt_policy", "partition_diam",
                 "replicas", "seed", "x0", "kind", "checkpoints", "pad",
                 "reference", "adversaries", "dump_trajectories")
-_HASH_EXCLUDED = ("out", "threads", "config")
+_HASH_EXCLUDED = ("out", "config")
 
 _DEFAULTS = {
     "h": [0.05],
@@ -44,7 +44,6 @@ _DEFAULTS = {
     "replicas": 10000,
     "seed": 0,
     "out": ".",
-    "threads": 1,
     "x0": None,
     "kind": "upper",
     "checkpoints": [0.0],
@@ -60,7 +59,7 @@ _NUMBER = (int, float)
 _FILE_TYPES = {"command": str, "config": str, "game": str, "h": list,
                "sigma": (list, type(None)), "dt_policy": (str, *_NUMBER),
                "partition_diam": _NUMBER, "replicas": int, "seed": int, "out": str,
-               "threads": int, "x0": (list, type(None)), "kind": str, "checkpoints": list,
+               "x0": (list, type(None)), "kind": str, "checkpoints": list,
                "pad": _NUMBER, "reference": str, "adversaries": str, "dump_trajectories": int}
 
 
@@ -98,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--replicas", type=int, default=None)
         s.add_argument("--seed", type=int, default=None)
         s.add_argument("--out", default=None, help="output directory")
-        s.add_argument("--threads", type=int, default=None,
-                       help="recorded for provenance; results do not depend on it")
         s.add_argument("--config", default=None, help="JSON file supplying any flag; flags override")
         s.add_argument("--x0", nargs="+", type=float, default=None, help="initial state")
         s.add_argument("--kind", choices=("upper", "lower"), default=None)
@@ -133,7 +130,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     isinstance(val, list) and not all(isinstance(c, _NUMBER) for c in val)):
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {val!r}")
         cfg.update(file_cfg)
-    for key in list(_CONFIG_KEYS) + ["out", "threads"]:
+    for key in list(_CONFIG_KEYS) + ["out"]:
         if key == "command":
             continue
         val = getattr(args, key, None)
@@ -148,8 +145,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("sigma values must be nonnegative")
     if cfg["replicas"] < 1:
         raise UsageError("replicas must be >= 1")
-    if cfg["threads"] < 1:
-        raise UsageError("threads must be >= 1")
     if cfg["dt_policy"] != "auto":
         try:
             float(cfg["dt_policy"])

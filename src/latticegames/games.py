@@ -49,7 +49,8 @@ class GameSpec:
     d:         state dimension.
     T:         horizon; play happens on [0, T].
     drift:     ``f(t, x, u, v) -> dx/dt``; must accept ``x`` of shape (d,) and,
-               when ``vectorized`` is set, batches of shape (n, d).
+               when ``vectorized`` is set, batches of shape (n, d) with ``t``
+               a scalar or one time per row.
     u_grid:    finite control grid of the minimising player.
     v_grid:    finite control grid of the maximising player.
     payoff:    terminal payoff ``g(x)``; accepts (d,) and (n, d) batches.
@@ -159,21 +160,35 @@ def eval_payoff(spec: GameSpec, x) -> float:
     return val
 
 
-def drift_batch(spec: GameSpec, t: float, states: np.ndarray, u: Control, v: Control) -> np.ndarray:
-    """Drift evaluated on an (n, d) batch of states for fixed controls.
+def drift_batch(spec: GameSpec, t, states: np.ndarray, u: Control, v: Control) -> np.ndarray:
+    """Drift of one control pair on an (n, d) batch of states, shape (n, d).
 
-    Falls back to a per-row loop when the drift is not marked vectorized.
-    No grid-membership validation here: hot path used by solvers.
+    ``t`` is a scalar or one time per row, an (n,) array; a vectorized drift
+    receives it as given.  Falls back to a per-row loop when the drift is not
+    marked vectorized.  No grid-membership validation here: hot path used by
+    the solvers, the coupling engine and the chain characteristics.
     """
     states = np.asarray(states, dtype=float)
     if spec.vectorized:
-        out = np.asarray(spec.drift(t, states, u, v), dtype=float)
-        if out.shape != states.shape:
-            raise GameSpecError(
-                f"vectorized drift returned shape {out.shape}, expected {states.shape}"
-            )
-        return out
-    return np.stack([np.asarray(spec.drift(t, row, u, v), dtype=float) for row in states])
+        out = np.asarray(spec.drift(t if np.isscalar(t) else np.asarray(t, dtype=float),
+                                    states, u, v), dtype=float)
+    else:
+        t_rows = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:1])
+        rows = [np.atleast_1d(np.asarray(spec.drift(float(tr), row, u, v), dtype=float))
+                for tr, row in zip(t_rows, states)]
+        out = np.stack(rows) if rows else np.empty(states.shape)
+    if out.shape != states.shape:
+        raise GameSpecError(f"drift returned shape {out.shape}, expected {states.shape}")
+    return out
+
+
+def pair_groups(spec: GameSpec, iu, iv) -> list:
+    """Rows grouped by their control pair (u_grid[iu[r]], v_grid[iv[r]]):
+    a list of (u, v, rows), one entry per pair present, in pair order."""
+    nv = len(spec.v_grid)
+    pair = np.asarray(iu, dtype=np.int64) * nv + iv
+    return [(spec.u_grid[p // nv], spec.v_grid[p % nv], np.flatnonzero(pair == p))
+            for p in np.unique(pair)]
 
 
 def payoff_batch(spec: GameSpec, states: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GameSpecError
-from .games import Control, GameSpec, payoff_batch
+from .games import Control, GameSpec, drift_batch, pair_groups, payoff_batch
 from .simulate import RngLike, as_rng, replica_rng, rate_majorant
 from .solver import FeedbackTable, SolveResult, _TIME_FUZZ
 
@@ -285,38 +285,13 @@ class BatchOutcomes:
 # engine
 
 
-def _drift(spec: GameSpec, t, states: np.ndarray, u: Control, v: Control) -> np.ndarray:
-    """Drift of one control pair on (n, d) states, shape (n, d).
-
-    ``t`` may be a scalar or an (n,) array; vectorized catalog drifts ignore
-    or broadcast it.  Non-vectorized drifts fall back to per-row evaluation.
-    """
-    if spec.vectorized:
-        return np.asarray(spec.drift(t if np.isscalar(t) else np.asarray(t, dtype=float),
-                                     states, u, v), dtype=float)
-    out = np.empty(states.shape)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (len(states),))
-    for r in range(len(states)):
-        out[r] = np.asarray(spec.drift(float(t_arr[r]), states[r], u, v), dtype=float)
-    return out
-
-
 def _drift_pairs(spec: GameSpec, t, states: np.ndarray) -> np.ndarray:
     """Drift for every control pair: shape (nu, nv, n, d)."""
     out = np.empty((len(spec.u_grid), len(spec.v_grid)) + states.shape)
     for iu, u in enumerate(spec.u_grid):
         for iv, v in enumerate(spec.v_grid):
-            out[iu, iv] = _drift(spec, t, states, u, v)
+            out[iu, iv] = drift_batch(spec, t, states, u, v)
     return out
-
-
-def _pair_groups(spec: GameSpec, iu: np.ndarray, iv: np.ndarray) -> list:
-    """Rows grouped by their control pair (u_grid[iu[r]], v_grid[iv[r]]):
-    a list of (u, v, rows)."""
-    nv = len(spec.v_grid)
-    pair = np.asarray(iu, dtype=np.int64) * nv + iv
-    return [(spec.u_grid[p // nv], spec.v_grid[p % nv], np.flatnonzero(pair == p))
-            for p in np.unique(pair)]
 
 
 def _drift_grouped(spec: GameSpec, t, states: np.ndarray, groups: list) -> np.ndarray:
@@ -325,7 +300,7 @@ def _drift_grouped(spec: GameSpec, t, states: np.ndarray, groups: list) -> np.nd
     ``_drift_pairs`` gives it, for drifts that act row by row."""
     out = np.empty(states.shape)
     for u, v, rows in groups:
-        out[rows] = _drift(spec, t if np.isscalar(t) else t[rows], states[rows], u, v)
+        out[rows] = drift_batch(spec, t if np.isscalar(t) else t[rows], states[rows], u, v)
     return out
 
 
@@ -431,7 +406,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
         n_sub = max(1, math.ceil(delta / min(delta * _SUBSTEP_FRACTION,
                                              _SUBSTEP_HORIZON_FRACTION * spec.T)))
         dt_sub = delta / n_sub
-        held = _pair_groups(spec, u_sel, v_adv)
+        held = pair_groups(spec, u_sel, v_adv)
 
         def f_sel(tt, states):
             return _drift_grouped(spec, tt, states, held)
@@ -466,7 +441,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
 
             # value-greedy model control, then rates under the aiming response
             u_star = table.u_index[js, flat[idx_rep]]              # (m,)
-            f_chosen = _drift_grouped(spec, tc, ys, _pair_groups(spec, u_star, v_hat[idx_rep]))
+            f_chosen = _drift_grouped(spec, tc, ys, pair_groups(spec, u_star, v_hat[idx_rep]))
             rates = np.abs(f_chosen) / h
             rates[np.abs(f_chosen) <= RATE_DROP_TOL] = 0.0
             total = rates.sum(axis=1)

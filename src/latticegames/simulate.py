@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import chain_characteristics, kolmogorov_rates
 from .errors import GameSpecError
-from .games import Control, GameSpec, eval_payoff
+from .games import Control, GameSpec, eval_payoff, pair_groups
 
 RngLike = np.random.Generator | int
 
@@ -91,14 +91,11 @@ class ChainPath:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_at(self, t: float) -> np.ndarray:
-        ts = self.times
-        if t <= ts[0]:
-            return self.states[0]
-        if t >= ts[-1]:
-            return self.states[-1]
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        return self.states[min(j, len(self.states) - 1)]
+    def state_at(self, t) -> np.ndarray:
+        """State of the segment holding time t; times before the path give the
+        first state, times after it the last.  An array of times gives one
+        row per time."""
+        return self.states[np.searchsorted(self.times[1:-1], t, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -313,29 +310,41 @@ def moment_growth_check(paths: Sequence, s: float, t: float, spec: GameSpec, *,
     return report
 
 
+def _rowdot(a, b) -> np.ndarray:
+    """<a, b> over the last axis, summed axis by axis in order.  For d=1 it
+    is the product itself, bitwise numpy's dot; for d >= 2 it can differ from
+    numpy's (fused multiply-add) dot in the last place."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, np.shape(a)[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
 def _phi_and_generator(phi: str, a, spec: GameSpec, h: float):
-    """Test function and its exact chain-generator action.
+    """Test function and its exact chain-generator action, on batches of states.
 
     linear:    phi(y) = <a, y>,        L phi = <a, b2>
     quadratic: phi(y) = ||y - a||^2,   L phi = sigma2 + 2 <y - a, b2>
+
+    ``gen_fn(t, ys, u, v)`` takes (n, d) states with one time per row.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.shape != (spec.d,):
         raise GameSpecError(f"test-function parameter shape {a.shape} != ({spec.d},)")
     if phi == "linear":
         def phi_fn(y):
-            return float(a @ y)
+            return _rowdot(a, y)
 
         def gen_fn(t, y, u, v):
             b2, _ = chain_characteristics(spec, t, y, u, v, h)
-            return float(a @ b2)
+            return _rowdot(a, b2)
     elif phi == "quadratic":
         def phi_fn(y):
-            return float((y - a) @ (y - a))
+            return _rowdot(y - a, y - a)
 
         def gen_fn(t, y, u, v):
             b2, sigma2 = chain_characteristics(spec, t, y, u, v, h)
-            return sigma2 + 2.0 * float((y - a) @ b2)
+            return sigma2 + 2.0 * _rowdot(y - a, b2)
     else:
         raise GameSpecError(f"phi must be 'linear' or 'quadratic', got {phi!r}")
     return phi_fn, gen_fn
@@ -350,29 +359,62 @@ def martingale_residual(paths: Sequence[ChainPath], spec: GameSpec, h: float, ph
     holds for autonomous drifts with the logged piecewise-constant controls).
     A centered residual within three standard errors of zero at every
     checkpoint is the expected martingale signature.
+
+    All paths are laid out as padded (paths, segments) arrays; the generator
+    is evaluated in one ``chain_characteristics`` call per control pair
+    present, at the segment start times.  A running sum along each path,
+    from 0.0, of the whole-segment terms gives every checkpoint the sum of
+    its whole segments in the order a segment-by-segment loop adds them;
+    the checkpoint then adds its one partial term gen * (tc - lo).
     """
     checkpoints = np.asarray(sorted(float(c) for c in checkpoints))
     if len(checkpoints) == 0:
         raise GameSpecError("need at least one checkpoint")
-    res = np.empty((len(paths), len(checkpoints)))
-    for p_i, path in enumerate(paths):
-        phi_fn, gen_fn = _phi_and_generator(phi, a, spec, h)
-        t0 = float(path.times[0])
-        base = phi_fn(path.states[0])
-        for c_i, tc in enumerate(checkpoints):
-            integral = 0.0
-            for j in range(len(path.states)):
-                lo = float(path.times[j])
-                hi = float(path.times[j + 1])
-                if lo >= tc:
-                    break
-                seg_hi = min(hi, float(tc))
-                if seg_hi <= lo:
-                    continue
-                u = spec.u_grid[int(path.u_indices[j])]
-                v = spec.v_grid[int(path.v_indices[j])]
-                integral += gen_fn(lo, path.states[j], u, v) * (seg_hi - lo)
-            res[p_i, c_i] = phi_fn(path.state_at(tc)) - base - integral
+    phi_fn, gen_fn = _phi_and_generator(phi, a, spec, h)
+    n_paths = len(paths)
+    width = max((len(p.states) for p in paths), default=0)
+    # segment j of path r spans [lo, hi) at state ys under controls (iu, iv);
+    # +inf times pad the shorter paths
+    lo = np.full((n_paths, width), np.inf)
+    hi = np.full((n_paths, width), np.inf)
+    ys = np.zeros((n_paths, width, spec.d))
+    iu = np.zeros((n_paths, width), dtype=np.int64)
+    iv = np.zeros((n_paths, width), dtype=np.int64)
+    valid = np.zeros((n_paths, width), dtype=bool)
+    y0 = np.empty((n_paths, spec.d))
+    y_cp = np.empty((n_paths, len(checkpoints), spec.d))
+    for r, path in enumerate(paths):
+        m = len(path.states)
+        lo[r, :m] = path.times[:m]
+        hi[r, :m] = path.times[1:m + 1]
+        ys[r, :m] = path.states
+        iu[r, :m] = path.u_indices
+        iv[r, :m] = path.v_indices
+        valid[r, :m] = True
+        y0[r] = path.states[0]
+        y_cp[r] = path.state_at(checkpoints)
+
+    seg_lo, seg_y = lo[valid], ys[valid]
+    seg_gen = np.empty(len(seg_lo))
+    for u, v, rows in pair_groups(spec, iu[valid], iv[valid]):
+        seg_gen[rows] = gen_fn(seg_lo[rows], seg_y[rows], u, v)
+    gen = np.zeros((n_paths, width))
+    gen[valid] = seg_gen
+    # whole[:, k] = sum of the first k whole-segment terms, added in path order
+    whole = np.zeros((n_paths, width + 1))
+    whole[:, 1:][valid] = seg_gen * (hi[valid] - seg_lo)
+    whole = np.cumsum(whole, axis=1)
+
+    base = phi_fn(y0)
+    every = np.arange(n_paths)
+    res = np.empty((n_paths, len(checkpoints)))
+    for c_i, tc in enumerate(checkpoints):
+        k = np.count_nonzero(hi <= tc, axis=1)  # whole segments before tc
+        integral = whole[every, k]
+        part = np.flatnonzero(k < width)
+        part = part[lo[part, k[part]] < tc]      # tc falls inside segment k
+        integral[part] += gen[part, k[part]] * (tc - lo[part, k[part]])
+        res[:, c_i] = phi_fn(y_cp[:, c_i]) - base - integral
     mean = np.mean(res, axis=0)
     se = np.std(res, axis=0, ddof=1) / math.sqrt(len(paths))
     contains = np.abs(mean) <= 3.0 * se + 1e-15

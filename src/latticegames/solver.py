@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -68,6 +68,8 @@ class SolveResult:
     boundary: str
     slices: tuple[ValueGrid, ...]
     sigma: float | None = None
+    # (spec, FeedbackTable) of the last FeedbackTable.from_result call
+    _feedback: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def domain(self) -> LatticeDomain:
@@ -117,10 +119,13 @@ class FeedbackTable:
     def from_result(cls, spec: GameSpec, result: SolveResult) -> FeedbackTable:
         """Reference table: ``minimax_control_indices`` at every point of each
         recorded slice of an upper solve, with the rates built as a sweep
-        builds them (once, at T, for an autonomous spec)."""
+        builds them (once, at T, for an autonomous spec).  The table is kept
+        on ``result`` for ``spec``, so repeated calls convert the slices once."""
         if result.kind != "upper":
             raise GameSpecError("the feedback construction tracks the upper value; "
                                 "solve with kind='upper'")
+        if result._feedback is not None and result._feedback[0] is spec:
+            return result._feedback[1]
         order = np.argsort(result.times)
         domain = result.domain
         everywhere = np.arange(domain.n_points)
@@ -131,9 +136,11 @@ class FeedbackTable:
             grid = result.slices[i]
             u_index[row] = minimax_control_indices(grid.values, spec, grid.t, domain, everywhere,
                                                    rates=rates_at(grid.t))
-        return cls(game=result.game, h=result.h, dt=result.dt, domain=domain,
-                   times=result.times[order], u_index=u_index,
-                   value0=result.slices[order[0]])
+        table = cls(game=result.game, h=result.h, dt=result.dt, domain=domain,
+                    times=result.times[order], u_index=u_index,
+                    value0=result.slices[order[0]])
+        object.__setattr__(result, "_feedback", (spec, table))
+        return table
 
 
 def weighted_norm(grid: ValueGrid, other: ValueGrid | None = None) -> float:

@@ -206,14 +206,16 @@ def test_config_file_and_overrides(tmp_path):
                "--game", "g1", "--out", str(out)) == 2
 
 
-def test_config_hash_ignores_out_and_threads(tmp_path):
+def test_config_hash_ignores_out(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run("bounds", "--game", "g1", "--out", str(a), "--threads", "1") == 0
-    assert run("bounds", "--game", "g1", "--out", str(b), "--threads", "4") == 0
+    assert run("bounds", "--game", "g1", "--out", str(a)) == 0
+    assert run("bounds", "--game", "g1", "--out", str(b)) == 0
     ja = json.loads((a / "bounds.json").read_text())
     jb = json.loads((b / "bounds.json").read_text())
     assert ja["config_sha256"] == jb["config_sha256"]
     assert ja == jb
+    with pytest.raises(SystemExit):  # no --threads flag
+        run("bounds", "--game", "g1", "--out", str(a), "--threads", "1")
 
 
 def test_config_hash_tracks_settings():

@@ -6,7 +6,8 @@ at every kernel time instead.  Both must give the same floats, bit for bit,
 in every solver that reads the rates.  M1 is chosen so that each generated
 game satisfies its declared bound on the truncated box, which keeps the
 monotone schemes inside the payoff range; a failure would still have to be
-the same failure on both paths.
+the same failure on both paths.  The batched chain characteristics must
+equal the point-by-point jump-measure sums, bit for bit, on the same games.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ def payoffs(draw, d: int) -> dict:
 
 
 @st.composite
-def json_games(draw) -> dict:
+def json_games(draw, max_d: int = 2) -> dict:
     kind = draw(st.sampled_from(["control_sum", "rotation_mix", "affine"]))
     if kind == "control_sum":
         # |u + v| <= 2 <= 2 d M1
@@ -48,7 +49,7 @@ def json_games(draw) -> dict:
         # |v x2 - u| + |u x1 + v| <= 2 (M1 T + 1) + 2 <= 2 d M1
         d, m, drift, M1 = 2, 1, {"kind": "rotation_mix"}, 2.0
     else:
-        d, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        d, m = draw(st.integers(1, max_d)), draw(st.integers(1, 2))
         drift = {"kind": "affine", "a": draw(_matrix(d, d)), "bu": draw(_matrix(d, m)),
                  "bv": draw(_matrix(d, m)), "c": draw(st.lists(coefficient, min_size=d,
                                                                max_size=d))}
@@ -115,3 +116,51 @@ def test_catalog_and_json_games_declare_autonomy():
     python_game = lg.GameSpec(name="py", d=1, T=1.0, drift=spec.drift, u_grid=spec.u_grid,
                               v_grid=spec.v_grid, payoff=spec.payoff, R=1.0, M1=1.5, K1=0.0)
     assert not python_game.autonomous
+
+
+def _characteristics_from_measure(spec, t, x, u, v, h):
+    """b2 and sigma2 summed over the jump measure, one point at a time: the
+    reference the batched ``chain_characteristics`` must reproduce."""
+    b2 = np.zeros(spec.d)
+    sigma2 = 0.0
+    for offset, mass in lg.jump_measure(spec, t, x, u, v, h):
+        b2 += mass * offset
+        sigma2 += mass * float(offset @ offset)
+    return b2, sigma2
+
+
+def _time_scaled(spec, vectorized):
+    """The game with drift (1 + t) f(t, x, u, v), evaluated in batches or
+    row by row: per-row times must reach each row."""
+    def drift(t, x, u, v):
+        return spec.drift(t, x, u, v) * (1.0 + np.asarray(t, dtype=float)[..., None])
+
+    return dataclasses.replace(spec, drift=drift, vectorized=vectorized, autonomous=False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=json_games(max_d=3), h=st.sampled_from([0.05, 0.25, 0.5]),
+       seed=st.integers(0, 2**16))
+def test_batched_characteristics_match_point_calls(data, h, seed):
+    game = game_from_dict(data, name="random")
+    rng = np.random.default_rng(seed)
+    n = 9
+    xs = rng.uniform(-2.0, 2.0, size=(n, game.d))
+    xs[::3] = 0.0  # drift components of zero or near zero at the origin
+    ts = rng.uniform(0.0, T, size=n)
+    for spec in (game, _time_scaled(game, True), _time_scaled(game, False)):
+        for u in spec.u_grid:
+            for v in spec.v_grid:
+                for t in (0.3, ts):
+                    b2, sigma2 = lg.chain_characteristics(spec, t, xs, u, v, h)
+                    assert b2.shape == (n, spec.d) and sigma2.shape == (n,)
+                    for r in range(n):
+                        t_r = t if np.isscalar(t) else float(t[r])
+                        want_b2, want_s2 = _characteristics_from_measure(spec, t_r, xs[r],
+                                                                         u, v, h)
+                        point_b2, point_s2 = lg.chain_characteristics(spec, t_r, xs[r],
+                                                                      u, v, h)
+                        assert b2[r].tobytes() == point_b2.tobytes() == want_b2.tobytes()
+                        assert isinstance(point_s2, float)
+                        assert (np.float64(sigma2[r]).tobytes() == np.float64(point_s2).tobytes()
+                                == np.float64(want_s2).tobytes())

@@ -193,6 +193,36 @@ def test_table_and_dense_solve_drive_identical_replicas(g1_solution):
         assert np.array_equal(a.n_jumps, b.n_jumps)
 
 
+def test_single_runs_convert_a_solve_result_once(g1_solution, monkeypatch):
+    from latticegames import solver
+
+    spec, dense = g1_solution
+    eta = lg.solve_backward(spec, dense.domain, kind="upper")  # not converted yet
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    adv = lg.RandomAdversary(len(spec.v_grid))
+    table = lg.feedback_table(spec, eta.domain)
+    want = [lg.run_extremal_shift(spec, table, part, [0.0], adv, rng=lg.replica_rng(4, i))
+            for i in range(5)]
+    calls = []
+    minimax = solver.minimax_control_indices
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimax(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimax_control_indices", counted)
+    got = [lg.run_extremal_shift(spec, eta, part, [0.0], adv, rng=lg.replica_rng(4, i))
+           for i in range(5)]
+    assert len(calls) == len(eta.slices)  # one conversion for five runs
+    assert lg.FeedbackTable.from_result(spec, eta) is lg.FeedbackTable.from_result(spec, eta)
+    assert len(calls) == len(eta.slices)
+    lg.FeedbackTable.from_result(lg.g1(), eta)  # another spec converts again
+    assert len(calls) == 2 * len(eta.slices)
+    for a, b in zip(want, got):
+        assert a.outcome == b.outcome and np.array_equal(a.sq_gap, b.sq_gap)
+        assert np.array_equal(a.jump_times, b.jump_times)
+
+
 def test_frozen_boundary_moves_are_counted():
     # one control each and drift +1: the real state ends at the box face
     # x = M1*T when pad = 0, and about half the model chains try to pass it
@@ -247,7 +277,8 @@ def _late_drift(t, x, u, v):
 
 @pytest.mark.parametrize("vectorized", [True, False], ids=["g2", "per-row"])
 def test_grouped_drift_matches_all_pairs(vectorized):
-    from latticegames.shift import _drift_grouped, _drift_pairs, _pair_groups
+    from latticegames.games import pair_groups
+    from latticegames.shift import _drift_grouped, _drift_pairs
 
     spec = lg.g2() if vectorized else lg.GameSpec(
         name="rows", d=2, T=1.0, drift=_late_drift, u_grid=(-1.0, 0.5, 1.0),
@@ -259,5 +290,5 @@ def test_grouped_drift_matches_all_pairs(vectorized):
     iv = rng.integers(0, len(spec.v_grid), size=n)
     for t in (0.25, rng.uniform(0.0, 1.0, size=n)):
         want = _drift_pairs(spec, t, states)[iu, iv, np.arange(n)]
-        got = _drift_grouped(spec, t, states, _pair_groups(spec, iu, iv))
+        got = _drift_grouped(spec, t, states, pair_groups(spec, iu, iv))
         assert got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Sampling layer: RNG streams, ODE/chain paths, estimates, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,130 @@ def test_martingale_residual_validation(chain_paths):
         lg.martingale_residual(paths, spec, h, "linear", [2.0], [])
     with pytest.raises(lg.GameSpecError):
         lg.martingale_residual(paths, spec, h, "linear", [2.0, 1.0], [0.5])
+
+
+def _state_at_loop(path, t):
+    ts = path.times
+    if t <= ts[0]:
+        return path.states[0]
+    if t >= ts[-1]:
+        return path.states[-1]
+    j = int(np.searchsorted(ts, t, side="right") - 1)
+    return path.states[min(j, len(path.states) - 1)]
+
+
+def _residual_loop(paths, spec, h, phi, a, checkpoints):
+    """The compensator path by path, checkpoint by checkpoint, segment by
+    segment, with one point ``chain_characteristics`` call per segment: the
+    reference for ``martingale_residual``.  Returns (mean, standard error)."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if phi == "linear":
+        def phi_fn(y):
+            return float(a @ y)
+
+        def gen_fn(t, y, u, v):
+            return float(a @ lg.chain_characteristics(spec, t, y, u, v, h)[0])
+    else:
+        def phi_fn(y):
+            return float((y - a) @ (y - a))
+
+        def gen_fn(t, y, u, v):
+            b2, sigma2 = lg.chain_characteristics(spec, t, y, u, v, h)
+            return sigma2 + 2.0 * float((y - a) @ b2)
+    checkpoints = sorted(float(c) for c in checkpoints)
+    res = np.empty((len(paths), len(checkpoints)))
+    for p_i, path in enumerate(paths):
+        base = phi_fn(path.states[0])
+        for c_i, tc in enumerate(checkpoints):
+            integral = 0.0
+            for j in range(len(path.states)):
+                lo, hi = float(path.times[j]), float(path.times[j + 1])
+                if lo >= tc:
+                    break
+                seg_hi = min(hi, tc)
+                if seg_hi <= lo:
+                    continue
+                u = spec.u_grid[int(path.u_indices[j])]
+                v = spec.v_grid[int(path.v_indices[j])]
+                integral += gen_fn(lo, path.states[j], u, v) * (seg_hi - lo)
+            res[p_i, c_i] = phi_fn(_state_at_loop(path, tc)) - base - integral
+    return np.mean(res, axis=0), np.std(res, axis=0, ddof=1) / math.sqrt(len(paths))
+
+
+# For d >= 2 the residual sums its dot products axis by axis where the loop
+# calls numpy's dot, which may fuse a multiply-add: each dot can differ in
+# the last place.  Terms stay below 50 on these paths, so per-path residuals
+# differ by well under 64 ulps of 50 (4.5e-13); the mean and standard error
+# inherit that bound.
+D2_RESIDUAL_ATOL = 64 * np.finfo(float).eps * 50
+
+
+def _one_segment(spec, t0, x0, iu, iv):
+    return lg.ChainPath(times=np.array([t0, spec.T]), states=np.array([x0], dtype=float),
+                        u_indices=np.array([iu]), v_indices=np.array([iv]), n_jumps=0)
+
+
+def _feedback_g1_paths(n):
+    # state feedback from t0 = 0.3, time-switching second player
+    spec = lg.g1()
+    up = lambda t, y: -1.0 if y[0] > 0.0 else 1.0
+    vp = lambda t, y: 0.5 if t < 0.6 else -0.5
+    return [lg.simulate_chain(spec, up, vp, 0.2, 0.1, t0=0.3, rng=lg.replica_rng(8, i))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("phi, a", [("linear", [2.0]), ("quadratic", [0.3])],
+                         ids=["linear", "quadratic"])
+def test_martingale_residual_matches_segment_loop_bitwise(chain_paths, phi, a):
+    spec, h, paths = chain_paths
+    feedback = _feedback_g1_paths(60)
+    cases = [
+        # constant controls; checkpoints before t0, on segment ends, at T, after T
+        (paths[:120], [-0.1, 0.0, float(paths[0].times[3]), float(paths[1].times[5]),
+                       0.5, 1.0, 1.3]),
+        # feedback paths starting at t0 > 0, mixed with one-segment paths
+        (feedback + [_one_segment(spec, 0.3, [0.2], 2, 0), _one_segment(spec, 0.0, [0.0], 1, 1)],
+         [0.1, 0.3, float(feedback[0].times[2]), 0.75, 1.0]),
+        # one-segment paths only
+        ([_one_segment(spec, 0.0, [0.1 * i], i % 3, 2) for i in range(5)], [0.0, 0.4, 1.0]),
+    ]
+    for case_paths, cps in cases:
+        rep = lg.martingale_residual(case_paths, spec, h, phi, a, cps)
+        mean, se = _residual_loop(case_paths, spec, h, phi, a, cps)
+        assert rep.mean_residual.tobytes() == mean.tobytes()
+        assert rep.std_error.tobytes() == se.tobytes()
+        assert rep.checkpoints.tolist() == sorted(cps)
+
+
+@pytest.mark.parametrize("phi, a", [("linear", [2.0, -0.7]), ("quadratic", [0.3, 0.1])],
+                         ids=["linear", "quadratic"])
+def test_martingale_residual_matches_segment_loop_on_g2(phi, a):
+    spec = lg.g2()
+    up = lambda t, y: spec.u_grid[int(y[0] > 0.0)]
+    vp = lambda t, y: spec.v_grid[2 * int(y[1] < 0.1)]
+    paths = [lg.simulate_chain(spec, up, vp, [0.1, -0.2], 0.1, rng=lg.replica_rng(2, i))
+             for i in range(40)]
+    cps = [0.0, 0.25, float(paths[0].times[3]), 1.0, 2.0]
+    rep = lg.martingale_residual(paths, spec, 0.1, phi, a, cps)
+    mean, se = _residual_loop(paths, spec, 0.1, phi, a, cps)
+    np.testing.assert_allclose(rep.mean_residual, mean, rtol=0, atol=D2_RESIDUAL_ATOL)
+    np.testing.assert_allclose(rep.std_error, se, rtol=0, atol=D2_RESIDUAL_ATOL)
+
+
+def test_martingale_residual_calls_characteristics_once_per_control_pair(chain_paths,
+                                                                         monkeypatch):
+    from latticegames import simulate
+
+    spec, h, paths = chain_paths
+    calls = []
+
+    def counted(*args):
+        calls.append(len(np.atleast_2d(args[2])))
+        return lg.chain_characteristics(*args)
+
+    monkeypatch.setattr(simulate, "chain_characteristics", counted)
+    feedback = _feedback_g1_paths(30)
+    lg.martingale_residual(feedback, spec, h, "quadratic", [0.3], [0.5, 1.0])
+    pairs = {(u, v) for p in feedback for u, v in zip(p.u_indices, p.v_indices)}
+    assert len(calls) == len(pairs)
+    assert sum(calls) == sum(len(p.states) for p in feedback)
