@@ -238,12 +238,13 @@ def apply_generator(values, spec: GameSpec, t: float, x, u: Control, v: Control,
     return acc
 
 
-def chain_characteristics(spec: GameSpec, t, x, u: Control, v: Control, h: float
+def chain_characteristics(spec: GameSpec, t, x, u, v, h: float
                           ) -> tuple[np.ndarray, np.ndarray | float]:
     """Mean velocity and quadratic characteristic of the chain.
 
     ``x`` is one state, shape (d,), or a batch, shape (n, d); ``t`` is a
-    scalar or one time per row.  From the jump measure, axis by axis:
+    scalar or one time per row, and ``u``, ``v`` one grid element or one
+    control per row, as in ``drift_batch``.  From the jump measure, axis by axis:
     b2_i = mass_i * (h * sign_i), which reproduces the drift componentwise,
     and sigma2 = sum_i mass_i * (h * h) = h * sum_i |f_i|, summed over the
     active axes in order, with mass_i = |f_i|/h.  A batch gives b2 of shape

@@ -35,10 +35,6 @@ def _as_control(value) -> Control:
     return seq
 
 
-def _control_dim(c: Control) -> int:
-    return 1 if isinstance(c, float) else len(c)
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """Immutable description of one game instance.
@@ -48,9 +44,9 @@ class GameSpec:
     name:      short identifier used in file names and reports.
     d:         state dimension.
     T:         horizon; play happens on [0, T].
-    drift:     ``f(t, x, u, v) -> dx/dt``; must accept ``x`` of shape (d,) and,
-               when ``vectorized`` is set, batches of shape (n, d) with ``t``
-               a scalar or one time per row.
+    drift:     ``f(t, x, u, v) -> dx/dt``; must accept one state ``x`` of
+               shape (d,) with grid elements ``u`` and ``v``, and batches as
+               described under ``vectorized``.
     u_grid:    finite control grid of the minimising player.
     v_grid:    finite control grid of the maximising player.
     payoff:    terminal payoff ``g(x)``; accepts (d,) and (n, d) batches.
@@ -58,7 +54,12 @@ class GameSpec:
     M1:        uniform bound on ``max(||f||, 1)``-type magnitudes: sampled
                drifts must satisfy ``||f|| <= M1``.
     K1:        Lipschitz constant of ``f`` in the state variable.
-    vectorized: whether ``drift`` accepts (n, d) state batches.
+    vectorized: whether ``drift`` accepts batches and returns (n, d): ``x``
+               of shape (n, d), ``t`` a scalar or one time per row (n,), and
+               ``u``, ``v`` each a grid element or one control per row, as an
+               (n, 1) column for a scalar channel or (n, k) rows for a vector
+               one.  Plain arithmetic on the controls then acts row by row.
+               Otherwise ``drift_batch`` calls the drift once per row.
     closed_form: optional exact value function ``(t, x) -> value`` used as a
                convergence reference; only catalog games carry one.
     autonomous: whether ``drift`` ignores t; the solvers then build the jump
@@ -160,35 +161,40 @@ def eval_payoff(spec: GameSpec, x) -> float:
     return val
 
 
-def drift_batch(spec: GameSpec, t, states: np.ndarray, u: Control, v: Control) -> np.ndarray:
-    """Drift of one control pair on an (n, d) batch of states, shape (n, d).
+def drift_batch(spec: GameSpec, t, states: np.ndarray, u, v) -> np.ndarray:
+    """Drift on an (n, d) batch of states, shape (n, d).
 
-    ``t`` is a scalar or one time per row, an (n,) array; a vectorized drift
-    receives it as given.  Falls back to a per-row loop when the drift is not
-    marked vectorized.  No grid-membership validation here: hot path used by
-    the solvers, the coupling engine and the chain characteristics.
+    ``t`` is a scalar or one time per row, an (n,) array.  ``u`` and ``v`` are
+    each one grid element or one control per row: an (n,) array for a scalar
+    channel, an (n, k) array for a vector one.  A vectorized drift receives
+    per-row times as given and per-row controls as (n, 1) or (n, k) arrays;
+    any other drift is called row by row with that row's time and grid
+    elements.  No grid-membership validation here: hot path used by the
+    solvers, the coupling engine and the chain characteristics.
     """
     states = np.asarray(states, dtype=float)
+    # per-row controls arrive as arrays: scalar channels become (n, 1) columns
+    u, v = (c.reshape(len(c), -1) if isinstance(c, np.ndarray) and c.ndim else c for c in (u, v))
     if spec.vectorized:
         out = np.asarray(spec.drift(t if np.isscalar(t) else np.asarray(t, dtype=float),
                                     states, u, v), dtype=float)
     else:
-        t_rows = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:1])
-        rows = [np.atleast_1d(np.asarray(spec.drift(float(tr), row, u, v), dtype=float))
-                for tr, row in zip(t_rows, states)]
+        n = len(states)
+        t_rows = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+        rows = [np.atleast_1d(np.asarray(spec.drift(float(tr), row, ur, vr), dtype=float))
+                for tr, row, ur, vr in zip(t_rows, states, _grid_rows(u, n), _grid_rows(v, n),
+                                           strict=True)]
         out = np.stack(rows) if rows else np.empty(states.shape)
     if out.shape != states.shape:
         raise GameSpecError(f"drift returned shape {out.shape}, expected {states.shape}")
     return out
 
 
-def pair_groups(spec: GameSpec, iu, iv) -> list:
-    """Rows grouped by their control pair (u_grid[iu[r]], v_grid[iv[r]]):
-    a list of (u, v, rows), one entry per pair present, in pair order."""
-    nv = len(spec.v_grid)
-    pair = np.asarray(iu, dtype=np.int64) * nv + iv
-    return [(spec.u_grid[p // nv], spec.v_grid[p % nv], np.flatnonzero(pair == p))
-            for p in np.unique(pair)]
+def _grid_rows(c, n: int) -> list:
+    """Each row's control as a grid element: a float or a tuple of floats."""
+    if np.ndim(c) < 2:  # one grid element for every row
+        return [c] * n
+    return [row[0] if len(row) == 1 else tuple(row) for row in c.tolist()]
 
 
 def payoff_batch(spec: GameSpec, states: np.ndarray) -> np.ndarray:
@@ -245,8 +251,8 @@ def drift_rotation_mix() -> DriftFn:
 
     def f(t, x, u, v):
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([v * x2 - u, u * x1 + v], axis=-1)
+        x1, x2 = x[..., 0:1], x[..., 1:2]
+        return np.concatenate([v * x2 - u, u * x1 + v], axis=-1)
 
     return f
 
@@ -255,23 +261,24 @@ def drift_affine(a: Sequence[Sequence[float]], bu: Sequence[Sequence[float]],
                  bv: Sequence[Sequence[float]], c: Sequence[float]) -> DriftFn:
     """Affine drift A x + Bu u + Bv v + c with matrix coefficients."""
     A = np.asarray(a, dtype=float)
-    Bu = np.asarray(bu, dtype=float)
-    Bv = np.asarray(bv, dtype=float)
+    Bu = np.atleast_2d(np.asarray(bu, dtype=float))
+    Bv = np.atleast_2d(np.asarray(bv, dtype=float))
     cc = np.asarray(c, dtype=float)
     d = cc.shape[0]
     if A.shape != (d, d) or Bu.shape[0] != d or Bv.shape[0] != d:
         raise GameSpecError("affine drift coefficient shapes are inconsistent")
+    M = np.hstack([A, Bu, Bv])
 
     def f(t, x, u, v):
-        x = np.asarray(x, dtype=float)
-        uu = np.atleast_1d(np.asarray(u, dtype=float))
-        vv = np.atleast_1d(np.asarray(v, dtype=float))
-        # A x summed column by column in a fixed order: a BLAS product rounds
-        # a row differently depending on how many rows share the call
-        ax = x[..., 0:1] * A[:, 0]
-        for j in range(1, d):
-            ax = ax + x[..., j:j + 1] * A[:, j]
-        return ax + Bu @ uu + Bv @ vv + cc
+        # [A Bu Bv] [x; u; v] summed column by column in a fixed order: a BLAS
+        # product rounds a row differently depending on how many rows share
+        # the call.  Grid elements give (k,) controls, per-row ones (n, k).
+        xuv = [np.atleast_1d(np.asarray(y, dtype=float)) for y in (x, u, v)]
+        cols = [y[..., j:j + 1] for y in xuv for j in range(y.shape[-1])]
+        out = cols[0] * M[:, 0]
+        for j in range(1, M.shape[1]):
+            out = out + cols[j] * M[:, j]
+        return out + cc
 
     return f
 

@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GameSpecError
-from .games import Control, GameSpec, drift_batch, pair_groups, payoff_batch
-from .simulate import RngLike, as_rng, replica_rng, rate_majorant
+from .games import Control, GameSpec, drift_batch, payoff_batch
+from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
 from .solver import FeedbackTable, SolveResult, _TIME_FUZZ
 
 BRANCHES = (1, 2)
@@ -98,25 +98,15 @@ def varpi(spec: GameSpec, t: float, z, xi, u: Control, v: Control, branch: int =
     return float((z - xi) @ f)
 
 
-def _varpi_table(spec: GameSpec, t: float, z, xi, branch: int) -> np.ndarray:
-    table = np.empty((len(spec.u_grid), len(spec.v_grid)))
-    for iu, u in enumerate(spec.u_grid):
-        for iv, v in enumerate(spec.v_grid):
-            table[iu, iv] = varpi(spec, t, z, xi, u, v, branch)
-    return table
-
-
 def select_u(spec: GameSpec, t: float, z, xi, branch: int = 1) -> tuple[int, Control]:
     """First-player aiming control: argmin_u max_v varpi; ties -> lowest index."""
-    table = _varpi_table(spec, t, z, xi, branch)
-    idx = int(np.argmin(table.max(axis=1)))
+    idx = int(np.argmin(_aim(spec, t, z, xi, branch)[:, :, 0].max(axis=1)))
     return idx, spec.u_grid[idx]
 
 
 def select_v(spec: GameSpec, t: float, z, xi, branch: int = 1) -> tuple[int, Control]:
     """Second-player aiming response: argmax_v min_u varpi; ties -> lowest index."""
-    table = _varpi_table(spec, t, z, xi, branch)
-    idx = int(np.argmax(table.min(axis=0)))
+    idx = int(np.argmax(_aim(spec, t, z, xi, branch)[:, :, 0].min(axis=0)))
     return idx, spec.v_grid[idx]
 
 
@@ -285,31 +275,26 @@ class BatchOutcomes:
 # engine
 
 
-def _drift_pairs(spec: GameSpec, t, states: np.ndarray) -> np.ndarray:
-    """Drift for every control pair: shape (nu, nv, n, d)."""
-    out = np.empty((len(spec.u_grid), len(spec.v_grid)) + states.shape)
-    for iu, u in enumerate(spec.u_grid):
-        for iv, v in enumerate(spec.v_grid):
-            out[iu, iv] = drift_batch(spec, t, states, u, v)
-    return out
-
-
-def _drift_grouped(spec: GameSpec, t, states: np.ndarray, groups: list) -> np.ndarray:
-    """Each row's drift under its own control pair only, one call per pair;
-    ``t`` is a scalar or one time per row.  Row r gets the floats
-    ``_drift_pairs`` gives it, for drifts that act row by row."""
-    out = np.empty(states.shape)
-    for u, v, rows in groups:
-        out[rows] = drift_batch(spec, t if np.isscalar(t) else t[rows], states[rows], u, v)
-    return out
+def _aim(spec: GameSpec, t: float, x, y, branch: int) -> np.ndarray:
+    """Aiming forms <x - y, f(t, ., u, v)> of every control pair for each of
+    the n rows (or the one point) of x and y, shape (nu, nv, n), from one
+    drift call over the rows tiled once per pair; the drift is taken at x
+    (branch 1) or at y (branch 2)."""
+    if branch not in BRANCHES:
+        raise GameSpecError(f"branch must be 1 or 2, got {branch}")
+    x, y = np.atleast_2d(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    nu, nv = len(spec.u_grid), len(spec.v_grid)
+    n = len(x)
+    pair = np.arange(nu * nv * n) // n
+    f = drift_batch(spec, t, np.tile(x if branch == 1 else y, (nu * nv, 1)),
+                    np.asarray(spec.u_grid)[pair // nv], np.asarray(spec.v_grid)[pair % nv])
+    return np.einsum("uvnd,nd->uvn", f.reshape(nu, nv, n, spec.d), x - y)
 
 
 def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: Partition, x0,
                   adversary, rngs: Sequence[np.random.Generator], branch: int,
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
     table = eta if isinstance(eta, FeedbackTable) else FeedbackTable.from_result(spec, eta)
-    if branch not in BRANCHES:
-        raise GameSpecError(f"branch must be 1 or 2, got {branch}")
     domain = table.domain
     h = table.h
     d = spec.d
@@ -377,6 +362,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
         node_y = np.empty((r + 1, d))
 
     nv = len(spec.v_grid)
+    U, V = np.asarray(spec.u_grid), np.asarray(spec.v_grid)
 
     for l in range(r):
         t_l = partition.times[l]
@@ -389,10 +375,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
             node_y[l] = Y[0]
 
         # aiming selections from the gap at the interval start
-        dz = X - Y
-        at = X if branch == 1 else Y
-        f_pairs = _drift_pairs(spec, t_l, at)                      # (nu, nv, n, d)
-        w = np.einsum("uvnd,nd->uvn", f_pairs, dz)
+        w = _aim(spec, t_l, X, Y, branch)                          # (nu, nv, n)
         u_sel = np.argmin(w.max(axis=1), axis=0)                  # (n,), first on ties
         v_hat = np.argmax(w.min(axis=0), axis=0)                   # (n,)
         v_adv = adversary.select(l, t_l, X, Y, drawn, v_hat)
@@ -406,10 +389,10 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
         n_sub = max(1, math.ceil(delta / min(delta * _SUBSTEP_FRACTION,
                                              _SUBSTEP_HORIZON_FRACTION * spec.T)))
         dt_sub = delta / n_sub
-        held = pair_groups(spec, u_sel, v_adv)
+        u_held, v_held = U[u_sel], V[v_adv]
 
         def f_sel(tt, states):
-            return _drift_grouped(spec, tt, states, held)
+            return drift_batch(spec, tt, states, u_held, v_held)
 
         for s in range(n_sub):
             ts = t_l + s * dt_sub
@@ -441,12 +424,11 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
 
             # value-greedy model control, then rates under the aiming response
             u_star = table.u_index[js, flat[idx_rep]]              # (m,)
-            f_chosen = _drift_grouped(spec, tc, ys, pair_groups(spec, u_star, v_hat[idx_rep]))
+            f_chosen = drift_batch(spec, tc, ys, U[u_star], V[v_hat[idx_rep]])
             rates = np.abs(f_chosen) / h
             rates[np.abs(f_chosen) <= RATE_DROP_TOL] = 0.0
             total = rates.sum(axis=1)
-            if np.any(total > lam * (1.0 + 1e-12)):
-                raise GameSpecError("drift magnitude exceeds the declared bound M1")
+            check_majorant(total.max(), lam)
             au = flat_accept[slots]
             du = flat_dir[slots]
             accept = (total > 0) & (au < total / lam)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import chain_characteristics, kolmogorov_rates
 from .errors import GameSpecError
-from .games import Control, GameSpec, eval_payoff, pair_groups
+from .games import GameSpec, eval_payoff
 
 RngLike = np.random.Generator | int
 
@@ -198,6 +198,14 @@ def rate_majorant(spec: GameSpec, h: float) -> float:
     return spec.d * spec.M1 / h
 
 
+def check_majorant(total: float, lam: float) -> None:
+    """Reject a total jump rate (the largest of a batch) above the majorant
+    ``lam``: the declared M1 then bounds no drift, and thinning is invalid."""
+    if total > lam * (1.0 + 1e-12):
+        raise GameSpecError(
+            f"total rate {total:.6g} exceeds the majorant {lam:.6g}; M1 is not a drift bound")
+
+
 def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
                    t0: float = 0.0, rng: RngLike = 0) -> ChainPath:
     """Exact chain sample via thinning against the d*M1/h majorant.
@@ -229,10 +237,7 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
         v = v_policy(t_cand, y)
         rl = kolmogorov_rates(spec, t_cand, y, u, v, h)
         total = rl.total
-        if total > lam * (1 + 1e-9):
-            raise GameSpecError(
-                f"total rate {total:.6g} exceeds the majorant {lam:.6g}; M1 is not a drift bound"
-            )
+        check_majorant(total, lam)
         accept = gen.uniform() < total / lam if total > 0 else False
         u_idx.append(spec.u_grid.index(u))
         v_idx.append(spec.v_grid.index(v))
@@ -326,7 +331,8 @@ def _phi_and_generator(phi: str, a, spec: GameSpec, h: float):
     linear:    phi(y) = <a, y>,        L phi = <a, b2>
     quadratic: phi(y) = ||y - a||^2,   L phi = sigma2 + 2 <y - a, b2>
 
-    ``gen_fn(t, ys, u, v)`` takes (n, d) states with one time per row.
+    ``gen_fn(t, ys, u, v)`` takes (n, d) states with one time and one control
+    pair per row.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.shape != (spec.d,):
@@ -361,8 +367,8 @@ def martingale_residual(paths: Sequence[ChainPath], spec: GameSpec, h: float, ph
     checkpoint is the expected martingale signature.
 
     All paths are laid out as padded (paths, segments) arrays; the generator
-    is evaluated in one ``chain_characteristics`` call per control pair
-    present, at the segment start times.  A running sum along each path,
+    is evaluated in one ``chain_characteristics`` call, each segment at its
+    start time under its own controls.  A running sum along each path,
     from 0.0, of the whole-segment terms gives every checkpoint the sum of
     its whole segments in the order a segment-by-segment loop adds them;
     the checkpoint then adds its one partial term gen * (tc - lo).
@@ -370,6 +376,8 @@ def martingale_residual(paths: Sequence[ChainPath], spec: GameSpec, h: float, ph
     checkpoints = np.asarray(sorted(float(c) for c in checkpoints))
     if len(checkpoints) == 0:
         raise GameSpecError("need at least one checkpoint")
+    if len(paths) < 2:
+        raise GameSpecError("need at least 2 paths")
     phi_fn, gen_fn = _phi_and_generator(phi, a, spec, h)
     n_paths = len(paths)
     width = max((len(p.states) for p in paths), default=0)
@@ -394,10 +402,9 @@ def martingale_residual(paths: Sequence[ChainPath], spec: GameSpec, h: float, ph
         y0[r] = path.states[0]
         y_cp[r] = path.state_at(checkpoints)
 
-    seg_lo, seg_y = lo[valid], ys[valid]
-    seg_gen = np.empty(len(seg_lo))
-    for u, v, rows in pair_groups(spec, iu[valid], iv[valid]):
-        seg_gen[rows] = gen_fn(seg_lo[rows], seg_y[rows], u, v)
+    seg_lo = lo[valid]
+    seg_gen = gen_fn(seg_lo, ys[valid], np.asarray(spec.u_grid)[iu[valid]],
+                     np.asarray(spec.v_grid)[iv[valid]])
     gen = np.zeros((n_paths, width))
     gen[valid] = seg_gen
     # whole[:, k] = sum of the first k whole-segment terms, added in path order

@@ -7,7 +7,9 @@ in every solver that reads the rates.  M1 is chosen so that each generated
 game satisfies its declared bound on the truncated box, which keeps the
 monotone schemes inside the payoff range; a failure would still have to be
 the same failure on both paths.  The batched chain characteristics must
-equal the point-by-point jump-measure sums, bit for bit, on the same games.
+equal the point-by-point jump-measure sums, bit for bit, on the same games,
+and a drift batch with one control pair per row must equal the looped
+one-pair batches.
 """
 
 import dataclasses
@@ -164,3 +166,26 @@ def test_batched_characteristics_match_point_calls(data, h, seed):
                         assert isinstance(point_s2, float)
                         assert (np.float64(sigma2[r]).tobytes() == np.float64(point_s2).tobytes()
                                 == np.float64(want_s2).tobytes())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=json_games(max_d=3), seed=st.integers(0, 2**16))
+def test_per_row_controls_match_looped_pairs(data, seed):
+    game = game_from_dict(data, name="random")
+    rng = np.random.default_rng(seed)
+    n = 12
+    xs = rng.uniform(-2.0, 2.0, size=(n, game.d))
+    ts = rng.uniform(0.0, T, size=n)
+    iu = rng.integers(0, len(game.u_grid), size=n)
+    iv = rng.integers(0, len(game.v_grid), size=n)
+    rows = np.arange(n)
+    U, V = np.asarray(game.u_grid), np.asarray(game.v_grid)
+    for spec in (game, _time_scaled(game, True), _time_scaled(game, False)):
+        for t in (0.3, ts):
+            pairs = np.stack([np.stack([lg.drift_batch(spec, t, xs, u, v) for v in spec.v_grid])
+                              for u in spec.u_grid])               # (nu, nv, n, d)
+            got = lg.drift_batch(spec, t, xs, U[iu], V[iv])
+            assert got.tobytes() == pairs[iu, iv, rows].tobytes()
+            # one grid element against per-row controls of the other player
+            got = lg.drift_batch(spec, t, xs, spec.u_grid[0], V[iv])
+            assert got.tobytes() == pairs[0, iv, rows].tobytes()

@@ -1,5 +1,7 @@
 """Gap-aiming feedback coupling: aiming rule, adversaries, paired replicas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -277,9 +279,7 @@ def _late_drift(t, x, u, v):
 
 @pytest.mark.parametrize("vectorized", [True, False], ids=["g2", "per-row"])
 def test_grouped_drift_matches_all_pairs(vectorized):
-    from latticegames.games import pair_groups
-    from latticegames.shift import _drift_grouped, _drift_pairs
-
+    # the engine's per-row control drift equals the looped one-pair batches
     spec = lg.g2() if vectorized else lg.GameSpec(
         name="rows", d=2, T=1.0, drift=_late_drift, u_grid=(-1.0, 0.5, 1.0),
         v_grid=(-1.0, 1.0), payoff=lg.g2().payoff, R=1.0, M1=5.0, K1=1.0)
@@ -288,7 +288,21 @@ def test_grouped_drift_matches_all_pairs(vectorized):
     states = rng.uniform(-2.0, 2.0, size=(n, 2))
     iu = rng.integers(0, len(spec.u_grid), size=n).astype(np.uint8)
     iv = rng.integers(0, len(spec.v_grid), size=n)
+    U, V = np.asarray(spec.u_grid), np.asarray(spec.v_grid)
     for t in (0.25, rng.uniform(0.0, 1.0, size=n)):
-        want = _drift_pairs(spec, t, states)[iu, iv, np.arange(n)]
-        got = _drift_grouped(spec, t, states, pair_groups(spec, iu, iv))
+        pairs = np.stack([np.stack([lg.drift_batch(spec, t, states, u, v) for v in spec.v_grid])
+                          for u in spec.u_grid])
+        want = pairs[iu, iv, np.arange(n)]
+        got = lg.drift_batch(spec, t, states, U[iu], V[iv])
         assert got.tobytes() == want.tobytes()
+
+
+def test_engine_and_sampler_share_the_majorant_check(g1_solution):
+    # a declared M1 below the drift: both thinning clocks refuse alike
+    spec, eta = g1_solution
+    lying = dataclasses.replace(spec, M1=0.5)
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    with pytest.raises(lg.GameSpecError, match="exceeds the majorant .*M1 is not a drift bound"):
+        lg.run_extremal_shift_batch(lying, eta, part, [0.5], lg.ConstantAdversary(), n_replicas=4)
+    with pytest.raises(lg.GameSpecError, match="exceeds the majorant .*M1 is not a drift bound"):
+        lg.simulate_chain(lying, lambda t, y: 1.0, lambda t, y: 0.5, 0.0, eta.h, rng=0)
