@@ -64,8 +64,10 @@ class GameSpec:
                convergence reference; only catalog games carry one.
     autonomous: whether ``drift`` ignores t; the solvers then build the jump
                rates once per solve, at T, instead of at every kernel time.
-               Declared, never checked: a drift that does depend on t is
-               frozen at T under this flag.
+               Spot-checked when a sweep builds its rates: every control
+               pair's drift must agree at T and at 0 on a fixed sample of at
+               most 64 of the sweep's states, or the sweep raises
+               GameSpecError.
     """
 
     name: str

@@ -15,7 +15,7 @@ import math
 import mmap
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,9 +205,21 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, t0: float = 0.0, pad: floa
 # ---------------------------------------------------------------------------
 # the generator kernel
 
-# (up, rate), each of shape (nu, nv, d, n): entry [iu, iv, i] belongs to the
-# control pair (u_grid[iu], v_grid[iv]) on axis i at the n points
-Rates = tuple[np.ndarray, np.ndarray]
+
+class Rates(NamedTuple):
+    """Upwind jump rates of every control pair, with the kernel's work arrays.
+
+    ``up`` and ``rate`` have shape (nu, nv, d, n): entry [iu, iv, i] belongs to
+    the control pair (u_grid[iu], v_grid[iv]) on axis i at the n points the
+    rates were built on.  ``diffs`` (2, d, n) and ``work`` (3, n) are scratch
+    for kernel calls on those points: each call overwrites them, so one set of
+    rates serves one call at a time.
+    """
+
+    up: np.ndarray
+    rate: np.ndarray
+    diffs: np.ndarray
+    work: np.ndarray
 
 
 def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates:
@@ -216,15 +228,22 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
     Along axis i the chain jumps to the up neighbour where ``up`` is set and
     to the down neighbour elsewhere, at ``rate`` = |f_i|/h; components with
     |f_i| <= RATE_DROP_TOL do not jump (rate 0), as in ``chain.jump_measure``.
-    Both arrays live in one anonymous memory mapping of their own, which is
-    unmapped when the last view goes: in the malloc heap the freed block
-    stayed resident under the later phases of a process.
+    The rates and the kernel's work arrays live in one anonymous memory
+    mapping of their own, which is unmapped when the last view goes: in the
+    malloc heap the freed block stayed resident under the later phases of a
+    process, and work arrays allocated per kernel call would be mapped and
+    faulted in afresh at every sweep step of a fresh process.
     """
-    shape = (len(spec.u_grid), len(spec.v_grid), spec.d, len(states))
+    n = len(states)
+    shape = (len(spec.u_grid), len(spec.v_grid), spec.d, n)
     size = math.prod(shape)
-    block = mmap.mmap(-1, max(1, 9 * size))  # a mapping cannot be empty
-    rate = np.frombuffer(block, dtype=float, count=size).reshape(shape)
-    up = np.frombuffer(block, dtype=bool, count=size, offset=8 * size).reshape(shape)
+    n_floats = size + (2 * spec.d + 3) * n
+    block = mmap.mmap(-1, max(1, 8 * n_floats + size))  # a mapping cannot be empty
+    floats = np.frombuffer(block, dtype=float, count=n_floats)
+    rate = floats[:size].reshape(shape)
+    diffs = floats[size:size + 2 * spec.d * n].reshape(2, spec.d, n)
+    work = floats[size + 2 * spec.d * n:].reshape(3, n)
+    up = np.frombuffer(block, dtype=bool, count=size, offset=8 * n_floats).reshape(shape)
     for iu, u in enumerate(spec.u_grid):
         for iv, v in enumerate(spec.v_grid):
             f = drift_batch(spec, t, states, u, v).T
@@ -233,19 +252,39 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
             np.abs(f, out=r)
             r[r <= RATE_DROP_TOL] = 0.0
             r /= h
-    return up, rate
+    return Rates(up, rate, diffs, work)
+
+
+_AUTONOMY_SAMPLE = 64  # states on which a declared-autonomous drift is spot-checked
+
+
+def _check_autonomous(spec: GameSpec, states: np.ndarray) -> None:
+    """Spot-check ``spec.autonomous``: every control pair's drift must be the
+    same at T and at 0 on a fixed sample of at most 64 of ``states``."""
+    sample = states[::-(-len(states) // _AUTONOMY_SAMPLE)]
+    m, nu, nv = len(sample), len(spec.u_grid), len(spec.v_grid)
+    # one control pair per row, pairs in grid order, the sample within each
+    u = np.repeat(np.asarray(spec.u_grid, dtype=float), nv * m, axis=0)
+    v = np.concatenate([np.repeat(np.asarray(spec.v_grid, dtype=float), m, axis=0)] * nu)
+    xs = np.tile(sample, (nu * nv, 1))
+    if not np.array_equal(drift_batch(spec, spec.T, xs, u, v), drift_batch(spec, 0.0, xs, u, v)):
+        raise GameSpecError(f"game {spec.name!r} is declared autonomous, but its drift "
+                            f"differs at t=0 and t=T={spec.T:g}")
 
 
 def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
                    strict: bool = False) -> Callable[[float], Rates]:
     """The kernel's rates at time t, for a sweep over ``states``.
 
-    An autonomous spec's rates are built once, at T.  Other specs' are
-    rebuilt at each new kernel time; consecutive calls at one time (RK4's
-    middle stages, a step and the next one's start) share the build.  The
-    strict boundary policy vets every build.
+    An autonomous spec's rates are built once, at T, after a spot check of
+    the declaration.  Other specs' are rebuilt at each new kernel time;
+    consecutive calls at one time (RK4's middle stages, a step and the next
+    one's start) share the build.  The strict boundary policy vets every
+    build.
     """
     built: dict[float, Rates] = {}
+    if spec.autonomous:
+        _check_autonomous(spec, states)
 
     def at(t: float) -> Rates:
         t = spec.T if spec.autonomous else t
@@ -259,58 +298,68 @@ def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
 
 
 def _upwind_generator(ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
-                      d_down: np.ndarray) -> np.ndarray:
-    """Chain generator sum_i rate_i * (V[up_i] - V or V[down_i] - V) of one
-    control pair, the upwind direction per ``up_i``.
+                      d_down: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
+    """Write into ``out`` the chain generator sum_i rate_i * (V[up_i] - V or
+    V[down_i] - V) of one control pair, the upwind direction per ``up_i``.
 
     ``ups``/``rates`` are the pair's (d, n) slices of ``_pair_rates``;
     ``d_up[i]``/``d_down[i]`` hold the value differences V[up_i] - V and
-    V[down_i] - V at its points.  This is also the first-order upwind
-    difference of <grad V, f>.
+    V[down_i] - V at its points; ``w`` is a work row.  This is also the
+    first-order upwind difference of <grad V, f>.
     """
-    out = np.zeros(d_up.shape[1])
+    out.fill(0.0)
     for up, rate, du, dd in zip(ups, rates, d_up, d_down):
-        w = np.where(up, du, dd)
+        np.copyto(w, dd)
+        np.copyto(w, du, where=up)
         w *= rate
         out += w
-    return out
-
-
-def _committed_generators(values: np.ndarray, rates: Rates, domain: LatticeDomain,
-                          kind: str, idx: np.ndarray | None = None):
-    """Per control of the committing player, the other player's best
-    generator value at the points ``idx`` (all points when None), on which
-    ``rates`` were built."""
-    up, down, _ = neighbor_tables(domain)
-    if idx is not None:
-        up, down, base = up[:, idx], down[:, idx], values[idx]
-    else:
-        base = values
-    d_up, d_down = values[up] - base, values[down] - base
-    # u always minimises and v always maximises; upper commits u first
-    # (min_u max_v), lower commits v first (max_v min_u)
-    ups, rate = rates
-    nu, nv = rate.shape[:2]
-    n_first, n_second = (nu, nv) if kind == "upper" else (nv, nu)
-    best = np.maximum if kind == "upper" else np.minimum
-    for a in range(n_first):
-        inner = None
-        for b in range(n_second):
-            iu, iv = (a, b) if kind == "upper" else (b, a)
-            g = _upwind_generator(ups[iu, iv], rate[iu, iv], d_up, d_down)
-            inner = g if inner is None else best(inner, g, out=inner)
-        yield inner
 
 
 def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
-             idx: np.ndarray | None = None) -> np.ndarray:
+             idx: np.ndarray | slice = slice(None), index: np.ndarray | None = None
+             ) -> np.ndarray:
+    """Minimax (upper: min_u max_v) or maximin (lower: max_v min_u) of the
+    generator at the points ``idx`` (default: all), on which ``rates`` were
+    built.
+
+    Returns a fresh array; only the rates' work arrays are overwritten.  When
+    given, ``index`` receives the lowest grid index of the committing player's
+    control (u for upper, v for lower) attaining the outer min (max), with
+    ``np.argmin``'s (``np.argmax``'s) ties.
+    """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
-    best = np.minimum if kind == "upper" else np.maximum
-    outer = None
-    for inner in _committed_generators(values, rates, domain, kind, idx):
-        outer = inner if outer is None else best(outer, inner, out=outer)
-    return outer
+    up, down, _ = neighbor_tables(domain)
+    up, down, base = up[:, idx], down[:, idx], values[idx]
+    d_up, d_down = rates.diffs
+    # indices are in range: "clip" skips the copy that "raise" buffers out through
+    np.take(values, up, out=d_up, mode="clip")
+    np.take(values, down, out=d_down, mode="clip")
+    d_up -= base
+    d_down -= base
+    # u always minimises and v always maximises; upper commits u first
+    # (min_u max_v), lower commits v first (max_v min_u)
+    if kind == "upper":
+        ups, rate = rates.up, rates.rate
+        inner_best, outer_best, improves = np.maximum, np.minimum, np.less
+    else:
+        ups, rate = rates.up.swapaxes(0, 1), rates.rate.swapaxes(0, 1)
+        inner_best, outer_best, improves = np.minimum, np.maximum, np.greater
+    g, inner, w = rates.work
+    field = np.empty(len(base))
+    if index is not None:
+        index.fill(0)
+    for a in range(rate.shape[0]):
+        acc = field if a == 0 else inner
+        _upwind_generator(ups[a, 0], rate[a, 0], d_up, d_down, acc, w)
+        for b in range(1, rate.shape[1]):
+            _upwind_generator(ups[a, b], rate[a, b], d_up, d_down, g, w)
+            inner_best(acc, g, out=acc)
+        if a > 0:
+            if index is not None:
+                np.copyto(index, a, where=improves(inner, field))
+            outer_best(field, inner, out=field)
+    return field
 
 
 def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
@@ -320,7 +369,8 @@ def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: Latt
 
     ``rates`` are the ``_pair_rates`` of all points, which a sweep builds
     once per solve for an autonomous spec; without them they are built here
-    at t from ``states`` (default ``domain.states()``).
+    at t from ``states`` (default ``domain.states()``).  The result is a
+    fresh array that later calls with the same rates leave alone.
     """
     if rates is None:
         rates = _pair_rates(spec, t, domain.states() if states is None else states, domain.h)
@@ -343,23 +393,9 @@ def minimax_control_indices(values: np.ndarray, spec: GameSpec, t: float,
     """
     if rates is None:
         rates = _pair_rates(spec, t, _row_states(domain, point_indices), domain.h)
-    inner = list(_committed_generators(values, rates, domain, "upper", point_indices))
-    return np.argmin(np.stack(inner), axis=0)
-
-
-def _upper_field_and_argmin(values: np.ndarray, rates: Rates, domain: LatticeDomain,
-                            u_index: np.ndarray) -> np.ndarray:
-    """Upper ``hamiltonian_field``, also writing into ``u_index`` the lowest
-    u index attaining the min over u at each point (``np.argmin``'s ties)."""
-    field = None
-    for iu, inner in enumerate(_committed_generators(values, rates, domain, "upper")):
-        if field is None:
-            field = inner
-            u_index[:] = 0
-        else:
-            u_index[inner < field] = iu
-            np.minimum(field, inner, out=field)
-    return field
+    index = np.empty(len(point_indices), dtype=np.intp)
+    _minimax(values, rates, domain, "upper", point_indices, index)
+    return index
 
 
 def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
@@ -559,30 +595,28 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     def step(vals, t, t_next, dt):
         row = next(rows)
         times[row] = t
-        return vals + dt * _upper_field_and_argmin(vals, rates_at(t), domain, u_index[row])
+        return vals + dt * _minimax(vals, rates_at(t), domain, "upper", index=u_index[row])
 
     dt, (value0,) = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
                            dt=dt, checkpoints=[0.0], ceiling=ceiling, ceiling_name=_CEILING_NAME)
     times[0] = value0.t
-    _upper_field_and_argmin(value0.values, rates_at(value0.t), domain, u_index[0])
+    _minimax(value0.values, rates_at(value0.t), domain, "upper", index=u_index[0])
     return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
                          u_index=u_index, value0=value0)
 
 
 def _assert_strict_feasible(domain: LatticeDomain, rates: Rates, states: np.ndarray,
-                            idx: np.ndarray | None = None) -> None:
+                            idx: np.ndarray | slice = slice(None)) -> None:
     """Strict boundary policy: no control pair may jump a point out of the box.
 
-    ``rates`` were built on ``states``, the domain points ``idx`` (all points
-    when None).  Reports the first offending point, in point order, of the
-    first offending pair, in grid order.
+    ``rates`` were built on ``states``, the domain points ``idx`` (default:
+    all).  Reports the first offending point, in point order, of the first
+    offending pair, in grid order.
     """
     up, down, _ = neighbor_tables(domain)
-    points = np.arange(domain.n_points) if idx is None else idx
-    if idx is not None:
-        up, down = up[:, idx], down[:, idx]
+    up, down, points = up[:, idx], down[:, idx], np.arange(domain.n_points)[idx]
     # the neighbour tables clamp a move out of the box to the point itself
-    ups, rate = rates
+    ups, rate = rates.up, rates.rate
     leaves = (np.where(ups, up == points, down == points) & (rate > 0)).any(axis=2)
     leaves = leaves.reshape(-1, len(points))
     if leaves.any():

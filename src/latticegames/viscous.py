@@ -57,20 +57,32 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     dx = domain.h
     states = domain.states()
     up, down, interior = neighbor_tables(domain)
+    boundary = ~interior
     rates_at = _rates_by_time(spec, domain, states)
     half_sig2 = 0.5 * sigma**2
     dx2 = dx * dx
+    # the Laplacian's work rows, reused by every step of this sweep
+    lap, second, term = np.empty((3, domain.n_points))
 
     def step(values, t, t_next, dt):
-        rhs = hamiltonian_field(values, spec, t, domain, kind, states, rates=rates_at(t))
+        out = hamiltonian_field(values, spec, t, domain, kind, states, rates=rates_at(t))
         if sigma > 0:
-            # centered second differences; boundary values are re-frozen below
-            lap = np.zeros(len(values))
+            # centered second differences (values[up] - 2 values + values[down]) / dx2;
+            # boundary values are re-frozen below
+            lap.fill(0.0)
             for i in range(spec.d):
-                lap += (values[up[i]] - 2.0 * values + values[down[i]]) / dx2
-            rhs = rhs + half_sig2 * lap
-        out = values + dt * rhs
-        out[~interior] = values[~interior]  # boundary ring stays at terminal data
+                np.take(values, up[i], out=second, mode="clip")
+                np.multiply(values, 2.0, out=term)
+                np.subtract(second, term, out=second)
+                np.take(values, down[i], out=term, mode="clip")
+                np.add(second, term, out=second)
+                np.divide(second, dx2, out=second)
+                np.add(lap, second, out=lap)
+            np.multiply(lap, half_sig2, out=lap)
+            out += lap
+        out *= dt
+        out += values
+        np.copyto(out, values, where=boundary)  # boundary ring stays at terminal data
         return out
 
     dt, slices = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,

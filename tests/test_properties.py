@@ -9,7 +9,9 @@ monotone schemes inside the payoff range; a failure would still have to be
 the same failure on both paths.  The batched chain characteristics must
 equal the point-by-point jump-measure sums, bit for bit, on the same games,
 and a drift batch with one control pair per row must equal the looped
-one-pair batches.
+one-pair batches.  The monotone Euler sweep must keep every recorded slice
+inside the payoff range, keep the upper value above the lower one, and not
+lower any value when the payoff rises by a constant.
 """
 
 import dataclasses
@@ -107,6 +109,45 @@ def test_rate_cache_matches_per_step_rates(data, h, sigma):
         assert a[key] == b[key], key
     # valid games by construction: the monotone Euler sweeps never fail
     assert isinstance(a["upper", "euler"], list) and isinstance(a["table"], tuple)
+
+
+def _value_tol(values) -> np.ndarray:
+    """The range check's relative tolerance, per value."""
+    return 1e-12 * np.maximum(1.0, np.abs(values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(), h=st.sampled_from([0.25, 0.5]))
+def test_euler_slices_keep_the_payoff_range_and_upper_above_lower(data, h):
+    spec = game_from_dict(data, name="random")
+    dom = lg.truncate_domain(spec, np.zeros(spec.d), h, pad=PAD)
+    upper, lower = (lg.solve_backward(spec, dom, kind=kind) for kind in ("upper", "lower"))
+    g = upper.slices[0].values
+    lo, hi = g.min(), g.max()
+    tol = _value_tol(max(abs(lo), abs(hi)))
+    assert len(upper.slices) > 1
+    for up, low in zip(upper.slices, lower.slices, strict=True):
+        assert up.t == low.t
+        for grid in (up, low):
+            assert grid.values.min() >= lo - tol and grid.values.max() <= hi + tol, grid.t
+        assert np.all(up.values >= low.values - _value_tol(low.values)), up.t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(), h=st.sampled_from([0.25, 0.5]), c=st.floats(1e-3, 2.0),
+       kind=st.sampled_from(["upper", "lower"]))
+def test_raising_the_payoff_does_not_lower_the_value(data, h, c, kind):
+    spec = game_from_dict(data, name="random")
+    raised = dataclasses.replace(spec, payoff=lambda x: spec.payoff(x) + c)
+    dom = lg.truncate_domain(spec, np.zeros(spec.d), h, pad=PAD)
+    base = lg.solve_backward(spec, dom, kind=kind)
+    above = lg.solve_backward(raised, dom, kind=kind)
+    assert np.all(above.slices[0].values > base.slices[0].values)
+    for a, b in zip(base.slices, above.slices, strict=True):
+        assert a.t == b.t
+        assert np.all(b.values >= a.values - _value_tol(a.values)), a.t
 
 
 def test_catalog_and_json_games_declare_autonomy():

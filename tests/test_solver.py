@@ -1,7 +1,12 @@
 """Backward minimax sweeps: stability, monotonicity, anchors, CSV round trip."""
 
 import dataclasses
+import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +153,28 @@ def test_hamiltonian_field_matches_generator_reference(spec, dom, rtol):
     assert np.array_equal(idxs, np.argmin(tables.max(axis=2), axis=1))
 
 
+
+def test_kernel_results_survive_later_calls_on_the_same_rates():
+    # the rates carry the kernel's work arrays: a result must not alias them,
+    # because RK4 keeps four results alive across calls
+    spec = lg.g2()
+    dom = LatticeDomain(h=0.1, lo=(-8, -8), hi=(8, 8))
+    rates = solver._rates_by_time(spec, dom, dom.states())(spec.T)
+    first_values, second_values = np.random.default_rng(5).normal(size=(2, dom.n_points))
+    everywhere = np.arange(dom.n_points)
+    for kind in ("upper", "lower"):
+        first = hamiltonian_field(first_values, spec, 1.0, dom, kind, rates=rates)
+        kept = first.copy()
+        second = hamiltonian_field(second_values, spec, 1.0, dom, kind, rates=rates)
+        assert np.array_equal(first, kept), kind
+        assert not np.array_equal(first, second), kind
+        assert np.array_equal(second, hamiltonian_field(second_values, spec, 1.0, dom, kind))
+    first = minimax_control_indices(first_values, spec, 1.0, dom, everywhere, rates=rates)
+    kept = first.copy()
+    minimax_control_indices(second_values, spec, 1.0, dom, everywhere, rates=rates)
+    assert np.array_equal(first, kept)
+
+
 def test_solve_preserves_constants():
     spec = lg.GameSpec(name="const", d=1, T=1.0, drift=lg.g1().drift,
                        u_grid=(-1.0, 0.0, 1.0), v_grid=(-0.5, 0.0, 0.5),
@@ -275,21 +302,34 @@ def test_strict_boundary_checks_every_step_of_a_time_dependent_drift():
     for scheme in ("euler", "rk4"):
         with pytest.raises(lg.TruncationError, match=r"pushes \[2.0\] out"):
             solve_backward(spec, dom, boundary="strict", scheme=scheme)
-    # a wrong autonomy declaration freezes the drift at T, where it is zero
-    solve_backward(dataclasses.replace(spec, autonomous=True), dom, boundary="strict")
+    # a wrong autonomy declaration would freeze the drift at T, where it is zero
+    with pytest.raises(lg.GameSpecError, match="declared autonomous"):
+        solve_backward(dataclasses.replace(spec, autonomous=True), dom, boundary="strict")
 
 
 def test_time_dependent_drift_rebuilds_rates_per_step():
     spec = _late_push_game()
     dom = g1_domain()
     moved = solve_backward(spec, dom, checkpoints=[0.0]).slice_at(0.0).values
-    frozen = solve_backward(dataclasses.replace(spec, autonomous=True), dom,
-                            checkpoints=[0.0]).slice_at(0.0).values
     g = terminal_grid(spec, dom).values
-    assert np.array_equal(frozen, g)
     assert not np.array_equal(moved, g)
     # half a unit of upward transport: the value at -0.5 approaches |0|
     assert moved[dom.index_of_state([-0.5])] < g[dom.index_of_state([-0.5])]
+
+
+
+def test_autonomy_declaration_is_spot_checked():
+    base = lg.g2()
+    scaled = dataclasses.replace(
+        base, drift=lambda t, x, u, v: (1.0 + t) * base.drift(t, x, u, v))
+    assert scaled.autonomous
+    dom = truncate_domain(base, [0.0, 0.0], 0.25)
+    for run in (solve_backward, feedback_table, lambda spec, d: lg.solve_viscous(spec, d, 0.1)):
+        with pytest.raises(lg.GameSpecError, match="declared autonomous"):
+            run(scaled, dom)
+    # the checked declarations hold: catalog and JSON games solve as before
+    for spec in (lg.g1(), base, game_from_dict(AFFINE_GAME, name="affine")):
+        solve_backward(spec, truncate_domain(spec, np.zeros(spec.d), 0.25), checkpoints=[0.0])
 
 
 def test_boundary_influence_vanishes_when_pad_doubles():
@@ -426,3 +466,55 @@ def test_value_grid_rejects_nonfinite():
     dom = g1_domain(h=0.5, lo=-2, hi=2)
     with pytest.raises(lg.GameSpecError):
         ValueGrid(t=0.0, domain=dom, values=np.array([0.0, 1.0, np.nan, 0.0, 0.0]))
+
+
+def _slices_sha256(res) -> str:
+    digest = hashlib.sha256()
+    for grid in res.slices:
+        digest.update(np.float64(grid.t).tobytes())
+        digest.update(grid.values.tobytes())
+    return digest.hexdigest()
+
+
+# recorded before the kernel's work arrays moved onto the rates; the shared
+# scratch must not change a bit of any scheme or kind
+GOLDEN_G2 = {
+    "rk4_upper": "fab5701dbca8e6587962e4b29734465bcc242f3000251329868327b32495261e",
+    "euler_lower": "d8f7a0847f08ca88bb0857da14bb460557c1b2b17455b22fad4f6fc02acd33c0",
+    "viscous_lower": "ea0723f80b57702cb9f85f11e42300d3e351e03bb697b82431fe96f97a55f054",
+}
+
+
+def test_g2_outputs_match_golden_digests():
+    spec = lg.g2()
+    dom = truncate_domain(spec, [0.0, 0.0], 0.1)
+    at = [0.0, 0.5]
+    got = {
+        "rk4_upper": solve_backward(spec, dom, scheme="rk4", checkpoints=at),
+        "euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
+        "viscous_lower": lg.solve_viscous(spec, dom, 0.1, kind="lower", checkpoints=at),
+    }
+    assert {name: _slices_sha256(res) for name, res in got.items()} == GOLDEN_G2
+
+
+_FAULTS_PER_STEP = """
+import resource
+import latticegames as lg
+spec = lg.g2()
+dom = lg.truncate_domain(spec, [0.0, 0.0], 0.1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+res = lg.solve_backward(spec, dom, checkpoints=[0.0])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / round(spec.T / res.dt))
+"""
+
+
+def test_sweep_steps_do_not_page_fault():
+    # a fresh process, as a CLI run is: in a warm one, earlier frees have
+    # raised malloc's thresholds and per-step work arrays stop faulting
+    pytest.importorskip("resource")
+    paths = [str(Path(lg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    per_step = float(run.stdout)
+    assert per_step < 20, f"{per_step:.1f} minor page faults per sweep step"
