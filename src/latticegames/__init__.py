@@ -9,8 +9,8 @@ statistics.
 """
 
 from .bounds import BoundsReport, alpha2_reference, assemble, beta, empirical_m0_2, kappa
-from .chain import (LatticeDomain, RateList, apply_generator, chain_characteristics,
-                    chi, jump_measure, kolmogorov_rates, neighbor_tables)
+from .chain import (LatticeDomain, apply_generator, chain_characteristics, chi,
+                    jump_measure, kolmogorov_rates, neighbor_tables, pick_axis)
 from .errors import (GameSpecError, LatticeGamesError, ResourceError,
                      StepSizeError, TruncationError)
 from .games import (GameSpec, IsaacsReport, check_isaacs, drift_batch, eval_drift,
@@ -37,7 +37,7 @@ __all__ = [
     "ConstantAdversary", "FeedbackTable", "GameSpec", "GameSpecError", "IsaacsReport",
     "LatticeDomain", "LatticeGamesError", "MirrorAdversary", "MomentReport",
     "OdePath", "OutcomeEstimate", "PairedTrajectory", "Partition",
-    "RandomAdversary", "RateList", "ResidualReport", "ResourceError",
+    "RandomAdversary", "ResidualReport", "ResourceError",
     "SolveResult", "StepSizeError", "TruncationError", "ValueGrid",
     "alpha2_reference", "apply_generator", "assemble",
     "auto_cfl_dt", "auto_dt", "beta", "chain_characteristics", "check_isaacs",
@@ -46,7 +46,7 @@ __all__ = [
     "hamiltonian_field", "integrate_ode", "jump_measure", "kappa",
     "kolmogorov_rates", "load_game", "martingale_residual", "minimax_control_indices",
     "model_feedback", "moment_growth_check", "monte_carlo_outcome", "neighbor_tables",
-    "payoff_batch", "payoff_constant", "payoff_linear", "payoff_norm",
+    "payoff_batch", "payoff_constant", "payoff_linear", "payoff_norm", "pick_axis",
     "rate_majorant", "read_slice_csv", "replica_rng",
     "run_extremal_shift", "run_extremal_shift_batch", "select_u", "select_v",
     "simulate_chain", "solve_backward", "solve_viscous", "standard_adversaries",

@@ -3,9 +3,12 @@
 Given a drift value f = f(t, x, u, v), the chain at mesh h jumps from x to
 x + h*sign(f_i)*e_i at rate |f_i|/h, independently per coordinate.  Its
 instantaneous mean velocity therefore equals f exactly, and its quadratic
-characteristic is h * sum_i |f_i| -- vanishing linearly in h.  Everything in
-this module is defined per (t, x, u, v) point, and ``chain_characteristics``
-also takes a batch of states; time stepping lives elsewhere.
+characteristic is h * sum_i |f_i| -- vanishing linearly in h.  This one rule
+is ``kolmogorov_rates``, on one state or an (n, d) batch, and an accepted
+thinning candidate picks its axis with ``pick_axis``: the backward sweep's
+rates, ``chain_characteristics`` and both thinning samplers are built on the
+two.  ``jump_measure`` and ``apply_generator`` restate the rule one point at
+a time, as reference oracles.  Time stepping lives elsewhere.
 """
 
 from __future__ import annotations
@@ -166,29 +169,12 @@ def neighbor_tables(domain: LatticeDomain) -> tuple[np.ndarray, np.ndarray, np.n
     return up, down, interior
 
 
-@dataclass(frozen=True)
-class RateList:
-    """Off-diagonal transition rates out of one source state.
-
-    ``targets`` has shape (m, d); ``rates`` shape (m,).  The implied diagonal
-    entry is -total, so every row of the generator matrix sums to zero.
-    """
-
-    source: np.ndarray
-    targets: np.ndarray
-    rates: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.rates))
-
-
 def jump_measure(spec: GameSpec, t: float, x, u: Control, v: Control, h: float
                  ) -> list[tuple[np.ndarray, float]]:
     """Finite jump measure at (t, x, u, v): [(offset, mass)] per active axis.
 
     Offsets are h*sign(f_i)*e_i with mass |f_i|/h; components with
-    |f_i| < RATE_DROP_TOL are dropped.
+    |f_i| <= RATE_DROP_TOL are dropped.
     """
     h = _check_mesh(h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -207,49 +193,35 @@ def jump_measure(spec: GameSpec, t: float, x, u: Control, v: Control, h: float
         out.append((offset, abs(f[i]) / h))
     return out
 
-def kolmogorov_rates(spec: GameSpec, t: float, x, u: Control, v: Control, h: float) -> RateList:
-    """One generator-matrix row: targets x + h*sign(f_i)*e_i at rate |f_i|/h."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    measure = jump_measure(spec, t, x, u, v, h)
-    if measure:
-        offsets = np.stack([m[0] for m in measure])
-        rates = np.array([m[1] for m in measure])
-    else:
-        offsets = np.zeros((0, spec.d))
-        rates = np.zeros(0)
-    return RateList(source=x, targets=x + offsets, rates=rates)
-
-
 def apply_generator(values, spec: GameSpec, t: float, x, u: Control, v: Control, h: float) -> float:
-    """Generator action sum_i rate_i * (values(target_i) - values(x)).
+    """Generator action sum_i mass_i * (values(x + offset_i) - values(x)) over
+    the jump measure.
 
     ``values`` is a callable on states.  Lookup failures (KeyError/IndexError
     from the callable) become TruncationError: the value table does not cover
     a reachable neighbour.
     """
-    rl = kolmogorov_rates(spec, t, x, u, v, h)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    measure = jump_measure(spec, t, x, u, v, h)
     try:
-        base = float(values(rl.source))
+        base = float(values(x))
         acc = 0.0
-        for target, rate in zip(rl.targets, rl.rates):
-            acc += rate * (float(values(target)) - base)
+        for offset, mass in measure:
+            acc += mass * (float(values(x + offset)) - base)
     except (KeyError, IndexError) as exc:
-        raise TruncationError(f"value table missing a neighbour of {rl.source.tolist()}") from exc
+        raise TruncationError(f"value table missing a neighbour of {x.tolist()}") from exc
     return acc
 
 
-def chain_characteristics(spec: GameSpec, t, x, u, v, h: float
-                          ) -> tuple[np.ndarray, np.ndarray | float]:
-    """Mean velocity and quadratic characteristic of the chain.
+def kolmogorov_rates(spec: GameSpec, t, x, u, v, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chain's jump rule: the drift f and the jump rate of each axis.
 
     ``x`` is one state, shape (d,), or a batch, shape (n, d); ``t`` is a
     scalar or one time per row, and ``u``, ``v`` one grid element or one
-    control per row, as in ``drift_batch``.  From the jump measure, axis by axis:
-    b2_i = mass_i * (h * sign_i), which reproduces the drift componentwise,
-    and sigma2 = sum_i mass_i * (h * h) = h * sum_i |f_i|, summed over the
-    active axes in order, with mass_i = |f_i|/h.  A batch gives b2 of shape
-    (n, d) and sigma2 of shape (n,); one state gives (b2, float).  Each row
-    is bitwise the point result.
+    control per row, as in ``drift_batch``.  Along axis i the chain jumps by
+    h*sign(f_i) at rate |f_i|/h, and not at all (rate 0) where
+    |f_i| <= RATE_DROP_TOL.  Returns (f, rates), both of x's shape; each row
+    of a batch is bitwise the point result.
     """
     h = _check_mesh(h)
     x = np.asarray(x, dtype=float)
@@ -258,18 +230,52 @@ def chain_characteristics(spec: GameSpec, t, x, u, v, h: float
     f = drift_batch(spec, t, xs, u, v)
     if f.shape[1:] != (spec.d,):
         raise GameSpecError(f"drift returned rows of shape {f.shape[1:]}, expected ({spec.d},)")
-    finite = np.all(np.isfinite(f), axis=1)
-    if not np.all(finite):
-        r = int(np.argmin(finite))
-        t_r = np.broadcast_to(np.asarray(t, dtype=float), finite.shape)[r]
+    if not np.isfinite(f).all():
+        r = int(np.argmin(np.isfinite(f).all(axis=1)))
+        t_r = np.broadcast_to(np.asarray(t, dtype=float), (len(f),))[r]
         raise GameSpecError(f"drift not finite at t={t_r}, x={xs[r].tolist()}")
-    mass = np.abs(f) / h
-    active = np.abs(f) > RATE_DROP_TOL  # chi(f_i) != 0
-    b2 = np.where(active, mass * (h * np.sign(f)), 0.0)
-    terms = np.where(active, mass * (h * h), 0.0)
-    sigma2 = terms[:, 0]
-    for i in range(1, spec.d):
-        sigma2 = sigma2 + terms[:, i]
+    rates = np.abs(f)
+    drop = rates <= RATE_DROP_TOL
+    rates /= h
+    rates[drop] = 0.0
     if point:
-        return b2[0], float(sigma2[0])
+        return f[0], rates[0]
+    return f, rates
+
+
+def pick_axis(rates: np.ndarray, uniform):
+    """Jump axis of an accepted thinning candidate: the first i with
+    uniform * total < cumsum(rates)_i, the total being the last cumulative rate.
+
+    ``rates`` is one row of ``kolmogorov_rates``, shape (d,), with a uniform
+    draw in [0, 1), or m rows, shape (m, d), with m draws.  Each row needs a
+    positive total.  Since uniform * total < total, the pick never runs past
+    the last axis, and it never lands on an axis of rate 0.
+    """
+    cum = np.cumsum(rates, axis=-1)
+    pick = np.asarray(uniform) * cum[..., -1]
+    return np.count_nonzero(pick[..., None] >= cum, axis=-1)
+
+
+def chain_characteristics(spec: GameSpec, t, x, u, v, h: float
+                          ) -> tuple[np.ndarray, np.ndarray | float]:
+    """Mean velocity and quadratic characteristic of the chain.
+
+    ``x``, ``t``, ``u`` and ``v`` are as in ``kolmogorov_rates``.  From its
+    rates, axis by axis: b2_i = rate_i * (h * sign(f_i)), which reproduces the
+    drift componentwise, and sigma2 = sum_i rate_i * (h * h) = h * sum_i |f_i|,
+    summed over the axes in order.  A batch gives b2 of shape (n, d) and
+    sigma2 of shape (n,); one state gives (b2, float).  Each row is bitwise
+    the point result.
+    """
+    f, rates = kolmogorov_rates(spec, t, x, u, v, h)
+    h = float(h)
+    # +0.0, not rate 0 * -h, on the axes that do not jump
+    b2 = np.where(rates > 0, rates * (h * np.sign(f)), 0.0)
+    terms = rates * (h * h)
+    sigma2 = terms[..., 0]
+    for i in range(1, spec.d):
+        sigma2 = sigma2 + terms[..., i]
+    if f.ndim == 1:
+        return b2, float(sigma2)
     return b2, sigma2

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chain import kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import Control, GameSpec, drift_batch, payoff_batch
 from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
@@ -313,7 +314,6 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
     if np.any(k0 <= lo) or np.any(k0 >= hi):
         raise GameSpecError(f"x0={x0.tolist()} does not round into the domain interior")
 
-    from .chain import RATE_DROP_TOL
     strides = np.array([int(np.prod(domain.shape[i + 1:])) for i in range(d)], dtype=np.int64)
 
     n = len(rngs)
@@ -424,9 +424,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
 
             # value-greedy model control, then rates under the aiming response
             u_star = table.u_index[js, flat[idx_rep]]              # (m,)
-            f_chosen = drift_batch(spec, tc, ys, U[u_star], V[v_hat[idx_rep]])
-            rates = np.abs(f_chosen) / h
-            rates[np.abs(f_chosen) <= RATE_DROP_TOL] = 0.0
+            f_chosen, rates = kolmogorov_rates(spec, tc, ys, U[u_star], V[v_hat[idx_rep]], h)
             total = rates.sum(axis=1)
             check_majorant(total.max(), lam)
             au = flat_accept[slots]
@@ -435,14 +433,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
 
             if np.any(accept):
                 acc_rows = np.flatnonzero(accept)
-                cum = np.cumsum(rates[acc_rows], axis=1)
-                pick = du[acc_rows] * total[acc_rows]
-                coord = (pick[:, None] >= cum).sum(axis=1)
-                coord = np.minimum(coord, d - 1)
-                # guard against fp ties selecting a zero-rate axis
-                bad = rates[acc_rows, coord] <= 0.0
-                if np.any(bad):
-                    coord[bad] = np.argmax(rates[acc_rows][bad], axis=1)
+                coord = pick_axis(rates[acc_rows], du[acc_rows])
                 sign = np.sign(f_chosen[acc_rows, coord]).astype(np.int64)
                 reps = idx_rep[acc_rows]
                 newk = K[reps, coord] + sign

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import chain_characteristics, kolmogorov_rates
+from .chain import chain_characteristics, kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import GameSpec, eval_payoff
 
@@ -201,7 +201,7 @@ def rate_majorant(spec: GameSpec, h: float) -> float:
 def check_majorant(total: float, lam: float) -> None:
     """Reject a total jump rate (the largest of a batch) above the majorant
     ``lam``: the declared M1 then bounds no drift, and thinning is invalid."""
-    if total > lam * (1.0 + 1e-12):
+    if not (total <= lam * (1.0 + 1e-12)):  # a NaN total fails too
         raise GameSpecError(
             f"total rate {total:.6g} exceeds the majorant {lam:.6g}; M1 is not a drift bound")
 
@@ -225,7 +225,7 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     y = h * k0
     t = t0
     times = [t0]
-    states = [y.copy()]
+    states = [y]  # y is rebound at a jump, never written into
     u_idx: list[int] = []
     v_idx: list[int] = []
     n_jumps = 0
@@ -235,26 +235,21 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
             break
         u = u_policy(t_cand, y)
         v = v_policy(t_cand, y)
-        rl = kolmogorov_rates(spec, t_cand, y, u, v, h)
-        total = rl.total
+        f, rates = kolmogorov_rates(spec, t_cand, y, u, v, h)
+        total = float(rates.sum())
         check_majorant(total, lam)
         accept = gen.uniform() < total / lam if total > 0 else False
         u_idx.append(spec.u_grid.index(u))
         v_idx.append(spec.v_grid.index(v))
         if accept:
-            pick = gen.uniform() * total
-            acc = 0.0
-            target = rl.targets[-1]
-            for cand, rate in zip(rl.targets, rl.rates):
-                acc += rate
-                if pick < acc:
-                    target = cand
-                    break
-            y = np.asarray(target, dtype=float)
+            i = pick_axis(rates, gen.uniform())
+            offset = np.zeros(spec.d)
+            offset[i] = math.copysign(h, f[i])
+            y = y + offset
             n_jumps += 1
         t = t_cand
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
     times.append(spec.T)
     # segment j spans [times[j], times[j+1]) at state states[j]; candidate k+1
     # was evaluated at (times[k+1], states[k]), which logs segment k's control;

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, neighbor_tables, RATE_DROP_TOL
+from .chain import LatticeDomain, kolmogorov_rates, neighbor_tables
 from .errors import GameSpecError, ResourceError, StepSizeError, TruncationError
 from .games import GameSpec, drift_batch, payoff_batch
 
@@ -225,9 +225,9 @@ class Rates(NamedTuple):
 def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates:
     """Upwind jump rates of every control pair at the points ``states``.
 
-    Along axis i the chain jumps to the up neighbour where ``up`` is set and
-    to the down neighbour elsewhere, at ``rate`` = |f_i|/h; components with
-    |f_i| <= RATE_DROP_TOL do not jump (rate 0), as in ``chain.jump_measure``.
+    These are ``chain.kolmogorov_rates``: along axis i the chain jumps at
+    ``rate`` to the up neighbour where ``up`` is set (f_i > 0 and a positive
+    rate) and to the down neighbour elsewhere.
     The rates and the kernel's work arrays live in one anonymous memory
     mapping of their own, which is unmapped when the last view goes: in the
     malloc heap the freed block stayed resident under the later phases of a
@@ -246,12 +246,9 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
     up = np.frombuffer(block, dtype=bool, count=size, offset=8 * n_floats).reshape(shape)
     for iu, u in enumerate(spec.u_grid):
         for iv, v in enumerate(spec.v_grid):
-            f = drift_batch(spec, t, states, u, v).T
-            np.greater(f, RATE_DROP_TOL, out=up[iu, iv])
-            r = rate[iu, iv]
-            np.abs(f, out=r)
-            r[r <= RATE_DROP_TOL] = 0.0
-            r /= h
+            f, r = kolmogorov_rates(spec, t, states, u, v, h)
+            rate[iu, iv] = r.T
+            np.logical_and(f.T > 0, r.T > 0, out=up[iu, iv])
     return Rates(up, rate, diffs, work)
 
 
@@ -260,14 +257,16 @@ _AUTONOMY_SAMPLE = 64  # states on which a declared-autonomous drift is spot-che
 
 def _check_autonomous(spec: GameSpec, states: np.ndarray) -> None:
     """Spot-check ``spec.autonomous``: every control pair's drift must be the
-    same at T and at 0 on a fixed sample of at most 64 of ``states``."""
+    same at T and at 0 on a fixed sample of at most 64 of ``states``.  NaN
+    equals NaN here: the rate build then reports the drift as not finite."""
     sample = states[::-(-len(states) // _AUTONOMY_SAMPLE)]
     m, nu, nv = len(sample), len(spec.u_grid), len(spec.v_grid)
     # one control pair per row, pairs in grid order, the sample within each
     u = np.repeat(np.asarray(spec.u_grid, dtype=float), nv * m, axis=0)
     v = np.concatenate([np.repeat(np.asarray(spec.v_grid, dtype=float), m, axis=0)] * nu)
     xs = np.tile(sample, (nu * nv, 1))
-    if not np.array_equal(drift_batch(spec, spec.T, xs, u, v), drift_batch(spec, 0.0, xs, u, v)):
+    if not np.array_equal(drift_batch(spec, spec.T, xs, u, v), drift_batch(spec, 0.0, xs, u, v),
+                          equal_nan=True):
         raise GameSpecError(f"game {spec.name!r} is declared autonomous, but its drift "
                             f"differs at t=0 and t=T={spec.T:g}")
 

@@ -5,7 +5,8 @@ import pytest
 
 import latticegames as lg
 from latticegames.chain import (LatticeDomain, apply_generator, chain_characteristics,
-                                chi, jump_measure, kolmogorov_rates, neighbor_tables)
+                                chi, jump_measure, kolmogorov_rates, neighbor_tables,
+                                pick_axis)
 
 
 def make_domain(h=0.1, lo=(-20,), hi=(20,)):
@@ -94,9 +95,69 @@ def test_kolmogorov_rates_row_sum_zero():
     for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
         t = rng.uniform(0, 1)
-        rl = kolmogorov_rates(spec, t, x, 1.0, -1.0, 0.1)
-        assert rl.total == sum(rl.rates)
+        f, rates = kolmogorov_rates(spec, t, x, 1.0, -1.0, 0.1)
+        assert f.tobytes() == lg.eval_drift(spec, t, x, 1.0, -1.0).tobytes()
+        masses = {int(np.flatnonzero(off)[0]): mass
+                  for off, mass in jump_measure(spec, t, x, 1.0, -1.0, 0.1)}
+        assert rates.tolist() == [masses.get(i, 0.0) for i in range(spec.d)]
+        assert rates.sum() == sum(masses.values())
         assert apply_generator(lambda y: 7.25, spec, t, x, 1.0, -1.0, 0.1) == 0.0
+
+
+def test_kolmogorov_rates_drop_tiny_components_and_reject_non_finite():
+    spec = lg.GameSpec(name="rows", d=2, T=1.0, vectorized=True,
+                       drift=lambda t, x, u, v: np.stack([x[:, 0] * 1e-15, -x[:, 1]], axis=1),
+                       u_grid=(0.0,), v_grid=(0.0,), payoff=lambda x: 0.0, R=1.0, M1=2.0,
+                       K1=0.0)
+    xs = np.array([[1.0, 2.0], [5.0, 0.0], [-3.0, -1e-15]])
+    f, rates = kolmogorov_rates(spec, 0.0, xs, 0.0, 0.0, 0.5)
+    assert f.shape == rates.shape == (3, 2)
+    assert rates.tolist() == [[0.0, 4.0], [0.0, 0.0], [0.0, 0.0]]
+    xs[1, 1] = np.nan
+    with pytest.raises(lg.GameSpecError, match=r"drift not finite at t=0.25, x=\[5.0, nan\]"):
+        kolmogorov_rates(spec, np.array([0.0, 0.25, 0.5]), xs, 0.0, 0.0, 0.5)
+
+
+def _pick_by_target_loop(rates, uniform):
+    """The thinning sampler's former axis choice, kept as the oracle: a
+    running sum over the active axes in order picks the first with
+    uniform * total < sum, else the last active axis."""
+    active = [i for i, r in enumerate(rates) if r > 0]
+    pick = uniform * float(np.sum(rates[active]))
+    acc = 0.0
+    for i in active:
+        acc += rates[i]
+        if pick < acc:
+            return i
+    return active[-1]
+
+
+def test_pick_axis_matches_the_target_loop():
+    below_one = np.nextafter(1.0, 0.0)
+    rows = np.array([
+        [0.0, 2.0, 0.0, 0.0, 6.0, 0.0, 0.0],   # zero rates between and after
+        [1.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.5],
+        [0.25, 0.25, 0.5, 0.0, 1.0, 0.0, 2.0],
+    ])
+    # 0, 1 - 2^-53, and uniforms landing exactly on a cumulative boundary
+    cases = [(r, float(u)) for r in range(len(rows))
+             for u in [0.0, below_one, *np.cumsum(rows[r]) / rows[r].sum()] if u < 1.0]
+    assert sum(u * rows[r].sum() in np.cumsum(rows[r]) for r, u in cases) >= 8
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        d = int(rng.integers(1, 8))
+        row = np.where(rng.uniform(size=d) < 0.4, 0.0, rng.exponential(size=d))
+        if row.any():
+            rows = np.vstack([rows, np.pad(row, (0, 7 - d))])
+            cases.append((len(rows) - 1, float(rng.uniform())))
+    idx = np.array([r for r, _ in cases])
+    us = np.array([u for _, u in cases])
+    batch = pick_axis(rows[idx], us)
+    for k, (r, u) in enumerate(cases):
+        want = _pick_by_target_loop(rows[r], u)
+        assert pick_axis(rows[r], u) == batch[k] == want, (rows[r].tolist(), u)
+        assert rows[r, want] > 0
 
 
 def test_generator_linear_identity():

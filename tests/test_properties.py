@@ -6,10 +6,11 @@ at every kernel time instead.  Both must give the same floats, bit for bit,
 in every solver that reads the rates.  M1 is chosen so that each generated
 game satisfies its declared bound on the truncated box, which keeps the
 monotone schemes inside the payoff range; a failure would still have to be
-the same failure on both paths.  The batched chain characteristics must
-equal the point-by-point jump-measure sums, bit for bit, on the same games,
-and a drift batch with one control pair per row must equal the looped
-one-pair batches.  The monotone Euler sweep must keep every recorded slice
+the same failure on both paths.  The batched jump rates and chain
+characteristics must equal the point-by-point jump-measure sums, bit for bit,
+on the same games; a batch of coupled replicas must equal the replicas run
+one at a time; and a drift batch with one control pair per row must equal
+the looped one-pair batches.  The monotone Euler sweep must keep every recorded slice
 inside the payoff range, keep the upper value above the lower one, and not
 lower any value when the payoff rises by a constant.
 """
@@ -17,7 +18,7 @@ lower any value when the payoff rises by a constant.
 import dataclasses
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import latticegames as lg
 from latticegames.games import game_from_dict
@@ -161,6 +162,16 @@ def test_catalog_and_json_games_declare_autonomy():
     assert not python_game.autonomous
 
 
+def _rates_from_measure(spec, t, x, u, v, h):
+    """Per-axis rates and jump directions of the jump measure at one point:
+    the reference rows the batched ``kolmogorov_rates`` must reproduce."""
+    rates, signs = np.zeros(spec.d), np.zeros(spec.d)
+    for offset, mass in lg.jump_measure(spec, t, x, u, v, h):
+        i = int(np.flatnonzero(offset)[0])
+        rates[i], signs[i] = mass, np.sign(offset[i])
+    return rates, signs
+
+
 def _characteristics_from_measure(spec, t, x, u, v, h):
     """b2 and sigma2 summed over the jump measure, one point at a time: the
     reference the batched ``chain_characteristics`` must reproduce."""
@@ -197,8 +208,16 @@ def test_batched_characteristics_match_point_calls(data, h, seed):
                 for t in (0.3, ts):
                     b2, sigma2 = lg.chain_characteristics(spec, t, xs, u, v, h)
                     assert b2.shape == (n, spec.d) and sigma2.shape == (n,)
+                    f, rates = lg.kolmogorov_rates(spec, t, xs, u, v, h)
+                    assert f.shape == rates.shape == (n, spec.d)
                     for r in range(n):
                         t_r = t if np.isscalar(t) else float(t[r])
+                        point_f, point_rates = lg.kolmogorov_rates(spec, t_r, xs[r], u, v, h)
+                        want_rates, want_signs = _rates_from_measure(spec, t_r, xs[r], u, v, h)
+                        assert f[r].tobytes() == point_f.tobytes()
+                        assert rates[r].tobytes() == point_rates.tobytes() == want_rates.tobytes()
+                        assert np.array_equal(np.where(rates[r] > 0, np.sign(f[r]), 0.0),
+                                              want_signs)
                         want_b2, want_s2 = _characteristics_from_measure(spec, t_r, xs[r],
                                                                          u, v, h)
                         point_b2, point_s2 = lg.chain_characteristics(spec, t_r, xs[r],
@@ -230,3 +249,36 @@ def test_per_row_controls_match_looped_pairs(data, seed):
             # one grid element against per-row controls of the other player
             got = lg.drift_batch(spec, t, xs, spec.u_grid[0], V[iv])
             assert got.tobytes() == pairs[0, iv, rows].tobytes()
+
+
+# three axes and vector controls, which the drawn examples may miss
+AFFINE_3D = {
+    "d": 3, "T": T, "R": 1.0, "M1": 18.0, "K1": 1.0,
+    "drift": {"kind": "affine", "a": [[0.3, -1.0, 0.0], [1.0, 0.2, 0.5], [0.0, -0.5, -0.4]],
+              "bu": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]],
+              "bv": [[0.5, 0.0], [0.0, -0.5], [0.25, 0.25]], "c": [0.1, 0.0, -0.2]},
+    "u_grid": [[1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]], "v_grid": [[0.5, 0.5], [-1.0, 0.0]],
+    "payoff": {"kind": "norm", "center": [0.0, 0.0, 0.0]},
+}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(max_d=3), adversary=st.integers(0, 3), seed=st.integers(0, 2**16))
+@example(data=AFFINE_3D, adversary=3, seed=5)
+def test_batch_replicas_match_looped_singles(data, adversary, seed):
+    # a small box: frozen moves at its faces are part of the engine too
+    spec = game_from_dict(data, name="random")
+    table = lg.feedback_table(spec, lg.LatticeDomain(h=0.5, lo=(-4,) * spec.d,
+                                                     hi=(4,) * spec.d))
+    part = lg.Partition.uniform(0.0, T, 0.05)
+    adv = lg.standard_adversaries(spec)[adversary]
+    x0 = np.zeros(spec.d)
+    n = 3
+    batch = lg.run_extremal_shift_batch(spec, table, part, x0, adv, n_replicas=n, seed=seed)
+    for i in range(n):
+        single = lg.run_extremal_shift(spec, table, part, x0, adv, rng=lg.replica_rng(seed, i))
+        assert np.float64(single.outcome).tobytes() == batch.outcomes[i].tobytes()
+        assert np.float64(single.model_outcome).tobytes() == batch.model_outcomes[i].tobytes()
+        assert single.sq_gap.tobytes() == batch.sq_gap[i].tobytes()
+        assert len(single.jump_times) == batch.n_jumps[i]

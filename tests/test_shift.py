@@ -306,3 +306,19 @@ def test_engine_and_sampler_share_the_majorant_check(g1_solution):
         lg.run_extremal_shift_batch(lying, eta, part, [0.5], lg.ConstantAdversary(), n_replicas=4)
     with pytest.raises(lg.GameSpecError, match="exceeds the majorant .*M1 is not a drift bound"):
         lg.simulate_chain(lying, lambda t, y: 1.0, lambda t, y: 0.5, 0.0, eta.h, rng=0)
+
+
+def test_engine_rejects_a_drift_that_is_not_finite(g1_solution):
+    # NaN for t in (0.5, 0.6), past the feedback table built from g1 itself
+    spec, eta = g1_solution
+    table = lg.feedback_table(spec, eta.domain)
+
+    def drift(t, x, u, v):
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.where((t > 0.5) & (t < 0.6), np.nan, spec.drift(t, x, u, v))
+
+    broken = dataclasses.replace(spec, drift=drift, autonomous=False)
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    with pytest.raises(lg.GameSpecError, match=r"drift not finite at t=0\.5"):
+        lg.run_extremal_shift_batch(broken, table, part, [0.0], lg.ConstantAdversary(),
+                                    n_replicas=20)

@@ -1,5 +1,6 @@
 """Sampling layer: RNG streams, ODE/chain paths, estimates, diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -125,6 +126,13 @@ def test_simulate_chain_detects_rate_above_majorant():
     up, vp = const_policies()
     with pytest.raises(lg.GameSpecError):
         lg.simulate_chain(spec, up, vp, 0.0, 0.1, rng=0)
+
+
+def test_majorant_check_rejects_nan():
+    lg.simulate.check_majorant(15.0, 15.0)
+    for total in (15.1, float("nan"), float("inf")):
+        with pytest.raises(lg.GameSpecError, match="exceeds the majorant"):
+            lg.simulate.check_majorant(total, 15.0)
 
 
 def test_simulate_chain_mean_drift(chain_paths):
@@ -312,3 +320,35 @@ def test_martingale_residual_calls_characteristics_once(chain_paths, monkeypatch
     assert len({(u, v) for p in feedback for u, v in zip(p.u_indices, p.v_indices)}) > 1
     lg.martingale_residual(feedback, spec, h, "quadratic", [0.3], [0.5, 1.0])
     assert calls == [sum(len(p.states) for p in feedback)]
+
+
+def _chain_paths_sha256(paths) -> str:
+    digest = hashlib.sha256()
+    for p in paths:
+        for arr in (p.times, p.states, p.u_indices, p.v_indices):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of g2 paths under state feedback, recorded before the chain's jump
+# rule was shared with the engine: the axis pick and the acceptances vary
+# from candidate to candidate, which the 1-d paths never exercise
+GOLDEN_G2_CHAIN = "086e4f9adf73d162544d21b0e397e00361206f055c863b60af0f548ee641607d"
+
+
+def test_g2_simulate_chain_matches_golden_digest():
+    spec = lg.g2()
+
+    def up(t, y):
+        return 1.0 if y[0] > 0.3 else (-1.0 if y[0] < -0.3 else 0.0)
+
+    def vp(t, y):
+        return 0.0 if abs(y[1]) < 0.2 else (-1.0 if y[1] > 0.0 else 1.0)
+
+    paths = [lg.simulate_chain(spec, up, vp, [0.5, -0.3], 0.1, t0=0.1 * (i % 3),
+                               rng=lg.replica_rng(17, i))
+             for i in range(60)]
+    assert len({(u, v) for p in paths for u, v in zip(p.u_indices, p.v_indices)}) > 3
+    moves = np.concatenate([np.diff(p.states, axis=0) for p in paths])
+    assert np.any(moves[:, 0] != 0) and np.any(moves[:, 1] != 0)
+    assert _chain_paths_sha256(paths) == GOLDEN_G2_CHAIN

@@ -332,6 +332,19 @@ def test_autonomy_declaration_is_spot_checked():
         solve_backward(spec, truncate_domain(spec, np.zeros(spec.d), 0.25), checkpoints=[0.0])
 
 
+def test_non_finite_drift_is_reported_as_such():
+    # NaN for x > 0.72: an autonomous solve must not call the drift
+    # time-dependent, nor a per-step one ask for a smaller dt
+    base = lg.g1()
+    broken = dataclasses.replace(
+        base, drift=lambda t, x, u, v: np.where(x > 0.72, np.nan, base.drift(t, x, u, v)))
+    dom = truncate_domain(base, [0.0], 0.1)
+    for spec in (broken, dataclasses.replace(broken, autonomous=False)):
+        for run in (solve_backward, feedback_table):
+            with pytest.raises(lg.GameSpecError, match=r"drift not finite at t=1.0, x=\[0.8\]"):
+                run(spec, dom)
+
+
 def test_boundary_influence_vanishes_when_pad_doubles():
     # reachability padding keeps the frozen ring outside the reported
     # region's numerical domain of dependence, so doubling the pad must not
