@@ -18,8 +18,8 @@ from .games import (GameSpec, IsaacsReport, check_isaacs, drift_batch, eval_drif
                     payoff_constant, payoff_linear, payoff_norm)
 from .shift import (BatchOutcomes, BangBangAdversary, ConstantAdversary,
                     MirrorAdversary, PairedTrajectory, Partition, RandomAdversary,
-                    model_feedback, run_extremal_shift, run_extremal_shift_batch,
-                    select_u, select_v, standard_adversaries, varpi)
+                    run_extremal_shift, run_extremal_shift_batch, select_u, select_v,
+                    standard_adversaries, varpi)
 from .simulate import (ChainPath, MomentReport, OdePath, OutcomeEstimate,
                        ResidualReport, integrate_ode, martingale_residual,
                        moment_growth_check, monte_carlo_outcome, rate_majorant,
@@ -45,7 +45,7 @@ __all__ = [
     "eval_drift", "eval_payoff", "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian",
     "hamiltonian_field", "integrate_ode", "jump_measure", "kappa",
     "kolmogorov_rates", "load_game", "martingale_residual", "minimax_control_indices",
-    "model_feedback", "moment_growth_check", "monte_carlo_outcome", "neighbor_tables",
+    "moment_growth_check", "monte_carlo_outcome", "neighbor_tables",
     "payoff_batch", "payoff_constant", "payoff_linear", "payoff_norm", "pick_axis",
     "rate_majorant", "read_slice_csv", "replica_rng",
     "run_extremal_shift", "run_extremal_shift_batch", "select_u", "select_v",

@@ -87,11 +87,9 @@ def kappa(spec: GameSpec, h: float, n_samples: int = 200, rng_seed: int = 0, *,
     return worst
 
 
-def beta(spec: GameSpec, branch: int = 1) -> float:
-    """Gap growth rate 2 + 2K; the branch picks whose Lipschitz constant
-    applies (here both systems share the same field, so it is spec.K1)."""
-    if branch not in (1, 2):
-        raise GameSpecError(f"branch must be 1 or 2, got {branch}")
+def beta(spec: GameSpec) -> float:
+    """Gap growth rate 2 + 2K, with K = spec.K1 the Lipschitz constant of the
+    field that the real system and the chain model share."""
     return 2.0 + 2.0 * spec.K1
 
 
@@ -129,7 +127,7 @@ def assemble(spec: GameSpec, h: float, sigma: float | None = None, *,
     m0_1 = 0.0  # the steered system is deterministic
     m0_2 = spec.d ** 1.5 * spec.M1 * h
     theta = k + m0_1 + m0_2
-    b = beta(spec, 1)
+    b = beta(spec)
     c = math.sqrt(spec.T * math.exp(b * spec.T))
     c1 = c * math.sqrt(spec.d)
     c2 = spec.d ** 0.75 * math.sqrt(spec.M1) * c

@@ -3,7 +3,7 @@
 The first player steers the real system while tracking a simulated chain
 whose feedback was precomputed: a ``FeedbackTable`` holds, per grid time and
 lattice point, the first player's control index minimising the generator of
-the upper value (a ``SolveResult`` is converted to one).  A thinning
+the upper value (``feedback_table`` builds it).  A thinning
 candidate reads the entry of the latest grid time at or below it, so the
 drift inside that minimisation is taken at the grid time, as in the backward
 sweep itself; for drifts that ignore t this is exact.  On each partition
@@ -13,7 +13,8 @@ product of that gap with the drift (aiming rule); the model chain meanwhile
 jumps under the value-greedy feedback control and the aiming rule's worst
 second-player response.  The gap then grows at most linearly in the
 partition diameter plus the model's quadratic characteristic, which is what
-the guarantee bounds quantify.
+the guarantee bounds quantify.  A drift that is not finite in an aiming form
+or along the real path raises ``GameSpecError``, as in the chain's jump rule.
 
 All replica randomness follows a fixed per-replica draw protocol (candidate
 count, candidate times, acceptance uniforms, direction uniforms, adversary
@@ -34,7 +35,7 @@ from .chain import kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import Control, GameSpec, drift_batch, payoff_batch
 from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
-from .solver import FeedbackTable, SolveResult, _TIME_FUZZ
+from .solver import FeedbackTable, _TIME_FUZZ
 
 BRANCHES = (1, 2)
 
@@ -109,18 +110,6 @@ def select_v(spec: GameSpec, t: float, z, xi, branch: int = 1) -> tuple[int, Con
     """Second-player aiming response: argmax_v min_u varpi; ties -> lowest index."""
     idx = int(np.argmax(_aim(spec, t, z, xi, branch)[:, :, 0].min(axis=0)))
     return idx, spec.v_grid[idx]
-
-
-def model_feedback(eta: SolveResult, spec: GameSpec, t: float, y) -> tuple[int, Control]:
-    """Value-greedy model control: argmin_u max_v of the generator applied to
-    the recorded slice at-or-below t, evaluated at lattice state y."""
-    from .solver import minimax_control_indices
-
-    grid = eta.slice_at_or_below(t)
-    idx_point = grid.domain.index_of_state(y)
-    iu = int(minimax_control_indices(grid.values, spec, t, grid.domain,
-                                     np.array([idx_point]))[0])
-    return iu, spec.u_grid[iu]
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +265,13 @@ class BatchOutcomes:
 # engine
 
 
+def _drift_not_finite(t: float, states: np.ndarray, finite_rows: np.ndarray,
+                      note: str = "") -> GameSpecError:
+    """The error for the first row of ``states`` whose drift-derived row is not finite."""
+    r = int(np.argmin(finite_rows))
+    return GameSpecError(f"drift not finite at t={t}, x={states[r].tolist()}{note}")
+
+
 def _aim(spec: GameSpec, t: float, x, y, branch: int) -> np.ndarray:
     """Aiming forms <x - y, f(t, ., u, v)> of every control pair for each of
     the n rows (or the one point) of x and y, shape (nu, nv, n), from one
@@ -284,26 +280,32 @@ def _aim(spec: GameSpec, t: float, x, y, branch: int) -> np.ndarray:
     if branch not in BRANCHES:
         raise GameSpecError(f"branch must be 1 or 2, got {branch}")
     x, y = np.atleast_2d(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    at = x if branch == 1 else y
     nu, nv = len(spec.u_grid), len(spec.v_grid)
     n = len(x)
     pair = np.arange(nu * nv * n) // n
-    f = drift_batch(spec, t, np.tile(x if branch == 1 else y, (nu * nv, 1)),
+    f = drift_batch(spec, t, np.tile(at, (nu * nv, 1)),
                     np.asarray(spec.u_grid)[pair // nv], np.asarray(spec.v_grid)[pair % nv])
-    return np.einsum("uvnd,nd->uvn", f.reshape(nu, nv, n, spec.d), x - y)
+    w = np.einsum("uvnd,nd->uvn", f.reshape(nu, nv, n, spec.d), x - y)
+    if not np.isfinite(w).all():
+        raise _drift_not_finite(t, at, np.isfinite(w).all(axis=(0, 1)))
+    return w
 
 
-def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: Partition, x0,
+def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
                   adversary, rngs: Sequence[np.random.Generator], branch: int,
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
-    table = eta if isinstance(eta, FeedbackTable) else FeedbackTable.from_result(spec, eta)
-    domain = table.domain
-    h = table.h
+    if not isinstance(eta, FeedbackTable):
+        raise GameSpecError(f"eta must be a FeedbackTable, got {type(eta).__name__}; "
+                            "build one with feedback_table(spec, domain)")
+    domain = eta.domain
+    h = eta.h
     d = spec.d
     t0 = partition.t0
     if abs(partition.t_end - spec.T) > _TIME_FUZZ:
         raise GameSpecError("partition must end at the horizon T")
-    if table.times[0] > t0 + _TIME_FUZZ:
-        raise GameSpecError("value slices do not cover the start time; solve with checkpoints=None")
+    if eta.times[0] > t0 + _TIME_FUZZ:
+        raise GameSpecError("the feedback table does not cover the partition's start time")
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
@@ -394,6 +396,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
         def f_sel(tt, states):
             return drift_batch(spec, tt, states, u_held, v_held)
 
+        X_start = X
         for s in range(n_sub):
             ts = t_l + s * dt_sub
             k1 = f_sel(ts, X)
@@ -404,6 +407,9 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
             if log:
                 dense_times.append(ts + dt_sub)
                 dense_x.append(X[0].copy())
+        if not np.isfinite(X).all():
+            raise _drift_not_finite(t_l, X_start, np.isfinite(X).all(axis=1),
+                                    f" or on the real path from there to t={t_hi}")
 
         # model chain: consume thinning candidates inside [t_l, t_hi)
         while True:
@@ -419,11 +425,11 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
             slots = slots[active]
             tc = tc[active]
             ys = h * K[idx_rep].astype(float)
-            js = np.clip(np.searchsorted(table.times, tc + _TIME_FUZZ, side="right") - 1,
-                         0, len(table.times) - 1)
+            js = np.clip(np.searchsorted(eta.times, tc + _TIME_FUZZ, side="right") - 1,
+                         0, len(eta.times) - 1)
 
             # value-greedy model control, then rates under the aiming response
-            u_star = table.u_index[js, flat[idx_rep]]              # (m,)
+            u_star = eta.u_index[js, flat[idx_rep]]                # (m,)
             f_chosen, rates = kolmogorov_rates(spec, tc, ys, U[u_star], V[v_hat[idx_rep]], h)
             total = rates.sum(axis=1)
             check_majorant(total.max(), lam)
@@ -479,20 +485,17 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: P
     return batch, paths
 
 
-def run_extremal_shift(spec: GameSpec, eta: FeedbackTable | SolveResult, partition: Partition,
+def run_extremal_shift(spec: GameSpec, eta: FeedbackTable, partition: Partition,
                        x0, adversary, rng: RngLike = 0, branch: int = 1) -> PairedTrajectory:
-    """One fully logged coupled replica driven by ``adversary``.
-
-    ``eta`` is a ``FeedbackTable`` or an upper ``SolveResult``, whose recorded
-    slices are converted by ``FeedbackTable.from_result``."""
+    """One fully logged coupled replica driven by ``adversary``."""
     _, paths = _run_replicas(spec, eta, partition, x0, adversary, [as_rng(rng)],
                              branch, record_paths=True)
     return paths[0]
 
 
-def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable | SolveResult,
-                             partition: Partition, x0, adversary, n_replicas: int,
-                             seed: int = 0, branch: int = 1) -> BatchOutcomes:
+def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Partition,
+                             x0, adversary, n_replicas: int, seed: int = 0,
+                             branch: int = 1) -> BatchOutcomes:
     """Vectorized replicas; replica i draws from the documented stream
     SeedSequence(entropy=seed, spawn_key=(i,)), identical to a looped
     sequence of single runs."""

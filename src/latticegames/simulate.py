@@ -154,12 +154,19 @@ class MomentReport:
 # simulation
 
 
+def _grid_indices(spec: GameSpec, u, v) -> tuple[int, int]:
+    """Grid indices of a policy's controls; an off-grid control is a GameSpecError."""
+    try:
+        return spec.u_grid.index(u), spec.v_grid.index(v)
+    except ValueError:
+        raise GameSpecError(f"policy returned off-grid control u={u!r} v={v!r}") from None
+
+
 def integrate_ode(spec: GameSpec, u_policy, v_policy, x0, *, t0: float = 0.0,
                   n_steps: int = 1000) -> OdePath:
     """Classical 4th-order fixed-step integration with controls held per step.
 
-    Policies are callables (t, x) -> control; controls must be grid elements
-    (validated on the first step only, to keep the loop cheap).
+    Policies are callables (t, x) -> control; controls must be grid elements.
     """
     if not (0.0 <= t0 < spec.T):
         raise GameSpecError(f"t0={t0} outside [0, T)")
@@ -179,11 +186,7 @@ def integrate_ode(spec: GameSpec, u_policy, v_policy, x0, *, t0: float = 0.0,
         t = times[k]
         u = u_policy(t, x)
         v = v_policy(t, x)
-        if k == 0:
-            if u not in spec.u_grid or v not in spec.v_grid:
-                raise GameSpecError(f"policy returned off-grid control u={u!r} v={v!r}")
-        u_idx[k] = spec.u_grid.index(u)
-        v_idx[k] = spec.v_grid.index(v)
+        u_idx[k], v_idx[k] = _grid_indices(spec, u, v)
         k1 = np.asarray(f(t, x, u, v), dtype=float)
         k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1, u, v), dtype=float)
         k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2, u, v), dtype=float)
@@ -235,12 +238,13 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
             break
         u = u_policy(t_cand, y)
         v = v_policy(t_cand, y)
+        iu, iv = _grid_indices(spec, u, v)
         f, rates = kolmogorov_rates(spec, t_cand, y, u, v, h)
         total = float(rates.sum())
         check_majorant(total, lam)
         accept = gen.uniform() < total / lam if total > 0 else False
-        u_idx.append(spec.u_grid.index(u))
-        v_idx.append(spec.v_grid.index(v))
+        u_idx.append(iu)
+        v_idx.append(iv)
         if accept:
             i = pick_axis(rates, gen.uniform())
             offset = np.zeros(spec.d)
@@ -257,8 +261,8 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     m = len(times) - 1
     seg_states = np.stack(states[:m])
     tail_t = float(times[m - 1])
-    u_tail = spec.u_grid.index(u_policy(tail_t, seg_states[-1]))
-    v_tail = spec.v_grid.index(v_policy(tail_t, seg_states[-1]))
+    u_tail, v_tail = _grid_indices(spec, u_policy(tail_t, seg_states[-1]),
+                                   v_policy(tail_t, seg_states[-1]))
     u_arr = np.array(u_idx + [u_tail], dtype=np.int64)
     v_arr = np.array(v_idx + [v_tail], dtype=np.int64)
     return ChainPath(times=np.asarray(times), states=seg_states,

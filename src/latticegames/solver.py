@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -68,8 +68,6 @@ class SolveResult:
     boundary: str
     slices: tuple[ValueGrid, ...]
     sigma: float | None = None
-    # (spec, FeedbackTable) of the last FeedbackTable.from_result call
-    _feedback: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def domain(self) -> LatticeDomain:
@@ -85,13 +83,6 @@ class SolveResult:
                 return s
         raise TruncationError(f"no recorded slice at t={t}; have {self.times.tolist()}")
 
-    def slice_at_or_below(self, t: float) -> ValueGrid:
-        """Latest recorded slice with slice.t <= t (slices are t-descending)."""
-        for s in self.slices:
-            if s.t <= t + _TIME_FUZZ:
-                return s
-        return self.slices[-1]
-
     def value_at(self, t: float, x) -> float:
         return self.slice_at(t).value_at(x)
 
@@ -105,6 +96,7 @@ class FeedbackTable:
     at lattice point p, with the drift evaluated at ``times[j]``.  This is all
     the extremal-shift strategy reads from the value function; one byte per
     entry instead of the float64 slice history.  ``value0`` is the t=0 slice.
+    Built by ``feedback_table``; it is the coupling engine's only input.
     """
 
     game: str
@@ -114,33 +106,6 @@ class FeedbackTable:
     times: np.ndarray
     u_index: np.ndarray
     value0: ValueGrid
-
-    @classmethod
-    def from_result(cls, spec: GameSpec, result: SolveResult) -> FeedbackTable:
-        """Reference table: ``minimax_control_indices`` at every point of each
-        recorded slice of an upper solve, with the rates built as a sweep
-        builds them (once, at T, for an autonomous spec).  The table is kept
-        on ``result`` for ``spec``, so repeated calls convert the slices once."""
-        if result.kind != "upper":
-            raise GameSpecError("the feedback construction tracks the upper value; "
-                                "solve with kind='upper'")
-        if result._feedback is not None and result._feedback[0] is spec:
-            return result._feedback[1]
-        order = np.argsort(result.times)
-        domain = result.domain
-        everywhere = np.arange(domain.n_points)
-        rates_at = _rates_by_time(spec, domain, domain.states())
-        u_index = np.empty((len(order), domain.n_points),
-                           dtype=np.min_scalar_type(len(spec.u_grid) - 1))
-        for row, i in enumerate(order):
-            grid = result.slices[i]
-            u_index[row] = minimax_control_indices(grid.values, spec, grid.t, domain, everywhere,
-                                                   rates=rates_at(grid.t))
-        table = cls(game=result.game, h=result.h, dt=result.dt, domain=domain,
-                    times=result.times[order], u_index=u_index,
-                    value0=result.slices[order[0]])
-        object.__setattr__(result, "_feedback", (spec, table))
-        return table
 
 
 def weighted_norm(grid: ValueGrid, other: ValueGrid | None = None) -> float:

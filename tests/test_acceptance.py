@@ -108,10 +108,10 @@ def sweep_errors(slices, which):
 
 @pytest.fixture(scope="module")
 def dense_eta():
-    """Every-step h=0.05 upper solve, shared by the coupling criteria."""
+    """h=0.05 upper feedback table, shared by the coupling criteria."""
     spec = lg.g1()
     dom = lg.truncate_domain(spec, [-1.0, 1.0], 0.05)
-    return spec, lg.solve_backward(spec, dom, kind="upper")
+    return spec, lg.feedback_table(spec, dom)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,7 @@ def test_criterion_04_viscosity_rate(oracle_checked):
 def test_criterion_05_strategy_guarantee(dense_eta):
     spec, eta = dense_eta
     part = lg.Partition.uniform(0.0, 1.0, 0.01)
-    eta0 = eta.slice_at(0.0).value_at([0.0])
+    eta0 = eta.value0.value_at([0.0])
     rows = []
     for adv in lg.standard_adversaries(spec):
         batch = lg.run_extremal_shift_batch(spec, eta, part, [0.0], adv,

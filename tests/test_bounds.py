@@ -32,8 +32,6 @@ def test_beta_anchors():
         u_grid=(-1.0, 1.0), v_grid=(0.0,),
         payoff=lg.payoff_norm(), R=1.0, M1=2.0, K1=0.5, vectorized=True)
     assert lg.beta(spec) == pytest.approx(3.0)
-    with pytest.raises(lg.GameSpecError):
-        lg.beta(spec, branch=3)
 
 
 def test_assemble_g1_anchors():

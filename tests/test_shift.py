@@ -20,8 +20,7 @@ AFFINE_GAME = {
 def g1_solution():
     spec = lg.g1()
     dom = lg.truncate_domain(spec, [-1.0, 1.0], 0.05)
-    eta = lg.solve_backward(spec, dom, kind="upper")  # dense slices
-    return spec, eta
+    return spec, lg.feedback_table(spec, dom)
 
 
 def test_partition_validation():
@@ -76,10 +75,11 @@ def test_select_u_and_v_anchors():
 
 
 def test_model_feedback_follows_value_slope(g1_solution):
-    spec, eta = g1_solution
+    _, table = g1_solution
     # on the |x| - 0.5(T-t) slope the minimizing player pushes toward zero
-    assert lg.model_feedback(eta, spec, 0.0, np.array([1.0]))[0] == 0
-    assert lg.model_feedback(eta, spec, 0.0, np.array([-1.0]))[0] == 2
+    assert table.times[0] == 0.0
+    assert table.u_index[0, table.domain.index_of_state([1.0])] == 0
+    assert table.u_index[0, table.domain.index_of_state([-1.0])] == 2
 
 
 def test_adversary_panel():
@@ -183,48 +183,6 @@ def test_batch_matches_looped_singles_bitwise(request, case, x0, n):
     assert batch.n_jumps.shape == (n,)
 
 
-def test_table_and_dense_solve_drive_identical_replicas(g1_solution):
-    spec, eta = g1_solution
-    table = lg.feedback_table(spec, eta.domain)
-    part = lg.Partition.uniform(0.0, 1.0, 0.02)
-    for adv in lg.standard_adversaries(spec):
-        a = lg.run_extremal_shift_batch(spec, eta, part, [0.0], adv, n_replicas=50, seed=3)
-        b = lg.run_extremal_shift_batch(spec, table, part, [0.0], adv, n_replicas=50, seed=3)
-        assert np.array_equal(a.outcomes, b.outcomes)
-        assert np.array_equal(a.sq_gap, b.sq_gap)
-        assert np.array_equal(a.n_jumps, b.n_jumps)
-
-
-def test_single_runs_convert_a_solve_result_once(g1_solution, monkeypatch):
-    from latticegames import solver
-
-    spec, dense = g1_solution
-    eta = lg.solve_backward(spec, dense.domain, kind="upper")  # not converted yet
-    part = lg.Partition.uniform(0.0, 1.0, 0.02)
-    adv = lg.RandomAdversary(len(spec.v_grid))
-    table = lg.feedback_table(spec, eta.domain)
-    want = [lg.run_extremal_shift(spec, table, part, [0.0], adv, rng=lg.replica_rng(4, i))
-            for i in range(5)]
-    calls = []
-    minimax = solver.minimax_control_indices
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return minimax(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "minimax_control_indices", counted)
-    got = [lg.run_extremal_shift(spec, eta, part, [0.0], adv, rng=lg.replica_rng(4, i))
-           for i in range(5)]
-    assert len(calls) == len(eta.slices)  # one conversion for five runs
-    assert lg.FeedbackTable.from_result(spec, eta) is lg.FeedbackTable.from_result(spec, eta)
-    assert len(calls) == len(eta.slices)
-    lg.FeedbackTable.from_result(lg.g1(), eta)  # another spec converts again
-    assert len(calls) == 2 * len(eta.slices)
-    for a, b in zip(want, got):
-        assert a.outcome == b.outcome and np.array_equal(a.sq_gap, b.sq_gap)
-        assert np.array_equal(a.jump_times, b.jump_times)
-
-
 def test_frozen_boundary_moves_are_counted():
     # one control each and drift +1: the real state ends at the box face
     # x = M1*T when pad = 0, and about half the model chains try to pass it
@@ -266,9 +224,13 @@ def test_engine_preconditions(g1_solution):
         lg.run_extremal_shift(spec, eta, bad, [0.0], adv)
     with pytest.raises(lg.GameSpecError):
         lg.run_extremal_shift(spec, eta, part, [5.0], adv)  # outside the box
-    lower = lg.solve_backward(spec, eta.domain, kind="lower", checkpoints=[0.0])
-    with pytest.raises(lg.GameSpecError):
-        lg.run_extremal_shift(spec, lower, part, [0.0], adv)
+    # a SolveResult of either kind is no engine input
+    for kind in ("upper", "lower"):
+        result = lg.solve_backward(spec, eta.domain, kind=kind, checkpoints=[0.0])
+        with pytest.raises(lg.GameSpecError, match=r"feedback_table\(spec, domain\)"):
+            lg.run_extremal_shift(spec, result, part, [0.0], adv)
+        with pytest.raises(lg.GameSpecError, match=r"feedback_table\(spec, domain\)"):
+            lg.run_extremal_shift_batch(spec, result, part, [0.0], adv, n_replicas=2)
 
 
 def _late_drift(t, x, u, v):
@@ -309,16 +271,26 @@ def test_engine_and_sampler_share_the_majorant_check(g1_solution):
 
 
 def test_engine_rejects_a_drift_that_is_not_finite(g1_solution):
-    # NaN for t in (0.5, 0.6), past the feedback table built from g1 itself
-    spec, eta = g1_solution
-    table = lg.feedback_table(spec, eta.domain)
+    # NaN past the feedback table built from g1 itself
+    spec, table = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
 
-    def drift(t, x, u, v):
+    def late(t, x, u, v):  # NaN for t in (0.5, 0.6)
         t = np.asarray(t, dtype=float)[..., None]
         return np.where((t > 0.5) & (t < 0.6), np.nan, spec.drift(t, x, u, v))
 
-    broken = dataclasses.replace(spec, drift=drift, autonomous=False)
-    part = lg.Partition.uniform(0.0, 1.0, 0.02)
-    with pytest.raises(lg.GameSpecError, match=r"drift not finite at t=0\.5"):
-        lg.run_extremal_shift_batch(broken, table, part, [0.0], lg.ConstantAdversary(),
-                                    n_replicas=20)
+    def off_lattice(t, x, u, v):  # NaN off the mesh-0.05 lattice: the model never sees it
+        k = np.asarray(x, dtype=float) / 0.05
+        return np.where(np.abs(k - np.round(k)) < 1e-9, spec.drift(t, x, u, v), np.nan)
+
+    def one_pair(t, x, u, v):  # NaN for one control pair, off the engine's held controls
+        return np.where((np.asarray(u) == 0.0) & (np.asarray(v) == -0.5), np.nan,
+                        spec.drift(t, x, u, v))
+
+    for drift, where in [(late, r"t=0\.5"),
+                         (off_lattice, r"t=0\.0, x=\[0\.0\] or on the real path"),
+                         (one_pair, r"t=0\.0, x=\[0\.0\]$")]:
+        broken = dataclasses.replace(spec, drift=drift, autonomous=False)
+        with pytest.raises(lg.GameSpecError, match=r"drift not finite at " + where):
+            lg.run_extremal_shift_batch(broken, table, part, [0.0], lg.ConstantAdversary(),
+                                        n_replicas=20)

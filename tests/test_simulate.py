@@ -1,5 +1,6 @@
 """Sampling layer: RNG streams, ODE/chain paths, estimates, diagnostics."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -67,6 +68,8 @@ def test_integrate_ode_validation():
         lg.integrate_ode(spec, up, vp, np.zeros(2))
     with pytest.raises(lg.GameSpecError):
         lg.integrate_ode(spec, lambda t, x: 0.3, vp, 0.0)  # off-grid control
+    with pytest.raises(lg.GameSpecError, match="off-grid control u=0.3"):
+        lg.integrate_ode(spec, lambda t, x: 1.0 if t < 0.5 else 0.3, vp, 0.0)  # off-grid later
 
 
 def test_rate_majorant_anchor():
@@ -96,6 +99,23 @@ def test_simulate_chain_rejects_off_lattice_start():
     up, vp = const_policies()
     with pytest.raises(lg.GameSpecError):
         lg.simulate_chain(spec, up, vp, 0.03, 0.1)
+
+
+def test_simulate_chain_rejects_off_grid_control(monkeypatch):
+    spec = lg.g1()
+    calls = []
+    rates = lg.simulate.kolmogorov_rates
+    monkeypatch.setattr(lg.simulate, "kolmogorov_rates",
+                        lambda *args: calls.append(args) or rates(*args))
+    with pytest.raises(lg.GameSpecError, match=r"policy returned off-grid control u=0\.3 v=0\.5"):
+        lg.simulate_chain(spec, lambda t, y: 0.3, lambda t, y: 0.5, 0.0, 0.1)
+    assert not calls  # rejected before the rates are evaluated
+    # a majorant clock with no candidate before T: only the tail segment's
+    # control is looked up
+    quiet = dataclasses.replace(spec, M1=1e-9)
+    with pytest.raises(lg.GameSpecError, match=r"policy returned off-grid control u=0\.0 v=0\.7"):
+        lg.simulate_chain(quiet, lambda t, y: 0.0, lambda t, y: 0.7, 0.0, 0.1, rng=0)
+    assert not calls
 
 
 def test_simulate_chain_deterministic_per_seed():

@@ -15,7 +15,7 @@ import latticegames as lg
 from latticegames import solver
 from latticegames.chain import RATE_DROP_TOL, LatticeDomain, apply_generator, neighbor_tables
 from latticegames.games import game_from_dict, payoff_norm
-from latticegames.solver import (FeedbackTable, ValueGrid, auto_dt, dt_ceiling,
+from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling,
                                  feedback_table, hamiltonian, hamiltonian_field,
                                  minimax_control_indices, read_slice_csv, solve_backward,
                                  truncate_domain, weighted_norm, write_slice_csv)
@@ -232,15 +232,6 @@ def test_slice_at_missing_time_raises():
         res.slice_at(0.37)
 
 
-def test_slice_at_or_below():
-    spec = lg.g1()
-    dom = g1_domain()
-    res = solve_backward(spec, dom, dt=0.025, checkpoints=[0.0, 0.5, 1.0])
-    assert res.slice_at_or_below(0.74).t == pytest.approx(0.5)
-    assert res.slice_at_or_below(0.5).t == pytest.approx(0.5)
-    assert res.slice_at_or_below(0.0).t == pytest.approx(0.0)
-
-
 def test_rk4_close_to_euler():
     spec = lg.g1()
     dom = g1_domain()
@@ -383,13 +374,18 @@ def test_instability_detector():
 def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
     table = feedback_table(spec, dom, dt=dt)
     dense = solve_backward(spec, dom, dt=dt)  # every step recorded
-    ref = FeedbackTable.from_result(spec, dense)
+    # oracle: the feedback of each recorded slice, in ascending time
+    everywhere = np.arange(dom.n_points)
+    ascending = dense.slices[::-1]
+    ref_times = np.array([grid.t for grid in ascending])
+    ref_u_index = np.stack([minimax_control_indices(grid.values, spec, grid.t, dom, everywhere)
+                            for grid in ascending])
     steps = len(dense.slices) - 1
     assert table.u_index.dtype == np.uint8
     assert table.u_index.shape == (steps + 1, dom.n_points)
-    assert np.array_equal(table.times, ref.times)
+    assert table.times.tobytes() == ref_times.tobytes()
     assert np.all(np.diff(table.times) > 0)
-    assert np.array_equal(table.u_index, ref.u_index)
+    assert np.array_equal(table.u_index, ref_u_index)
     assert table.dt == dense.dt and table.h == dom.h and table.domain == dom
     at0 = solve_backward(spec, dom, dt=dt, checkpoints=[0.0])
     last = at0.slice_at(0.0) if dt is None else at0.slices[-1]
