@@ -25,8 +25,7 @@ from .simulate import (ChainPath, MomentReport, OdePath, OutcomeEstimate,
                        moment_growth_check, monte_carlo_outcome, rate_majorant,
                        replica_rng, simulate_chain)
 from .solver import (FeedbackTable, SolveResult, ValueGrid, auto_dt, dt_ceiling,
-                     feedback_table, hamiltonian, hamiltonian_field,
-                     minimax_control_indices, read_slice_csv, solve_backward,
+                     feedback_table, hamiltonian_field, read_slice_csv, solve_backward,
                      truncate_domain, weighted_norm, write_slice_csv)
 from .viscous import auto_cfl_dt, cfl_ceiling, solve_viscous, viscosity_gap
 
@@ -42,9 +41,9 @@ __all__ = [
     "alpha2_reference", "apply_generator", "assemble",
     "auto_cfl_dt", "auto_dt", "beta", "chain_characteristics", "check_isaacs",
     "chi", "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2",
-    "eval_drift", "eval_payoff", "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian",
+    "eval_drift", "eval_payoff", "feedback_table", "g1", "g2", "game_from_dict",
     "hamiltonian_field", "integrate_ode", "jump_measure", "kappa",
-    "kolmogorov_rates", "load_game", "martingale_residual", "minimax_control_indices",
+    "kolmogorov_rates", "load_game", "martingale_residual",
     "moment_growth_check", "monte_carlo_outcome", "neighbor_tables",
     "payoff_batch", "payoff_constant", "payoff_linear", "payoff_norm", "pick_axis",
     "rate_majorant", "read_slice_csv", "replica_rng",

@@ -138,6 +138,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg.get("game") is None:
         raise UsageError("--game is required (catalog name or JSON file)")
+    numbers = {key: cfg[key]
+               for key in ("h", "sigma", "x0", "checkpoints", "partition_diam", "pad")}
+    if cfg["dt_policy"] != "auto":
+        try:
+            numbers["dt_policy"] = float(cfg["dt_policy"])
+        except (TypeError, ValueError):
+            raise UsageError(f"--dt-policy must be 'auto' or a number, got {cfg['dt_policy']!r}")
+    for key, val in numbers.items():
+        if not np.isfinite(np.asarray([] if val is None else val, dtype=float)).all():
+            raise UsageError(f"{key} must be finite, got {val!r}")
     for h in cfg["h"]:
         if not (0.0 < h < 1.0):
             raise UsageError(f"h values must lie in (0,1); got {h}")
@@ -145,11 +155,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("sigma values must be nonnegative")
     if cfg["replicas"] < 1:
         raise UsageError("replicas must be >= 1")
-    if cfg["dt_policy"] != "auto":
-        try:
-            float(cfg["dt_policy"])
-        except (TypeError, ValueError):
-            raise UsageError(f"--dt-policy must be 'auto' or a number, got {cfg['dt_policy']!r}")
     return cfg
 
 

@@ -18,8 +18,8 @@ class GameSpecError(LatticeGamesError):
 
 
 class TruncationError(LatticeGamesError):
-    """A lattice lookup left the truncated computational box under a strict
-    boundary policy, or a required value slice is missing a point."""
+    """A lattice lookup fell outside the truncated computational box or off
+    its lattice, or a required value slice is missing a point."""
 
 
 class StepSizeError(LatticeGamesError):

@@ -298,6 +298,11 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
     if not isinstance(eta, FeedbackTable):
         raise GameSpecError(f"eta must be a FeedbackTable, got {type(eta).__name__}; "
                             "build one with feedback_table(spec, domain)")
+    if (eta.game != spec.name or eta.domain.d != spec.d
+            or abs(eta.times[-1] - spec.T) > _TIME_FUZZ):
+        raise GameSpecError(f"the feedback table was built for game {eta.game!r} (d="
+                            f"{eta.domain.d}, T={eta.times[-1]:g}), not for {spec.name!r} "
+                            f"(d={spec.d}, T={spec.T:g})")
     domain = eta.domain
     h = eta.h
     d = spec.d

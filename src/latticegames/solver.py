@@ -24,7 +24,6 @@ from .errors import GameSpecError, ResourceError, StepSizeError, TruncationError
 from .games import GameSpec, drift_batch, payoff_batch
 
 VALUE_KINDS = ("upper", "lower")
-BOUNDARY_POLICIES = ("freeze", "strict")
 
 # tolerance for snapping times to the integration grid
 _TIME_FUZZ = 1e-9
@@ -57,7 +56,8 @@ class SolveResult:
     """Backward solve output: recorded slices ordered by decreasing time.
 
     ``sigma`` is the viscosity of a ``solve_viscous`` run (whose ``h`` is the
-    spatial step dx) and None for the chain solver.
+    spatial step dx) and None for the chain solver.  ``boundary`` is
+    "dirichlet" for ``solve_viscous`` and "freeze" for the chain solver.
     """
 
     game: str
@@ -175,10 +175,10 @@ class Rates(NamedTuple):
     """Upwind jump rates of every control pair, with the kernel's work arrays.
 
     ``up`` and ``rate`` have shape (nu, nv, d, n): entry [iu, iv, i] belongs to
-    the control pair (u_grid[iu], v_grid[iv]) on axis i at the n points the
-    rates were built on.  ``diffs`` (2, d, n) and ``work`` (3, n) are scratch
-    for kernel calls on those points: each call overwrites them, so one set of
-    rates serves one call at a time.
+    the control pair (u_grid[iu], v_grid[iv]) on axis i at the domain's n
+    points.  ``diffs`` (2, d, n) and ``work`` (3, n) are scratch for kernel
+    calls: each call overwrites them, so one set of rates serves one call at
+    a time.
     """
 
     up: np.ndarray
@@ -236,15 +236,15 @@ def _check_autonomous(spec: GameSpec, states: np.ndarray) -> None:
                             f"differs at t=0 and t=T={spec.T:g}")
 
 
-def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
-                   strict: bool = False) -> Callable[[float], Rates]:
-    """The kernel's rates at time t, for a sweep over ``states``.
+def _rates_by_time(spec: GameSpec, domain: LatticeDomain,
+                   states: np.ndarray) -> Callable[[float], Rates]:
+    """The kernel's rates at time t, for a sweep over ``states``, the
+    domain's points.
 
     An autonomous spec's rates are built once, at T, after a spot check of
     the declaration.  Other specs' are rebuilt at each new kernel time;
     consecutive calls at one time (RK4's middle stages, a step and the next
-    one's start) share the build.  The strict boundary policy vets every
-    build.
+    one's start) share the build.
     """
     built: dict[float, Rates] = {}
     if spec.autonomous:
@@ -255,8 +255,6 @@ def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
         if t not in built:
             built.clear()
             built[t] = _pair_rates(spec, t, states, domain.h)
-            if strict:
-                _assert_strict_feasible(domain, built[t], states)
         return built[t]
     return at
 
@@ -280,11 +278,10 @@ def _upwind_generator(ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
 
 
 def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
-             idx: np.ndarray | slice = slice(None), index: np.ndarray | None = None
-             ) -> np.ndarray:
+             index: np.ndarray | None = None) -> np.ndarray:
     """Minimax (upper: min_u max_v) or maximin (lower: max_v min_u) of the
-    generator at the points ``idx`` (default: all), on which ``rates`` were
-    built.
+    generator at every point of ``domain``, with ``rates`` built on
+    ``domain.states()``.
 
     Returns a fresh array; only the rates' work arrays are overwritten.  When
     given, ``index`` receives the lowest grid index of the committing player's
@@ -294,13 +291,12 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
     up, down, _ = neighbor_tables(domain)
-    up, down, base = up[:, idx], down[:, idx], values[idx]
     d_up, d_down = rates.diffs
     # indices are in range: "clip" skips the copy that "raise" buffers out through
     np.take(values, up, out=d_up, mode="clip")
     np.take(values, down, out=d_down, mode="clip")
-    d_up -= base
-    d_down -= base
+    d_up -= values
+    d_down -= values
     # u always minimises and v always maximises; upper commits u first
     # (min_u max_v), lower commits v first (max_v min_u)
     if kind == "upper":
@@ -310,7 +306,7 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
         ups, rate = rates.up.swapaxes(0, 1), rates.rate.swapaxes(0, 1)
         inner_best, outer_best, improves = np.minimum, np.maximum, np.greater
     g, inner, w = rates.work
-    field = np.empty(len(base))
+    field = np.empty(len(values))
     if index is not None:
         index.fill(0)
     for a in range(rate.shape[0]):
@@ -327,53 +323,17 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
 
 
 def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-                      kind: str, states: np.ndarray | None = None, *,
-                      rates: Rates | None = None) -> np.ndarray:
+                      kind: str, *, rates: Rates | None = None) -> np.ndarray:
     """Minimax (upper) or maximin (lower) of the generator over both grids.
 
-    ``rates`` are the ``_pair_rates`` of all points, which a sweep builds
-    once per solve for an autonomous spec; without them they are built here
-    at t from ``states`` (default ``domain.states()``).  The result is a
-    fresh array that later calls with the same rates leave alone.
+    ``rates`` are the ``_pair_rates`` of ``domain.states()``, which a sweep
+    builds once per solve for an autonomous spec; without them they are
+    built here at t.  The result is a fresh array that later calls with the
+    same rates leave alone.
     """
     if rates is None:
-        rates = _pair_rates(spec, t, domain.states() if states is None else states, domain.h)
+        rates = _pair_rates(spec, t, domain.states(), domain.h)
     return _minimax(values, rates, domain, kind)
-
-
-def _row_states(domain: LatticeDomain, point_indices: np.ndarray) -> np.ndarray:
-    """The same floats as domain.states()[point_indices], built for those rows only."""
-    ks = np.stack(np.unravel_index(point_indices, domain.shape), axis=1) + np.asarray(domain.lo)
-    return domain.h * ks.astype(float)
-
-
-def minimax_control_indices(values: np.ndarray, spec: GameSpec, t: float,
-                            domain: LatticeDomain, point_indices: np.ndarray, *,
-                            rates: Rates | None = None) -> np.ndarray:
-    """First-player control index attaining min_u max_v of the generator.
-
-    Evaluated only at ``point_indices``, with ``rates`` built on those rows
-    (here at t when not given); ties resolve to the lowest grid index.
-    """
-    if rates is None:
-        rates = _pair_rates(spec, t, _row_states(domain, point_indices), domain.h)
-    index = np.empty(len(point_indices), dtype=np.intp)
-    _minimax(values, rates, domain, "upper", point_indices, index)
-    return index
-
-
-def hamiltonian(grid: ValueGrid, spec: GameSpec, t: float, x, kind: str,
-                boundary: str = "freeze") -> float:
-    """Point evaluation of the discrete Hamiltonian on a value slice."""
-    if boundary not in BOUNDARY_POLICIES:
-        raise GameSpecError(f"boundary must be one of {BOUNDARY_POLICIES}")
-    domain = grid.domain
-    idx = np.array([domain.index_of_state(x)])
-    states = _row_states(domain, idx)
-    rates = _pair_rates(spec, t, states, domain.h)
-    if boundary == "strict":
-        _assert_strict_feasible(domain, rates, states, idx)
-    return float(_minimax(grid.values, rates, domain, kind, idx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +440,7 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, values: np.ndarray,
 
 def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper",
                    dt: float | None = None, checkpoints: Sequence[float] | None = None,
-                   scheme: str = "euler", boundary: str = "freeze") -> SolveResult:
+                   scheme: str = "euler") -> SolveResult:
     """Integrate the value system backward from the terminal payoff.
 
     Checkpoints snap down to the integration grid t_k = T - k*dt;
@@ -494,15 +454,12 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
     if scheme not in ("euler", "rk4"):
         raise GameSpecError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
-    if boundary not in BOUNDARY_POLICIES:
-        raise GameSpecError(f"boundary must be one of {BOUNDARY_POLICIES}")
     states = domain.states()
-    rates_at = _rates_by_time(spec, domain, states, strict=boundary == "strict")
-    rates_at(spec.T)  # the strict policy is vetted at T before anything else
+    rates_at = _rates_by_time(spec, domain, states)
     values = payoff_batch(spec, states).astype(float)
 
     def H(vals: np.ndarray, t: float) -> np.ndarray:
-        return hamiltonian_field(vals, spec, t, domain, kind, states, rates=rates_at(t))
+        return hamiltonian_field(vals, spec, t, domain, kind, rates=rates_at(t))
 
     check = None
     if scheme == "euler":
@@ -532,7 +489,7 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
                         ceiling=dt_ceiling(spec, domain.h), ceiling_name=_CEILING_NAME,
                         check=check)
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, scheme=scheme,
-                       boundary=boundary, slices=slices)
+                       boundary="freeze", slices=slices)
 
 
 def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
@@ -567,26 +524,6 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     _minimax(value0.values, rates_at(value0.t), domain, "upper", index=u_index[0])
     return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
                          u_index=u_index, value0=value0)
-
-
-def _assert_strict_feasible(domain: LatticeDomain, rates: Rates, states: np.ndarray,
-                            idx: np.ndarray | slice = slice(None)) -> None:
-    """Strict boundary policy: no control pair may jump a point out of the box.
-
-    ``rates`` were built on ``states``, the domain points ``idx`` (default:
-    all).  Reports the first offending point, in point order, of the first
-    offending pair, in grid order.
-    """
-    up, down, _ = neighbor_tables(domain)
-    up, down, points = up[:, idx], down[:, idx], np.arange(domain.n_points)[idx]
-    # the neighbour tables clamp a move out of the box to the point itself
-    ups, rate = rates.up, rates.rate
-    leaves = (np.where(ups, up == points, down == points) & (rate > 0)).any(axis=2)
-    leaves = leaves.reshape(-1, len(points))
-    if leaves.any():
-        first_pair = np.argmax(leaves.any(axis=1))
-        raise TruncationError(f"strict boundary: drift pushes "
-                              f"{states[np.argmax(leaves[first_pair])].tolist()} out of the box")
 
 
 # ---------------------------------------------------------------------------

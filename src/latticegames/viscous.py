@@ -65,7 +65,7 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     lap, second, term = np.empty((3, domain.n_points))
 
     def step(values, t, t_next, dt):
-        out = hamiltonian_field(values, spec, t, domain, kind, states, rates=rates_at(t))
+        out = hamiltonian_field(values, spec, t, domain, kind, rates=rates_at(t))
         if sigma > 0:
             # centered second differences (values[up] - 2 values + values[down]) / dx2;
             # boundary values are re-frozen below

@@ -179,6 +179,29 @@ def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):
         assert "wrong type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("solve", ["--pad", "nan"], None),
+    ("solve", ["--x0", "nan"], None),
+    ("solve", ["--dt-policy", "nan"], None),
+    ("solve", ["--dt-policy", "inf"], None),
+    ("solve", ["--checkpoints", "nan"], None),
+    ("solve", ["--sigma", "inf"], None),
+    ("simulate", ["--partition-diam", "nan"], None),
+    ("simulate", [], '{"game": "g1", "partition_diam": NaN}'),
+    ("solve", [], '{"game": "g1", "x0": [-Infinity]}'),
+], ids=["pad", "x0", "dt-nan", "dt-inf", "checkpoints", "sigma", "partition", "config-partition",
+        "config-x0"])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, flags, config):
+    argv = [command, "--out", str(tmp_path), *flags]
+    if config is None:
+        argv += ["--game", "g1"]
+    else:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run(*argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_bugs_propagate_with_a_traceback(tmp_path, monkeypatch):
     import latticegames.cli as cli
 

@@ -12,7 +12,10 @@ on the same games; a batch of coupled replicas must equal the replicas run
 one at a time; and a drift batch with one control pair per row must equal
 the looped one-pair batches.  The monotone Euler sweep must keep every recorded slice
 inside the payoff range, keep the upper value above the lower one, and not
-lower any value when the payoff rises by a constant.
+lower any value when the payoff rises by a constant.  At the interior
+points, the feedback table's first row and the upper Hamiltonian of its t=0
+slice must equal, bit for bit, the argmin and the min of max_v of the
+``chain.apply_generator`` tables on that slice.
 """
 
 import dataclasses
@@ -149,6 +152,28 @@ def test_raising_the_payoff_does_not_lower_the_value(data, h, c, kind):
     for a, b in zip(base.slices, above.slices, strict=True):
         assert a.t == b.t
         assert np.all(b.values >= a.values - _value_tol(a.values)), a.t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(), h=st.sampled_from([0.25, 0.5]))
+def test_feedback_argmin_matches_the_generator_reference(data, h):
+    # the kernel against chain.apply_generator, one point and control pair at a time
+    spec = game_from_dict(data, name="random")
+    dom = lg.truncate_domain(spec, np.zeros(spec.d), h, pad=PAD)
+    table = lg.feedback_table(spec, dom)
+    value0 = table.value0
+
+    def lookup(y):
+        return value0.values[dom.index_of_state(y)]
+
+    points = np.flatnonzero(lg.neighbor_tables(dom)[2])
+    tables = np.array([[[lg.apply_generator(lookup, spec, value0.t, dom.state_of(p), u, v, h)
+                         for v in spec.v_grid] for u in spec.u_grid] for p in points])
+    inner = tables.max(axis=2)
+    assert np.array_equal(table.u_index[0, points], np.argmin(inner, axis=1))
+    field = lg.hamiltonian_field(value0.values, spec, value0.t, dom, "upper")
+    assert field[points].tobytes() == inner.min(axis=1).tobytes()
 
 
 def test_catalog_and_json_games_declare_autonomy():

@@ -231,6 +231,17 @@ def test_engine_preconditions(g1_solution):
             lg.run_extremal_shift(spec, result, part, [0.0], adv)
         with pytest.raises(lg.GameSpecError, match=r"feedback_table\(spec, domain\)"):
             lg.run_extremal_shift_batch(spec, result, part, [0.0], adv, n_replicas=2)
+    # a table of another game, dimension or horizon
+    other = lg.game_from_dict({"d": 1, "T": 1.0, "drift": {"kind": "control_sum"},
+                               "u_grid": [-1, 1], "v_grid": [-0.5, 0.5],
+                               "payoff": {"kind": "norm"}, "R": 1.0, "M1": 1.5, "K1": 0.0},
+                              name="other")
+    for wrong in (other, dataclasses.replace(lg.g2(), name=spec.name), lg.g2(),
+                  dataclasses.replace(spec, T=2.0)):
+        wrong_part = lg.Partition.uniform(0.0, wrong.T, 0.02)
+        with pytest.raises(lg.GameSpecError, match="feedback table was built for game 'g1'"):
+            lg.run_extremal_shift_batch(wrong, eta, wrong_part, np.zeros(wrong.d), adv,
+                                        n_replicas=2)
 
 
 def _late_drift(t, x, u, v):

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +12,12 @@ import pytest
 
 import latticegames as lg
 from latticegames import solver
-from latticegames.chain import RATE_DROP_TOL, LatticeDomain, apply_generator, neighbor_tables
+from latticegames.chain import LatticeDomain, apply_generator, neighbor_tables
 from latticegames.games import game_from_dict, payoff_norm
 from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling,
-                                 feedback_table, hamiltonian, hamiltonian_field,
-                                 minimax_control_indices, read_slice_csv, solve_backward,
-                                 truncate_domain, weighted_norm, write_slice_csv)
+                                 feedback_table, hamiltonian_field, read_slice_csv,
+                                 solve_backward, truncate_domain, weighted_norm,
+                                 write_slice_csv)
 
 
 def g1_domain(h=0.1, lo=-20, hi=20):
@@ -28,6 +27,14 @@ def g1_domain(h=0.1, lo=-20, hi=20):
 def terminal_grid(spec, domain):
     vals = np.array([spec.payoff(x) for x in domain.states()])
     return ValueGrid(t=spec.T, domain=domain, values=vals)
+
+
+def upper_argmin(values, spec, t, dom):
+    """Lowest u index attaining min_u max_v of the generator, at every point."""
+    index = np.empty(dom.n_points, dtype=np.intp)
+    rates = solver._pair_rates(spec, t, dom.states(), dom.h)
+    solver._minimax(values, rates, dom, "upper", index=index)
+    return index
 
 
 def test_dt_ceiling_formula():
@@ -69,21 +76,11 @@ def test_hamiltonian_anchor_on_distance_slice():
     # the minimiser pushes toward the origin at net speed 0.5
     spec = lg.g1()
     dom = g1_domain()
-    grid = terminal_grid(spec, dom)
-    assert hamiltonian(grid, spec, 1.0, np.array([0.5]), "upper") == pytest.approx(-0.5)
-    assert hamiltonian(grid, spec, 1.0, np.array([-0.7]), "upper") == pytest.approx(-0.5)
+    field = hamiltonian_field(terminal_grid(spec, dom).values, spec, 1.0, dom, "upper")
+    assert field[dom.index_of_state([0.5])] == pytest.approx(-0.5)
+    assert field[dom.index_of_state([-0.7])] == pytest.approx(-0.5)
     # at the kink both neighbours rise, so even the best control pays 0.5
-    assert hamiltonian(grid, spec, 1.0, np.array([0.0]), "upper") == pytest.approx(0.5)
-
-
-def test_hamiltonian_field_matches_point_queries():
-    spec = lg.g1()
-    dom = g1_domain()
-    grid = terminal_grid(spec, dom)
-    field = hamiltonian_field(grid.values, spec, 1.0, dom, "upper")
-    for x in (-1.0, -0.3, 0.0, 0.4, 1.2):
-        idx = dom.index_of_state(np.array([x]))
-        assert field[idx] == hamiltonian(grid, spec, 1.0, np.array([x]), "upper")
+    assert field[dom.index_of_state([0.0])] == pytest.approx(0.5)
 
 
 def test_lower_kind_differs_by_commitment_order():
@@ -109,9 +106,7 @@ def test_minimax_control_indices_anchor():
     grid = terminal_grid(spec, dom)
     right = dom.index_of_state(np.array([0.8]))
     left = dom.index_of_state(np.array([-0.8]))
-    idxs = minimax_control_indices(grid.values, spec, 1.0, dom,
-                                   np.array([right, left]))
-    assert idxs.tolist() == [0, 2]
+    assert upper_argmin(grid.values, spec, 1.0, dom)[[right, left]].tolist() == [0, 2]
 
 
 AFFINE_GAME = {
@@ -149,7 +144,7 @@ def test_hamiltonian_field_matches_generator_reference(spec, dom, rtol):
     for kind, ref in refs.items():
         field = hamiltonian_field(values, spec, t, dom, kind)[points]
         assert np.all(np.abs(field - ref) <= rtol * np.maximum(1.0, np.abs(ref))), kind
-    idxs = minimax_control_indices(values, spec, t, dom, points)
+    idxs = upper_argmin(values, spec, t, dom)[points]
     assert np.array_equal(idxs, np.argmin(tables.max(axis=2), axis=1))
 
 
@@ -161,7 +156,6 @@ def test_kernel_results_survive_later_calls_on_the_same_rates():
     dom = LatticeDomain(h=0.1, lo=(-8, -8), hi=(8, 8))
     rates = solver._rates_by_time(spec, dom, dom.states())(spec.T)
     first_values, second_values = np.random.default_rng(5).normal(size=(2, dom.n_points))
-    everywhere = np.arange(dom.n_points)
     for kind in ("upper", "lower"):
         first = hamiltonian_field(first_values, spec, 1.0, dom, kind, rates=rates)
         kept = first.copy()
@@ -169,10 +163,12 @@ def test_kernel_results_survive_later_calls_on_the_same_rates():
         assert np.array_equal(first, kept), kind
         assert not np.array_equal(first, second), kind
         assert np.array_equal(second, hamiltonian_field(second_values, spec, 1.0, dom, kind))
-    first = minimax_control_indices(first_values, spec, 1.0, dom, everywhere, rates=rates)
-    kept = first.copy()
-    minimax_control_indices(second_values, spec, 1.0, dom, everywhere, rates=rates)
-    assert np.array_equal(first, kept)
+    # the committing player's index on shared rates equals the one on fresh rates
+    first, second = np.empty((2, dom.n_points), dtype=np.intp)
+    solver._minimax(first_values, rates, dom, "upper", index=first)
+    solver._minimax(second_values, rates, dom, "upper", index=second)
+    assert np.array_equal(first, upper_argmin(first_values, spec, 1.0, dom))
+    assert np.array_equal(second, upper_argmin(second_values, spec, 1.0, dom))
 
 
 def test_solve_preserves_constants():
@@ -248,35 +244,6 @@ def test_upper_equals_lower_under_isaacs():
     assert np.max(np.abs(up.values - lo.values)) <= 1e-12
 
 
-def test_strict_boundary_raises_when_drift_exits():
-    spec = lg.g1()
-    dom = LatticeDomain(h=0.5, lo=(-2,), hi=(2,))
-    with pytest.raises(lg.TruncationError):
-        solve_backward(spec, dom, boundary="strict")
-
-
-def test_strict_boundary_reports_first_offending_point():
-    spec = lg.g2()
-    dom = LatticeDomain(h=0.5, lo=(-2, -2), hi=(2, 2))
-    states = dom.states()
-    ks = np.round(states / dom.h).astype(int)
-    # the policy's definition, pair by pair in grid order, then point by point
-    first = next(
-        x.tolist()
-        for u in spec.u_grid for v in spec.v_grid
-        for x, k, fx in zip(states, ks, spec.drift(spec.T, states, u, v))
-        if any((fx[i] > RATE_DROP_TOL and k[i] == dom.hi[i])
-               or (fx[i] < -RATE_DROP_TOL and k[i] == dom.lo[i]) for i in range(spec.d)))
-    message = f"pushes {re.escape(str(first))} out of the box"
-    with pytest.raises(lg.TruncationError, match=message):
-        solve_backward(spec, dom, boundary="strict")
-    grid = terminal_grid(spec, dom)
-    with pytest.raises(lg.TruncationError, match=message):
-        hamiltonian(grid, spec, spec.T, first, "upper", boundary="strict")
-    assert hamiltonian(grid, spec, spec.T, [0.0, 0.0], "upper", boundary="strict") == \
-        hamiltonian(grid, spec, spec.T, [0.0, 0.0], "upper")
-
-
 def _late_push_game() -> lg.GameSpec:
     def drift(t, x, u, v):
         # motionless until t = 0.5, then a push up that carries the upper face out
@@ -285,17 +252,6 @@ def _late_push_game() -> lg.GameSpec:
     return lg.GameSpec(name="late_push", d=1, T=1.0, drift=drift, u_grid=(0.0,),
                        v_grid=(0.0,), payoff=payoff_norm(), R=1.0, M1=1.0, K1=0.0,
                        vectorized=True)
-
-
-def test_strict_boundary_checks_every_step_of_a_time_dependent_drift():
-    spec = _late_push_game()
-    dom = g1_domain()
-    for scheme in ("euler", "rk4"):
-        with pytest.raises(lg.TruncationError, match=r"pushes \[2.0\] out"):
-            solve_backward(spec, dom, boundary="strict", scheme=scheme)
-    # a wrong autonomy declaration would freeze the drift at T, where it is zero
-    with pytest.raises(lg.GameSpecError, match="declared autonomous"):
-        solve_backward(dataclasses.replace(spec, autonomous=True), dom, boundary="strict")
 
 
 def test_time_dependent_drift_rebuilds_rates_per_step():
@@ -375,11 +331,9 @@ def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
     table = feedback_table(spec, dom, dt=dt)
     dense = solve_backward(spec, dom, dt=dt)  # every step recorded
     # oracle: the feedback of each recorded slice, in ascending time
-    everywhere = np.arange(dom.n_points)
     ascending = dense.slices[::-1]
     ref_times = np.array([grid.t for grid in ascending])
-    ref_u_index = np.stack([minimax_control_indices(grid.values, spec, grid.t, dom, everywhere)
-                            for grid in ascending])
+    ref_u_index = np.stack([upper_argmin(grid.values, spec, grid.t, dom) for grid in ascending])
     steps = len(dense.slices) - 1
     assert table.u_index.dtype == np.uint8
     assert table.u_index.shape == (steps + 1, dom.n_points)
