@@ -339,6 +339,11 @@ def _check_reused_slice(name: str, meta: dict, **expected) -> None:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    if cfg["sigma"] is not None:
+        raise UsageError("simulate couples a deterministic real system; --sigma is not "
+                         "supported")
+    if len(cfg["h"]) != 1:
+        raise UsageError(f"simulate takes one --h value, got {len(cfg['h'])}")
     spec = _load(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -33,11 +33,9 @@ import numpy as np
 
 from .chain import kolmogorov_rates, pick_axis
 from .errors import GameSpecError
-from .games import Control, GameSpec, drift_batch, payoff_batch
+from .games import GameSpec, drift_batch, payoff_batch
 from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
 from .solver import FeedbackTable, _TIME_FUZZ
-
-BRANCHES = (1, 2)
 
 # ODE substep rule inside one partition interval
 _SUBSTEP_FRACTION = 0.25
@@ -80,36 +78,6 @@ class Partition:
             raise GameSpecError("need diameter > 0 and t_end > t0")
         n = max(1, math.ceil((t_end - t0) / diameter * (1.0 - 1e-12)))
         return cls(times=tuple(t0 + (t_end - t0) * k / n for k in range(n + 1)))
-
-
-# ---------------------------------------------------------------------------
-# aiming rule
-
-
-def varpi(spec: GameSpec, t: float, z, xi, u: Control, v: Control, branch: int = 1) -> float:
-    """Aiming form <z - xi, f(t, ., u, v)> with the drift taken at z (branch 1)
-    or at xi (branch 2).  For the lattice chain model the drift field seen by
-    the model equals the original field evaluated at the model state, so the
-    two branches differ only in the evaluation point."""
-    if branch not in BRANCHES:
-        raise GameSpecError(f"branch must be 1 or 2, got {branch}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    at = z if branch == 1 else xi
-    f = np.atleast_1d(np.asarray(spec.drift(t, at, u, v), dtype=float))
-    return float((z - xi) @ f)
-
-
-def select_u(spec: GameSpec, t: float, z, xi, branch: int = 1) -> tuple[int, Control]:
-    """First-player aiming control: argmin_u max_v varpi; ties -> lowest index."""
-    idx = int(np.argmin(_aim(spec, t, z, xi, branch)[:, :, 0].max(axis=1)))
-    return idx, spec.u_grid[idx]
-
-
-def select_v(spec: GameSpec, t: float, z, xi, branch: int = 1) -> tuple[int, Control]:
-    """Second-player aiming response: argmax_v min_u varpi; ties -> lowest index."""
-    idx = int(np.argmax(_aim(spec, t, z, xi, branch)[:, :, 0].min(axis=0)))
-    return idx, spec.v_grid[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +128,7 @@ class RandomAdversary:
 
 
 class MirrorAdversary:
-    """Plays the aiming rule's own worst-case response select_v."""
+    """Plays the aiming rule's own worst-case response ``v_hat``."""
 
     name = "worst_case"
 
@@ -272,28 +240,25 @@ def _drift_not_finite(t: float, states: np.ndarray, finite_rows: np.ndarray,
     return GameSpecError(f"drift not finite at t={t}, x={states[r].tolist()}{note}")
 
 
-def _aim(spec: GameSpec, t: float, x, y, branch: int) -> np.ndarray:
-    """Aiming forms <x - y, f(t, ., u, v)> of every control pair for each of
-    the n rows (or the one point) of x and y, shape (nu, nv, n), from one
-    drift call over the rows tiled once per pair; the drift is taken at x
-    (branch 1) or at y (branch 2)."""
-    if branch not in BRANCHES:
-        raise GameSpecError(f"branch must be 1 or 2, got {branch}")
-    x, y = np.atleast_2d(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    at = x if branch == 1 else y
+def _aim(spec: GameSpec, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aiming selections for the n rows of real states x and model states y,
+    both (n, d): the first player's argmin_u max_v and the second player's
+    worst-case response argmax_v min_u of <x - y, f(t, x, u, v)>, each the
+    lowest index on ties.  The forms of every control pair come from one
+    drift call over the rows tiled once per pair, with the drift taken at x."""
     nu, nv = len(spec.u_grid), len(spec.v_grid)
     n = len(x)
     pair = np.arange(nu * nv * n) // n
-    f = drift_batch(spec, t, np.tile(at, (nu * nv, 1)),
+    f = drift_batch(spec, t, np.tile(x, (nu * nv, 1)),
                     np.asarray(spec.u_grid)[pair // nv], np.asarray(spec.v_grid)[pair % nv])
     w = np.einsum("uvnd,nd->uvn", f.reshape(nu, nv, n, spec.d), x - y)
     if not np.isfinite(w).all():
-        raise _drift_not_finite(t, at, np.isfinite(w).all(axis=(0, 1)))
-    return w
+        raise _drift_not_finite(t, x, np.isfinite(w).all(axis=(0, 1)))
+    return np.argmin(w.max(axis=1), axis=0), np.argmax(w.min(axis=0), axis=0)
 
 
 def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
-                  adversary, rngs: Sequence[np.random.Generator], branch: int,
+                  adversary, rngs: Sequence[np.random.Generator],
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
     if not isinstance(eta, FeedbackTable):
         raise GameSpecError(f"eta must be a FeedbackTable, got {type(eta).__name__}; "
@@ -382,9 +347,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
             node_y[l] = Y[0]
 
         # aiming selections from the gap at the interval start
-        w = _aim(spec, t_l, X, Y, branch)                          # (nu, nv, n)
-        u_sel = np.argmin(w.max(axis=1), axis=0)                  # (n,), first on ties
-        v_hat = np.argmax(w.min(axis=0), axis=0)                   # (n,)
+        u_sel, v_hat = _aim(spec, t_l, X, Y)                       # (n,) each
         v_adv = adversary.select(l, t_l, X, Y, drawn, v_hat)
         v_adv = np.where(v_adv < 0, v_adv + nv, v_adv).astype(np.int64)
         if log:
@@ -491,22 +454,21 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
 
 
 def run_extremal_shift(spec: GameSpec, eta: FeedbackTable, partition: Partition,
-                       x0, adversary, rng: RngLike = 0, branch: int = 1) -> PairedTrajectory:
+                       x0, adversary, rng: RngLike = 0) -> PairedTrajectory:
     """One fully logged coupled replica driven by ``adversary``."""
     _, paths = _run_replicas(spec, eta, partition, x0, adversary, [as_rng(rng)],
-                             branch, record_paths=True)
+                             record_paths=True)
     return paths[0]
 
 
 def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Partition,
-                             x0, adversary, n_replicas: int, seed: int = 0,
-                             branch: int = 1) -> BatchOutcomes:
+                             x0, adversary, n_replicas: int, seed: int = 0) -> BatchOutcomes:
     """Vectorized replicas; replica i draws from the documented stream
     SeedSequence(entropy=seed, spawn_key=(i,)), identical to a looped
     sequence of single runs."""
     if n_replicas < 2:
         raise GameSpecError("n_replicas must be >= 2")
     rngs = [replica_rng(seed, i) for i in range(n_replicas)]
-    batch, _ = _run_replicas(spec, eta, partition, x0, adversary, rngs, branch,
+    batch, _ = _run_replicas(spec, eta, partition, x0, adversary, rngs,
                              record_paths=False)
     return batch

@@ -1,11 +1,12 @@
-"""Trajectory simulation and statistical diagnostics.
+"""Chain simulation and statistical diagnostics.
 
-Original-system paths come from fixed-step 4th-order integration with
-controls held per step.  Chain paths are sampled exactly by thinning: a
-homogeneous candidate stream at the majorant rate d*M1/h dominates every
-reachable total jump rate, and each candidate is accepted with probability
-total_rate/majorant evaluated at the candidate time, which handles feedback
-controls and time-varying drifts without discretisation error.
+The real system is integrated only by the coupling engine behind
+``shift.run_extremal_shift`` and ``run_extremal_shift_batch``.  Chain paths
+are sampled exactly by thinning: a homogeneous candidate stream at the
+majorant rate d*M1/h dominates every reachable total jump rate, and each
+candidate is accepted with probability total_rate/majorant evaluated at the
+candidate time, which handles feedback controls and time-varying drifts
+without discretisation error.
 
 Randomness: every stream is a numpy ``default_rng`` (PCG64) built from a
 ``SeedSequence``; replica i of a run seeded with s uses
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chain import chain_characteristics, kolmogorov_rates, pick_axis
 from .errors import GameSpecError
-from .games import GameSpec, eval_payoff
+from .games import GameSpec
 
 RngLike = np.random.Generator | int
 
@@ -43,31 +44,6 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # paths
-
-
-@dataclass(frozen=True)
-class OdePath:
-    """Fixed-step trajectory of the original system."""
-
-    times: np.ndarray          # (m+1,)
-    states: np.ndarray         # (m+1, d)
-    u_indices: np.ndarray      # (m,) control index held on [t_k, t_{k+1})
-    v_indices: np.ndarray      # (m,)
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation between integrator nodes."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.states[0]
-        if t >= ts[-1]:
-            return self.states[-1]
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1 - w) * self.states[j] + w * self.states[j + 1]
 
 
 @dataclass(frozen=True)
@@ -162,40 +138,6 @@ def _grid_indices(spec: GameSpec, u, v) -> tuple[int, int]:
         raise GameSpecError(f"policy returned off-grid control u={u!r} v={v!r}") from None
 
 
-def integrate_ode(spec: GameSpec, u_policy, v_policy, x0, *, t0: float = 0.0,
-                  n_steps: int = 1000) -> OdePath:
-    """Classical 4th-order fixed-step integration with controls held per step.
-
-    Policies are callables (t, x) -> control; controls must be grid elements.
-    """
-    if not (0.0 <= t0 < spec.T):
-        raise GameSpecError(f"t0={t0} outside [0, T)")
-    if n_steps < 1:
-        raise GameSpecError("n_steps must be >= 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.shape != (spec.d,):
-        raise GameSpecError(f"x0 shape {x.shape} does not match d={spec.d}")
-    dt = (spec.T - t0) / n_steps
-    times = t0 + dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, spec.d))
-    states[0] = x
-    u_idx = np.empty(n_steps, dtype=np.int64)
-    v_idx = np.empty(n_steps, dtype=np.int64)
-    f = spec.drift
-    for k in range(n_steps):
-        t = times[k]
-        u = u_policy(t, x)
-        v = v_policy(t, x)
-        u_idx[k], v_idx[k] = _grid_indices(spec, u, v)
-        k1 = np.asarray(f(t, x, u, v), dtype=float)
-        k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1, u, v), dtype=float)
-        k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2, u, v), dtype=float)
-        k4 = np.asarray(f(t + dt, x + dt * k3, u, v), dtype=float)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[k + 1] = x
-    return OdePath(times=times, states=states, u_indices=u_idx, v_indices=v_idx)
-
-
 def rate_majorant(spec: GameSpec, h: float) -> float:
     """Uniform ceiling on the total jump rate: d * M1 / h."""
     return spec.d * spec.M1 / h
@@ -269,30 +211,16 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
                      u_indices=u_arr, v_indices=v_arr, n_jumps=n_jumps)
 
 
-def monte_carlo_outcome(replica_fn: Callable[[int, np.random.Generator], float],
-                        n_replicas: int, seed: int = 0) -> OutcomeEstimate:
-    """Run ``replica_fn(i, rng_i)`` for i < n and summarise the outcomes."""
-    if n_replicas < 2:
-        raise GameSpecError("n_replicas must be >= 2 (standard error undefined)")
-    outcomes = np.empty(n_replicas)
-    for i in range(n_replicas):
-        outcomes[i] = float(replica_fn(i, replica_rng(seed, i)))
-    return OutcomeEstimate.from_outcomes(outcomes)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def moment_growth_check(paths: Sequence, s: float, t: float, spec: GameSpec, *,
-                        h: float | None = None, exact: float | None = None) -> MomentReport:
-    """Empirical E||X(t) - X(s)||^2 against the model growth ceiling.
-
-    For chain paths (h given) the ceiling is m02*(t-s) + alpha*(t-s)^{3/2}
-    with m02 = d^{3/2}*M1*h and alpha = (2/3)*M1*(m02 + M1^2)*e^T; original
-    paths use the same shape with m02 = 0 (their increments are bounded by
-    M1*(t-s) pathwise).  ``exact`` additionally checks a known closed-form
-    second moment within three standard errors.
+def moment_growth_check(paths: Sequence[ChainPath], s: float, t: float, spec: GameSpec, *,
+                        h: float, exact: float | None = None) -> MomentReport:
+    """Empirical E||Y(t) - Y(s)||^2 of mesh-h chain paths against the model
+    growth ceiling m02*(t-s) + alpha*(t-s)^{3/2}, with m02 = d^{3/2}*M1*h and
+    alpha = (2/3)*M1*(m02 + M1^2)*e^T.  ``exact`` additionally checks a known
+    closed-form second moment within three standard errors.
     """
     if not (s < t):
         raise GameSpecError("need s < t")
@@ -302,7 +230,7 @@ def moment_growth_check(paths: Sequence, s: float, t: float, spec: GameSpec, *,
         raise GameSpecError("need at least 2 paths")
     emp = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
-    m02 = 0.0 if h is None else spec.d ** 1.5 * spec.M1 * h
+    m02 = spec.d ** 1.5 * spec.M1 * h
     alpha = (2.0 / 3.0) * spec.M1 * (m02 + spec.M1**2) * math.exp(spec.T)
     bound = m02 * delta + alpha * delta ** 1.5
     report = MomentReport(

@@ -134,6 +134,18 @@ def test_simulate_rejects_lower_kind(tmp_path, capsys):
     assert "--kind must be 'upper'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [(("--h", "0.1", "0.05"), "--h"),
+                                           (("--h", "0.1", "--sigma", "0.3"), "--sigma")],
+                         ids=["two-h", "sigma"])
+def test_simulate_rejects_flags_it_cannot_honour(tmp_path, capsys, flags, named):
+    # simulate uses one mesh and a deterministic real system
+    assert run("solve", "--game", "g1", "--out", str(tmp_path), "--h", "0.1") == 0
+    assert run("simulate", "--game", "g1", "--out", str(tmp_path), "--replicas", "10",
+               "--partition-diam", "0.1", *flags) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
 def test_simulate_warns_on_frozen_boundary_moves(tmp_path, capsys):
     # drift +1 always: with pad 0 the model chain keeps running into the face
     game = tmp_path / "push.json"

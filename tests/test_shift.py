@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import latticegames as lg
+from latticegames.shift import _aim
 
 AFFINE_GAME = {
     "d": 2, "T": 1.0,
@@ -41,37 +42,29 @@ def test_partition_uniform():
     assert lg.Partition.uniform(0.2, 0.3, 5.0).n_intervals == 1
 
 
-def test_varpi_is_projected_drift():
+def test_aim_anchors_and_ties():
     spec = lg.g1()
-    # z - xi = +1, so varpi = u + v
-    assert lg.varpi(spec, 0.0, [1.0], [0.0], 1.0, 0.5) == pytest.approx(1.5)
-    assert lg.varpi(spec, 0.0, [1.0], [0.0], -1.0, 0.5) == pytest.approx(-0.5)
-    with pytest.raises(lg.GameSpecError):
-        lg.varpi(spec, 0.0, [1.0], [0.0], 1.0, 0.5, branch=3)
+    # rows: gap x - y = +1, -1 and 0; the forms are +-(u + v), or all 0
+    x = np.array([[1.0], [0.0], [0.3]])
+    y = np.array([[0.0], [1.0], [0.3]])
+    u_sel, v_hat = _aim(spec, 0.0, x, y)
+    # min_u max_v and max_v min_u of +-(u + v) on u in (-1, 0, 1), v in (-0.5, 0, 0.5);
+    # a zero gap ties every pair, and the lowest index wins
+    assert u_sel.tolist() == [0, 2, 0]
+    assert v_hat.tolist() == [2, 0, 0]
 
 
-def test_varpi_branch_evaluation_point():
-    # state-dependent drift distinguishes the two branches
+def test_aim_takes_the_drift_at_the_real_state():
+    # f = (u + v)(1 - 2x) changes sign between x = 0 and x = 1, so taking the
+    # drift at the model state y would flip both selections on both rows
     spec = lg.GameSpec(
-        name="aff", d=1, T=1.0,
-        drift=lambda t, x, u, v: (u + v) * (1.0 + x),
+        name="flip", d=1, T=1.0,
+        drift=lambda t, x, u, v: (u + v) * (1.0 - 2.0 * x),
         u_grid=(-1.0, 1.0), v_grid=(-0.5, 0.5),
         payoff=lg.payoff_norm(), R=1.0, M1=6.0, K1=1.5, vectorized=True)
-    b1 = lg.varpi(spec, 0.0, [1.0], [0.0], 1.0, 0.5, branch=1)  # f at z=1
-    b2 = lg.varpi(spec, 0.0, [1.0], [0.0], 1.0, 0.5, branch=2)  # f at xi=0
-    assert b1 == pytest.approx(3.0)
-    assert b2 == pytest.approx(1.5)
-
-
-def test_select_u_and_v_anchors():
-    spec = lg.g1()
-    iu, u = lg.select_u(spec, 0.0, [1.0], [0.0])
-    assert (iu, u) == (0, -1.0)  # min_u max_v (u + v)
-    iv, v = lg.select_v(spec, 0.0, [1.0], [0.0])
-    assert (iv, v) == (2, 0.5)   # max_v min_u (u + v)
-    # reversed displacement flips both selections
-    assert lg.select_u(spec, 0.0, [0.0], [1.0])[0] == 2
-    assert lg.select_v(spec, 0.0, [0.0], [1.0])[0] == 0
+    u_sel, v_hat = _aim(spec, 0.0, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    assert u_sel.tolist() == [1, 1]
+    assert v_hat.tolist() == [0, 0]
 
 
 def test_model_feedback_follows_value_slope(g1_solution):
@@ -123,6 +116,20 @@ def test_single_replica_log_structure(g1_solution):
     assert traj.model_outcome == pytest.approx(abs(traj.node_y[-1, 0]))
     # mirror plays the aiming response
     assert np.array_equal(traj.v_adv_indices, traj.v_hat_indices)
+
+
+@pytest.mark.parametrize("adversary", lg.standard_adversaries(lg.g1()),
+                         ids=lambda a: a.name)
+def test_engine_holds_the_logged_controls(g1_solution, adversary):
+    # g1's drift u + v ignores x: over each interval the real state moves by
+    # the logged held controls times the interval length
+    spec, eta = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    traj = lg.run_extremal_shift(spec, eta, part, [0.0], adversary, rng=lg.replica_rng(3, 0))
+    U, V = np.asarray(spec.u_grid), np.asarray(spec.v_grid)
+    held = (U[traj.u_indices] + V[traj.v_adv_indices]) * np.diff(traj.times)
+    assert np.abs(np.diff(traj.node_x[:, 0]) - held).max() <= 1e-12
+    assert len(np.unique(traj.u_indices)) > 1  # the aiming control does switch
 
 
 def test_trajectory_interpolators(g1_solution):
@@ -224,6 +231,8 @@ def test_engine_preconditions(g1_solution):
         lg.run_extremal_shift(spec, eta, bad, [0.0], adv)
     with pytest.raises(lg.GameSpecError):
         lg.run_extremal_shift(spec, eta, part, [5.0], adv)  # outside the box
+    with pytest.raises(lg.GameSpecError, match=r"x0 shape \(2,\) does not match d=1"):
+        lg.run_extremal_shift(spec, eta, part, [0.0, 0.0], adv)
     # a SolveResult of either kind is no engine input
     for kind in ("upper", "lower"):
         result = lg.solve_backward(spec, eta.domain, kind=kind, checkpoints=[0.0])

@@ -1,4 +1,4 @@
-"""Sampling layer: RNG streams, ODE/chain paths, estimates, diagnostics."""
+"""Sampling layer: RNG streams, chain paths, estimates, diagnostics."""
 
 import dataclasses
 import hashlib
@@ -46,30 +46,6 @@ def test_outcome_estimate_anchor():
 def test_outcome_estimate_needs_two():
     with pytest.raises(lg.GameSpecError):
         lg.OutcomeEstimate.from_outcomes(np.array([1.0]))
-
-
-def test_integrate_ode_constant_drift_exact():
-    spec = lg.g1()
-    up, vp = const_policies()
-    path = lg.integrate_ode(spec, up, vp, 0.0, n_steps=100)
-    # constant drift: RK4 is exact, x(t) = 1.5 t
-    assert path.final_state[0] == pytest.approx(1.5, abs=1e-12)
-    assert path.state_at(0.5)[0] == pytest.approx(0.75, abs=1e-12)
-    assert np.all(path.u_indices == 2)  # grid (-1, 0, 1)
-    assert np.all(path.v_indices == 2)  # grid (-0.5, 0, 0.5)
-
-
-def test_integrate_ode_validation():
-    spec = lg.g1()
-    up, vp = const_policies()
-    with pytest.raises(lg.GameSpecError):
-        lg.integrate_ode(spec, up, vp, 0.0, t0=1.0)
-    with pytest.raises(lg.GameSpecError):
-        lg.integrate_ode(spec, up, vp, np.zeros(2))
-    with pytest.raises(lg.GameSpecError):
-        lg.integrate_ode(spec, lambda t, x: 0.3, vp, 0.0)  # off-grid control
-    with pytest.raises(lg.GameSpecError, match="off-grid control u=0.3"):
-        lg.integrate_ode(spec, lambda t, x: 1.0 if t < 0.5 else 0.3, vp, 0.0)  # off-grid later
 
 
 def test_rate_majorant_anchor():
@@ -163,16 +139,6 @@ def test_simulate_chain_mean_drift(chain_paths):
     assert abs(est.mean - 1.5) <= 3 * est.std_error
 
 
-def test_monte_carlo_outcome_deterministic():
-    fn = lambda i, rng: rng.uniform()
-    a = lg.monte_carlo_outcome(fn, 50, seed=4)
-    b = lg.monte_carlo_outcome(fn, 50, seed=4)
-    assert a == b
-    assert 0.0 < a.mean < 1.0
-    with pytest.raises(lg.GameSpecError):
-        lg.monte_carlo_outcome(fn, 1, seed=4)
-
-
 def test_moment_growth_exact_second_moment(chain_paths):
     spec, h, paths = chain_paths
     # constant drift c=1.5: E(Y(t)-Y(s))^2 = c^2 D^2 + c h D with D = t - s
@@ -190,6 +156,8 @@ def test_moment_growth_validation(chain_paths):
         lg.moment_growth_check(paths, 0.5, 0.5, spec, h=h)
     with pytest.raises(lg.GameSpecError):
         lg.moment_growth_check(paths[:1], 0.3, 0.5, spec, h=h)
+    with pytest.raises(TypeError):  # the ceiling's m02 term needs the mesh
+        lg.moment_growth_check(paths, 0.3, 0.5, spec)
 
 
 def test_martingale_residual_linear_and_quadratic(chain_paths):
