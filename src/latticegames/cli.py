@@ -5,6 +5,10 @@ Four subcommands: ``solve`` writes value-slice CSVs plus a bounds report,
 ``simulate`` runs the feedback-coupling replica panel and writes a guarantee
 verdict, ``bounds`` emits the constants report alone.
 
+Each subcommand accepts only the flags it reads, as declared once in
+``_FLAGS``; a ``--config`` JSON file may set the same keys, and explicit flags
+override it.  A flag another subcommand reads is a usage error, not a no-op.
+
 Every output file embeds the resolved-config hash and the seed; reruns with
 the same config are bit-identical.  Exit codes: 0 success, 2 usage/config
 error, 3 numerical failure; any other exception is a bug and propagates
@@ -18,6 +22,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,36 +36,48 @@ from .solver import (auto_dt, feedback_table, read_slice_csv, solve_backward,
                      truncate_domain, write_slice_csv)
 from .viscous import solve_viscous
 
-_CONFIG_KEYS = ("command", "game", "h", "sigma", "dt_policy", "partition_diam",
-                "replicas", "seed", "x0", "kind", "checkpoints", "pad",
-                "reference", "adversaries", "dump_trajectories")
-_HASH_EXCLUDED = ("out", "config")
-
-_DEFAULTS = {
-    "h": [0.05],
-    "sigma": None,
-    "dt_policy": "auto",
-    "partition_diam": 0.01,
-    "replicas": 10000,
-    "seed": 0,
-    "out": ".",
-    "x0": None,
-    "kind": "upper",
-    "checkpoints": [0.0],
-    "pad": 0.5,
-    "reference": "closed_form",
-    "adversaries": "constant,bang_bang,random,worst_case",
-    "dump_trajectories": 0,
-}
-
-
-# JSON types a --config file may give each key; list entries are numbers
+_ALL = ("solve", "converge", "simulate", "bounds")
+_MODEL = ("solve", "converge", "simulate")
 _NUMBER = (int, float)
-_FILE_TYPES = {"command": str, "config": str, "game": str, "h": list,
-               "sigma": (list, type(None)), "dt_policy": (str, *_NUMBER),
-               "partition_diam": _NUMBER, "replicas": int, "seed": int, "out": str,
-               "x0": (list, type(None)), "kind": str, "checkpoints": list,
-               "pad": _NUMBER, "reference": str, "adversaries": str, "dump_trajectories": int}
+_NUMBER_LIST = {"nargs": "+", "type": float}
+
+
+class _Flag(NamedTuple):
+    default: object
+    file_types: type | tuple  # JSON types a --config file may give it; list entries are numbers
+    commands: tuple[str, ...]  # the commands that read it
+    argparse: dict
+
+
+# One row per flag, spelled from its key (dt_policy -> --dt-policy).  A
+# command accepts a flag, on the command line or as a --config key, only when
+# it reads it.  The config hash covers the command and every key but 'out'; a
+# key the command does not read sits at its default.
+_FLAGS = {
+    "game": _Flag(None, str, _ALL, {"help": "catalog name or JSON game file"}),
+    "h": _Flag([0.05], list, _ALL,
+               {**_NUMBER_LIST, "help": "lattice mesh values (spatial step for viscous runs)"}),
+    "sigma": _Flag(None, (list, type(None)), ("solve", "converge", "bounds"),
+                   {**_NUMBER_LIST, "help": "viscosity levels; presence selects the PDE model"}),
+    "dt_policy": _Flag("auto", (str, *_NUMBER), _MODEL,
+                       {"help": "'auto' or an explicit time step"}),
+    "partition_diam": _Flag(0.01, _NUMBER, ("simulate",), {"type": float}),
+    "replicas": _Flag(10000, int, ("simulate",), {"type": int}),
+    "seed": _Flag(0, int, _ALL, {"type": int}),
+    "out": _Flag(".", str, _ALL, {"help": "output directory"}),
+    "x0": _Flag(None, (list, type(None)), _MODEL, {**_NUMBER_LIST, "help": "initial state"}),
+    "kind": _Flag("upper", str, _MODEL, {"choices": ("upper", "lower")}),
+    "checkpoints": _Flag([0.0], list, ("solve",),
+                         {**_NUMBER_LIST, "help": "times whose slices are written"}),
+    "pad": _Flag(0.5, _NUMBER, _MODEL,
+                 {"type": float, "help": "domain padding beyond reachability"}),
+    "reference": _Flag("closed_form", str, ("converge",),
+                       {"help": "'closed_form' or a fine-mesh slice CSV"}),
+    "adversaries": _Flag("constant,bang_bang,random,worst_case", str, ("simulate",),
+                         {"help": "comma list from constant,bang_bang,random,worst_case"}),
+    "dump_trajectories": _Flag(0, int, ("simulate",), {
+        "type": int, "help": "log this many replicas per adversary to CSV"}),
+}
 
 
 class UsageError(Exception):
@@ -86,34 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
                       ("simulate", "replica panel with guarantee verdict"),
                       ("bounds", "write the constants report")):
         s = sub.add_parser(name, help=doc)
-        s.add_argument("--game", help="catalog name or JSON game file")
-        s.add_argument("--h", nargs="+", type=float, default=None,
-                       help="lattice mesh values (spatial step for viscous runs)")
-        s.add_argument("--sigma", nargs="+", type=float, default=None,
-                       help="viscosity levels; presence selects the PDE model")
-        s.add_argument("--dt-policy", dest="dt_policy", default=None,
-                       help="'auto' or an explicit time step")
-        s.add_argument("--partition-diam", dest="partition_diam", type=float, default=None)
-        s.add_argument("--replicas", type=int, default=None)
-        s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--out", default=None, help="output directory")
-        s.add_argument("--config", default=None, help="JSON file supplying any flag; flags override")
-        s.add_argument("--x0", nargs="+", type=float, default=None, help="initial state")
-        s.add_argument("--kind", choices=("upper", "lower"), default=None)
-        s.add_argument("--checkpoints", nargs="+", type=float, default=None,
-                       help="times whose slices are written")
-        s.add_argument("--pad", type=float, default=None, help="domain padding beyond reachability")
-        s.add_argument("--reference", default=None,
-                       help="'closed_form' or a fine-mesh slice CSV for converge")
-        s.add_argument("--adversaries", default=None,
-                       help="comma list from constant,bang_bang,random,worst_case")
-        s.add_argument("--dump-trajectories", dest="dump_trajectories", type=int, default=None,
-                       help="log this many replicas per adversary to CSV")
+        for key, flag in _FLAGS.items():
+            if name in flag.commands:
+                s.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                               **flag.argparse)
+        s.add_argument("--config", help="JSON file supplying any of these flags; flags override")
     return p
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: flag.default for key, flag in _FLAGS.items()}
     cfg["command"] = args.command
     if args.config is not None:
         try:
@@ -122,21 +121,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file not found: {args.config}")
         except json.JSONDecodeError as e:
             raise UsageError(f"config file is not valid JSON: {e}")
-        unknown = set(file_cfg) - set(_CONFIG_KEYS) - set(_HASH_EXCLUDED)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        unread = sorted(key for key in file_cfg
+                        if key not in _FLAGS or args.command not in _FLAGS[key].commands)
+        if unread:
+            raise UsageError(f"'{args.command}' reads no config keys {unread}")
         for key, val in file_cfg.items():
-            if not isinstance(val, _FILE_TYPES[key]) or (
+            if not isinstance(val, _FLAGS[key].file_types) or (
                     isinstance(val, list) and not all(isinstance(c, _NUMBER) for c in val)):
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {val!r}")
+            if val == []:
+                raise UsageError(f"config key {key!r} needs at least one number")
         cfg.update(file_cfg)
-    for key in list(_CONFIG_KEYS) + ["out"]:
-        if key == "command":
-            continue
+    for key in _FLAGS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg.get("game") is None:
+    if cfg["game"] is None:
         raise UsageError("--game is required (catalog name or JSON file)")
     numbers = {key: cfg[key]
                for key in ("h", "sigma", "x0", "checkpoints", "partition_diam", "pad")}
@@ -153,19 +153,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"h values must lie in (0,1); got {h}")
     if cfg["sigma"] is not None and any(s < 0 for s in cfg["sigma"]):
         raise UsageError("sigma values must be nonnegative")
-    if cfg["replicas"] < 1:
-        raise UsageError("replicas must be >= 1")
     return cfg
 
 
 def config_sha256(cfg: dict) -> str:
-    hashed = {k: cfg.get(k) for k in _CONFIG_KEYS}
+    hashed = {k: cfg.get(k) for k in ("command", *_FLAGS) if k != "out"}
     canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _load(cfg: dict) -> GameSpec:
-    return load_game(cfg["game"])
 
 
 def _x0(cfg: dict, spec: GameSpec) -> np.ndarray:
@@ -176,7 +170,7 @@ def _x0(cfg: dict, spec: GameSpec) -> np.ndarray:
     return x0
 
 
-def _dt(cfg: dict, spec: GameSpec, h: float) -> float | None:
+def _dt(cfg: dict) -> float | None:
     if cfg["dt_policy"] == "auto":
         return None
     return float(cfg["dt_policy"])
@@ -204,7 +198,7 @@ def _write_bounds(cfg: dict, spec: GameSpec, out: Path) -> dict[str, bounds_mod.
 
 
 def cmd_solve(cfg: dict) -> int:
-    spec = _load(cfg)
+    spec = load_game(cfg["game"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
@@ -215,7 +209,7 @@ def cmd_solve(cfg: dict) -> int:
         if cfg["sigma"]:
             for sigma in cfg["sigma"]:
                 res = solve_viscous(spec, domain, sigma, kind=cfg["kind"],
-                                    dt=_dt(cfg, spec, h), checkpoints=checkpoints)
+                                    dt=_dt(cfg), checkpoints=checkpoints)
                 for t in checkpoints:
                     grid = res.slice_at(t)
                     tag = f"_h{_label(h)}" if many else ""
@@ -225,7 +219,7 @@ def cmd_solve(cfg: dict) -> int:
                                           dx=h, dt=res.dt))
         else:
             res = solve_backward(spec, domain, kind=cfg["kind"],
-                                 dt=_dt(cfg, spec, h), checkpoints=checkpoints)
+                                 dt=_dt(cfg), checkpoints=checkpoints)
             for t in checkpoints:
                 grid = res.slice_at(t)
                 tag = f"_h{_label(h)}" if many else ""
@@ -237,7 +231,9 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_bounds(cfg: dict) -> int:
-    spec = _load(cfg)
+    if cfg["sigma"] and len(cfg["sigma"]) > 1:
+        raise UsageError(f"bounds takes one --sigma value, got {len(cfg['sigma'])}")
+    spec = load_game(cfg["game"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     for stem, report in _write_bounds(cfg, spec, out).items():
@@ -283,7 +279,10 @@ def _eval_mask(domain) -> np.ndarray:
 
 
 def cmd_converge(cfg: dict) -> int:
-    spec = _load(cfg)
+    if cfg["sigma"] and len(cfg["h"]) > 1:
+        raise UsageError(f"a sigma sweep takes one --h value (the spatial step), "
+                         f"got {len(cfg['h'])}")
+    spec = load_game(cfg["game"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
@@ -296,7 +295,7 @@ def cmd_converge(cfg: dict) -> int:
         param_kind = "sigma"
         for sigma in cfg["sigma"]:
             res = solve_viscous(spec, domain, sigma, kind=cfg["kind"],
-                                dt=_dt(cfg, spec, dx), checkpoints=[0.0])
+                                dt=_dt(cfg), checkpoints=[0.0])
             err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
             report = bounds_mod.assemble(spec, dx, sigma, seed=cfg["seed"])
             rows.append((sigma, err, report.bound_visc))
@@ -307,7 +306,7 @@ def cmd_converge(cfg: dict) -> int:
             keep = _eval_mask(domain)
             ref = _reference_values(cfg, spec, domain.states()[keep])
             res = solve_backward(spec, domain, kind=cfg["kind"],
-                                 dt=_dt(cfg, spec, h), checkpoints=[0.0])
+                                 dt=_dt(cfg), checkpoints=[0.0])
             err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
             report = bounds_mod.assemble(spec, h, seed=cfg["seed"])
             rows.append((h, err, report.bound_thm2))
@@ -339,12 +338,9 @@ def _check_reused_slice(name: str, meta: dict, **expected) -> None:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    if cfg["sigma"] is not None:
-        raise UsageError("simulate couples a deterministic real system; --sigma is not "
-                         "supported")
     if len(cfg["h"]) != 1:
         raise UsageError(f"simulate takes one --h value, got {len(cfg['h'])}")
-    spec = _load(cfg)
+    spec = load_game(cfg["game"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     if cfg["replicas"] < 2:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -11,6 +12,14 @@ from latticegames.solver import read_slice_csv
 
 def run(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """main's return value, or the code argparse exits with on a bad flag."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
 
 
 def test_solve_writes_slices_and_bounds(tmp_path):
@@ -140,8 +149,8 @@ def test_simulate_rejects_lower_kind(tmp_path, capsys):
 def test_simulate_rejects_flags_it_cannot_honour(tmp_path, capsys, flags, named):
     # simulate uses one mesh and a deterministic real system
     assert run("solve", "--game", "g1", "--out", str(tmp_path), "--h", "0.1") == 0
-    assert run("simulate", "--game", "g1", "--out", str(tmp_path), "--replicas", "10",
-               "--partition-diam", "0.1", *flags) == 2
+    assert exit_code("simulate", "--game", "g1", "--out", str(tmp_path), "--replicas", "10",
+                     "--partition-diam", "0.1", *flags) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "simulate.csv").exists()
 
@@ -185,10 +194,80 @@ def test_malformed_game_field_is_a_usage_error(tmp_path, capsys):
 
 def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    for bad in ({"replicas": "ten"}, {"h": ["a"]}, {"h": 0.1}, {"pad": [1]}):
+    for command, bad in (("simulate", {"replicas": "ten"}), ("bounds", {"h": ["a"]}),
+                         ("bounds", {"h": 0.1}), ("solve", {"pad": [1]})):
         cfg_file.write_text(json.dumps({"game": "g1", **bad}))
-        assert run("bounds", "--config", str(cfg_file), "--out", str(tmp_path)) == 2
+        assert run(command, "--config", str(cfg_file), "--out", str(tmp_path)) == 2
         assert "wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["h", "sigma", "x0", "checkpoints"])
+def test_config_lists_must_not_be_empty(tmp_path, capsys, key):
+    # as nargs="+" requires of the flags
+    (tmp_path / "cfg.json").write_text(json.dumps({"game": "g1", key: []}))
+    out = tmp_path / "out"
+    assert run("solve", "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "nope"])
+def test_config_file_cannot_pick_the_command(tmp_path, capsys, command):
+    (tmp_path / "cfg.json").write_text(json.dumps({"game": "g1", "command": command}))
+    out = tmp_path / "out"
+    assert run("solve", "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+    assert "'command'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the flags each command reads besides --game, --seed, --out and --config
+READS = {
+    "solve": {"h", "sigma", "dt_policy", "x0", "kind", "checkpoints", "pad"},
+    "converge": {"h", "sigma", "dt_policy", "x0", "kind", "pad", "reference"},
+    "simulate": {"h", "dt_policy", "partition_diam", "replicas", "x0", "kind", "pad",
+                 "adversaries", "dump_trajectories"},
+    "bounds": {"h", "sigma"},
+}
+# a valid value for each, as a flag and as a config-file entry
+SAMPLES = {"h": (["0.1"], [0.1]), "sigma": (["0.1"], [0.1]), "dt_policy": (["0.001"], 0.001),
+           "x0": (["0"], [0.0]), "kind": (["upper"], "upper"), "checkpoints": (["0.5"], [0.5]),
+           "pad": (["0.5"], 0.5), "reference": (["closed_form"], "closed_form"),
+           "partition_diam": (["0.05"], 0.05), "replicas": (["10"], 10),
+           "adversaries": (["constant"], "constant"), "dump_trajectories": (["1"], 1)}
+UNREAD = [(command, key) for command, keys in READS.items()
+          for key in sorted(set(SAMPLES) - keys)]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_flags_each_command_reads(capsys, command):
+    assert exit_code(command, "--help") == 0
+    listed = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+    want = {key.replace("_", "-") for key in READS[command]}
+    assert listed == want | {"help", "game", "seed", "out", "config"}
+
+
+@pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, key):
+    flag = "--" + key.replace("_", "-")
+    argv_value, file_value = SAMPLES[key]
+    out = tmp_path / "out"
+    assert exit_code(command, "--game", "g1", "--out", str(out), flag, *argv_value) == 2
+    assert flag in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"game": "g1", key: file_value}))
+    assert run(command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["converge", "--sigma", "0.3", "--h", "0.1", "0.05"], "--h"),
+    (["bounds", "--sigma", "0.3", "0.2"], "--sigma"),
+], ids=["converge-sigma-two-h", "bounds-two-sigma"])
+def test_commands_reject_values_they_would_drop(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert run(*argv, "--game", "g1", "--out", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags, config", [
@@ -297,12 +376,35 @@ GOLDEN_G1 = {
 }
 
 
+# sha256 of the g1 bounds and converge reports as produced before each command
+# accepted only the flags it reads; the keys a command does not read stay at
+# their defaults in the config hash
+GOLDEN_G1_REPORTS = {
+    "bounds/bounds.json": "be16df6de208bb2177f4e2d4824220dc79dfc12d96dadf76c52d6427ad947065",
+    "bounds/bounds.txt": "4f69074055582dcece452047d0051b20fe2824d4ff36015aab2e69ddb3023dfd",
+    "mesh/converge.csv": "fa6580df22cfa9b10d59693563ad66c908b5bd9d2224ad979149e156747de532",
+    "sigma/converge.csv": "bfed9ff74a91df7976c6fa2a9addbbb9c096f19826bc80de2f44a6e34752798c",
+}
+
+
+def _digests(root):
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_g1_reports_match_golden_digests(tmp_path):
+    assert run("bounds", "--game", "g1", "--out", str(tmp_path / "bounds")) == 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "0.05",
+               "--out", str(tmp_path / "mesh")) == 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "--sigma", "0.3", "0.2",
+               "--out", str(tmp_path / "sigma")) == 0
+    assert _digests(tmp_path) == GOLDEN_G1_REPORTS
+
+
 def test_g1_outputs_match_golden_digests(tmp_path):
     chain, visc = tmp_path / "chain", tmp_path / "visc"
     assert run("solve", "--game", "g1", "--out", str(chain)) == 0
     assert run("solve", "--game", "g1", "--sigma", "0.2", "--out", str(visc)) == 0
     assert run("simulate", "--game", "g1", "--replicas", "200",
                "--partition-diam", "0.05", "--out", str(chain)) == 0
-    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-    assert got == GOLDEN_G1
+    assert _digests(tmp_path) == GOLDEN_G1
