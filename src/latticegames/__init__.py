@@ -8,7 +8,7 @@ closed-form error bounds, a viscous PDE cross-check, and seeded Monte Carlo
 statistics.
 """
 
-from .bounds import BoundsReport, alpha2_reference, assemble, beta, empirical_m0_2, kappa
+from .bounds import BoundsReport, assemble, beta, empirical_m0_2
 from .chain import (LatticeDomain, apply_generator, chain_characteristics, chi,
                     jump_measure, kolmogorov_rates, neighbor_tables, pick_axis)
 from .errors import (GameSpecError, LatticeGamesError, ResourceError,
@@ -35,11 +35,11 @@ __all__ = [
     "LatticeDomain", "LatticeGamesError", "MirrorAdversary", "MomentReport",
     "OutcomeEstimate", "PairedTrajectory", "Partition", "RandomAdversary",
     "ResidualReport", "ResourceError", "SolveResult", "StepSizeError",
-    "TruncationError", "ValueGrid", "alpha2_reference", "apply_generator", "assemble",
+    "TruncationError", "ValueGrid", "apply_generator", "assemble",
     "auto_cfl_dt", "auto_dt", "beta", "chain_characteristics", "check_isaacs", "chi",
     "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2", "eval_drift",
     "eval_payoff", "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian_field",
-    "jump_measure", "kappa", "kolmogorov_rates", "load_game", "martingale_residual",
+    "jump_measure", "kolmogorov_rates", "load_game", "martingale_residual",
     "moment_growth_check", "neighbor_tables", "payoff_batch", "payoff_constant",
     "payoff_linear", "payoff_norm", "pick_axis", "rate_majorant", "read_slice_csv",
     "replica_rng", "run_extremal_shift", "run_extremal_shift_batch", "simulate_chain",

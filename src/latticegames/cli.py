@@ -126,8 +126,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if unread:
             raise UsageError(f"'{args.command}' reads no config keys {unread}")
         for key, val in file_cfg.items():
-            if not isinstance(val, _FLAGS[key].file_types) or (
-                    isinstance(val, list) and not all(isinstance(c, _NUMBER) for c in val)):
+            # JSON true and false are ints to Python; no flag takes one
+            entries = val if isinstance(val, list) else []
+            if isinstance(val, bool) or not isinstance(val, _FLAGS[key].file_types) or not all(
+                    isinstance(c, _NUMBER) and not isinstance(c, bool) for c in entries):
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {val!r}")
             if val == []:
                 raise UsageError(f"config key {key!r} needs at least one number")
@@ -153,6 +155,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"h values must lie in (0,1); got {h}")
     if cfg["sigma"] is not None and any(s < 0 for s in cfg["sigma"]):
         raise UsageError("sigma values must be nonnegative")
+    if cfg["dump_trajectories"] < 0:
+        raise UsageError(f"dump_trajectories must be nonnegative, got {cfg['dump_trajectories']}")
     return cfg
 
 
@@ -183,17 +187,18 @@ def _meta(cfg: dict, spec: GameSpec, **extra) -> dict:
 
 
 def _write_bounds(cfg: dict, spec: GameSpec, out: Path) -> dict[str, bounds_mod.BoundsReport]:
-    """Write bounds.json per h (tagged when several); returns the reports by file stem."""
-    hs = cfg["h"]
-    sigma = cfg["sigma"][0] if cfg["sigma"] else None
+    """Write bounds.json per (h, sigma), tagged when several; returns the reports by stem."""
+    hs, sigmas = cfg["h"], cfg["sigma"] or [None]
     reports = {}
     for h in hs:
-        report = bounds_mod.assemble(spec, h, sigma, seed=cfg["seed"])
-        stem = f"bounds_h{_label(h)}" if len(hs) > 1 else "bounds"
-        payload = report.to_dict()
-        payload["config_sha256"] = config_sha256(cfg)
-        (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
-        reports[stem] = report
+        for sigma in sigmas:
+            report = bounds_mod.assemble(spec, h, sigma, seed=cfg["seed"])
+            stem = ("bounds" + (f"_h{_label(h)}" if len(hs) > 1 else "")
+                    + (f"_s{_label(sigma)}" if len(sigmas) > 1 else ""))
+            payload = report.to_dict()
+            payload["config_sha256"] = config_sha256(cfg)
+            (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
+            reports[stem] = report
     return reports
 
 

@@ -11,10 +11,11 @@ interval the player measures the gap z - xi between the real state and the
 model state and plays the control that minimises the worst-case inner
 product of that gap with the drift (aiming rule); the model chain meanwhile
 jumps under the value-greedy feedback control and the aiming rule's worst
-second-player response.  The gap then grows at most linearly in the
-partition diameter plus the model's quadratic characteristic, which is what
-the guarantee bounds quantify.  A drift that is not finite in an aiming form
-or along the real path raises ``GameSpecError``, as in the chain's jump rule.
+second-player response.  The gap's mean square then grows by the model's
+quadratic characteristic, which ``guarantee_thm1`` bounds, plus a partition
+term that it omits, so its verdict is the limit as the diameter goes to 0.
+A drift that is not finite in an aiming form or along the real path raises
+``GameSpecError``, as in the chain's jump rule.
 
 All replica randomness follows a fixed per-replica draw protocol (candidate
 count, candidate times, acceptance uniforms, direction uniforms, adversary

@@ -444,11 +444,12 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
     """Integrate the value system backward from the terminal payoff.
 
     Checkpoints snap down to the integration grid t_k = T - k*dt;
-    ``checkpoints=None`` records every step down to t=0, which the feedback
-    strategy machinery relies on.  Explicit Euler is the reference monotone
-    scheme and is checked against the maximum principle; ``scheme="rk4"`` is a
-    higher-accuracy non-monotone alternative under the same step ceiling,
-    checked against exp(3*d*M1*(T-t)) growth of the mesh-weighted norm.
+    ``checkpoints=None`` records every step down to t=0 (the coupling engine
+    reads a ``FeedbackTable`` from ``feedback_table`` instead).  Explicit
+    Euler is the reference monotone scheme and is checked against the maximum
+    principle; ``scheme="rk4"`` is a higher-accuracy non-monotone alternative
+    under the same step ceiling, checked against exp(3*d*M1*(T-t)) growth of
+    the mesh-weighted norm.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")

@@ -59,6 +59,20 @@ def test_solve_viscous_files(tmp_path):
     assert payload["bound_visc"] == pytest.approx(payload["c1"] * 0.2)
 
 
+def test_solve_writes_one_bounds_report_per_sigma(tmp_path):
+    for hs, stems in ((["0.1"], ["bounds_s0.2", "bounds_s0.3"]),
+                      (["0.1", "0.05"], ["bounds_h0.05_s0.2", "bounds_h0.05_s0.3",
+                                         "bounds_h0.1_s0.2", "bounds_h0.1_s0.3"])):
+        out = tmp_path / str(len(hs))
+        assert run("solve", "--game", "g1", "--out", str(out), "--h", *hs,
+                   "--sigma", "0.2", "0.3", "--checkpoints", "0.0") == 0
+        assert sorted(p.stem for p in out.glob("bounds*")) == stems
+        for stem in stems:
+            payload = json.loads((out / f"{stem}.json").read_text())
+            assert payload["sigma"] == float(stem.split("_s")[1])
+            assert payload["bound_visc"] == pytest.approx(payload["c1"] * payload["sigma"])
+
+
 def test_bounds_text_report(tmp_path):
     code = run("bounds", "--game", "g1", "--out", str(tmp_path), "--h", "0.04")
     assert code == 0
@@ -201,6 +215,27 @@ def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):
         assert "wrong type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, bad, named", [
+    ("bounds", {"seed": True}, "wrong type"),
+    ("simulate", {"replicas": True}, "wrong type"),
+    ("simulate", {"dump_trajectories": True}, "wrong type"),
+    ("solve", {"pad": False}, "wrong type"),
+    ("simulate", {"partition_diam": True}, "wrong type"),
+    ("solve", {"dt_policy": True}, "wrong type"),
+    ("bounds", {"h": [0.1, True]}, "wrong type"),
+    ("simulate", {"dump_trajectories": -2}, "must be nonnegative"),
+], ids=["seed", "replicas", "dump_trajectories", "pad", "partition_diam", "dt_policy", "h-entry",
+        "negative-dump"])
+def test_config_booleans_and_negative_counts_are_usage_errors(tmp_path, capsys, command, bad,
+                                                              named):
+    # JSON true is an int to Python, but no flag takes a boolean
+    (tmp_path / "cfg.json").write_text(json.dumps({"game": "g1", **bad}))
+    out = tmp_path / "out"
+    assert run(command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["h", "sigma", "x0", "checkpoints"])
 def test_config_lists_must_not_be_empty(tmp_path, capsys, key):
     # as nargs="+" requires of the flags
@@ -262,7 +297,8 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, key):
 @pytest.mark.parametrize("argv, named", [
     (["converge", "--sigma", "0.3", "--h", "0.1", "0.05"], "--h"),
     (["bounds", "--sigma", "0.3", "0.2"], "--sigma"),
-], ids=["converge-sigma-two-h", "bounds-two-sigma"])
+    (["simulate", "--dump-trajectories", "-2"], "dump_trajectories"),
+], ids=["converge-sigma-two-h", "bounds-two-sigma", "simulate-negative-dump"])
 def test_commands_reject_values_they_would_drop(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert run(*argv, "--game", "g1", "--out", str(out)) == 2

@@ -314,3 +314,21 @@ def test_engine_rejects_a_drift_that_is_not_finite(g1_solution):
         with pytest.raises(lg.GameSpecError, match=r"drift not finite at " + where):
             lg.run_extremal_shift_batch(broken, table, part, [0.0], lg.ConstantAdversary(),
                                         n_replicas=20)
+
+
+def test_excess_falls_as_the_partition_refines(g1_solution):
+    # guarantee_thm1 carries no partition-diameter term: the verdict is the
+    # diameter -> 0 limit, and the excess over eta(0, 0) shrinks toward it
+    spec, table = g1_solution
+    eta0 = table.value0.value_at([0.0])
+    bound = lg.assemble(spec, 0.05).guarantee_thm1
+    rows = []
+    for delta in (0.04, 0.02, 0.01):
+        batch = lg.run_extremal_shift_batch(spec, table, lg.Partition.uniform(0.0, spec.T, delta),
+                                            [0.0], lg.ConstantAdversary(), n_replicas=400,
+                                            seed=0)
+        est = lg.OutcomeEstimate.from_outcomes(batch.outcomes)
+        rows.append((est.mean - eta0, est.std_error))
+    for (coarse, se_c), (fine, se_f) in zip(rows, rows[1:]):
+        assert coarse - fine > 3.0 * np.hypot(se_c, se_f)
+    assert all(excess < bound for excess, _ in rows)
