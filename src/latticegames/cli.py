@@ -157,6 +157,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("sigma values must be nonnegative")
     if cfg["dump_trajectories"] < 0:
         raise UsageError(f"dump_trajectories must be nonnegative, got {cfg['dump_trajectories']}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"seed must be nonnegative, got {cfg['seed']}")
     return cfg
 
 
@@ -355,6 +357,8 @@ def cmd_simulate(cfg: dict) -> int:
     x0 = _x0(cfg, spec)
     h = cfg["h"][0]
     wanted = [s.strip() for s in cfg["adversaries"].split(",") if s.strip()]
+    if not wanted:
+        raise UsageError("simulate needs at least one adversary")
     panel = {a.name: a for a in standard_adversaries(spec)}
     unknown = [w for w in wanted if w not in panel]
     if unknown:
@@ -384,10 +388,10 @@ def cmd_simulate(cfg: dict) -> int:
              f"# partition_diam={_fmt(cfg['partition_diam'])}",
              f"# eta_file={eta_path.name}",
              "adversary,n,mean,std_error,ci_low,ci_high,eta_reference,bound,threshold,pass"]
-    for name in wanted:
-        adv = panel[name]
-        batch = run_extremal_shift_batch(spec, eta, partition, x0, adv,
-                                         n_replicas=cfg["replicas"], seed=cfg["seed"])
+    advs = [panel[name] for name in wanted]
+    batches = run_extremal_shift_batch(spec, eta, partition, x0, advs,
+                                       n_replicas=cfg["replicas"], seed=cfg["seed"]).split()
+    for name, adv, batch in zip(wanted, advs, batches):
         frozen = int(batch.n_frozen.sum())
         if frozen:
             print(f"warning: {name}: {frozen} model jumps in "

@@ -20,7 +20,11 @@ A drift that is not finite in an aiming form or along the real path raises
 All replica randomness follows a fixed per-replica draw protocol (candidate
 count, candidate times, acceptance uniforms, direction uniforms, adversary
 draws, in that order), so a single logged replica and a vectorized batch
-consume identical streams and produce identical trajectories.
+consume identical streams and produce identical trajectories.  A batch runs
+a whole adversary panel at once: each replica's candidates are drawn once and
+shared by every adversary, and each adversary's ``pre_draw`` starts from the
+generator state saved after the direction uniforms, so a replica plays every
+adversary on the same stream it would see in a panel of one.
 """
 
 from __future__ import annotations
@@ -219,15 +223,28 @@ class PairedTrajectory:
 
 @dataclass(frozen=True)
 class BatchOutcomes:
-    """Vectorized replica summaries from one adversary run."""
+    """Vectorized replica summaries from one adversary panel.
 
-    adversary: str
-    n_replicas: int
-    outcomes: np.ndarray        # g(X(T)) per replica
-    model_outcomes: np.ndarray  # g(Y(T)) per replica
-    sq_gap: np.ndarray          # ||X - Y||^2 at partition nodes, (n, r+1)
+    The arrays hold one row per (adversary, replica), adversary-major: row
+    ``a * n_replicas + i`` is replica i against ``adversaries[a]``."""
+
+    adversaries: tuple[str, ...]
+    n_replicas: int             # replicas per adversary
+    outcomes: np.ndarray        # g(X(T)) per row
+    model_outcomes: np.ndarray  # g(Y(T)) per row
+    sq_gap: np.ndarray          # ||X - Y||^2 at partition nodes, (rows, r+1)
     n_jumps: np.ndarray
-    n_frozen: np.ndarray        # accepted moves that would leave the box, per replica
+    n_frozen: np.ndarray        # accepted moves that would leave the box, per row
+
+    def split(self) -> list["BatchOutcomes"]:
+        """One panel-of-one view per adversary, in panel order."""
+        n = self.n_replicas
+        views = []
+        for a, name in enumerate(self.adversaries):
+            b = slice(a * n, (a + 1) * n)
+            views.append(BatchOutcomes((name,), n, self.outcomes[b], self.model_outcomes[b],
+                                       self.sq_gap[b], self.n_jumps[b], self.n_frozen[b]))
+        return views
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +276,13 @@ def _aim(spec: GameSpec, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
 
 
 def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
-                  adversary, rngs: Sequence[np.random.Generator],
+                  panel: Sequence, rngs: Sequence[np.random.Generator],
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
+    """Replica i of ``rngs`` against every adversary of ``panel``, as one
+    batch of len(panel) * len(rngs) rows, adversary-major."""
+    panel = tuple(panel)
+    if not panel:
+        raise GameSpecError("the adversary panel is empty")
     if not isinstance(eta, FeedbackTable):
         raise GameSpecError(f"eta must be a FeedbackTable, got {type(eta).__name__}; "
                             "build one with feedback_table(spec, domain)")
@@ -290,37 +312,43 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
     strides = np.array([int(np.prod(domain.shape[i + 1:])) for i in range(d)], dtype=np.int64)
 
     n = len(rngs)
+    n_rows = len(panel) * n
     lam = rate_majorant(spec, h)
     span = spec.T - t0
-
-    # fixed per-replica draw protocol (see module docstring)
-    counts = np.empty(n, dtype=np.int64)
-    cand_blocks: list[np.ndarray] = []
-    accept_blocks: list[np.ndarray] = []
-    dir_blocks: list[np.ndarray] = []
-    drawn_rows = []
-    for i, rng in enumerate(rngs):
-        c = int(rng.poisson(lam * span))
-        counts[i] = c
-        cand_blocks.append(np.sort(rng.uniform(t0, spec.T, size=c)))
-        accept_blocks.append(rng.uniform(size=c))
-        dir_blocks.append(rng.uniform(size=c))
-        drawn_rows.append(adversary.pre_draw(rng, partition.n_intervals))
-    drawn = np.stack(drawn_rows) if drawn_rows[0] is not None else None
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    flat_times = np.concatenate(cand_blocks)
-    flat_accept = np.concatenate(accept_blocks)
-    flat_dir = np.concatenate(dir_blocks)
-
-    X = np.tile(x0, (n, 1))
-    K = np.tile(k0, (n, 1)).astype(np.int64)
-    flat = np.full(n, domain.index_of(k0), dtype=np.int64)
-    ptr = np.zeros(n, dtype=np.int64)
-
     r = partition.n_intervals
-    sq_gap = np.empty((n, r + 1))
-    n_jumps = np.zeros(n, dtype=np.int64)
-    n_frozen = np.zeros(n, dtype=np.int64)
+
+    # fixed per-replica draw protocol (see module docstring); every replica
+    # has its own generator, so drawing all counts first changes no stream
+    counts = np.array([rng.poisson(lam * span) for rng in rngs], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+    cand = np.empty((3, int(counts.sum())))  # times, accept and direction uniforms
+    for rng, start, c in zip(rngs, offsets, counts):
+        sl = slice(start, start + c)
+        cand[0, sl] = np.sort(rng.uniform(t0, spec.T, size=c))
+        cand[1, sl] = rng.uniform(size=c)
+        cand[2, sl] = rng.uniform(size=c)
+    flat_times, flat_accept, flat_dir = cand
+    # every adversary's pre_draw starts from the state after the candidates
+    saved = [rng.bit_generator.state for rng in rngs]
+    drawn = []
+    for a, adversary in enumerate(panel):
+        if a:
+            for rng, state in zip(rngs, saved):
+                rng.bit_generator.state = state
+        rows = [adversary.pre_draw(rng, r) for rng in rngs]
+        drawn.append(np.stack(rows) if rows[0] is not None else None)
+    blocks = [slice(a * n, (a + 1) * n) for a in range(len(panel))]
+    counts = np.tile(counts, len(panel))
+    offsets = np.tile(offsets, len(panel))
+
+    X = np.tile(x0, (n_rows, 1))
+    K = np.tile(k0, (n_rows, 1)).astype(np.int64)
+    flat = np.full(n_rows, domain.index_of(k0), dtype=np.int64)
+    ptr = np.zeros(n_rows, dtype=np.int64)
+
+    sq_gap = np.empty((n_rows, r + 1))
+    n_jumps = np.zeros(n_rows, dtype=np.int64)
+    n_frozen = np.zeros(n_rows, dtype=np.int64)
 
     log = record_paths
     if log:
@@ -348,8 +376,10 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
             node_y[l] = Y[0]
 
         # aiming selections from the gap at the interval start
-        u_sel, v_hat = _aim(spec, t_l, X, Y)                       # (n,) each
-        v_adv = adversary.select(l, t_l, X, Y, drawn, v_hat)
+        u_sel, v_hat = _aim(spec, t_l, X, Y)                       # (rows,) each
+        v_adv = np.concatenate([
+            adversary.select(l, t_l, X[b], Y[b], drawn_a, v_hat[b])
+            for adversary, drawn_a, b in zip(panel, drawn, blocks)])
         v_adv = np.where(v_adv < 0, v_adv + nv, v_adv).astype(np.int64)
         if log:
             u_log[l] = u_sel[0]
@@ -436,7 +466,8 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
         node_x[r] = X[0]
         node_y[r] = Y[0]
 
-    batch = BatchOutcomes(adversary=getattr(adversary, "name", "custom"), n_replicas=n,
+    batch = BatchOutcomes(adversaries=tuple(getattr(a, "name", "custom") for a in panel),
+                          n_replicas=n,
                           outcomes=outcomes, model_outcomes=model_outcomes,
                           sq_gap=sq_gap, n_jumps=n_jumps, n_frozen=n_frozen)
     paths: list[PairedTrajectory] = []
@@ -457,19 +488,22 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
 def run_extremal_shift(spec: GameSpec, eta: FeedbackTable, partition: Partition,
                        x0, adversary, rng: RngLike = 0) -> PairedTrajectory:
     """One fully logged coupled replica driven by ``adversary``."""
-    _, paths = _run_replicas(spec, eta, partition, x0, adversary, [as_rng(rng)],
+    _, paths = _run_replicas(spec, eta, partition, x0, [adversary], [as_rng(rng)],
                              record_paths=True)
     return paths[0]
 
 
 def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Partition,
-                             x0, adversary, n_replicas: int, seed: int = 0) -> BatchOutcomes:
-    """Vectorized replicas; replica i draws from the documented stream
-    SeedSequence(entropy=seed, spawn_key=(i,)), identical to a looped
-    sequence of single runs."""
+                             x0, adversaries: Sequence, n_replicas: int,
+                             seed: int = 0) -> BatchOutcomes:
+    """Vectorized replicas against a panel of adversaries, one batch for the
+    whole panel: ``n_replicas`` per adversary, stacked adversary-major
+    (``BatchOutcomes.split`` gives one block per adversary).  Replica i draws
+    from the documented stream SeedSequence(entropy=seed, spawn_key=(i,))
+    against every adversary, identical to a looped sequence of single runs."""
     if n_replicas < 2:
         raise GameSpecError("n_replicas must be >= 2")
     rngs = [replica_rng(seed, i) for i in range(n_replicas)]
-    batch, _ = _run_replicas(spec, eta, partition, x0, adversary, rngs,
+    batch, _ = _run_replicas(spec, eta, partition, x0, adversaries, rngs,
                              record_paths=False)
     return batch

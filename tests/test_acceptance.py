@@ -188,7 +188,7 @@ def test_criterion_05_strategy_guarantee(dense_eta):
     eta0 = eta.value0.value_at([0.0])
     rows = []
     for adv in lg.standard_adversaries(spec):
-        batch = lg.run_extremal_shift_batch(spec, eta, part, [0.0], adv,
+        batch = lg.run_extremal_shift_batch(spec, eta, part, [0.0], [adv],
                                             n_replicas=10_000, seed=0)
         est = lg.OutcomeEstimate.from_outcomes(batch.outcomes)
         rows.append((adv.name, est.mean, eta0 + GUARANTEE + 3 * est.std_error))
@@ -324,7 +324,7 @@ def test_criterion_09_martingale_and_coupling(chains_10k, dense_eta):
     for diam in (0.04, 0.02):
         part = lg.Partition.uniform(0.0, 1.0, diam)
         batch = lg.run_extremal_shift_batch(spec5, eta, part, [0.0],
-                                            lg.MirrorAdversary(),
+                                            [lg.MirrorAdversary()],
                                             n_replicas=4000, seed=11)
         eg = batch.sq_gap.mean(axis=0)
         excess = eg[1:] - (1.0 + beta * diam) * eg[:-1]

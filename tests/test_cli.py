@@ -183,6 +183,50 @@ def test_simulate_warns_on_frozen_boundary_moves(tmp_path, capsys):
     assert all("increase --pad" in w for w in warnings)
 
 
+def test_simulate_needs_an_adversary(tmp_path, capsys):
+    assert run("solve", "--game", "g1", "--h", "0.1", "--out", str(tmp_path)) == 0
+    assert run("simulate", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--replicas", "10", "--partition-diam", "0.1", "--adversaries", ",") == 2
+    assert "at least one adversary" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
+def test_simulate_runs_the_panel_as_one_engine_call(tmp_path, monkeypatch):
+    # the benchmark's trace probe wraps this name and reads these arguments
+    import latticegames.cli as cli
+
+    calls = []
+    engine = cli.run_extremal_shift_batch
+
+    def counting(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(cli, "run_extremal_shift_batch", counting)
+    assert run("solve", "--game", "g1", "--h", "0.1", "--out", str(tmp_path)) == 0
+    assert run("simulate", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--replicas", "12", "--partition-diam", "0.1") == 0
+    assert len(calls) == 1
+    args, kwargs, result = calls[0]
+    assert [type(a).__name__ for a in args[:3]] == ["GameSpec", "FeedbackTable", "Partition"]
+    assert kwargs["seed"] == 0
+    assert result.n_replicas == 12
+    assert result.adversaries == ("constant", "bang_bang", "random", "worst_case")
+    assert len(result.outcomes) == 4 * 12
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "bounds"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(command, "--game", "g1", "--out", str(out), "--seed", "-1") == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"game": "g1", "seed": -3}))
+    assert run(command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run("solve", "--game", "nope", "--out", str(tmp_path)) == 2
     assert run("solve", "--game", "g1", "--out", str(tmp_path), "--h", "1.5") == 2

@@ -177,7 +177,7 @@ def test_batch_matches_looped_singles_bitwise(request, case, x0, n):
     spec, eta = request.getfixturevalue(case)
     part = lg.Partition.uniform(0.0, 1.0, 0.02)
     adv = lg.RandomAdversary(len(spec.v_grid))
-    batch = lg.run_extremal_shift_batch(spec, eta, part, x0, adv,
+    batch = lg.run_extremal_shift_batch(spec, eta, part, x0, [adv],
                                         n_replicas=n, seed=9)
     for i in range(n):
         single = lg.run_extremal_shift(spec, eta, part, x0, adv,
@@ -185,9 +185,16 @@ def test_batch_matches_looped_singles_bitwise(request, case, x0, n):
         assert single.outcome == batch.outcomes[i]
         assert single.model_outcome == batch.model_outcomes[i]
         assert np.array_equal(single.sq_gap, batch.sq_gap[i])
-    assert batch.adversary == "random"
+    assert batch.adversaries == ("random",)
     assert batch.n_replicas == n
     assert batch.n_jumps.shape == (n,)
+
+
+def test_empty_panel_is_rejected(g1_solution):
+    spec, eta = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    with pytest.raises(lg.GameSpecError, match="adversary panel is empty"):
+        lg.run_extremal_shift_batch(spec, eta, part, [0.0], [], n_replicas=4)
 
 
 def test_frozen_boundary_moves_are_counted():
@@ -199,14 +206,14 @@ def test_frozen_boundary_moves_are_counted():
     part = lg.Partition.uniform(0.0, 1.0, 0.05)
     tight = lg.truncate_domain(spec, [0.0], 0.05, pad=0.0)
     batch = lg.run_extremal_shift_batch(spec, lg.feedback_table(spec, tight), part, [0.0],
-                                        lg.ConstantAdversary(), n_replicas=40, seed=0)
+                                        [lg.ConstantAdversary()], n_replicas=40, seed=0)
     assert batch.n_frozen.dtype == np.int64 and batch.n_frozen.shape == (40,)
     assert np.count_nonzero(batch.n_frozen) > 0
     # a frozen move is a self-loop: no model state leaves the box
     assert np.all(batch.model_outcomes <= tight.h * tight.hi[0] + 1e-12)
     roomy = lg.truncate_domain(spec, [0.0], 0.05, pad=2.0)
     batch = lg.run_extremal_shift_batch(spec, lg.feedback_table(spec, roomy), part, [0.0],
-                                        lg.ConstantAdversary(), n_replicas=40, seed=0)
+                                        [lg.ConstantAdversary()], n_replicas=40, seed=0)
     assert not batch.n_frozen.any()
 
 
@@ -214,7 +221,7 @@ def test_batch_outcomes_near_value(g1_solution):
     spec, eta = g1_solution
     part = lg.Partition.uniform(0.0, 1.0, 0.01)
     batch = lg.run_extremal_shift_batch(spec, eta, part, [0.0],
-                                        lg.MirrorAdversary(), n_replicas=300, seed=0)
+                                        [lg.MirrorAdversary()], n_replicas=300, seed=0)
     est = lg.OutcomeEstimate.from_outcomes(batch.outcomes)
     # eta(0, 0) = 0.025 at h=0.05 and the certified radius is ~0.744
     assert est.mean <= 0.025 + 0.7444 + 3 * est.std_error
@@ -225,7 +232,7 @@ def test_engine_preconditions(g1_solution):
     part = lg.Partition.uniform(0.0, 1.0, 0.02)
     adv = lg.ConstantAdversary()
     with pytest.raises(lg.GameSpecError):
-        lg.run_extremal_shift_batch(spec, eta, part, [0.0], adv, n_replicas=1)
+        lg.run_extremal_shift_batch(spec, eta, part, [0.0], [adv], n_replicas=1)
     with pytest.raises(lg.GameSpecError):
         bad = lg.Partition.uniform(0.0, 0.5, 0.02)  # does not end at T
         lg.run_extremal_shift(spec, eta, bad, [0.0], adv)
@@ -239,7 +246,7 @@ def test_engine_preconditions(g1_solution):
         with pytest.raises(lg.GameSpecError, match=r"feedback_table\(spec, domain\)"):
             lg.run_extremal_shift(spec, result, part, [0.0], adv)
         with pytest.raises(lg.GameSpecError, match=r"feedback_table\(spec, domain\)"):
-            lg.run_extremal_shift_batch(spec, result, part, [0.0], adv, n_replicas=2)
+            lg.run_extremal_shift_batch(spec, result, part, [0.0], [adv], n_replicas=2)
     # a table of another game, dimension or horizon
     other = lg.game_from_dict({"d": 1, "T": 1.0, "drift": {"kind": "control_sum"},
                                "u_grid": [-1, 1], "v_grid": [-0.5, 0.5],
@@ -249,7 +256,7 @@ def test_engine_preconditions(g1_solution):
                   dataclasses.replace(spec, T=2.0)):
         wrong_part = lg.Partition.uniform(0.0, wrong.T, 0.02)
         with pytest.raises(lg.GameSpecError, match="feedback table was built for game 'g1'"):
-            lg.run_extremal_shift_batch(wrong, eta, wrong_part, np.zeros(wrong.d), adv,
+            lg.run_extremal_shift_batch(wrong, eta, wrong_part, np.zeros(wrong.d), [adv],
                                         n_replicas=2)
 
 
@@ -285,7 +292,7 @@ def test_engine_and_sampler_share_the_majorant_check(g1_solution):
     lying = dataclasses.replace(spec, M1=0.5)
     part = lg.Partition.uniform(0.0, 1.0, 0.02)
     with pytest.raises(lg.GameSpecError, match="exceeds the majorant .*M1 is not a drift bound"):
-        lg.run_extremal_shift_batch(lying, eta, part, [0.5], lg.ConstantAdversary(), n_replicas=4)
+        lg.run_extremal_shift_batch(lying, eta, part, [0.5], [lg.ConstantAdversary()], n_replicas=4)
     with pytest.raises(lg.GameSpecError, match="exceeds the majorant .*M1 is not a drift bound"):
         lg.simulate_chain(lying, lambda t, y: 1.0, lambda t, y: 0.5, 0.0, eta.h, rng=0)
 
@@ -312,7 +319,7 @@ def test_engine_rejects_a_drift_that_is_not_finite(g1_solution):
                          (one_pair, r"t=0\.0, x=\[0\.0\]$")]:
         broken = dataclasses.replace(spec, drift=drift, autonomous=False)
         with pytest.raises(lg.GameSpecError, match=r"drift not finite at " + where):
-            lg.run_extremal_shift_batch(broken, table, part, [0.0], lg.ConstantAdversary(),
+            lg.run_extremal_shift_batch(broken, table, part, [0.0], [lg.ConstantAdversary()],
                                         n_replicas=20)
 
 
@@ -325,7 +332,7 @@ def test_excess_falls_as_the_partition_refines(g1_solution):
     rows = []
     for delta in (0.04, 0.02, 0.01):
         batch = lg.run_extremal_shift_batch(spec, table, lg.Partition.uniform(0.0, spec.T, delta),
-                                            [0.0], lg.ConstantAdversary(), n_replicas=400,
+                                            [0.0], [lg.ConstantAdversary()], n_replicas=400,
                                             seed=0)
         est = lg.OutcomeEstimate.from_outcomes(batch.outcomes)
         rows.append((est.mean - eta0, est.std_error))
