@@ -488,3 +488,37 @@ def test_g1_outputs_match_golden_digests(tmp_path):
     assert run("simulate", "--game", "g1", "--replicas", "200",
                "--partition-diam", "0.05", "--out", str(chain)) == 0
     assert _digests(tmp_path) == GOLDEN_G1
+
+
+# sha256 of the g1 files whose names carry both an _h and an _s tag, of the
+# lower-value files, and of a lower-value converge report, as produced before
+# solve and converge chose the model in one place
+GOLDEN_G1_MODEL_FILES = {
+    "converge/converge.csv": "d560fa044d0dc3a720316d698bf4373c8c95ae17e968a96ebc6f531185a550ae",
+    "lower/bounds_h0.05.json": "ea25fe32ee4310b67ba42184e55942f9ac5d2486820a591e473c05fb340f78d5",
+    "lower/bounds_h0.1.json": "64d92a1f80225264de2ab519f982d4a55460fe758760299e93559992f802bff0",
+    "lower/eta_lower_t0_h0.05.csv": "a3caeeacbb7b34b7cc3c59c8a7e838c8878f429cd4be2eb11fb420550d63caa1",
+    "lower/eta_lower_t0_h0.1.csv": "4c1a1aaad0112ca4aa01b73b8533f4122626943ba4a36dcdfa07461cec3efe51",
+    "visc/bounds_h0.05_s0.2.json": "432ddeb2b15c711aef42ef0d2d25dbddd8be3d9180c102a5531ad1bf3e895284",
+    "visc/bounds_h0.05_s0.3.json": "1425e26fabad82145be1ea3c520e2115edb2e61c627920c6680ccb2555cb6682",
+    "visc/bounds_h0.1_s0.2.json": "32874d299a1a33d11f6e5edbec45929bdeaaad75c225b5f04924beab64c2ffad",
+    "visc/bounds_h0.1_s0.3.json": "175dac57a6b482bebdf5d01ee8add071f7bcf10ab9e3469cadc1183b1600cce6",
+    "visc/psi_upper_t0.5_h0.05_s0.2.csv": "0eef4ee2adb4c41c3a40e1faf2a1e6d258219c824da178df1f2aaadb80c63b2f",
+    "visc/psi_upper_t0.5_h0.05_s0.3.csv": "a0871983c06ba65c31813e35ed8cf04a3206f8bc1ca19a3a20d11771a9e57aa0",
+    "visc/psi_upper_t0.5_h0.1_s0.2.csv": "cc359138e4526da86d76debe07165dfc38c55beb0887bb9462add64bf68e224e",
+    "visc/psi_upper_t0.5_h0.1_s0.3.csv": "caaae7c7523993eb90a41bb20c40ad15d691662ce3679f5eae25ba5289858373",
+    "visc/psi_upper_t0_h0.05_s0.2.csv": "20e22d852111f93688298e4792dcf693b928a7494876a9463f826a4596ab001d",
+    "visc/psi_upper_t0_h0.05_s0.3.csv": "6ab3feb47de6406b74a5cd17e7af893808c3982a8cb89e3c3c5cd37ce22b3bf4",
+    "visc/psi_upper_t0_h0.1_s0.2.csv": "0834356f1adf5f32c23a17fb6852c1bfab8de91053399b2d05ebac520fe9fae2",
+    "visc/psi_upper_t0_h0.1_s0.3.csv": "98d69ee00fa3aa6db310b9f14f947711e08f4f39efa0f460b4d9e5611460da1e",
+}
+
+
+def test_g1_model_files_match_golden_digests(tmp_path):
+    assert run("solve", "--game", "g1", "--h", "0.1", "0.05", "--sigma", "0.2", "0.3",
+               "--checkpoints", "0", "0.5", "--out", str(tmp_path / "visc")) == 0
+    assert run("solve", "--game", "g1", "--kind", "lower", "--h", "0.1", "0.05",
+               "--out", str(tmp_path / "lower")) == 0
+    assert run("converge", "--game", "g1", "--kind", "lower", "--h", "0.1", "0.05",
+               "--out", str(tmp_path / "converge")) == 0
+    assert _digests(tmp_path) == GOLDEN_G1_MODEL_FILES
