@@ -14,7 +14,6 @@ sampled number is never passed off as a proved one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -53,9 +52,6 @@ class BoundsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def to_text(self) -> str:
         lines = [f"{k}={'' if v is None else v}" for k, v in self.to_dict().items()]

@@ -26,6 +26,9 @@ from .games import Control, GameSpec, drift_batch
 # components with |f_i| below this are treated as exact zeros (no jump)
 RATE_DROP_TOL = 1e-14
 
+# a state lies on the mesh-h lattice when within this times max(1, h) of it
+_STATE_TOL = 1e-9
+
 
 def chi(component: float) -> int:
     """Jump direction along one axis: the sign of the drift component."""
@@ -110,26 +113,26 @@ class LatticeDomain:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.array([math.ceil(c / self.h - 0.5) for c in x], dtype=int)
 
-    def contains_state(self, x, tol: float = 1e-9) -> bool:
-        return bool(self.indices_of_states(x, tol)[0] >= 0)
+    def contains_state(self, x) -> bool:
+        return bool(self.indices_of_states(x)[0] >= 0)
 
-    def indices_of_states(self, xs, tol: float = 1e-9) -> np.ndarray:
+    def indices_of_states(self, xs) -> np.ndarray:
         """Flat indices of a batch of states, one per row of ``xs``; -1 marks
-        a state off the mesh-h lattice (beyond ``tol``) or outside the box."""
+        a state off the mesh-h lattice (beyond ``_STATE_TOL``) or outside the box."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
         k = np.round(xs / self.h).astype(int)
         rel = k - np.asarray(self.lo)
-        ok = np.max(np.abs(xs - self.h * k), axis=1) <= tol * max(1.0, self.h)
+        ok = np.max(np.abs(xs - self.h * k), axis=1) <= _STATE_TOL * max(1.0, self.h)
         ok &= np.all((rel >= 0) & (k <= np.asarray(self.hi)), axis=1)
         out = np.full(len(xs), -1, dtype=np.int64)
         out[ok] = np.ravel_multi_index(tuple(rel[ok].T), self.shape)
         return out
 
-    def index_of_state(self, x, tol: float = 1e-9) -> int:
+    def index_of_state(self, x) -> int:
         """Flat index of an (exactly representable) lattice state."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         k = np.round(x / self.h).astype(int)
-        if np.max(np.abs(x - self.h * k)) > tol * max(1.0, self.h):
+        if np.max(np.abs(x - self.h * k)) > _STATE_TOL * max(1.0, self.h):
             raise TruncationError(f"state {x.tolist()} is not on the mesh-{self.h} lattice")
         return self.index_of(k)
 

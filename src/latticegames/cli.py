@@ -177,9 +177,7 @@ def _x0(cfg: dict, spec: GameSpec) -> np.ndarray:
 
 
 def _dt(cfg: dict) -> float | None:
-    if cfg["dt_policy"] == "auto":
-        return None
-    return float(cfg["dt_policy"])
+    return None if cfg["dt_policy"] == "auto" else float(cfg["dt_policy"])
 
 
 def _meta(cfg: dict, spec: GameSpec, **extra) -> dict:
@@ -204,35 +202,37 @@ def _write_bounds(cfg: dict, spec: GameSpec, out: Path) -> dict[str, bounds_mod.
     return reports
 
 
+def _slice_name(cfg: dict, t: float, h: float, sigma: float | None) -> str:
+    """eta_ (chain) or psi_ (viscous) slice file name, tagged _h when the run has several h."""
+    tag = f"_h{_label(h)}" if len(cfg["h"]) > 1 else ""
+    if sigma is None:
+        return f"eta_{cfg['kind']}_t{_label(t)}{tag}.csv"
+    return f"psi_{cfg['kind']}_t{_label(t)}{tag}_s{_label(sigma)}.csv"
+
+
+def _solve(cfg: dict, spec: GameSpec, domain, sigma: float | None, checkpoints):
+    """The chain model's sweep when sigma is None, else the viscous model's."""
+    if sigma is None:
+        return solve_backward(spec, domain, kind=cfg["kind"], dt=_dt(cfg),
+                              checkpoints=checkpoints)
+    return solve_viscous(spec, domain, sigma, kind=cfg["kind"], dt=_dt(cfg),
+                         checkpoints=checkpoints)
+
+
 def cmd_solve(cfg: dict) -> int:
     spec = load_game(cfg["game"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
     checkpoints = [float(t) for t in cfg["checkpoints"]]
-    many = len(cfg["h"]) > 1
     for h in cfg["h"]:
         domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
-        if cfg["sigma"]:
-            for sigma in cfg["sigma"]:
-                res = solve_viscous(spec, domain, sigma, kind=cfg["kind"],
-                                    dt=_dt(cfg), checkpoints=checkpoints)
-                for t in checkpoints:
-                    grid = res.slice_at(t)
-                    tag = f"_h{_label(h)}" if many else ""
-                    name = f"psi_{cfg['kind']}_t{_label(t)}{tag}_s{_label(sigma)}.csv"
-                    write_slice_csv(grid, out / name,
-                                    _meta(cfg, spec, kind=cfg["kind"], sigma=sigma,
-                                          dx=h, dt=res.dt))
-        else:
-            res = solve_backward(spec, domain, kind=cfg["kind"],
-                                 dt=_dt(cfg), checkpoints=checkpoints)
+        for sigma in cfg["sigma"] or [None]:
+            res = _solve(cfg, spec, domain, sigma, checkpoints)
+            mesh = {"h": h} if sigma is None else {"sigma": sigma, "dx": h}
             for t in checkpoints:
-                grid = res.slice_at(t)
-                tag = f"_h{_label(h)}" if many else ""
-                name = f"eta_{cfg['kind']}_t{_label(t)}{tag}.csv"
-                write_slice_csv(grid, out / name,
-                                _meta(cfg, spec, kind=cfg["kind"], h=h, dt=res.dt))
+                write_slice_csv(res.slice_at(t), out / _slice_name(cfg, t, h, sigma),
+                                _meta(cfg, spec, kind=cfg["kind"], **mesh, dt=res.dt))
     _write_bounds(cfg, spec, out)
     return 0
 
@@ -265,6 +265,7 @@ def _reference_values(cfg: dict, spec: GameSpec, points: np.ndarray) -> np.ndarr
         if line.startswith("# ") and "=" in line:
             k, v = line[2:].split("=", 1)
             meta[k] = v
+    _check_reused_slice(path.name, meta, game=spec.name)
     if "h" not in meta and "dx" not in meta:
         raise UsageError("reference file lacks an 'h' or 'dx' metadata line")
     mesh = meta.get("h", meta.get("dx"))
@@ -294,30 +295,17 @@ def cmd_converge(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
     rows = []
-    if cfg["sigma"]:
-        dx = cfg["h"][0]
-        domain = truncate_domain(spec, x0, dx, pad=cfg["pad"])
+    for h in cfg["h"]:
+        domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
         keep = _eval_mask(domain)
         ref = _reference_values(cfg, spec, domain.states()[keep])
-        param_kind = "sigma"
-        for sigma in cfg["sigma"]:
-            res = solve_viscous(spec, domain, sigma, kind=cfg["kind"],
-                                dt=_dt(cfg), checkpoints=[0.0])
+        for sigma in cfg["sigma"] or [None]:
+            res = _solve(cfg, spec, domain, sigma, [0.0])
             err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
-            report = bounds_mod.assemble(spec, dx, sigma, seed=cfg["seed"])
-            rows.append((sigma, err, report.bound_visc))
-    else:
-        param_kind = "h"
-        for h in cfg["h"]:
-            domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
-            keep = _eval_mask(domain)
-            ref = _reference_values(cfg, spec, domain.states()[keep])
-            res = solve_backward(spec, domain, kind=cfg["kind"],
-                                 dt=_dt(cfg), checkpoints=[0.0])
-            err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
-            report = bounds_mod.assemble(spec, h, seed=cfg["seed"])
-            rows.append((h, err, report.bound_thm2))
-
+            report = bounds_mod.assemble(spec, h, sigma, seed=cfg["seed"])
+            rows.append((h, err, report.bound_thm2) if sigma is None
+                        else (sigma, err, report.bound_visc))
+    param_kind = "sigma" if cfg["sigma"] else "h"
     lines = [f"# config_sha256={config_sha256(cfg)}", f"# seed={cfg['seed']}",
              f"# game={spec.name}", f"# param_kind={param_kind}",
              "param,error,paper_bound,bound_satisfied,empirical_order"]
@@ -363,13 +351,17 @@ def cmd_simulate(cfg: dict) -> int:
     unknown = [w for w in wanted if w not in panel]
     if unknown:
         raise UsageError(f"unknown adversaries {unknown}; choose from {sorted(panel)}")
+    repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+    if repeated:
+        raise UsageError(f"adversaries {repeated} are named more than once")
 
-    eta_path = out / f"eta_{cfg['kind']}_t0.csv"
+    eta_path = out / _slice_name(cfg, 0.0, h, None)
     if not eta_path.exists():
         raise UsageError(f"missing {eta_path.name} in --out; run 'solve' first")
     ref_grid, ref_meta = read_slice_csv(eta_path, h)
     domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
-    dt = auto_dt(spec, h) if cfg["dt_policy"] == "auto" else float(cfg["dt_policy"])
+    dt = _dt(cfg)
+    dt = auto_dt(spec, h) if dt is None else dt
     _check_reused_slice(eta_path.name, ref_meta, game=spec.name, h=h, kind=cfg["kind"], dt=dt)
     x_ref = ref_grid.domain.nearest_lattice(x0) * h
     eta_ref = float(ref_grid.value_at(x_ref))

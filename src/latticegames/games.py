@@ -25,6 +25,9 @@ Control = float | tuple[float, ...]
 DriftFn = Callable[[float, np.ndarray, Control, Control], np.ndarray]
 PayoffFn = Callable[[np.ndarray], np.ndarray]
 
+# check_isaacs samples states from [-_ISAACS_BOX, _ISAACS_BOX]^d
+_ISAACS_BOX = 2.0
+
 
 def _as_control(value) -> Control:
     if np.isscalar(value):
@@ -209,11 +212,11 @@ def payoff_batch(spec: GameSpec, states: np.ndarray) -> np.ndarray:
     return np.array([float(spec.payoff(row)) for row in states])
 
 
-def check_isaacs(spec: GameSpec, n_samples: int = 200, seed: int = 0, box: float = 2.0) -> IsaacsReport:
+def check_isaacs(spec: GameSpec, n_samples: int = 200, seed: int = 0) -> IsaacsReport:
     """Sample the gap between min-max and max-min of <xi, f(t, x, u, v)>.
 
     Sampling scheme (fixed so results are reproducible): for each sample draw
-    t ~ U(0, T), then x ~ U(-box, box)^d, then xi ~ U(-1, 1)^d, from
+    t ~ U(0, T), then x ~ U(-_ISAACS_BOX, _ISAACS_BOX)^d, then xi ~ U(-1, 1)^d, from
     ``numpy.random.default_rng(seed)`` in that order.  The gap at each sample
     is produced by exhaustive enumeration over both control grids.
     """
@@ -223,7 +226,7 @@ def check_isaacs(spec: GameSpec, n_samples: int = 200, seed: int = 0, box: float
     worst = 0.0
     for _ in range(n_samples):
         t = rng.uniform(0.0, spec.T)
-        x = rng.uniform(-box, box, size=spec.d)
+        x = rng.uniform(-_ISAACS_BOX, _ISAACS_BOX, size=spec.d)
         xi = rng.uniform(-1.0, 1.0, size=spec.d)
         pay = np.empty((len(spec.u_grid), len(spec.v_grid)))
         for i, u in enumerate(spec.u_grid):

@@ -28,6 +28,9 @@ VALUE_KINDS = ("upper", "lower")
 # tolerance for snapping times to the integration grid
 _TIME_FUZZ = 1e-9
 
+# lattice points a truncated domain may hold
+_MAX_POINTS = 4_000_000
+
 
 @dataclass(frozen=True)
 class ValueGrid:
@@ -129,17 +132,14 @@ def _lattice_ceil(value: float, h: float) -> int:
     return int(rr) if abs(r - rr) < 1e-9 else math.ceil(r)
 
 
-def truncate_domain(spec: GameSpec, x0_box, h: float, t0: float = 0.0, pad: float = 0.5,
-                    max_points: int = 4_000_000) -> LatticeDomain:
+def truncate_domain(spec: GameSpec, x0_box, h: float, pad: float = 0.5) -> LatticeDomain:
     """Lattice box that contains everything reachable from the start box.
 
-    The start box is inflated by M1 * (T - t0) + pad per coordinate (the drift
+    The start box is inflated by M1 * T + pad per coordinate (the drift
     cannot move the state faster than M1) and rounded outward to lattice
     coordinates.  ``x0_box`` is a point, a (lo, hi) pair for d=1, or a (d, 2)
     array of per-coordinate intervals.
     """
-    if not (0.0 <= t0 <= spec.T):
-        raise GameSpecError(f"t0={t0} outside [0, {spec.T}]")
     if pad < 0:
         raise GameSpecError("pad must be >= 0")
     box = np.asarray(x0_box, dtype=float)
@@ -154,15 +154,15 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, t0: float = 0.0, pad: floa
             raise GameSpecError(f"cannot interpret x0_box of shape {box.shape} for d={spec.d}")
     if box.shape != (spec.d, 2) or np.any(box[:, 0] > box[:, 1]):
         raise GameSpecError(f"x0_box must be (d, 2) intervals, got {box!r}")
-    radius = spec.M1 * (spec.T - t0) + pad
+    radius = spec.M1 * spec.T + pad
     lo = tuple(_lattice_floor(box[i, 0] - radius, h) for i in range(spec.d))
     hi = tuple(_lattice_ceil(box[i, 1] + radius, h) for i in range(spec.d))
     n = int(np.prod([b - a + 1 for a, b in zip(lo, hi)]))
-    if n > max_points:
+    if n > _MAX_POINTS:
         # suggest the coarsest refinement that fits the budget
-        suggested = h * (n / max_points) ** (1.0 / spec.d)
+        suggested = h * (n / _MAX_POINTS) ** (1.0 / spec.d)
         raise ResourceError(
-            f"domain would hold {n} points (> budget {max_points}); try h >= {suggested:.3g}"
+            f"domain would hold {n} points (> budget {_MAX_POINTS}); try h >= {suggested:.3g}"
         )
     return LatticeDomain(h=h, lo=lo, hi=hi)
 
@@ -354,9 +354,9 @@ def _tiling_dt(span: float, ceiling: float) -> float:
     return span / n
 
 
-def auto_dt(spec: GameSpec, h: float, t_min: float = 0.0) -> float:
-    """Largest dt <= ceiling that tiles [t_min, T] with an integer number of steps."""
-    return _tiling_dt(spec.T - t_min, dt_ceiling(spec, h))
+def auto_dt(spec: GameSpec, h: float) -> float:
+    """Largest dt <= ceiling that tiles [0, T] with an integer number of steps."""
+    return _tiling_dt(spec.T, dt_ceiling(spec, h))
 
 
 def _range_check(g: np.ndarray) -> Callable[[np.ndarray, float], None]:

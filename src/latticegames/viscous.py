@@ -32,8 +32,8 @@ def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
     return 1.0 / (2.0 * (spec.d * spec.M1 / dx + spec.d * sigma**2 / dx**2))
 
 
-def auto_cfl_dt(spec: GameSpec, dx: float, sigma: float, t_min: float = 0.0) -> float:
-    return _tiling_dt(spec.T - t_min, cfl_ceiling(spec, dx, sigma))
+def auto_cfl_dt(spec: GameSpec, dx: float, sigma: float) -> float:
+    return _tiling_dt(spec.T, cfl_ceiling(spec, dx, sigma))
 
 
 def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
@@ -92,13 +92,13 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
                        boundary="dirichlet", slices=slices, sigma=sigma)
 
 
-def viscosity_gap(slice_a: ValueGrid, slice_b: ValueGrid, tol: float = 1e-9) -> float:
+def viscosity_gap(slice_a: ValueGrid, slice_b: ValueGrid) -> float:
     """Sup-norm gap between two slices on their shared lattice points.
 
-    Slices may live on different meshes; points are matched by state up to
-    ``tol``.  Raises when the meshes share no points.
+    Slices may live on different meshes; points are matched by state
+    (``LatticeDomain.indices_of_states``).  Raises when they share no points.
     """
-    idx_b = slice_b.domain.indices_of_states(slice_a.domain.states(), tol)
+    idx_b = slice_b.domain.indices_of_states(slice_a.domain.states())
     shared = idx_b >= 0
     if not np.any(shared):
         raise GameSpecError("slices share no lattice points")

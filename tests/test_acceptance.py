@@ -186,12 +186,12 @@ def test_criterion_05_strategy_guarantee(dense_eta):
     spec, eta = dense_eta
     part = lg.Partition.uniform(0.0, 1.0, 0.01)
     eta0 = eta.value0.value_at([0.0])
+    panel = lg.run_extremal_shift_batch(spec, eta, part, [0.0], lg.standard_adversaries(spec),
+                                        n_replicas=10_000, seed=0)
     rows = []
-    for adv in lg.standard_adversaries(spec):
-        batch = lg.run_extremal_shift_batch(spec, eta, part, [0.0], [adv],
-                                            n_replicas=10_000, seed=0)
+    for name, batch in zip(panel.adversaries, panel.split()):
         est = lg.OutcomeEstimate.from_outcomes(batch.outcomes)
-        rows.append((adv.name, est.mean, eta0 + GUARANTEE + 3 * est.std_error))
+        rows.append((name, est.mean, eta0 + GUARANTEE + 3 * est.std_error))
     ok = all(m <= thr for _, m, thr in rows)
     report(5, ok, "; ".join(f"{n}: mean={m:.4f} <= {t:.4f}" for n, m, t in rows))
 

@@ -76,7 +76,7 @@ def test_coarse_mesh_guard(h):
 
 def test_report_serialization_roundtrip():
     rep = lg.assemble(lg.g1(), 0.05, sigma=0.2, seed=3)
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))
     assert d["game"] == "g1"
     assert d["seed"] == 3
     assert d["bound_visc"] == pytest.approx(rep.bound_visc)

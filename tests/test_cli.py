@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -92,6 +93,38 @@ def test_converge_report(tmp_path):
     assert first[0] == "0.10000000000000001" and first[4] == ""
     assert first[3] == "true" and second[3] == "true"
     assert float(second[4]) > 0.4  # observed mesh order is at least ~sqrt
+
+
+def test_converge_against_a_finer_solve_slice(tmp_path):
+    ref = tmp_path / "ref"
+    assert run("solve", "--game", "g1", "--h", "0.025", "--out", str(ref)) == 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "0.05", "--out", str(tmp_path),
+               "--reference", str(ref / "eta_upper_t0.csv")) == 0
+    lines = (tmp_path / "converge.csv").read_text().splitlines()
+    assert lines[3] == "# param_kind=h"
+    rows = [line.split(",") for line in lines[5:]]
+    assert [float(r[0]) for r in rows] == [0.1, 0.05]
+    assert all(math.isfinite(float(r[1])) for r in rows)
+
+
+def test_converge_rejects_a_reference_of_another_game(tmp_path, capsys):
+    game = tmp_path / "other.json"
+    game.write_text(json.dumps({
+        "d": 1, "T": 1.0, "u_grid": [-1, 0, 1], "v_grid": [-0.5, 0, 0.5],
+        "drift": {"kind": "control_sum"}, "payoff": {"kind": "norm"},
+        "R": 1, "M1": 1.5, "K1": 0}))
+    ref = tmp_path / "ref"
+    assert run("solve", "--game", str(game), "--h", "0.05", "--out", str(ref)) == 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "0.05", "--out", str(tmp_path),
+               "--reference", str(ref / "eta_upper_t0.csv")) == 2
+    assert "game=other" in capsys.readouterr().err
+    assert not (tmp_path / "converge.csv").exists()
+
+
+def test_converge_needs_the_reference_file(tmp_path, capsys):
+    assert run("converge", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--reference", str(tmp_path / "missing.csv")) == 2
+    assert "reference file not found" in capsys.readouterr().err
 
 
 def test_converge_single_h_has_no_order(tmp_path):
@@ -189,6 +222,16 @@ def test_simulate_needs_an_adversary(tmp_path, capsys):
                "--replicas", "10", "--partition-diam", "0.1", "--adversaries", ",") == 2
     assert "at least one adversary" in capsys.readouterr().err
     assert not (tmp_path / "simulate.csv").exists()
+
+
+def test_simulate_rejects_a_repeated_adversary(tmp_path, capsys):
+    assert run("solve", "--game", "g1", "--h", "0.1", "--out", str(tmp_path)) == 0
+    assert run("simulate", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--replicas", "10", "--partition-diam", "0.1",
+               "--adversaries", "random,constant,random", "--dump-trajectories", "1") == 2
+    assert "['random'] are named more than once" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+    assert not list(tmp_path.glob("trajectory_*.csv"))
 
 
 def test_simulate_runs_the_panel_as_one_engine_call(tmp_path, monkeypatch):

@@ -60,7 +60,8 @@ def test_truncate_domain_reaches_everything():
 def test_truncate_domain_budget():
     spec = lg.g2()
     with pytest.raises(lg.ResourceError):
-        truncate_domain(spec, [[0.0, 0.0], [0.0, 0.0]], 0.001, max_points=10_000)
+        # 10 001^2 points at h=0.001, over the 4 000 000-point budget
+        truncate_domain(spec, [[0.0, 0.0], [0.0, 0.0]], 0.001)
 
 
 def test_weighted_norm_spike():
