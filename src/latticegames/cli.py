@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import GameSpecError, LatticeGamesError, TruncationError
+from .errors import GameSpecError, LatticeGamesError
 from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
@@ -248,9 +248,9 @@ def cmd_bounds(cfg: dict) -> int:
     return 0
 
 
-def _reference_values(cfg: dict, spec: GameSpec, points: np.ndarray) -> np.ndarray:
-    """Reference Val(0, x) on the given points: catalog closed form, or a
-    fine-mesh slice CSV whose lattice must contain the points."""
+def _reference_values(cfg: dict, spec: GameSpec, h: float, points: np.ndarray) -> np.ndarray:
+    """Reference Val(0, x) on the given mesh-h points: catalog closed form, or
+    a fine-mesh slice CSV whose lattice must contain the points."""
     ref = cfg["reference"]
     if ref == "closed_form":
         if spec.closed_form is None:
@@ -265,7 +265,7 @@ def _reference_values(cfg: dict, spec: GameSpec, points: np.ndarray) -> np.ndarr
         if line.startswith("# ") and "=" in line:
             k, v = line[2:].split("=", 1)
             meta[k] = v
-    _check_reused_slice(path.name, meta, game=spec.name)
+    _check_reused_slice(path.name, meta, game=spec.name, kind=cfg["kind"])
     if "h" not in meta and "dx" not in meta:
         raise UsageError("reference file lacks an 'h' or 'dx' metadata line")
     mesh = meta.get("h", meta.get("dx"))
@@ -276,8 +276,8 @@ def _reference_values(cfg: dict, spec: GameSpec, points: np.ndarray) -> np.ndarr
     grid, _ = read_slice_csv(path, h_ref)
     idx = grid.domain.indices_of_states(points)
     if np.any(idx < 0):
-        raise TruncationError(f"reference slice does not hold the point "
-                              f"{points[np.argmax(idx < 0)].tolist()}")
+        raise UsageError(f"the mesh-{mesh} reference slice {path.name} does not hold the "
+                         f"mesh-{h} point {points[np.argmax(idx < 0)].tolist()}")
     return grid.values[idx]
 
 
@@ -298,7 +298,7 @@ def cmd_converge(cfg: dict) -> int:
     for h in cfg["h"]:
         domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
         keep = _eval_mask(domain)
-        ref = _reference_values(cfg, spec, domain.states()[keep])
+        ref = _reference_values(cfg, spec, h, domain.states()[keep])
         for sigma in cfg["sigma"] or [None]:
             res = _solve(cfg, spec, domain, sigma, [0.0])
             err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))

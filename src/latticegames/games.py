@@ -358,8 +358,16 @@ def _make_g1() -> GameSpec:
 
 
 def _make_g2() -> GameSpec:
-    # state-coupled mixing dynamics; constants valid on the sampling box
-    # [-2, 2]^2: ||f|| <= sqrt(2) * 3 < 4.5, state-Lipschitz max(|u|,|v|) <= 1
+    """Planar game with state-coupled mixing drift (v*x2 - u, u*x1 + v),
+    u, v in {-1, 0, 1}, and payoff |x|.
+
+    Its constants hold on the sampling box [-2, 2]^2 only: there
+    ||f|| <= sqrt(2) * 3 < M1 = 4.5, and the state-Lipschitz constant is
+    max(|u|, |v|) <= K1 = 1.  The box ``truncate_domain`` builds from
+    M1 * T + pad reaches further ([-5, 5]^2 around the origin), and near its
+    corners some control pairs' total jump rate exceeds d * M1 / h (240
+    against 180 at h = 0.05).
+    """
     return GameSpec(
         name="g2",
         d=2,

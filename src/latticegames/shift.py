@@ -262,14 +262,18 @@ def _aim(spec: GameSpec, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     """Aiming selections for the n rows of real states x and model states y,
     both (n, d): the first player's argmin_u max_v and the second player's
     worst-case response argmax_v min_u of <x - y, f(t, x, u, v)>, each the
-    lowest index on ties.  The forms of every control pair come from one
-    drift call over the rows tiled once per pair, with the drift taken at x."""
-    nu, nv = len(spec.u_grid), len(spec.v_grid)
+    lowest index on ties.  Each control pair's forms come from one drift call
+    over all rows, with the drift taken at x; tiling the rows once per pair
+    instead made temporaries nu*nv times larger, which the allocator mapped
+    and faulted in afresh at every partition interval."""
+    U, V = np.asarray(spec.u_grid), np.asarray(spec.v_grid)
     n = len(x)
-    pair = np.arange(nu * nv * n) // n
-    f = drift_batch(spec, t, np.tile(x, (nu * nv, 1)),
-                    np.asarray(spec.u_grid)[pair // nv], np.asarray(spec.v_grid)[pair % nv])
-    w = np.einsum("uvnd,nd->uvn", f.reshape(nu, nv, n, spec.d), x - y)
+    gap = x - y
+    w = np.empty((len(U), len(V), n))
+    for iu in range(len(U)):
+        for iv in range(len(V)):
+            f = drift_batch(spec, t, x, U[np.full(n, iu)], V[np.full(n, iv)])
+            w[iu, iv] = np.einsum("nd,nd->n", f, gap)
     if not np.isfinite(w).all():
         raise _drift_not_finite(t, x, np.isfinite(w).all(axis=(0, 1)))
     return np.argmin(w.max(axis=1), axis=0), np.argmax(w.min(axis=0), axis=0)
@@ -428,7 +432,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
                          0, len(eta.times) - 1)
 
             # value-greedy model control, then rates under the aiming response
-            u_star = eta.u_index[js, flat[idx_rep]]                # (m,)
+            u_star = eta.u_at(js, flat[idx_rep])                   # (m,)
             f_chosen, rates = kolmogorov_rates(spec, tc, ys, U[u_star], V[v_hat[idx_rep]], h)
             total = rates.sum(axis=1)
             check_majorant(total.max(), lam)

@@ -94,12 +94,16 @@ class SolveResult:
 class FeedbackTable:
     """First-player feedback of the upper chain game, without the values.
 
-    ``u_index[j, p]`` is the lowest u-grid index attaining min_u max_v of the
+    ``u_at(j, p)`` is the lowest u-grid index attaining min_u max_v of the
     generator applied to the upper value slice at ``times[j]`` (ascending),
     at lattice point p, with the drift evaluated at ``times[j]``.  This is all
-    the extremal-shift strategy reads from the value function; one byte per
-    entry instead of the float64 slice history.  ``value0`` is the t=0 slice.
-    Built by ``feedback_table``; it is the coupling engine's only input.
+    the extremal-shift strategy reads from the value function.  The indices
+    are bit-packed: ``bits`` is the smallest of 1, 2, 4, 8, 16, 32 with
+    len(u_grid) <= 2**bits, and ``per`` = max(1, 8 // bits) entries share one
+    word of ``u_words`` (uint8 up to 8 bits, else uint16 or uint32), entry p
+    of row j at word p // per, bit offset (p % per) * bits.  ``value0`` is the
+    t=0 slice.  Built by ``feedback_table``; it is the coupling engine's only
+    input.
     """
 
     game: str
@@ -107,8 +111,17 @@ class FeedbackTable:
     dt: float
     domain: LatticeDomain
     times: np.ndarray
-    u_index: np.ndarray
+    bits: int
+    u_words: np.ndarray
     value0: ValueGrid
+
+    def u_at(self, rows, points) -> np.ndarray:
+        """u-grid indices at the broadcast index arrays ``rows`` (into
+        ``times``) and ``points`` (lattice points), in ``u_words``' dtype."""
+        per = max(1, 8 // self.bits)
+        points = np.asarray(points)
+        shift = ((points & (per - 1)) * self.bits).astype(self.u_words.dtype)
+        return (self.u_words[rows, points >> (per.bit_length() - 1)] >> shift) & (2**self.bits - 1)
 
 
 def weighted_norm(grid: ValueGrid, other: ValueGrid | None = None) -> float:
@@ -507,24 +520,36 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     ceiling = dt_ceiling(spec, domain.h)
     dt = _resolve_dt(spec, dt, 0.0, ceiling, _CEILING_NAME)
     n_steps = _snapped_steps(spec, 0.0, dt)
-    u_index = np.empty((n_steps + 1, domain.n_points),
-                       dtype=np.min_scalar_type(len(spec.u_grid) - 1))
+    bits = next(b for b in (1, 2, 4, 8, 16, 32) if len(spec.u_grid) <= 2**b)
+    per = max(1, 8 // bits)
+    dtype = np.dtype(f"uint{max(8, bits)}")
+    n_words = -(-domain.n_points // per)
+    u_words = np.empty((n_steps + 1, n_words), dtype=dtype)
+    # one row of unpacked indices, padded with zeros to whole words
+    index = np.zeros(n_words * per, dtype=dtype)
+    entries = index.reshape(n_words, per)
     times = np.empty(n_steps + 1)
     rows = iter(range(n_steps, 0, -1))
     states = domain.states()
     rates_at = _rates_by_time(spec, domain, states)
 
-    def step(vals, t, t_next, dt):
-        row = next(rows)
+    def record(vals, t, row):
         times[row] = t
-        return vals + dt * _minimax(vals, rates_at(t), domain, "upper", index=u_index[row])
+        field = _minimax(vals, rates_at(t), domain, "upper", index=index[:domain.n_points])
+        words = u_words[row]
+        np.copyto(words, entries[:, 0])
+        for k in range(1, per):  # a column loop: reducing over the short axis is ~6x slower
+            words |= entries[:, k] << k * bits
+        return field
+
+    def step(vals, t, t_next, dt):
+        return vals + dt * record(vals, t, next(rows))
 
     dt, (value0,) = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
                            dt=dt, checkpoints=[0.0], ceiling=ceiling, ceiling_name=_CEILING_NAME)
-    times[0] = value0.t
-    _minimax(value0.values, rates_at(value0.t), domain, "upper", index=u_index[0])
+    record(value0.values, value0.t, 0)
     return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
-                         u_index=u_index, value0=value0)
+                         bits=bits, u_words=u_words, value0=value0)
 
 
 # ---------------------------------------------------------------------------
@@ -556,27 +581,30 @@ def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:
     """Read a slice CSV back onto its lattice; returns (grid, metadata)."""
     path = Path(path)
     meta: dict[str, str] = {}
-    rows: list[str] = []
     header_seen = False
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-            continue
-        if not header_seen:
+    with path.open() as fh:
+        # metadata and header by hand, up to the first data row
+        while True:
+            start = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise GameSpecError(f"slice file {path} holds no data rows")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, val = body.split("=", 1)
+                    meta[key.strip()] = val.strip()
+                continue
+            if header_seen:
+                break
             header_seen = True
-            continue
-        rows.append(line)
-    if not rows:
-        raise GameSpecError(f"slice file {path} holds no data rows")
-    try:
-        data = np.array([[float(tok) for tok in line.split(",")] for line in rows])
-    except ValueError as exc:
-        raise GameSpecError(f"slice file {path} has a malformed data row: {exc}") from exc
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GameSpecError(f"slice file {path} has a malformed data row: {exc}") from exc
     t = float(data[0, 0])
     states = data[:, 1:-1]
     vals = data[:, -1]

@@ -121,6 +121,25 @@ def test_converge_rejects_a_reference_of_another_game(tmp_path, capsys):
     assert not (tmp_path / "converge.csv").exists()
 
 
+def test_converge_rejects_a_reference_of_the_other_kind(tmp_path, capsys):
+    ref = tmp_path / "ref"
+    assert run("solve", "--game", "g1", "--h", "0.05", "--kind", "lower", "--out", str(ref)) == 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--reference", str(ref / "eta_lower_t0.csv")) == 2
+    assert "kind=lower" in capsys.readouterr().err
+    assert not (tmp_path / "converge.csv").exists()
+
+
+def test_converge_rejects_a_reference_mesh_without_the_points(tmp_path, capsys):
+    ref = tmp_path / "ref"
+    assert run("solve", "--game", "g1", "--h", "0.03", "--out", str(ref)) == 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--reference", str(ref / "eta_upper_t0.csv")) == 2
+    err = capsys.readouterr().err
+    assert "mesh-0.03 reference slice" in err and "mesh-0.1 point" in err
+    assert not (tmp_path / "converge.csv").exists()
+
+
 def test_converge_needs_the_reference_file(tmp_path, capsys):
     assert run("converge", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
                "--reference", str(tmp_path / "missing.csv")) == 2

@@ -85,7 +85,7 @@ def _slices(res) -> list:
 
 
 def _table(table) -> tuple:
-    return (table.times.tobytes(), table.u_index.tobytes(), table.value0.values.tobytes(),
+    return (table.times.tobytes(), table.u_words.tobytes(), table.value0.values.tobytes(),
             table.dt)
 
 
@@ -172,7 +172,7 @@ def test_feedback_argmin_matches_the_generator_reference(data, h):
     tables = np.array([[[lg.apply_generator(lookup, spec, value0.t, dom.state_of(p), u, v, h)
                          for v in spec.v_grid] for u in spec.u_grid] for p in points])
     inner = tables.max(axis=2)
-    assert np.array_equal(table.u_index[0, points], np.argmin(inner, axis=1))
+    assert np.array_equal(table.u_at(0, points), np.argmin(inner, axis=1))
     field = lg.hamiltonian_field(value0.values, spec, value0.t, dom, "upper")
     assert field[points].tobytes() == inner.min(axis=1).tobytes()
 

@@ -71,8 +71,8 @@ def test_model_feedback_follows_value_slope(g1_solution):
     _, table = g1_solution
     # on the |x| - 0.5(T-t) slope the minimizing player pushes toward zero
     assert table.times[0] == 0.0
-    assert table.u_index[0, table.domain.index_of_state([1.0])] == 0
-    assert table.u_index[0, table.domain.index_of_state([-1.0])] == 2
+    assert table.u_at(0, table.domain.index_of_state([1.0])) == 0
+    assert table.u_at(0, table.domain.index_of_state([-1.0])) == 2
 
 
 def test_adversary_panel():

@@ -336,11 +336,12 @@ def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
     ref_times = np.array([grid.t for grid in ascending])
     ref_u_index = np.stack([upper_argmin(grid.values, spec, grid.t, dom) for grid in ascending])
     steps = len(dense.slices) - 1
-    assert table.u_index.dtype == np.uint8
-    assert table.u_index.shape == (steps + 1, dom.n_points)
+    u_index = table.u_at(np.arange(len(table.times))[:, None], np.arange(dom.n_points))
+    assert u_index.dtype == np.uint8
+    assert u_index.shape == (steps + 1, dom.n_points)
     assert table.times.tobytes() == ref_times.tobytes()
     assert np.all(np.diff(table.times) > 0)
-    assert np.array_equal(table.u_index, ref_u_index)
+    assert np.array_equal(u_index, ref_u_index)
     assert table.dt == dense.dt and table.h == dom.h and table.domain == dom
     at0 = solve_backward(spec, dom, dt=dt, checkpoints=[0.0])
     last = at0.slice_at(0.0) if dt is None else at0.slices[-1]
@@ -354,8 +355,61 @@ def test_feedback_table_dtype_follows_grid():
                        u_grid=tuple(np.linspace(-1.0, 1.0, 300)), v_grid=(0.0,),
                        payoff=spec.payoff, R=1.0, M1=1.0, K1=0.0, vectorized=True)
     table = feedback_table(many, g1_domain(h=0.1, lo=-15, hi=15))
-    assert table.u_index.dtype == np.uint16
-    assert table.u_index.max() < 300
+    assert table.u_words.dtype == np.uint16
+    assert table.u_words.max() < 300
+
+
+def nearest_u_game(k):
+    """k u controls on [-1, 1] and drift (u - x)^2, so that the minimising u
+    follows x and the feedback holds many different indices."""
+    return lg.GameSpec(name=f"nearest{k}", d=1, T=0.2, drift=lambda t, x, u, v: (u - x) ** 2,
+                       u_grid=tuple(np.linspace(-1.0, 1.0, k)), v_grid=(0.0,),
+                       payoff=payoff_norm(), R=1.0, M1=6.25, K1=5.0, vectorized=True)
+
+
+@pytest.mark.parametrize("k, bits", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (16, 4),
+                                     (17, 8), (300, 16)])
+def test_packed_feedback_round_trips(k, bits):
+    spec = nearest_u_game(k)
+    dom = g1_domain(h=0.1, lo=-15, hi=15)  # 31 points: the last word of a row is partial
+    table = feedback_table(spec, dom)
+    ref = np.stack([upper_argmin(grid.values, spec, grid.t, dom)
+                    for grid in solve_backward(spec, dom).slices[::-1]])
+    per = max(1, 8 // bits)
+    assert table.bits == bits
+    assert table.u_words.dtype == (np.uint16 if bits == 16 else np.uint8)
+    assert table.u_words.shape == (len(ref), -(-dom.n_points // per))
+    assert np.array_equal(table.u_at(np.arange(len(ref))[:, None], np.arange(dom.n_points)), ref)
+    rows, points = np.array([0, 1, len(ref) - 1, 2]), np.array([30, 0, 7, 7])
+    assert np.array_equal(table.u_at(rows, points), ref[rows, points])
+    assert table.u_at(3, 30) == ref[3, 30]
+    assert len(np.unique(ref)) >= min(k, 4)
+
+
+@pytest.fixture(scope="module")
+def g2_table():
+    spec = lg.g2()
+    return feedback_table(spec, truncate_domain(spec, [0.0, 0.0], 0.05))
+
+
+def test_g2_feedback_table_packs_four_entries_per_byte(g2_table):
+    assert g2_table.domain.n_points == 40_401
+    assert g2_table.bits == 2
+    assert g2_table.u_words.shape == (361, 10_101)
+    assert g2_table.u_words.nbytes == 361 * 10_101
+
+
+def test_slice_read_equals_the_float_parse(g2_table, tmp_path):
+    path = tmp_path / "slice.csv"
+    write_slice_csv(g2_table.value0, path, {"game": "g2"})
+    rows = np.array([[float(tok) for tok in line.split(",")]
+                     for line in path.read_text().splitlines()[2:]])
+    grid, meta = read_slice_csv(path, 0.05)
+    assert meta == {"game": "g2"}
+    assert grid.t == rows[0, 0]
+    # rows are written in lattice order, which the reader restores
+    assert grid.values.tobytes() == rows[:, -1].tobytes()
+    assert grid.values.tobytes() == g2_table.value0.values.tobytes()
 
 
 def test_csv_rejects_repeated_row(tmp_path):
@@ -377,6 +431,29 @@ def test_csv_rejects_malformed_row(tmp_path):
     lines[3] = lines[3].replace(",", ",x", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(lg.GameSpecError, match="malformed data row"):
+        read_slice_csv(path, 0.25)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda line: line.rsplit(",", 1)[0],         # a ragged row
+    lambda line: line + ",0",                    # a ragged row, one field too many
+    lambda line: line.rsplit(",", 1)[0] + ",1_0",  # float() reads 10, the CSV reader does not
+], ids=["short", "long", "underscore"])
+def test_csv_rejects_ragged_and_odd_rows(tmp_path, edit):
+    dom = g1_domain(h=0.25, lo=-2, hi=2)
+    path = tmp_path / "slice.csv"
+    write_slice_csv(terminal_grid(lg.g1(), dom), path)
+    lines = path.read_text().splitlines()
+    lines[3] = edit(lines[3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(lg.GameSpecError, match="malformed data row"):
+        read_slice_csv(path, 0.25)
+
+
+def test_csv_without_rows_is_rejected(tmp_path):
+    path = tmp_path / "slice.csv"
+    path.write_text("# game=g1\nt,x_1,value\n\n")
+    with pytest.raises(lg.GameSpecError, match="holds no data rows"):
         read_slice_csv(path, 0.25)
 
 
