@@ -538,6 +538,41 @@ def test_g2_outputs_match_golden_digests():
     assert {name: _slices_sha256(res) for name, res in got.items()} == GOLDEN_G2
 
 
+AFFINE_3D = {
+    "d": 3, "T": 0.5, "R": 1.0, "M1": 18.0, "K1": 1.0,
+    "drift": {"kind": "affine", "a": [[0.3, -1.0, 0.0], [1.0, 0.2, 0.5], [0.0, -0.5, -0.4]],
+              "bu": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]],
+              "bv": [[0.5, 0.0], [0.0, -0.5], [0.25, 0.25]], "c": [0.1, 0.0, -0.2]},
+    "u_grid": [[1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]], "v_grid": [[0.5, 0.5], [-1.0, 0.0]],
+    "payoff": {"kind": "norm", "center": [0.0, 0.0, 0.0]},
+}
+
+# three axes of unequal lengths: the only box whose axis handling d <= 2 leaves
+# unexercised; recorded while neighbours were gathered through index tables
+GOLDEN_AFFINE_3D = {
+    "euler_upper": "9c32619ba5d64c1e3312850c4885d6de50d5d32a390ebff6cf4e9af75505b45e",
+    "euler_lower": "94287f5c8110d2197faa2af349d984c6bef7fb53ae9a226b983b48e5a884132c",
+    "viscous_upper": "e01eebb0a70fe2b9899f73bc41478f43bbff95f2ccb4ba0c9465ac86e05b284f",
+    "feedback_u_words": "0d88276a31eff764c5814e543dc9f49a3e398acdd78638e6d88a75904efbf5e8",
+    "feedback_value0": "2872c3ccaad6d4fc1d09d9ea4e95788cb7c50a3de276fbbf41da86e00f15bc10",
+}
+
+
+def test_affine_3d_outputs_match_golden_digests():
+    spec = game_from_dict(AFFINE_3D, name="affine3")
+    dom = LatticeDomain(h=0.25, lo=(-4, -3, -2), hi=(4, 3, 5))
+    at = [0.0, 0.25]
+    got = {name: _slices_sha256(res) for name, res in {
+        "euler_upper": solve_backward(spec, dom, checkpoints=at),
+        "euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
+        "viscous_upper": lg.solve_viscous(spec, dom, 0.3, checkpoints=at),
+    }.items()}
+    table = feedback_table(spec, dom)
+    got["feedback_u_words"] = hashlib.sha256(table.u_words.tobytes()).hexdigest()
+    got["feedback_value0"] = hashlib.sha256(table.value0.values.tobytes()).hexdigest()
+    assert got == GOLDEN_AFFINE_3D
+
+
 _FAULTS_PER_STEP = """
 import resource
 import latticegames as lg
