@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -137,14 +136,15 @@ class LatticeDomain:
         return self.index_of(k)
 
 
-@lru_cache(maxsize=32)
 def neighbor_tables(domain: LatticeDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-coordinate neighbour indices with out-of-box moves clamped to self.
 
     Returns (up, down, interior) where up[i]/down[i] have shape (n_points,)
     and interior marks points whose 2d axis neighbours all lie in the box.
     Clamping to self encodes the freezing boundary policy: a frozen move
-    contributes value difference zero.
+    contributes value difference zero.  The sweeps never build these tables:
+    they take each neighbour one stride away in the C-order box, and the
+    tables are the reference that rule is tested against.
     """
     shape = domain.shape
     n = domain.n_points

@@ -32,8 +32,8 @@ from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
-from .solver import (auto_dt, feedback_table, read_slice_csv, solve_backward,
-                     truncate_domain, write_slice_csv)
+from .solver import (auto_dt, feedback_table, read_slice_csv, read_slice_meta,
+                     solve_backward, truncate_domain, write_slice_csv)
 from .viscous import solve_viscous
 
 _ALL = ("solve", "converge", "simulate", "bounds")
@@ -260,11 +260,7 @@ def _reference_values(cfg: dict, spec: GameSpec, h: float, points: np.ndarray) -
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"reference file not found: {ref}")
-    meta = {}
-    for line in path.read_text().splitlines():
-        if line.startswith("# ") and "=" in line:
-            k, v = line[2:].split("=", 1)
-            meta[k] = v
+    meta = read_slice_meta(path)
     _check_reused_slice(path.name, meta, game=spec.name, kind=cfg["kind"])
     if "h" not in meta and "dx" not in meta:
         raise UsageError("reference file lacks an 'h' or 'dx' metadata line")

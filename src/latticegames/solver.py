@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, kolmogorov_rates, neighbor_tables
+from .chain import LatticeDomain, kolmogorov_rates
 from .errors import GameSpecError, ResourceError, StepSizeError, TruncationError
 from .games import GameSpec, drift_batch, payoff_batch
 
@@ -189,9 +189,10 @@ class Rates(NamedTuple):
 
     ``up`` and ``rate`` have shape (nu, nv, d, n): entry [iu, iv, i] belongs to
     the control pair (u_grid[iu], v_grid[iv]) on axis i at the domain's n
-    points.  ``diffs`` (2, d, n) and ``work`` (3, n) are scratch for kernel
-    calls: each call overwrites them, so one set of rates serves one call at
-    a time.
+    points.  ``diffs`` (2, d, n) holds a kernel call's neighbour differences
+    V[up_i] - V and V[down_i] - V (``_neighbor_diffs``), and ``work`` (3, n)
+    its accumulator rows; each call overwrites both, so one set of rates
+    serves one call at a time.
     """
 
     up: np.ndarray
@@ -272,6 +273,32 @@ def _rates_by_time(spec: GameSpec, domain: LatticeDomain,
     return at
 
 
+def _axis_slices(d: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Index tuples into a d-axis box along axis i: (all but the last layer,
+    all but the first layer, the first layer, the last layer)."""
+    pre = (slice(None),) * i
+    return pre + (slice(None, -1),), pre + (slice(1, None),), pre + (0,), pre + (-1,)
+
+
+def _neighbor_diffs(values: np.ndarray, shape: tuple[int, ...], d_up: np.ndarray,
+                    d_down: np.ndarray) -> None:
+    """Write d_up[i] = V[up_i] - V and d_down[i] = V[down_i] - V for every
+    axis i of the C-order box ``shape``, by slicing the box.
+
+    A neighbour one step up (down) axis i is one stride away; an out-of-box
+    move is frozen, so its difference is +0.0 (the x - x of finite values).
+    ``chain.neighbor_tables`` states the same rule as index tables.
+    """
+    box = values.reshape(shape)
+    for i, (du, dd) in enumerate(zip(d_up, d_down)):
+        below, above, first, last = _axis_slices(len(shape), i)
+        du, dd = du.reshape(shape), dd.reshape(shape)
+        np.subtract(box[above], box[below], out=du[below])
+        np.subtract(box[below], box[above], out=dd[above])
+        du[last] = 0.0
+        dd[first] = 0.0
+
+
 def _upwind_generator(ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
                       d_down: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
     """Write into ``out`` the chain generator sum_i rate_i * (V[up_i] - V or
@@ -280,14 +307,17 @@ def _upwind_generator(ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
     ``ups``/``rates`` are the pair's (d, n) slices of ``_pair_rates``;
     ``d_up[i]``/``d_down[i]`` hold the value differences V[up_i] - V and
     V[down_i] - V at its points; ``w`` is a work row.  This is also the
-    first-order upwind difference of <grad V, f>.
+    first-order upwind difference of <grad V, f>.  The first axis's term is
+    written into ``out`` directly, so a point where every term is -0.0 (a
+    zero rate times a negative difference) sums to -0.0, not +0.0.
     """
-    out.fill(0.0)
-    for up, rate, du, dd in zip(ups, rates, d_up, d_down):
-        np.copyto(w, dd)
-        np.copyto(w, du, where=up)
-        w *= rate
-        out += w
+    for i, (up, rate, du, dd) in enumerate(zip(ups, rates, d_up, d_down)):
+        term = out if i == 0 else w
+        np.copyto(term, dd)
+        np.copyto(term, du, where=up)
+        term *= rate
+        if i > 0:
+            out += w
 
 
 def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
@@ -303,13 +333,8 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
-    up, down, _ = neighbor_tables(domain)
     d_up, d_down = rates.diffs
-    # indices are in range: "clip" skips the copy that "raise" buffers out through
-    np.take(values, up, out=d_up, mode="clip")
-    np.take(values, down, out=d_down, mode="clip")
-    d_up -= values
-    d_down -= values
+    _neighbor_diffs(values, domain.shape, d_up, d_down)
     # u always minimises and v always maximises; upper commits u first
     # (min_u max_v), lower commits v first (max_v min_u)
     if kind == "upper":
@@ -332,6 +357,8 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
             if index is not None:
                 np.copyto(index, a, where=improves(inner, field))
             outer_best(field, inner, out=field)
+    # -0.0 + 0.0 is +0.0: the field of a generator summed from +0.0
+    field += 0.0
     return field
 
 
@@ -480,12 +507,29 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
         def step(vals, t, t_next, dt):
             return vals + dt * H(vals, t)
     else:
+        # the stage input and the check's scaled values, reused by every step;
+        # the kernel's fresh results k1..k4 take the stage sums in place
+        stage, scaled = np.empty((2, len(values)))
+
+        def stage_at(vals, k, c, t):
+            np.multiply(c, k, out=stage)
+            np.add(vals, stage, out=stage)
+            return H(stage, t)
+
         def step(vals, t, t_next, dt):
             k1 = H(vals, t)
-            k2 = H(vals + 0.5 * dt * k1, t - 0.5 * dt)
-            k3 = H(vals + 0.5 * dt * k2, t - 0.5 * dt)
-            k4 = H(vals + dt * k3, t_next)
-            return vals + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = stage_at(vals, k1, 0.5 * dt, t - 0.5 * dt)
+            k3 = stage_at(vals, k2, 0.5 * dt, t - 0.5 * dt)
+            k4 = stage_at(vals, k3, dt, t_next)
+            # vals + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
+            k2 *= 2
+            k3 *= 2
+            k1 += k2
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            k1 += vals
+            return k1
 
         weights = domain.h + np.linalg.norm(states, axis=1)
         g_norm = float(np.max(np.abs(values) / weights))
@@ -493,7 +537,9 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
 
         def check(vals, t):
             ceiling_norm = g_norm * math.exp(growth_rate * (spec.T - t)) * (1 + 1e-6)
-            if not np.all(np.isfinite(vals)) or np.max(np.abs(vals) / weights) > ceiling_norm:
+            np.divide(np.abs(vals, out=scaled), weights, out=scaled)
+            # NaN fails the comparison, and inf exceeds the ceiling
+            if not np.max(scaled) <= ceiling_norm:
                 raise StepSizeError(
                     f"runaway growth at t={t:.6g}: weighted norm exceeds "
                     f"exp({growth_rate:.3g}*(T-t)) * terminal norm; reduce dt"
@@ -577,30 +623,42 @@ def write_slice_csv(grid: ValueGrid, path: str | Path, meta: dict | None = None)
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _read_slice_meta(fh, path: Path) -> dict[str, str]:
+    """The ``# key=value`` lines of an open slice CSV, keys and values
+    stripped, read by hand through its header; leaves ``fh`` at the first data
+    row and reads no further."""
+    meta: dict[str, str] = {}
+    header_seen = False
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            raise GameSpecError(f"slice file {path} holds no data rows")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, val = body.split("=", 1)
+                meta[key.strip()] = val.strip()
+            continue
+        if header_seen:
+            fh.seek(start)
+            return meta
+        header_seen = True
+
+
+def read_slice_meta(path: str | Path) -> dict[str, str]:
+    """The metadata of a slice CSV, without parsing its data rows."""
+    with Path(path).open() as fh:
+        return _read_slice_meta(fh, path)
+
+
 def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:
     """Read a slice CSV back onto its lattice; returns (grid, metadata)."""
     path = Path(path)
-    meta: dict[str, str] = {}
-    header_seen = False
     with path.open() as fh:
-        # metadata and header by hand, up to the first data row
-        while True:
-            start = fh.tell()
-            line = fh.readline()
-            if not line:
-                raise GameSpecError(f"slice file {path} holds no data rows")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = val.strip()
-                continue
-            if header_seen:
-                break
-            header_seen = True
-        fh.seek(start)
+        meta = _read_slice_meta(fh, path)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, neighbor_tables
+from .chain import LatticeDomain
 from .errors import GameSpecError
 # drift_batch is no longer called here; perfbench's install_probes patches it
 from .games import GameSpec, drift_batch, payoff_batch  # noqa: F401
-from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _rates_by_time, _sweep,
-                     _tiling_dt, hamiltonian_field)
+from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _axis_slices, _rates_by_time,
+                     _sweep, _tiling_dt, hamiltonian_field)
 
 __all__ = ["cfl_ceiling", "auto_cfl_dt", "solve_viscous", "viscosity_gap"]
 
@@ -56,25 +56,31 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
         raise GameSpecError(f"sigma must be >= 0, got {sigma}")
     dx = domain.h
     states = domain.states()
-    up, down, interior = neighbor_tables(domain)
-    boundary = ~interior
+    shape = domain.shape
+    # per axis: all but the last layer, all but the first, the first, the last
+    axes = [_axis_slices(spec.d, i) for i in range(spec.d)]
     rates_at = _rates_by_time(spec, domain, states)
     half_sig2 = 0.5 * sigma**2
     dx2 = dx * dx
     # the Laplacian's work rows, reused by every step of this sweep
     lap, second, term = np.empty((3, domain.n_points))
+    up_box, down_box = second.reshape(shape), term.reshape(shape)
 
     def step(values, t, t_next, dt):
         out = hamiltonian_field(values, spec, t, domain, kind, rates=rates_at(t))
+        box = values.reshape(shape)
         if sigma > 0:
-            # centered second differences (values[up] - 2 values + values[down]) / dx2;
-            # boundary values are re-frozen below
+            # centered second differences (values[up] - 2 values + values[down]) / dx2,
+            # an out-of-box neighbour read as the point itself; boundary values
+            # are re-frozen below
             lap.fill(0.0)
-            for i in range(spec.d):
-                np.take(values, up[i], out=second, mode="clip")
+            for below, above, first, last in axes:
+                up_box[below] = box[above]
+                up_box[last] = box[last]
                 np.multiply(values, 2.0, out=term)
                 np.subtract(second, term, out=second)
-                np.take(values, down[i], out=term, mode="clip")
+                down_box[above] = box[below]
+                down_box[first] = box[first]
                 np.add(second, term, out=second)
                 np.divide(second, dx2, out=second)
                 np.add(lap, second, out=lap)
@@ -82,7 +88,11 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
             out += lap
         out *= dt
         out += values
-        np.copyto(out, values, where=boundary)  # boundary ring stays at terminal data
+        # the boundary ring, the 2d faces of the box, stays at terminal data
+        frozen = out.reshape(shape)
+        for _, _, first, last in axes:
+            frozen[first] = box[first]
+            frozen[last] = box[last]
         return out
 
     dt, slices = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,

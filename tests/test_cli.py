@@ -121,6 +121,16 @@ def test_converge_rejects_a_reference_of_another_game(tmp_path, capsys):
     assert not (tmp_path / "converge.csv").exists()
 
 
+def test_converge_checks_the_reference_metadata_before_its_rows(tmp_path, capsys):
+    # rows no parser accepts: the game check must not need them
+    ref = tmp_path / "eta_upper_t0.csv"
+    ref.write_text("# game = other\n# kind=upper\n# h=0.05\nt,x_1,value\n0,not,a row\n")
+    assert run("converge", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--reference", str(ref)) == 2
+    assert "game=other" in capsys.readouterr().err
+    assert not (tmp_path / "converge.csv").exists()
+
+
 def test_converge_rejects_a_reference_of_the_other_kind(tmp_path, capsys):
     ref = tmp_path / "ref"
     assert run("solve", "--game", "g1", "--h", "0.05", "--kind", "lower", "--out", str(ref)) == 0

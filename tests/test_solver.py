@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticegames as lg
 from latticegames import solver
@@ -148,6 +149,36 @@ def test_hamiltonian_field_matches_generator_reference(spec, dom, rtol):
     idxs = upper_argmin(values, spec, t, dom)[points]
     assert np.array_equal(idxs, np.argmin(tables.max(axis=2), axis=1))
 
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.sampled_from([1, 2, 3, 7]), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_stride_differences_equal_the_table_gather(shape, seed):
+    # the kernel's stride rule against neighbor_tables, bit for bit, faces included
+    dom = LatticeDomain(h=0.5, lo=(0,) * len(shape), hi=tuple(k - 1 for k in shape))
+    values = np.random.default_rng(seed).normal(size=dom.n_points)
+    d_up, d_down = np.full((2, dom.d, dom.n_points), np.nan)
+    solver._neighbor_diffs(values, dom.shape, d_up, d_down)
+    up, down, _ = neighbor_tables(dom)
+    assert d_up.tobytes() == (np.take(values, up) - values).tobytes()
+    assert d_down.tobytes() == (np.take(values, down) - values).tobytes()
+
+
+@pytest.mark.parametrize("spec, dom", [
+    (lg.g1(), g1_domain()),
+    (lg.g2(), LatticeDomain(h=0.1, lo=(-8, -8), hi=(8, 8))),
+    # u + v = 0 for the pair (0, 0): zero rates times negative differences
+    (game_from_dict({"d": 1, "T": 1.0, "drift": {"kind": "control_sum"},
+                     "u_grid": [0, 1], "v_grid": [0], "payoff": {"kind": "norm"},
+                     "R": 1.0, "M1": 1.0, "K1": 0.0}, name="still"), g1_domain()),
+], ids=["g1", "g2", "zero-drift-pair"])
+def test_hamiltonian_field_holds_no_negative_zero(spec, dom):
+    # a generator summed from +0.0 is never -0.0; the field keeps those bytes
+    values = np.random.default_rng(11).normal(size=dom.n_points)
+    for kind in ("upper", "lower"):
+        field = hamiltonian_field(values, spec, 0.5, dom, kind)
+        assert not np.any((field == 0) & np.signbit(field)), kind
 
 
 def test_kernel_results_survive_later_calls_on_the_same_rates():
@@ -573,24 +604,43 @@ def test_affine_3d_outputs_match_golden_digests():
     assert got == GOLDEN_AFFINE_3D
 
 
-_FAULTS_PER_STEP = """
-import resource
+_SWEEP_FAULTS = """
+import resource, sys
 import latticegames as lg
+sweep, h, steps = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
 spec = lg.g2()
-dom = lg.truncate_domain(spec, [0.0, 0.0], 0.1)
+dom = lg.truncate_domain(spec, [0.0, 0.0], h)
+dt = lg.cfl_ceiling(spec, h, 0.1) if sweep == "viscous" else lg.dt_ceiling(spec, h)
+at = [spec.T - steps * dt]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-res = lg.solve_backward(spec, dom, checkpoints=[0.0])
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / round(spec.T / res.dt))
+if sweep == "viscous":
+    lg.solve_viscous(spec, dom, 0.1, dt=dt, checkpoints=at)
+else:
+    lg.solve_backward(spec, dom, dt=dt, scheme=sweep, checkpoints=at)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def test_sweep_steps_do_not_page_fault():
-    # a fresh process, as a CLI run is: in a warm one, earlier frees have
-    # raised malloc's thresholds and per-step work arrays stop faulting
-    pytest.importorskip("resource")
+def _sweep_faults(sweep: str, h: float, steps: int) -> int:
+    """Minor page faults of a ``steps``-step g2 sweep, in a fresh process as a
+    CLI run is: in a warm one, earlier frees have raised malloc's thresholds
+    and per-step work arrays stop faulting."""
     paths = [str(Path(lg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env, check=True,
-                         capture_output=True, text=True, timeout=300)
-    per_step = float(run.stdout)
-    assert per_step < 20, f"{per_step:.1f} minor page faults per sweep step"
+    run = subprocess.run([sys.executable, "-c", _SWEEP_FAULTS, sweep, str(h), str(steps)],
+                         env=env, check=True, capture_output=True, text=True, timeout=300)
+    return int(run.stdout)
+
+
+@pytest.mark.parametrize("sweep, h, steps", [
+    ("euler", 0.1, 45),
+    ("viscous", 0.1, 45),
+    # RK4 at h=0.05, where its per-stage temporaries were measured faulting
+    ("rk4", 0.05, 20),
+], ids=["euler", "viscous", "rk4"])
+def test_sweep_steps_do_not_page_fault(sweep, h, steps):
+    # the marginal count: the rates and the first step's allocations fault
+    # in once per sweep, whatever its length
+    pytest.importorskip("resource")
+    per_step = (_sweep_faults(sweep, h, 2 * steps) - _sweep_faults(sweep, h, steps)) / steps
+    assert per_step < 5, f"{per_step:.1f} minor page faults per {sweep} sweep step"

@@ -57,6 +57,27 @@ def test_result_records_sigma():
     assert lg.solve_backward(spec, domain(dx=0.1, lo=-25, hi=25), checkpoints=[0.0]).sigma is None
 
 
+def test_viscous_step_equals_the_table_reference_step():
+    # one step on a d=3 box of unequal axes, against neighbours gathered
+    # through neighbor_tables and the ring re-frozen through its mask
+    spec = lg.game_from_dict({
+        "d": 3, "T": 1.0, "R": 1.0, "M1": 12.0, "K1": 1.0,
+        "drift": {"kind": "affine", "a": [[0.3, -1.0, 0.0], [1.0, 0.2, 0.5], [0.0, -0.5, -0.4]],
+                  "bu": [[1.0], [0.0], [0.5]], "bv": [[0.5], [-0.5], [0.25]], "c": [0.1, 0.0, -0.2]},
+        "u_grid": [-1, 0, 1], "v_grid": [-1, 1], "payoff": {"kind": "norm"}}, name="affine3")
+    dom = LatticeDomain(h=0.25, lo=(-2, -3, -1), hi=(2, 2, 5))
+    sigma, dt = 0.4, 0.5 * cfl_ceiling(spec, dom.h, 0.4)
+    res = solve_viscous(spec, dom, sigma, dt=dt, checkpoints=[spec.T, spec.T - dt])
+    values = res.slices[0].values
+    up, down, interior = neighbor_tables(dom)
+    lap = np.zeros(dom.n_points)
+    for i in range(dom.d):
+        lap += ((values[up[i]] - 2.0 * values) + values[down[i]]) / dom.h**2
+    field = lg.hamiltonian_field(values, spec, spec.T, dom, "upper")
+    want = np.where(interior, (field + 0.5 * sigma**2 * lap) * dt + values, values)
+    assert res.slices[1].values.tobytes() == want.tobytes()
+
+
 def test_range_check_fires():
     # a drift 400 times its declared bound M1: the step under the CFL ceiling
     # for M1 is no longer a convex combination and values leave [min g, max g]
