@@ -33,7 +33,7 @@ from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
 from .solver import (auto_dt, feedback_table, read_slice_csv, read_slice_meta,
-                     solve_backward, truncate_domain, write_slice_csv)
+                     read_slice_value, solve_backward, truncate_domain, write_slice_csv)
 from .viscous import solve_viscous
 
 _ALL = ("solve", "converge", "simulate", "bounds")
@@ -354,13 +354,16 @@ def cmd_simulate(cfg: dict) -> int:
     eta_path = out / _slice_name(cfg, 0.0, h, None)
     if not eta_path.exists():
         raise UsageError(f"missing {eta_path.name} in --out; run 'solve' first")
-    ref_grid, ref_meta = read_slice_csv(eta_path, h)
     domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
     dt = _dt(cfg)
     dt = auto_dt(spec, h) if dt is None else dt
-    _check_reused_slice(eta_path.name, ref_meta, game=spec.name, h=h, kind=cfg["kind"], dt=dt)
-    x_ref = ref_grid.domain.nearest_lattice(x0) * h
-    eta_ref = float(ref_grid.value_at(x_ref))
+    _check_reused_slice(eta_path.name, read_slice_meta(eta_path), game=spec.name, h=h,
+                        kind=cfg["kind"], dt=dt)
+    x_ref = domain.nearest_lattice(x0) * h
+    eta_ref = read_slice_value(eta_path, x_ref)
+    if eta_ref is None:
+        raise UsageError(f"{eta_path.name} holds no row at {x_ref.tolist()}, the lattice "
+                         f"point nearest x0; rerun 'solve' with the same settings")
 
     eta = feedback_table(spec, domain, dt=dt)
     fresh = eta.value0.value_at(x_ref)

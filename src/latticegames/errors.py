@@ -27,5 +27,12 @@ class StepSizeError(LatticeGamesError):
     the bounds its scheme guarantees (the payoff range for monotone steps)."""
 
 
+class MonotoneStepError(GameSpecError, StepSizeError):
+    """An explicit Euler step is not monotone: some point's total jump rate
+    times dt exceeds 1, so the declared M1 bounds no drift there.  It is a
+    step-size failure caused by the game definition, so the CLI treats it as
+    a definition error (exit 2)."""
+
+
 class ResourceError(LatticeGamesError):
     """A requested computation exceeds the configured memory budget."""

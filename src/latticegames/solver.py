@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .chain import LatticeDomain, kolmogorov_rates
-from .errors import GameSpecError, ResourceError, StepSizeError, TruncationError
+from .errors import (GameSpecError, MonotoneStepError, ResourceError, StepSizeError,
+                     TruncationError)
 from .games import GameSpec, drift_batch, payoff_batch
 
 VALUE_KINDS = ("upper", "lower")
@@ -184,34 +185,69 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, pad: float = 0.5) -> Latti
 # the generator kernel
 
 
+# a term with more runs of one jump direction along the C order than this
+# selects its direction per point
+_MAX_RUNS = 8
+
+
 class Rates(NamedTuple):
     """Upwind jump rates of every control pair, with the kernel's work arrays.
 
     ``up`` and ``rate`` have shape (nu, nv, d, n): entry [iu, iv, i] belongs to
     the control pair (u_grid[iu], v_grid[iv]) on axis i at the domain's n
-    points.  ``diffs`` (2, d, n) holds a kernel call's neighbour differences
-    V[up_i] - V and V[down_i] - V (``_neighbor_diffs``), and ``work`` (3, n)
-    its accumulator rows; each call overwrites both, so one set of rates
-    serves one call at a time.
+    points.  ``terms[iu][iv][i]`` is the shape of that term (``_term_runs``):
+    () for a zero term, whose rate is 0 at every point; else its runs
+    (start, stop, goes_up) of one jump direction along the C order of the
+    points, one run for a drift component of one sign and two for one that
+    changes sign across the slowest axis; or None, a mixed term, beyond
+    ``_MAX_RUNS`` runs.  ``up`` is written for mixed terms only and ``rate``
+    for nonzero terms only; the other rows read as zero.  ``diffs`` (2, d,
+    n) holds a kernel call's neighbour differences V[up_i] - V and
+    V[down_i] - V (``_neighbor_diffs``), and ``work`` (3, n) its accumulator
+    rows; each call overwrites both, so one set of rates serves one call at
+    a time.
+    ``peak_rate`` is the largest total rate sum_i rate_i over pairs and
+    points, reached first at point ``peak_at[0]`` for the pair
+    (u_grid[peak_at[1]], v_grid[peak_at[2]]).
     """
 
     up: np.ndarray
     rate: np.ndarray
     diffs: np.ndarray
     work: np.ndarray
+    terms: tuple
+    peak_rate: float
+    peak_at: tuple[int, int, int]
+
+
+def _term_runs(goes_up: np.ndarray, rate: np.ndarray) -> tuple | None:
+    """One term's shape: () when its rate is 0 everywhere, else its runs
+    (start, stop, goes_up) of one direction along the C order, or None (a
+    mixed term) when it has more than ``_MAX_RUNS`` of them."""
+    if not rate.any():
+        return ()
+    cuts = np.flatnonzero(goes_up[1:] != goes_up[:-1]) + 1
+    if len(cuts) >= _MAX_RUNS:
+        return None
+    bounds = [0, *cuts.tolist(), len(goes_up)]
+    return tuple((a, b, bool(goes_up[a])) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates:
     """Upwind jump rates of every control pair at the points ``states``.
 
     These are ``chain.kolmogorov_rates``: along axis i the chain jumps at
-    ``rate`` to the up neighbour where ``up`` is set (f_i > 0 and a positive
-    rate) and to the down neighbour elsewhere.
+    ``rate`` to the up neighbour where f_i > 0 and the rate is positive, and
+    to the down neighbour elsewhere.
     The rates and the kernel's work arrays live in one anonymous memory
     mapping of their own, which is unmapped when the last view goes: in the
     malloc heap the freed block stayed resident under the later phases of a
     process, and work arrays allocated per kernel call would be mapped and
-    faulted in afresh at every sweep step of a fresh process.
+    faulted in afresh at every sweep step of a fresh process.  The mapping
+    starts zeroed, so the rate rows of zero terms and the up rows of all but
+    mixed terms are left unwritten: their pages never become resident, and
+    the kernel never reads them.  Each pair's total rate is summed into a
+    work row, so finding the peak allocates nothing of size (nu, nv, n).
     """
     n = len(states)
     shape = (len(spec.u_grid), len(spec.v_grid), spec.d, n)
@@ -223,12 +259,43 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
     diffs = floats[size:size + 2 * spec.d * n].reshape(2, spec.d, n)
     work = floats[size + 2 * spec.d * n:].reshape(3, n)
     up = np.frombuffer(block, dtype=bool, count=size, offset=8 * n_floats).reshape(shape)
+    terms = []
+    peak_rate, peak_at = -1.0, (0, 0, 0)
     for iu, u in enumerate(spec.u_grid):
+        terms.append([])
         for iv, v in enumerate(spec.v_grid):
             f, r = kolmogorov_rates(spec, t, states, u, v, h)
-            rate[iu, iv] = r.T
-            np.logical_and(f.T > 0, r.T > 0, out=up[iu, iv])
-    return Rates(up, rate, diffs, work)
+            shapes = []
+            for i in range(spec.d):
+                goes_up = (f[:, i] > 0) & (r[:, i] > 0)
+                shapes.append(_term_runs(goes_up, r[:, i]))
+                if shapes[-1] != ():
+                    rate[iu, iv, i] = r[:, i]
+                if shapes[-1] is None:
+                    up[iu, iv, i] = goes_up
+            terms[iu].append(tuple(shapes))
+            total = r.sum(axis=1, out=work[0])
+            p = int(np.argmax(total))
+            if total[p] > peak_rate:
+                peak_rate, peak_at = float(total[p]), (p, iu, iv)
+    return Rates(up, rate, diffs, work, tuple(map(tuple, terms)), peak_rate, peak_at)
+
+
+def _check_monotone(spec: GameSpec, states: np.ndarray, rates: Rates, dt: float,
+                    extra_rate: float = 0.0) -> None:
+    """An explicit Euler step is a convex combination of the current values,
+    so it keeps them inside the payoff range, only while every point's total
+    outflow rate times dt is at most 1.  ``extra_rate`` is added to the
+    chain's peak rate (the viscous Laplacian's d*sigma^2/h^2)."""
+    total = rates.peak_rate + extra_rate
+    if not total * dt <= 1.0 + 1e-12:  # a NaN rate fails too
+        p, iu, iv = rates.peak_at
+        laplacian = f" (with the Laplacian's {extra_rate:.6g})" if extra_rate else ""
+        raise MonotoneStepError(
+            f"total jump rate {total:.6g}{laplacian} times dt={dt:.6g} is {total * dt:.6g} > 1 "
+            f"at x={states[p].tolist()} for the control pair u={spec.u_grid[iu]!r}, "
+            f"v={spec.v_grid[iv]!r}: the Euler step is not monotone and can leave the "
+            f"terminal payoff range; M1={spec.M1:g} bounds no drift there")
 
 
 _AUTONOMY_SAMPLE = 64  # states on which a declared-autonomous drift is spot-checked
@@ -250,74 +317,97 @@ def _check_autonomous(spec: GameSpec, states: np.ndarray) -> None:
                             f"differs at t=0 and t=T={spec.T:g}")
 
 
-def _rates_by_time(spec: GameSpec, domain: LatticeDomain,
-                   states: np.ndarray) -> Callable[[float], Rates]:
+def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
+                   extra_rate: float = 0.0) -> Callable[..., Rates]:
     """The kernel's rates at time t, for a sweep over ``states``, the
     domain's points.
 
     An autonomous spec's rates are built once, at T, after a spot check of
     the declaration.  Other specs' are rebuilt at each new kernel time;
     consecutive calls at one time (RK4's middle stages, a step and the next
-    one's start) share the build.
+    one's start) share the build.  An Euler step passes its ``dt``, and each
+    build it triggers is checked to keep the step monotone
+    (``_check_monotone``, with ``extra_rate``).
     """
     built: dict[float, Rates] = {}
     if spec.autonomous:
         _check_autonomous(spec, states)
 
-    def at(t: float) -> Rates:
+    def at(t: float, dt: float | None = None) -> Rates:
         t = spec.T if spec.autonomous else t
         if t not in built:
             built.clear()
             built[t] = _pair_rates(spec, t, states, domain.h)
+            if dt is not None:
+                _check_monotone(spec, states, built[t], dt, extra_rate)
         return built[t]
     return at
 
 
 def _axis_slices(d: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
     """Index tuples into a d-axis box along axis i: (all but the last layer,
-    all but the first layer, the first layer, the last layer)."""
+    all but the first layer, the first layer, the last layer).  Each selects
+    an array view, a box of one point included."""
     pre = (slice(None),) * i
-    return pre + (slice(None, -1),), pre + (slice(1, None),), pre + (0,), pre + (-1,)
+    return (pre + (slice(None, -1),), pre + (slice(1, None),), pre + (slice(None, 1),),
+            pre + (slice(-1, None),))
 
 
 def _neighbor_diffs(values: np.ndarray, shape: tuple[int, ...], d_up: np.ndarray,
                     d_down: np.ndarray) -> None:
     """Write d_up[i] = V[up_i] - V and d_down[i] = V[down_i] - V for every
-    axis i of the C-order box ``shape``, by slicing the box.
+    axis i of the C-order box ``shape``, by flat offsets.
 
-    A neighbour one step up (down) axis i is one stride away; an out-of-box
-    move is frozen, so its difference is +0.0 (the x - x of finite values).
-    ``chain.neighbor_tables`` states the same rule as index tables.
+    A neighbour one step up (down) axis i is one stride s away, so the
+    differences are the flat subtractions V[k + s] - V[k] (V[k - s] - V[k]);
+    the last (first) face of the axis, where that neighbour wraps into another
+    row or leaves the box, is then set to +0.0, because an out-of-box move is
+    frozen (the x - x of finite values).  ``chain.neighbor_tables`` states the
+    same rule as index tables.
     """
-    box = values.reshape(shape)
+    stride = len(values)
     for i, (du, dd) in enumerate(zip(d_up, d_down)):
-        below, above, first, last = _axis_slices(len(shape), i)
-        du, dd = du.reshape(shape), dd.reshape(shape)
-        np.subtract(box[above], box[below], out=du[below])
-        np.subtract(box[below], box[above], out=dd[above])
-        du[last] = 0.0
-        dd[first] = 0.0
+        stride //= shape[i]
+        np.subtract(values[stride:], values[:-stride], out=du[:-stride])
+        np.subtract(values[:-stride], values[stride:], out=dd[stride:])
+        _, _, first, last = _axis_slices(len(shape), i)
+        du.reshape(shape)[last] = 0.0
+        dd.reshape(shape)[first] = 0.0
 
 
-def _upwind_generator(ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
-                      d_down: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
+def _upwind_generator(terms: tuple, ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
+                      d_down: np.ndarray, out: np.ndarray, w: np.ndarray) -> bool:
     """Write into ``out`` the chain generator sum_i rate_i * (V[up_i] - V or
     V[down_i] - V) of one control pair, the upwind direction per ``up_i``.
 
-    ``ups``/``rates`` are the pair's (d, n) slices of ``_pair_rates``;
-    ``d_up[i]``/``d_down[i]`` hold the value differences V[up_i] - V and
-    V[down_i] - V at its points; ``w`` is a work row.  This is also the
-    first-order upwind difference of <grad V, f>.  The first axis's term is
-    written into ``out`` directly, so a point where every term is -0.0 (a
-    zero rate times a negative difference) sums to -0.0, not +0.0.
+    ``terms``/``ups``/``rates`` are the pair's term shapes and (d, n) slices
+    of ``Rates``; ``d_up[i]``/``d_down[i]`` hold the value differences
+    V[up_i] - V and V[down_i] - V at its points; ``w`` is a work row.  This is
+    also the first-order upwind difference of <grad V, f>.  A zero term adds
+    nothing and its rows are not read; a term of few runs is one product of
+    the up or down difference and the rate per run, so one pass in all; only
+    a mixed term selects its direction per point, in three passes.  Either
+    way a point gets the product a select would give it.  The first nonzero
+    term is written into ``out`` directly and later ones are added through
+    ``w``.  Returns False, with ``out`` left alone, when every term is zero.
+    The sum equals the sum over all terms but for the sign of a zero.
     """
-    for i, (up, rate, du, dd) in enumerate(zip(ups, rates, d_up, d_down)):
-        term = out if i == 0 else w
-        np.copyto(term, dd)
-        np.copyto(term, du, where=up)
-        term *= rate
-        if i > 0:
+    wrote = False
+    for runs, up, rate, du, dd in zip(terms, ups, rates, d_up, d_down):
+        if runs == ():
+            continue
+        term = w if wrote else out
+        if runs is None:
+            np.copyto(term, dd)
+            np.copyto(term, du, where=up)
+            term *= rate
+        else:
+            for a, b, goes_up in runs:
+                np.multiply((du if goes_up else dd)[a:b], rate[a:b], out=term[a:b])
+        if wrote:
             out += w
+        wrote = True
+    return wrote
 
 
 def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
@@ -338,10 +428,11 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
     # u always minimises and v always maximises; upper commits u first
     # (min_u max_v), lower commits v first (max_v min_u)
     if kind == "upper":
-        ups, rate = rates.up, rates.rate
+        ups, rate, terms = rates.up, rates.rate, rates.terms
         inner_best, outer_best, improves = np.maximum, np.minimum, np.less
     else:
         ups, rate = rates.up.swapaxes(0, 1), rates.rate.swapaxes(0, 1)
+        terms = tuple(zip(*rates.terms))
         inner_best, outer_best, improves = np.minimum, np.maximum, np.greater
     g, inner, w = rates.work
     field = np.empty(len(values))
@@ -349,15 +440,18 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
         index.fill(0)
     for a in range(rate.shape[0]):
         acc = field if a == 0 else inner
-        _upwind_generator(ups[a, 0], rate[a, 0], d_up, d_down, acc, w)
+        if not _upwind_generator(terms[a][0], ups[a, 0], rate[a, 0], d_up, d_down, acc, w):
+            acc.fill(0.0)
         for b in range(1, rate.shape[1]):
-            _upwind_generator(ups[a, b], rate[a, b], d_up, d_down, g, w)
-            inner_best(acc, g, out=acc)
+            # a pair whose terms are all zero enters as the scalar 0.0
+            nonzero = _upwind_generator(terms[a][b], ups[a, b], rate[a, b], d_up, d_down, g, w)
+            inner_best(acc, g if nonzero else 0.0, out=acc)
         if a > 0:
             if index is not None:
                 np.copyto(index, a, where=improves(inner, field))
             outer_best(field, inner, out=field)
-    # -0.0 + 0.0 is +0.0: the field of a generator summed from +0.0
+    # -0.0 + 0.0 is +0.0: the field of a generator summed over every term from
+    # +0.0, whose bits skipping zero terms changes only in the sign of a zero
     field += 0.0
     return field
 
@@ -486,10 +580,11 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
     Checkpoints snap down to the integration grid t_k = T - k*dt;
     ``checkpoints=None`` records every step down to t=0 (the coupling engine
     reads a ``FeedbackTable`` from ``feedback_table`` instead).  Explicit
-    Euler is the reference monotone scheme and is checked against the maximum
-    principle; ``scheme="rk4"`` is a higher-accuracy non-monotone alternative
-    under the same step ceiling, checked against exp(3*d*M1*(T-t)) growth of
-    the mesh-weighted norm.
+    Euler is the reference monotone scheme: each rate build must show the
+    step monotone (``MonotoneStepError`` otherwise), and each step is checked
+    against the maximum principle; ``scheme="rk4"`` is a higher-accuracy
+    non-monotone alternative under the same step ceiling, checked against
+    exp(3*d*M1*(T-t)) growth of the mesh-weighted norm.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
@@ -499,13 +594,17 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
     rates_at = _rates_by_time(spec, domain, states)
     values = payoff_batch(spec, states).astype(float)
 
-    def H(vals: np.ndarray, t: float) -> np.ndarray:
-        return hamiltonian_field(vals, spec, t, domain, kind, rates=rates_at(t))
+    def H(vals: np.ndarray, t: float, dt: float | None = None) -> np.ndarray:
+        return hamiltonian_field(vals, spec, t, domain, kind, rates=rates_at(t, dt))
 
     check = None
     if scheme == "euler":
         def step(vals, t, t_next, dt):
-            return vals + dt * H(vals, t)
+            # vals + dt * H, in the kernel's fresh result
+            field = H(vals, t, dt)
+            field *= dt
+            field += vals
+            return field
     else:
         # the stage input and the check's scaled values, reused by every step;
         # the kernel's fresh results k1..k4 take the stage sums in place
@@ -561,7 +660,8 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     one more evaluation.  The values of every step are the ones
     ``solve_backward(spec, domain, dt=dt, checkpoints=[0.0])`` computes, but
     only the last slice is kept.  Like the sweep, the table evaluates the
-    drift at each slice's grid time t_k (once, at T, for an autonomous spec).
+    drift at each slice's grid time t_k (once, at T, for an autonomous spec),
+    and checks each step's rates for monotonicity.
     """
     ceiling = dt_ceiling(spec, domain.h)
     dt = _resolve_dt(spec, dt, 0.0, ceiling, _CEILING_NAME)
@@ -579,9 +679,9 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     states = domain.states()
     rates_at = _rates_by_time(spec, domain, states)
 
-    def record(vals, t, row):
+    def record(vals, t, row, dt=None):
         times[row] = t
-        field = _minimax(vals, rates_at(t), domain, "upper", index=index[:domain.n_points])
+        field = _minimax(vals, rates_at(t, dt), domain, "upper", index=index[:domain.n_points])
         words = u_words[row]
         np.copyto(words, entries[:, 0])
         for k in range(1, per):  # a column loop: reducing over the short axis is ~6x slower
@@ -589,7 +689,10 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
         return field
 
     def step(vals, t, t_next, dt):
-        return vals + dt * record(vals, t, next(rows))
+        field = record(vals, t, next(rows), dt)
+        field *= dt
+        field += vals
+        return field
 
     dt, (value0,) = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
                            dt=dt, checkpoints=[0.0], ceiling=ceiling, ceiling_name=_CEILING_NAME)
@@ -609,17 +712,26 @@ def write_slice_csv(grid: ValueGrid, path: str | Path, meta: dict | None = None)
     """Write one slice as CSV: comment metadata lines, header, one row per point.
 
     Rows are formatted and written in blocks, never the whole text at once.
+    A state is h*k, so axis i has only hi_i - lo_i + 1 distinct coordinates:
+    their strings are formatted once per write, and only the values per row.
     """
-    d = grid.domain.d
-    states = grid.domain.states()
+    dom = grid.domain
+    d, n = dom.d, dom.n_points
+    # the coordinates of domain.states(), formatted as %.17g, per axis
+    coords = [np.array([f"{c:.17g}" for c in (dom.h * np.arange(a, b + 1, dtype=float)).tolist()],
+                       dtype=object) for a, b in zip(dom.lo, dom.hi)]
     # one "%" operation per block: the row template repeated once per row
-    row = f"{float(grid.t):.17g}" + ",%.17g" * (d + 1) + "\n"
+    row = f"{float(grid.t):.17g}" + ",%s" * d + ",%.17g\n"
+    cells = np.empty((_CSV_BLOCK, d + 1), dtype=object)
     with Path(path).open("w") as fh:
         for key, val in (meta or {}).items():
             fh.write(f"# {key}={val}\n")
         fh.write("t," + ",".join(f"x_{i + 1}" for i in range(d)) + ",value\n")
-        for lo in range(0, len(states), _CSV_BLOCK):
-            block = np.column_stack((states[lo:lo + _CSV_BLOCK], grid.values[lo:lo + _CSV_BLOCK]))
+        for lo in range(0, n, _CSV_BLOCK):
+            block = cells[:min(_CSV_BLOCK, n - lo)]
+            for i, k in enumerate(np.unravel_index(np.arange(lo, lo + len(block)), dom.shape)):
+                block[:, i] = coords[i][k]
+            block[:, d] = grid.values[lo:lo + len(block)].tolist()
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -652,6 +764,28 @@ def read_slice_meta(path: str | Path) -> dict[str, str]:
     """The metadata of a slice CSV, without parsing its data rows."""
     with Path(path).open() as fh:
         return _read_slice_meta(fh, path)
+
+
+def read_slice_value(path: str | Path, x) -> float | None:
+    """The value on the row of lattice state ``x`` of a slice CSV, or None
+    when no row holds ``x``.
+
+    The row is found by its coordinates' text as ``write_slice_csv`` formats
+    them, so ``x`` must be the state h*k itself; only that row is parsed, the
+    way ``read_slice_csv`` parses every row.
+    """
+    path = Path(path)
+    key = "".join(f",{c:.17g}" for c in np.atleast_1d(x).astype(float).tolist()) + ","
+    with path.open() as fh:
+        _read_slice_meta(fh, path)
+        for line in fh:
+            if line.startswith(key, line.find(",")):
+                try:
+                    return float(np.loadtxt([line], delimiter=",", ndmin=2)[0, -1])
+                except ValueError as exc:
+                    raise GameSpecError(
+                        f"slice file {path} has a malformed data row: {exc}") from exc
+    return None
 
 
 def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:

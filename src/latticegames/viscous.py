@@ -36,6 +36,33 @@ def auto_cfl_dt(spec: GameSpec, dx: float, sigma: float) -> float:
     return _tiling_dt(spec.T, cfl_ceiling(spec, dx, sigma))
 
 
+def _laplacian(values: np.ndarray, shape: tuple[int, ...], axes: list[tuple], dx2: float,
+               lap: np.ndarray, second: np.ndarray, two: np.ndarray) -> None:
+    """Write into ``lap`` the centered Laplacian sum_i ((V[up_i] - 2V) +
+    V[down_i]) / dx2 of the C-order box ``shape``, an out-of-box neighbour
+    read as the point itself; ``axes`` holds ``_axis_slices`` per axis.
+
+    The neighbours are read straight from the box into the work row
+    ``second``; ``two`` receives 2V once.  The first axis's quotient is
+    written into ``lap`` directly, so a sum of -0.0 terms stays -0.0 where a
+    sum from +0.0 would not; the step adds ``lap`` to a field that holds no
+    -0.0, which makes the two sums give the same bits.
+    """
+    box = values.reshape(shape)
+    np.multiply(values, 2.0, out=two)
+    two_box, sec = two.reshape(shape), second.reshape(shape)
+    for i, (below, above, first, last) in enumerate(axes):
+        np.subtract(box[above], two_box[below], out=sec[below])
+        np.subtract(box[last], two_box[last], out=sec[last])
+        np.add(sec[above], box[below], out=sec[above])
+        np.add(sec[first], box[first], out=sec[first])
+        if i == 0:
+            np.divide(second, dx2, out=lap)
+        else:
+            np.divide(second, dx2, out=second)
+            lap += second
+
+
 def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
                   kind: str = "upper", dt: float | None = None,
                   checkpoints: Sequence[float] | None = None) -> SolveResult:
@@ -43,7 +70,9 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
 
     The step is the chain solver's generator kernel (the upwind advection
     term, its jump rates built as in the chain sweep) plus the centered
-    Laplacian, with the boundary ring re-frozen.
+    Laplacian, with the boundary ring re-frozen.  Each rate build must show
+    the step monotone, the chain's peak rate plus the Laplacian's
+    d*sigma^2/dx^2 times dt at most 1 (``MonotoneStepError`` otherwise).
     ``domain.h`` doubles as the spatial spacing dx.  Checkpoints follow the
     chain solver's snap-down convention; ``None`` records every step down to
     t=0.  sigma=0 degenerates to the first-order upwind scheme for the
@@ -59,37 +88,22 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     shape = domain.shape
     # per axis: all but the last layer, all but the first, the first, the last
     axes = [_axis_slices(spec.d, i) for i in range(spec.d)]
-    rates_at = _rates_by_time(spec, domain, states)
+    # the Laplacian's jumps, sigma^2 / (2 dx^2) to each of the 2d neighbours
+    rates_at = _rates_by_time(spec, domain, states, extra_rate=spec.d * sigma**2 / dx**2)
     half_sig2 = 0.5 * sigma**2
-    dx2 = dx * dx
     # the Laplacian's work rows, reused by every step of this sweep
-    lap, second, term = np.empty((3, domain.n_points))
-    up_box, down_box = second.reshape(shape), term.reshape(shape)
+    lap, second, two = np.empty((3, domain.n_points))
 
     def step(values, t, t_next, dt):
-        out = hamiltonian_field(values, spec, t, domain, kind, rates=rates_at(t))
-        box = values.reshape(shape)
+        out = hamiltonian_field(values, spec, t, domain, kind, rates=rates_at(t, dt))
         if sigma > 0:
-            # centered second differences (values[up] - 2 values + values[down]) / dx2,
-            # an out-of-box neighbour read as the point itself; boundary values
-            # are re-frozen below
-            lap.fill(0.0)
-            for below, above, first, last in axes:
-                up_box[below] = box[above]
-                up_box[last] = box[last]
-                np.multiply(values, 2.0, out=term)
-                np.subtract(second, term, out=second)
-                down_box[above] = box[below]
-                down_box[first] = box[first]
-                np.add(second, term, out=second)
-                np.divide(second, dx2, out=second)
-                np.add(lap, second, out=lap)
+            _laplacian(values, shape, axes, dx * dx, lap, second, two)
             np.multiply(lap, half_sig2, out=lap)
             out += lap
         out *= dt
         out += values
         # the boundary ring, the 2d faces of the box, stays at terminal data
-        frozen = out.reshape(shape)
+        box, frozen = values.reshape(shape), out.reshape(shape)
         for _, _, first, last in axes:
             frozen[first] = box[first]
             frozen[last] = box[last]

@@ -213,6 +213,30 @@ def test_simulate_checks_the_reused_slice(tmp_path, capsys):
     assert not (g1_dir / "simulate.csv").exists()
 
 
+def test_simulate_needs_the_row_of_x0_in_the_slice(tmp_path, capsys):
+    # the slice's metadata match, but its box, solved around x0 = 5, misses 0
+    assert run("solve", "--game", "g1", "--h", "0.1", "--x0", "5", "--out", str(tmp_path)) == 0
+    assert run("simulate", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+               "--replicas", "10", "--partition-diam", "0.1") == 2
+    assert "eta_upper_t0.csv holds no row at [0.0]" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
+def test_solve_rejects_an_m1_too_small_for_the_box(tmp_path, capsys):
+    # rotation_mix outruns M1 = 1 at the corners of its h=0.1 box
+    game = tmp_path / "fast.json"
+    game.write_text(json.dumps({
+        "d": 2, "T": 1, "drift": {"kind": "rotation_mix"}, "u_grid": [-1, 0, 1],
+        "v_grid": [-1, 0, 1], "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}))
+    for sigma in ((), ("--sigma", "0.2")):
+        assert run("solve", "--game", str(game), "--h", "0.1", "--out", str(tmp_path),
+                   *sigma) == 2
+        err = capsys.readouterr().err
+        assert "at x=[1.5, -1.5] for the control pair u=-1.0, v=-1.0" in err
+        assert "the Euler step is not monotone" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_rejects_lower_kind(tmp_path, capsys):
     assert run("simulate", "--game", "g1", "--out", str(tmp_path), "--kind", "lower",
                "--replicas", "10") == 2

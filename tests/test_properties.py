@@ -16,7 +16,10 @@ inside the payoff range, keep the upper value above the lower one, and not
 lower any value when the payoff rises by a constant.  At the interior
 points, the feedback table's first row and the upper Hamiltonian of its t=0
 slice must equal, bit for bit, the argmin and the min of max_v of the
-``chain.apply_generator`` tables on that slice.
+``chain.apply_generator`` tables on that slice.  The kernel, which skips
+zero terms and takes a term of few one-signed runs without a per-point
+select, must equal the copyto/where kernel it replaced, bit for bit, index
+included.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import latticegames as lg
+from latticegames import solver
 from latticegames.games import game_from_dict
 
 T = 0.5
@@ -175,6 +179,110 @@ def test_feedback_argmin_matches_the_generator_reference(data, h):
     assert np.array_equal(table.u_at(0, points), np.argmin(inner, axis=1))
     field = lg.hamiltonian_field(value0.values, spec, value0.t, dom, "upper")
     assert field[points].tobytes() == inner.min(axis=1).tobytes()
+
+
+def _oracle_minimax(values, spec, dom, kind, index=None):
+    """The kernel as it was before term shapes: rates and jump directions
+    straight from ``kolmogorov_rates``, neighbour differences gathered
+    through ``neighbor_tables``, and every (pair, axis) term selecting its
+    direction per point with copyto/where, zero terms included.  The first
+    axis's term goes into the pair's row, later ones are added, and the
+    field is normalised with += 0.0."""
+    up_idx, down_idx, _ = lg.neighbor_tables(dom)
+    d_up, d_down = np.take(values, up_idx) - values, np.take(values, down_idx) - values
+    pairs = [[lg.kolmogorov_rates(spec, spec.T, dom.states(), u, v, dom.h) for v in spec.v_grid]
+             for u in spec.u_grid]
+    ups = np.array([[((f > 0) & (r > 0)).T for f, r in row] for row in pairs])
+    rate = np.array([[r.T for _, r in row] for row in pairs])
+    inner_best, outer_best, improves = np.maximum, np.minimum, np.less
+    if kind == "lower":
+        ups, rate = ups.swapaxes(0, 1), rate.swapaxes(0, 1)
+        inner_best, outer_best, improves = np.minimum, np.maximum, np.greater
+    g, inner, w = np.empty((3, dom.n_points))
+
+    def generator(pair_up, pair_rate, out):
+        for i in range(dom.d):
+            term = out if i == 0 else w
+            np.copyto(term, d_down[i])
+            np.copyto(term, d_up[i], where=pair_up[i])
+            term *= pair_rate[i]
+            if i > 0:
+                out += w
+
+    field = np.empty(dom.n_points)
+    if index is not None:
+        index.fill(0)
+    for a in range(rate.shape[0]):
+        acc = field if a == 0 else inner
+        generator(ups[a, 0], rate[a, 0], acc)
+        for b in range(1, rate.shape[1]):
+            generator(ups[a, b], rate[a, b], g)
+            inner_best(acc, g, out=acc)
+        if a > 0:
+            if index is not None:
+                np.copyto(index, a, where=improves(inner, field))
+            outer_best(field, inner, out=field)
+    field += 0.0
+    return field
+
+
+def _shape_class(runs) -> str:
+    if runs is None:
+        return "mixed"
+    return {0: "zero", 1: "one-signed"}.get(len(runs), "runs")
+
+
+def _kernel_matches_oracle(spec, dom, seed) -> set:
+    """``_minimax`` against the oracle, bit for bit, for both kinds with and
+    without the committing player's index; returns the term shapes seen."""
+    rates = solver._pair_rates(spec, spec.T, dom.states(), dom.h)
+    values = np.random.default_rng(seed).normal(size=dom.n_points)
+    for kind in ("upper", "lower"):
+        got_index, want_index = np.full((2, dom.n_points), -1, dtype=np.intp)
+        got = solver._minimax(values, rates, dom, kind, index=got_index)
+        assert got.tobytes() == _oracle_minimax(values, spec, dom, kind, want_index).tobytes()
+        assert got_index.tobytes() == want_index.tobytes(), kind
+        assert solver._minimax(values, rates, dom, kind).tobytes() == got.tobytes(), kind
+    return {_shape_class(runs) for pair_row in rates.terms for pair in pair_row for runs in pair}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(max_d=3), sides=st.lists(st.sampled_from([1, 2, 3, 7]), min_size=3,
+                                                 max_size=3),
+       h=st.sampled_from([0.25, 0.5]), seed=st.integers(0, 2**16))
+def test_kernel_equals_the_copyto_oracle(data, sides, h, seed):
+    # a small box around the origin, sides of length 1 included
+    spec = game_from_dict(data, name="random")
+    sides = sides[:spec.d]
+    dom = lg.LatticeDomain(h=h, lo=tuple(-(k // 2) for k in sides),
+                           hi=tuple(k - 1 - k // 2 for k in sides))
+    _kernel_matches_oracle(spec, dom, seed)
+
+
+def test_kernel_equals_the_copyto_oracle_for_every_term_shape():
+    still = {"d": 1, "T": 1.0, "drift": {"kind": "control_sum"}, "u_grid": [0, 1],
+             "v_grid": [0], "payoff": {"kind": "norm"}, "R": 1.0, "M1": 1.0, "K1": 0.0}
+    # u + v is one-signed for every pair, up or down; only (0, 0) of the
+    # still game is zero
+    one_signed = {**still, "u_grid": [-1, 0, 1], "v_grid": [-0.5, 0.5]}
+    # (v x2 - u, u x1 + v): u x1 + v changes sign once along the slow axis,
+    # v x2 - u once per row of the fast one
+    rotation = {**still, "d": 2, "drift": {"kind": "rotation_mix"}, "u_grid": [-1, 0, 1],
+                "v_grid": [-1, 0, 1], "M1": 4.5}
+    seen = {}
+    for name, data, dom in (
+            ("still", still, lg.LatticeDomain(h=0.1, lo=(-20,), hi=(20,))),
+            ("one_signed", one_signed, lg.LatticeDomain(h=0.1, lo=(-20,), hi=(20,))),
+            ("rotation", rotation, lg.LatticeDomain(h=0.25, lo=(-8, -6), hi=(8, 9)))):
+        seen[name] = _kernel_matches_oracle(game_from_dict(data, name=name), dom, seed=7)
+    assert "zero" in seen["still"]
+    assert seen["one_signed"] == {"one-signed"}
+    assert {"runs", "mixed"} <= seen["rotation"]
+    assert set().union(*seen.values()) == {"zero", "one-signed", "runs", "mixed"}
+    # both directions of a one-signed term
+    rates = solver._pair_rates(game_from_dict(one_signed), 1.0, np.zeros((3, 1)), 0.1)
+    assert {runs[0][2] for row in rates.terms for (runs,) in row} == {False, True}
 
 
 def test_catalog_and_json_games_declare_autonomy():

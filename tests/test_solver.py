@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import latticegames as lg
 from latticegames import solver
 from latticegames.chain import LatticeDomain, apply_generator, neighbor_tables
+from latticegames.errors import MonotoneStepError
 from latticegames.games import game_from_dict, payoff_norm
 from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling,
                                  feedback_table, hamiltonian_field, read_slice_csv,
@@ -352,6 +353,54 @@ def test_instability_detector():
         solve_backward(spec, dom)
 
 
+# rotation_mix with M1 = 1: sum_i |f_i| <= 2 = d*M1 only near the origin; at
+# the corner (1.5, -1.5) of the reachable box u = v = -1 gives f = (2.5, -2.5)
+FAST_GAME = {"d": 2, "T": 1.0, "drift": {"kind": "rotation_mix"}, "u_grid": [-1, 0, 1],
+             "v_grid": [-1, 0, 1], "payoff": {"kind": "norm"}, "R": 1.0, "M1": 1.0, "K1": 0.0}
+
+
+def test_euler_sweeps_reject_a_step_that_is_not_monotone():
+    spec = game_from_dict(FAST_GAME, name="fast")
+    dom = truncate_domain(spec, [0.0, 0.0], 0.1)
+    where = r" > 1 at x=\[1\.5, -1\.5\] for the control pair u=-1\.0, v=-1\.0: .* M1=1 "
+    for run in (solve_backward, feedback_table, lambda s, d: lg.solve_viscous(s, d, 0.0)):
+        with pytest.raises(MonotoneStepError,
+                           match=r"total jump rate 50 times dt=0\.025 is 1\.25" + where):
+            run(spec, dom)
+    with pytest.raises(lg.GameSpecError, match=r"total jump rate 58 \(with the Laplacian's 8\) "
+                                               r"times dt=0\.0178571 is 1\.03571" + where):
+        lg.solve_viscous(spec, dom, 0.2)
+    # the check bounds rate * dt, not dt: a smaller step is monotone
+    solve_backward(spec, dom, dt=0.02, checkpoints=[0.0])
+    feedback_table(spec, dom, dt=0.02)
+
+
+def test_monotone_check_reads_every_rate_build():
+    # a time-dependent drift that outruns its M1 only below t = 0.5
+    def drift(t, x, u, v):
+        return np.full_like(np.asarray(x, dtype=float), 20.0 if t < 0.5 else 1.0)
+
+    spec = lg.GameSpec(name="late_rush", d=1, T=1.0, drift=drift, u_grid=(0.0,),
+                       v_grid=(0.0,), payoff=payoff_norm(), R=1.0, M1=1.0, K1=0.0,
+                       vectorized=True)
+    dom = g1_domain()
+    solve_backward(spec, dom, checkpoints=[0.5])
+    with pytest.raises(MonotoneStepError, match="total jump rate 200 times dt=0.05 is 10 > 1"):
+        solve_backward(spec, dom, checkpoints=[0.0])
+
+
+def test_catalog_games_step_monotone_on_their_boxes():
+    # g2's M1 holds on [-2, 2]^2 only: on its h=0.05 box the peak, at a corner
+    # for u = v = -1, gives rate * dt = 2/3, under 1 but above the ceiling's 1/2
+    for spec, h, want in ((lg.g1(), 0.05, 0.5), (lg.g2(), 0.05, 2 / 3)):
+        dom = truncate_domain(spec, np.zeros(spec.d), h)
+        rates = solver._pair_rates(spec, spec.T, dom.states(), h)
+        assert rates.peak_rate * auto_dt(spec, h) == pytest.approx(want)
+        solver._check_monotone(spec, dom.states(), rates, auto_dt(spec, h))
+    p, iu, iv = rates.peak_at
+    assert np.abs(dom.states()[p]).tolist() == [5.0, 5.0] and (iu, iv) == (0, 0)
+
+
 @pytest.mark.parametrize("spec, dom, dt", [
     (lg.g1(), truncate_domain(lg.g1(), [-1.0, 1.0], 0.05), None),
     # a dt that does not tile [0, T]: the last grid time is below 0
@@ -507,6 +556,32 @@ def test_streamed_csv_matches_joined_text(tmp_path):
     path = tmp_path / "slice.csv"
     write_slice_csv(grid, path, meta)
     assert path.read_bytes() == _joined_csv(grid, meta)
+    # d = 1 and d = 3, with meshes whose multiples print long, and a side of length 1
+    rng = np.random.default_rng(2)
+    for dom in (LatticeDomain(h=0.003, lo=(-5000,), hi=(4321,)),
+                LatticeDomain(h=0.07, lo=(-10, -12, 3), hi=(10, 11, 20)),
+                LatticeDomain(h=0.1, lo=(-3, 2, -4), hi=(3, 2, 4))):
+        grid = ValueGrid(t=0.37, domain=dom, values=rng.normal(size=dom.n_points))
+        write_slice_csv(grid, path, meta)
+        assert path.read_bytes() == _joined_csv(grid, meta), dom
+
+
+def test_slice_value_parses_one_row_as_the_slice_reader_does(tmp_path):
+    spec = lg.g2()
+    dom = truncate_domain(spec, [0.0, 0.0], 0.1)
+    grid = solve_backward(spec, dom, checkpoints=[0.0]).slice_at(0.0)
+    path = tmp_path / "slice.csv"
+    write_slice_csv(grid, path, {"h": 0.1})
+    back, _ = read_slice_csv(path, 0.1)
+    states = dom.states()
+    for p in (0, 1, 5000, dom.index_of_state([0.0, 0.0]), dom.n_points - 1):
+        value = solver.read_slice_value(path, states[p])
+        assert np.float64(value).tobytes() == back.values[p].tobytes(), p
+    assert solver.read_slice_value(path, dom.nearest_lattice([-0.3, 0.7]) * 0.1) == \
+        back.value_at([-0.3, 0.7])
+    # off the mesh-0.1 lattice, and outside the box
+    for x in ([0.05, 0.0], [0.0, 100 * 0.1]):
+        assert solver.read_slice_value(path, x) is None
 
 
 def test_csv_roundtrip(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import latticegames as lg
+from latticegames import solver
 from latticegames.chain import LatticeDomain, neighbor_tables
-from latticegames.viscous import (auto_cfl_dt, cfl_ceiling, solve_viscous,
+from latticegames.viscous import (_laplacian, auto_cfl_dt, cfl_ceiling, solve_viscous,
                                   viscosity_gap)
 
 
@@ -76,6 +77,34 @@ def test_viscous_step_equals_the_table_reference_step():
     field = lg.hamiltonian_field(values, spec, spec.T, dom, "upper")
     want = np.where(interior, (field + 0.5 * sigma**2 * lap) * dt + values, values)
     assert res.slices[1].values.tobytes() == want.tobytes()
+
+
+def _box_copy_laplacian(values, shape, dx2):
+    """The Laplacian as the viscous step formed it before: per axis, copy
+    rows of the up and down neighbours (a face copying itself), then
+    ((up - 2V) + down) / dx2, summed from +0.0."""
+    box = values.reshape(shape)
+    lap = np.zeros(len(values))
+    up_row, down_row = np.empty((2, len(values)))
+    up_box, down_box = up_row.reshape(shape), down_row.reshape(shape)
+    for i in range(len(shape)):
+        below, above, first, last = solver._axis_slices(len(shape), i)
+        up_box[below] = box[above]
+        up_box[last] = box[last]
+        down_box[above] = box[below]
+        down_box[first] = box[first]
+        lap += ((up_row - values * 2.0) + down_row) / dx2
+    return lap
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (9,), (1, 1), (1, 5), (6, 1), (4, 7),
+                                   (1, 1, 1), (3, 1, 4), (1, 4, 2), (5, 6, 7)])
+def test_laplacian_equals_the_box_copy_form(shape):
+    values = np.random.default_rng(len(shape) * 100 + sum(shape)).normal(size=int(np.prod(shape)))
+    axes = [solver._axis_slices(len(shape), i) for i in range(len(shape))]
+    lap, second, two = np.full((3, len(values)), np.nan)
+    _laplacian(values, shape, axes, 0.3**2, lap, second, two)
+    assert lap.tobytes() == _box_copy_laplacian(values, shape, 0.3**2).tobytes()
 
 
 def test_range_check_fires():
