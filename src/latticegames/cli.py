@@ -32,8 +32,9 @@ from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
-from .solver import (auto_dt, feedback_table, read_slice_csv, read_slice_meta,
-                     read_slice_value, solve_backward, truncate_domain, write_slice_csv)
+from .solver import (_checkpoint_steps, _off_grid, auto_dt, feedback_table, read_slice_csv,
+                     read_slice_meta, read_slice_value, solve_backward, truncate_domain,
+                     write_slice_csv)
 from .viscous import solve_viscous
 
 _ALL = ("solve", "converge", "simulate", "bounds")
@@ -225,6 +226,14 @@ def cmd_solve(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
     checkpoints = [float(t) for t in cfg["checkpoints"]]
+    dt = _dt(cfg)
+    if dt is not None and dt > 0:
+        # every checkpoint's slice is written, so an explicit dt's grid must hold it
+        _checkpoint_steps(spec, checkpoints, dt)
+        missed = [m for m in (_off_grid(spec, t, dt) for t in checkpoints) if m]
+        if missed:
+            raise UsageError(f"{missed[0]}; choose a --dt-policy whose grid T - k*dt "
+                             f"holds every checkpoint")
     for h in cfg["h"]:
         domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
         for sigma in cfg["sigma"] or [None]:

@@ -11,8 +11,13 @@ of the terminal data.
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 import mmap
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -68,7 +73,6 @@ class SolveResult:
     kind: str
     h: float
     dt: float
-    scheme: str
     boundary: str
     slices: tuple[ValueGrid, ...]
     sigma: float | None = None
@@ -206,9 +210,11 @@ class Rates(NamedTuple):
     V[down_i] - V (``_neighbor_diffs``), and ``work`` (3, n) its accumulator
     rows; each call overwrites both, so one set of rates serves one call at
     a time.
-    ``peak_rate`` is the largest total rate sum_i rate_i over pairs and
-    points, reached first at point ``peak_at[0]`` for the pair
-    (u_grid[peak_at[1]], v_grid[peak_at[2]]).
+    ``peaks[iu, iv]`` is the largest total rate sum_i rate_i of a pair over
+    the points, reached first at point ``peak_points[iu, iv]``; ``peak_rate``
+    is the largest over the pairs, reached first (pairs in grid order, then
+    points) at point ``peak_at[0]`` for the pair (u_grid[peak_at[1]],
+    v_grid[peak_at[2]]).
     """
 
     up: np.ndarray
@@ -216,8 +222,17 @@ class Rates(NamedTuple):
     diffs: np.ndarray
     work: np.ndarray
     terms: tuple
-    peak_rate: float
-    peak_at: tuple[int, int, int]
+    peaks: np.ndarray
+    peak_points: np.ndarray
+
+    @property
+    def peak_rate(self) -> float:
+        return float(self.peaks.max())
+
+    @property
+    def peak_at(self) -> tuple[int, int, int]:
+        iu, iv = np.unravel_index(int(np.argmax(self.peaks)), self.peaks.shape)
+        return int(self.peak_points[iu, iv]), int(iu), int(iv)
 
 
 def _term_runs(goes_up: np.ndarray, rate: np.ndarray) -> tuple | None:
@@ -247,10 +262,11 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
     starts zeroed, so the rate rows of zero terms and the up rows of all but
     mixed terms are left unwritten: their pages never become resident, and
     the kernel never reads them.  Each pair's total rate is summed into a
-    work row, so finding the peak allocates nothing of size (nu, nv, n).
+    work row, so finding the peaks allocates nothing of size (nu, nv, n).
     """
     n = len(states)
     shape = (len(spec.u_grid), len(spec.v_grid), spec.d, n)
+    peaks, peak_points = np.zeros(shape[:2]), np.zeros(shape[:2], dtype=np.intp)
     size = math.prod(shape)
     n_floats = size + (2 * spec.d + 3) * n
     block = mmap.mmap(-1, max(1, 8 * n_floats + size))  # a mapping cannot be empty
@@ -260,7 +276,6 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
     work = floats[size + 2 * spec.d * n:].reshape(3, n)
     up = np.frombuffer(block, dtype=bool, count=size, offset=8 * n_floats).reshape(shape)
     terms = []
-    peak_rate, peak_at = -1.0, (0, 0, 0)
     for iu, u in enumerate(spec.u_grid):
         terms.append([])
         for iv, v in enumerate(spec.v_grid):
@@ -275,10 +290,9 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
                     up[iu, iv, i] = goes_up
             terms[iu].append(tuple(shapes))
             total = r.sum(axis=1, out=work[0])
-            p = int(np.argmax(total))
-            if total[p] > peak_rate:
-                peak_rate, peak_at = float(total[p]), (p, iu, iv)
-    return Rates(up, rate, diffs, work, tuple(map(tuple, terms)), peak_rate, peak_at)
+            peak_points[iu, iv] = np.argmax(total)
+            peaks[iu, iv] = total[peak_points[iu, iv]]
+    return Rates(up, rate, diffs, work, tuple(map(tuple, terms)), peaks, peak_points)
 
 
 def _check_monotone(spec: GameSpec, states: np.ndarray, rates: Rates, dt: float,
@@ -286,7 +300,8 @@ def _check_monotone(spec: GameSpec, states: np.ndarray, rates: Rates, dt: float,
     """An explicit Euler step is a convex combination of the current values,
     so it keeps them inside the payoff range, only while every point's total
     outflow rate times dt is at most 1.  ``extra_rate`` is added to the
-    chain's peak rate (the viscous Laplacian's d*sigma^2/h^2)."""
+    chain's peak rate (the viscous Laplacian's d*sigma^2/h^2); ``peak_at``
+    indexes ``states``."""
     total = rates.peak_rate + extra_rate
     if not total * dt <= 1.0 + 1e-12:  # a NaN rate fails too
         p, iu, iv = rates.peak_at
@@ -317,29 +332,21 @@ def _check_autonomous(spec: GameSpec, states: np.ndarray) -> None:
                             f"differs at t=0 and t=T={spec.T:g}")
 
 
-def _rates_by_time(spec: GameSpec, domain: LatticeDomain, states: np.ndarray,
-                   extra_rate: float = 0.0) -> Callable[..., Rates]:
-    """The kernel's rates at time t, for a sweep over ``states``, the
-    domain's points.
+def _rates_by_time(spec: GameSpec, domain: LatticeDomain,
+                   states: np.ndarray) -> Callable[[float], Rates]:
+    """The kernel's rates at time t over ``states``, the domain's points.
 
-    An autonomous spec's rates are built once, at T, after a spot check of
-    the declaration.  Other specs' are rebuilt at each new kernel time;
-    consecutive calls at one time (RK4's middle stages, a step and the next
-    one's start) share the build.  An Euler step passes its ``dt``, and each
-    build it triggers is checked to keep the step monotone
-    (``_check_monotone``, with ``extra_rate``).
+    An autonomous spec's rates are built once, at T (a sweep spot-checks the
+    declaration first, ``_check_autonomous``).  Other specs' are rebuilt at
+    each new kernel time; consecutive calls at one time share the build.
     """
     built: dict[float, Rates] = {}
-    if spec.autonomous:
-        _check_autonomous(spec, states)
 
-    def at(t: float, dt: float | None = None) -> Rates:
+    def at(t: float) -> Rates:
         t = spec.T if spec.autonomous else t
         if t not in built:
             built.clear()
             built[t] = _pair_rates(spec, t, states, domain.h)
-            if dt is not None:
-                _check_monotone(spec, states, built[t], dt, extra_rate)
         return built[t]
     return at
 
@@ -457,17 +464,19 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
 
 
 def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-                      kind: str, *, rates: Rates | None = None) -> np.ndarray:
+                      kind: str, *, rates: Rates | None = None,
+                      index: np.ndarray | None = None) -> np.ndarray:
     """Minimax (upper) or maximin (lower) of the generator over both grids.
 
     ``rates`` are the ``_pair_rates`` of ``domain.states()``, which a sweep
     builds once per solve for an autonomous spec; without them they are
     built here at t.  The result is a fresh array that later calls with the
-    same rates leave alone.
+    same rates leave alone.  ``index``, when given, receives the committing
+    player's control index (``_minimax``).
     """
     if rates is None:
         rates = _pair_rates(spec, t, domain.states(), domain.h)
-    return _minimax(values, rates, domain, kind)
+    return _minimax(values, rates, domain, kind, index)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +502,15 @@ def auto_dt(spec: GameSpec, h: float) -> float:
     return _tiling_dt(spec.T, dt_ceiling(spec, h))
 
 
-def _range_check(g: np.ndarray) -> Callable[[np.ndarray, float], None]:
-    """Maximum principle of a monotone step: values stay in [min g, max g]."""
+def _range_check(g: np.ndarray) -> Callable[[float, float, float], None]:
+    """Maximum principle of a monotone step: values stay in [min g, max g].
+    The check reads the smallest and the largest value of the slice at t."""
     lo, hi = float(g.min()), float(g.max())
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
 
-    def check(values: np.ndarray, t: float) -> None:
+    def check(low: float, high: float, t: float) -> None:
         # written so that a NaN anywhere fails the comparison too
-        if not (values.min() >= lo - tol and values.max() <= hi + tol):
+        if not (low >= lo - tol and high <= hi + tol):
             raise StepSizeError(
                 f"values at t={t:.6g} leave the terminal payoff range "
                 f"[{lo:.6g}, {hi:.6g}]; reduce dt"
@@ -527,128 +537,314 @@ def _snapped_steps(spec: GameSpec, c: float, dt: float) -> int:
     return max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
 
 
-def _sweep(spec: GameSpec, domain: LatticeDomain, values: np.ndarray,
-           step: Callable[[np.ndarray, float, float, float], np.ndarray], *,
-           dt: float | None, checkpoints: Sequence[float] | None,
-           ceiling: float, ceiling_name: str,
-           check: Callable[[np.ndarray, float], None] | None = None
-           ) -> tuple[float, tuple[ValueGrid, ...]]:
-    """Backward explicit sweep from the terminal slice ``values`` at T.
+def _off_grid(spec: GameSpec, c: float, dt: float) -> str | None:
+    """None when checkpoint c is a grid time T - k*dt, else a message that
+    names the two grid times around it."""
+    k = _snapped_steps(spec, c, dt)
+    if abs(spec.T - k * dt - c) <= _TIME_FUZZ:
+        return None
+    return (f"checkpoint {c:g} lies between the grid times {spec.T - k * dt:.6g} and "
+            f"{spec.T - (k - 1) * dt:.6g} of dt={dt:g}")
 
-    Each step maps (values, t, t_next, dt) to the slice at t_next = T - k*dt;
-    ``check`` (default: the payoff-range check) then vets it.  Slices are
-    recorded at checkpoint times snapped *down* to that grid (a checkpoint
-    maps to the largest grid time <= it); ``checkpoints=None`` records every
-    step down to t=0.  Returns dt and the slices ordered by decreasing time.
+
+def _checkpoint_steps(spec: GameSpec, checkpoints: Sequence[float], dt: float) -> set[int]:
+    """Step counts k of the grid times T - k*dt the checkpoints snap down to,
+    each the largest grid time <= it.
+
+    A checkpoint outside [0, T] raises GameSpecError, and so does one whose
+    grid time would fall below 0, which a dt that does not tile [c, T] gives.
     """
-    if checkpoints is None:
-        want = None
-        t_min = 0.0
-    else:
-        targets = sorted(float(c) for c in checkpoints)
-        if not targets:
-            raise GameSpecError("checkpoints must be non-empty when given")
-        if targets[0] < -_TIME_FUZZ or targets[-1] > spec.T + _TIME_FUZZ:
-            raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
-        t_min = targets[0]
-    dt = _resolve_dt(spec, dt, t_min, ceiling, ceiling_name)
-    if checkpoints is not None:
-        want = {_snapped_steps(spec, c, dt) for c in targets}
-        k_last = max(want)
-    if check is None:
-        check = _range_check(values)
+    targets = sorted(float(c) for c in checkpoints)
+    if not targets:
+        raise GameSpecError("checkpoints must be non-empty when given")
+    if targets[0] < -_TIME_FUZZ or targets[-1] > spec.T + _TIME_FUZZ:
+        raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
+    steps = {_snapped_steps(spec, c, dt) for c in targets}
+    if spec.T - max(steps) * dt < -_TIME_FUZZ:
+        raise GameSpecError(f"{_off_grid(spec, targets[0], dt)} and would snap down below "
+                            f"t=0; choose a dt that tiles [{targets[0]:g}, {spec.T:g}]")
+    return steps
 
-    t = spec.T
-    k = 0
-    slices = [ValueGrid(t=t, domain=domain, values=values.copy())] if want is None or 0 in want else []
-    while t > _TIME_FUZZ if want is None else k < k_last:
-        k += 1
-        t_next = spec.T - k * dt
-        values = step(values, t, t_next, dt)
-        t = t_next
-        check(values, t)
-        if want is None or k in want:
-            slices.append(ValueGrid(t=t, domain=domain, values=values.copy()))
-    return dt, tuple(slices)
+
+def _schedule(spec: GameSpec, dt: float | None, checkpoints: Sequence[float] | None,
+              ceiling: float, ceiling_name: str) -> tuple[float, set[int] | None]:
+    """A sweep's dt, as given and validated or the largest under ``ceiling``
+    that tiles [first checkpoint, T], and the steps whose slices it records:
+    those of ``_checkpoint_steps``, or None (every step down to t=0) when
+    ``checkpoints`` is None."""
+    if checkpoints is None:
+        return _resolve_dt(spec, dt, 0.0, ceiling, ceiling_name), None
+    targets = [float(c) for c in checkpoints]
+    dt = _resolve_dt(spec, dt, min(targets, default=0.0), ceiling, ceiling_name)
+    return dt, _checkpoint_steps(spec, targets, dt)
+
+
+# ---------------------------------------------------------------------------
+# the sweep, in blocks of axis-0 slabs stepped by forked workers
+
+
+# fewest lattice points a block of its own pays for: a step's two pipe
+# wake-ups and the fork per sweep cost about what splitting 16 129 points of
+# g2 or 16 001 of g1 saves (same times in one and two blocks on 2 CPUs; two
+# blocks took 0.75x at 21 025 points of g2 and 0.6x at 32 001 of g1)
+_MIN_BLOCK_POINTS = 16384
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _block_slabs(domain: LatticeDomain) -> list[tuple[int, int]]:
+    """A sweep's blocks: runs [a, b) of whole axis-0 slabs, as many as the
+    CPUs, the slabs and ``_MIN_BLOCK_POINTS`` allow.  One block when the
+    process cannot fork, or when another thread is alive: a forked child
+    holds only the forking thread, and a lock another thread held stays
+    locked in it."""
+    n = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        n = max(1, min(_cpu_count(), domain.shape[0], domain.n_points // _MIN_BLOCK_POINTS))
+    cuts = [domain.shape[0] * i // n for i in range(n + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _shared(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping, which the workers a
+    sweep forks afterwards read and write in place."""
+    count = math.prod(shape)
+    block = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # MAP_SHARED
+    return np.frombuffer(block, dtype=dtype, count=count).reshape(shape)
+
+
+def _euler_end(field: np.ndarray, values: np.ndarray, dt: float) -> None:
+    """values + dt * H, in the kernel's fresh result."""
+    field *= dt
+    field += values
+
+
+def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.ndarray,
+                   slabs: tuple[int, int], dt: float, n_steps: int, slices: np.ndarray,
+                   stats: np.ndarray, row: int, index: np.ndarray | None,
+                   finish: Callable | None) -> Callable[[int], Rates | None]:
+    """Evaluation k of one block of a sweep (``_sweep``).
+
+    The block steps its slabs [a, b) on the box that adds one halo slab on
+    each side, inside the domain, since a jump moves one slab at most: it
+    reads that box of slice k-1 from ``slices[(k-1) % 2]``, evaluates the
+    kernel there with rates built on the box's own points, and writes its
+    own rows of slice k into ``slices[k % 2]``, of the committing player's
+    index into ``index``, and their smallest and largest value, and the
+    per-pair peak rates of a fresh rate build, into ``stats[row]``.  Every
+    operation is pointwise, so each row gets the bits the whole-domain step
+    gives it.  Returns the rates when this evaluation built them.
+    """
+    a, b = slabs
+    size = domain.n_points // domain.shape[0]
+    lo, hi = max(a - 1, 0), min(b + 1, domain.shape[0])
+    box = LatticeDomain(h=domain.h, lo=(domain.lo[0] + lo, *domain.lo[1:]),
+                        hi=(domain.lo[0] + hi - 1, *domain.hi[1:]))
+    ext, rows = slice(lo * size, hi * size), slice(a * size, b * size)
+    own = slice(rows.start - ext.start, rows.stop - ext.start)
+    rates_at = _rates_by_time(spec, box, states[ext])
+    end = finish(box) if finish else _euler_end
+    box_index = None if index is None else np.empty(box.n_points, dtype=index.dtype)
+    pairs = len(spec.u_grid) * len(spec.v_grid)
+    last = None
+
+    def evaluate(k: int) -> Rates | None:
+        nonlocal last
+        t = spec.T - (k - 1) * dt
+        values = slices[(k - 1) % 2, ext]
+        rates = rates_at(t)
+        fresh = rates is not last
+        if fresh:
+            last = rates
+            stats[row, 2:2 + pairs] = rates.peaks.ravel()
+            stats[row, 2 + pairs:] = rates.peak_points.ravel() + ext.start
+        field = hamiltonian_field(values, spec, t, box, kind, rates=rates, index=box_index)
+        if index is not None:
+            index[rows] = box_index[own]
+        if k <= n_steps:
+            end(field, values, dt)
+            new = slices[k % 2, rows]
+            new[:] = field[own]
+            stats[row, :2] = new.min(), new.max()
+        return rates if fresh else None
+    return evaluate
+
+
+def _fork_worker(make: Callable[[], Callable[[int], object]],
+                 others: list) -> tuple[int, int, io.BufferedReader]:
+    """Fork a worker that builds its evaluation with ``make`` and runs it
+    once per byte on its command pipe, k = 1, 2, ..., answering each with a
+    pickled None or the exception it raised, until the pipe ends: when the
+    sweep closes it, or the sweep's process dies.  ``others`` are the
+    (block, pid, command fd, reply pipe) of the workers forked before; the
+    child closes their ends and its own, so only the sweep holds a command
+    pipe.  Returns (pid, command fd, reply pipe)."""
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    cmd_r, cmd_w, reply_r, reply_w = fds
+    if pid == 0:  # the worker: never returns into the caller's frames
+        try:
+            for fd in (cmd_w, reply_r, *(fd for *_, c, r in others for fd in (c, r.fileno()))):
+                os.close(fd)
+            evaluate = make()
+            with os.fdopen(reply_w, "wb") as reply:
+                k = 0
+                while os.read(cmd_r, 1):
+                    k += 1
+                    try:
+                        evaluate(k)
+                        blob = pickle.dumps(None)
+                    except Exception as exc:
+                        try:
+                            blob = pickle.dumps(exc)
+                        except Exception:
+                            blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    reply.write(blob)
+                    reply.flush()
+        finally:
+            os._exit(0)
+    os.close(cmd_r)
+    os.close(reply_w)
+    return pid, cmd_w, os.fdopen(reply_r, "rb")
+
+
+def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
+           want: set[int] | None, extra_rate: float = 0.0, finish: Callable | None = None,
+           feedback: tuple[np.ndarray, Callable[[int, float], None]] | None = None
+           ) -> tuple[ValueGrid, ...]:
+    """Backward explicit sweep from the terminal payoff at T.
+
+    Step k maps slice k-1, at t = T - (k-1)*dt, to slice k: the kernel
+    (``hamiltonian_field``) at t, then ``finish(box)(field, values, dt)`` in
+    place on a block's box (default: values + dt * field).  The sweep runs
+    to the largest step of ``want`` and records those steps' slices, or,
+    when ``want`` is None, to the first grid time <= 0, recording every
+    slice.  Each rate build must keep the step monotone
+    (``_check_monotone``, with ``extra_rate``) and each slice stay inside
+    the payoff range (``StepSizeError`` otherwise).  With ``feedback`` =
+    (index, pack) the kernel writes the committing player's control index
+    into the shared row ``index`` and ``pack(j, t)`` reads it for slice j,
+    the last slice's after one more evaluation.
+
+    The steps are split into the blocks of ``_block_slabs``
+    (``_block_stepper``): the caller evaluates the first, and a worker
+    forked for the sweep each other (the caller steps a block whose fork
+    fails), over the shared double buffer of slices, one command byte and
+    one reply per evaluation.  The caller then checks the combined peak
+    rates and range and records the slices, so every slice, table row and
+    error is the one-block sweep's: a worker's exception is re-raised here,
+    and when several blocks fail, the error of the whole domain's rate
+    build comes first.  Workers are reaped before this returns or raises.
+    Returns the recorded slices by decreasing time.
+    """
+    states = domain.states()
+    if spec.autonomous:
+        _check_autonomous(spec, states)
+    n_steps = 0 if want is None else max(want)
+    while want is None and spec.T - n_steps * dt > _TIME_FUZZ:
+        n_steps += 1
+    slices = _shared((2, domain.n_points))
+    slices[0] = payoff_batch(spec, states)
+    in_range = _range_check(slices[0])
+    recorded = [ValueGrid(t=spec.T, domain=domain, values=slices[0].copy())
+                ] if want is None or 0 in want else []
+    blocks = _block_slabs(domain)
+    pairs = len(spec.u_grid) * len(spec.v_grid)
+    # per block: smallest and largest value, then per-pair peak rates and points
+    stats = _shared((len(blocks), 2 + 2 * pairs))
+    index, pack = feedback or (None, None)
+
+    def stepper(b: int) -> Callable[[int], Rates | None]:
+        return _block_stepper(spec, domain, kind, states, blocks[b], dt, n_steps, slices,
+                              stats, b, index, finish)
+
+    # (block, pid, command fd, reply pipe) per worker
+    workers: list[tuple[int, int, int, io.BufferedReader]] = []
+    mine = [0]  # the blocks the caller steps
+    try:
+        for b in range(1, len(blocks)):
+            try:
+                workers.append((b, *_fork_worker(functools.partial(stepper, b), workers)))
+            except OSError:  # no process to spare (EAGAIN): the caller steps it
+                mine.append(b)
+        evaluators = [(b, stepper(b)) for b in mine]
+        for k in range(1, n_steps + 1 + (feedback is not None)):
+            for _, _, cmd, _ in workers:
+                try:
+                    os.write(cmd, b"\0")
+                except BrokenPipeError:  # the worker is gone: its reply says so
+                    pass
+            errors: list[tuple[int, BaseException]] = []
+            for b, evaluate in evaluators:
+                try:
+                    rates = evaluate(k)  # every block builds its rates at the same steps
+                except Exception as exc:
+                    errors.append((b, exc))
+            for b, _, _, reply in workers:
+                try:
+                    error = pickle.load(reply)
+                except EOFError:
+                    error = ResourceError(f"a sweep worker ended during step {k}")
+                if error is not None:
+                    errors.append((b, error))
+            t = spec.T - (k - 1) * dt
+            if errors:
+                if len(errors) > 1:  # the first failure of the whole domain's build
+                    _pair_rates(spec, spec.T if spec.autonomous else t, states, domain.h)
+                raise min(errors, key=lambda error: error[0])[1]
+            if k <= n_steps and rates is not None:
+                peaks = stats[:, 2:2 + pairs]
+                first = (np.argmax(peaks, axis=0), np.arange(pairs))  # block order is point order
+                _check_monotone(spec, states, rates._replace(
+                    peaks=peaks[first].reshape(rates.peaks.shape),
+                    peak_points=stats[:, 2 + pairs:][first].astype(np.intp).reshape(
+                        rates.peaks.shape)), dt, extra_rate)
+            if pack is not None:
+                pack(k - 1, t)
+            if k <= n_steps:
+                in_range(stats[:, 0].min(), stats[:, 1].max(), spec.T - k * dt)
+                if want is None or k in want:
+                    recorded.append(ValueGrid(t=spec.T - k * dt, domain=domain,
+                                              values=slices[k % 2].copy()))
+    finally:
+        for _, _, cmd, reply in workers:
+            os.close(cmd)
+            reply.close()
+        for _, pid, _, _ in workers:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                pass
+    return tuple(recorded)
 
 
 def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper",
-                   dt: float | None = None, checkpoints: Sequence[float] | None = None,
-                   scheme: str = "euler") -> SolveResult:
-    """Integrate the value system backward from the terminal payoff.
+                   dt: float | None = None,
+                   checkpoints: Sequence[float] | None = None) -> SolveResult:
+    """Integrate the value system backward from the terminal payoff with
+    explicit Euler, the monotone scheme.
 
     Checkpoints snap down to the integration grid t_k = T - k*dt;
     ``checkpoints=None`` records every step down to t=0 (the coupling engine
-    reads a ``FeedbackTable`` from ``feedback_table`` instead).  Explicit
-    Euler is the reference monotone scheme: each rate build must show the
-    step monotone (``MonotoneStepError`` otherwise), and each step is checked
-    against the maximum principle; ``scheme="rk4"`` is a higher-accuracy
-    non-monotone alternative under the same step ceiling, checked against
-    exp(3*d*M1*(T-t)) growth of the mesh-weighted norm.
+    reads a ``FeedbackTable`` from ``feedback_table`` instead).  Each rate
+    build must show the step monotone (``MonotoneStepError`` otherwise), and
+    each step is checked against the maximum principle.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
-    if scheme not in ("euler", "rk4"):
-        raise GameSpecError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
-    states = domain.states()
-    rates_at = _rates_by_time(spec, domain, states)
-    values = payoff_batch(spec, states).astype(float)
-
-    def H(vals: np.ndarray, t: float, dt: float | None = None) -> np.ndarray:
-        return hamiltonian_field(vals, spec, t, domain, kind, rates=rates_at(t, dt))
-
-    check = None
-    if scheme == "euler":
-        def step(vals, t, t_next, dt):
-            # vals + dt * H, in the kernel's fresh result
-            field = H(vals, t, dt)
-            field *= dt
-            field += vals
-            return field
-    else:
-        # the stage input and the check's scaled values, reused by every step;
-        # the kernel's fresh results k1..k4 take the stage sums in place
-        stage, scaled = np.empty((2, len(values)))
-
-        def stage_at(vals, k, c, t):
-            np.multiply(c, k, out=stage)
-            np.add(vals, stage, out=stage)
-            return H(stage, t)
-
-        def step(vals, t, t_next, dt):
-            k1 = H(vals, t)
-            k2 = stage_at(vals, k1, 0.5 * dt, t - 0.5 * dt)
-            k3 = stage_at(vals, k2, 0.5 * dt, t - 0.5 * dt)
-            k4 = stage_at(vals, k3, dt, t_next)
-            # vals + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
-            k2 *= 2
-            k3 *= 2
-            k1 += k2
-            k1 += k3
-            k1 += k4
-            k1 *= dt / 6.0
-            k1 += vals
-            return k1
-
-        weights = domain.h + np.linalg.norm(states, axis=1)
-        g_norm = float(np.max(np.abs(values) / weights))
-        growth_rate = 3.0 * spec.d * spec.M1
-
-        def check(vals, t):
-            ceiling_norm = g_norm * math.exp(growth_rate * (spec.T - t)) * (1 + 1e-6)
-            np.divide(np.abs(vals, out=scaled), weights, out=scaled)
-            # NaN fails the comparison, and inf exceeds the ceiling
-            if not np.max(scaled) <= ceiling_norm:
-                raise StepSizeError(
-                    f"runaway growth at t={t:.6g}: weighted norm exceeds "
-                    f"exp({growth_rate:.3g}*(T-t)) * terminal norm; reduce dt"
-                )
-
-    dt, slices = _sweep(spec, domain, values, step, dt=dt, checkpoints=checkpoints,
-                        ceiling=dt_ceiling(spec, domain.h), ceiling_name=_CEILING_NAME,
-                        check=check)
-    return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, scheme=scheme,
-                       boundary="freeze", slices=slices)
+    dt, want = _schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h), _CEILING_NAME)
+    return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
+                       slices=_sweep(spec, domain, kind, dt=dt, want=want))
 
 
 def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
@@ -656,47 +852,34 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     """Upper-value Euler sweep down to t=0 that keeps only the feedback table.
 
     Each step already evaluates min_u max_v of the generator on the current
-    slice; the table records the u index attaining it, and the t=0 slice gets
-    one more evaluation.  The values of every step are the ones
-    ``solve_backward(spec, domain, dt=dt, checkpoints=[0.0])`` computes, but
-    only the last slice is kept.  Like the sweep, the table evaluates the
-    drift at each slice's grid time t_k (once, at T, for an autonomous spec),
-    and checks each step's rates for monotonicity.
+    slice; the table records the u index attaining it, and the last slice
+    gets one more evaluation.  The values of every step are the ones
+    ``solve_backward(spec, domain, dt=dt)`` computes, down to its last grid
+    time, but only the last slice is kept.  Like the sweep, the table
+    evaluates the drift at each slice's grid time t_k (once, at T, for an
+    autonomous spec), and checks each step's rates for monotonicity.
     """
-    ceiling = dt_ceiling(spec, domain.h)
-    dt = _resolve_dt(spec, dt, 0.0, ceiling, _CEILING_NAME)
+    dt = _resolve_dt(spec, dt, 0.0, dt_ceiling(spec, domain.h), _CEILING_NAME)
     n_steps = _snapped_steps(spec, 0.0, dt)
     bits = next(b for b in (1, 2, 4, 8, 16, 32) if len(spec.u_grid) <= 2**b)
     per = max(1, 8 // bits)
     dtype = np.dtype(f"uint{max(8, bits)}")
     n_words = -(-domain.n_points // per)
     u_words = np.empty((n_steps + 1, n_words), dtype=dtype)
-    # one row of unpacked indices, padded with zeros to whole words
-    index = np.zeros(n_words * per, dtype=dtype)
+    # the sweep's row of unpacked indices, padded with zeros to whole words
+    index = _shared((n_words * per,), dtype)
     entries = index.reshape(n_words, per)
     times = np.empty(n_steps + 1)
-    rows = iter(range(n_steps, 0, -1))
-    states = domain.states()
-    rates_at = _rates_by_time(spec, domain, states)
 
-    def record(vals, t, row, dt=None):
-        times[row] = t
-        field = _minimax(vals, rates_at(t, dt), domain, "upper", index=index[:domain.n_points])
-        words = u_words[row]
+    def pack(j: int, t: float) -> None:
+        times[n_steps - j] = t
+        words = u_words[n_steps - j]
         np.copyto(words, entries[:, 0])
         for k in range(1, per):  # a column loop: reducing over the short axis is ~6x slower
             words |= entries[:, k] << k * bits
-        return field
 
-    def step(vals, t, t_next, dt):
-        field = record(vals, t, next(rows), dt)
-        field *= dt
-        field += vals
-        return field
-
-    dt, (value0,) = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
-                           dt=dt, checkpoints=[0.0], ceiling=ceiling, ceiling_name=_CEILING_NAME)
-    record(value0.values, value0.t, 0)
+    (value0,) = _sweep(spec, domain, "upper", dt=dt, want={n_steps},
+                       feedback=(index[:domain.n_points], pack))
     return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
                          bits=bits, u_words=u_words, value0=value0)
 

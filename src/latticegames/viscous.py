@@ -19,10 +19,10 @@ import numpy as np
 
 from .chain import LatticeDomain
 from .errors import GameSpecError
-# drift_batch is no longer called here; perfbench's install_probes patches it
-from .games import GameSpec, drift_batch, payoff_batch  # noqa: F401
-from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _axis_slices, _rates_by_time,
-                     _sweep, _tiling_dt, hamiltonian_field)
+# drift_batch is not called here; perfbench's install_probes patches it
+from .games import GameSpec, drift_batch  # noqa: F401
+from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _axis_slices, _schedule, _sweep,
+                     _tiling_dt)
 
 __all__ = ["cfl_ceiling", "auto_cfl_dt", "solve_viscous", "viscosity_gap"]
 
@@ -70,7 +70,8 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
 
     The step is the chain solver's generator kernel (the upwind advection
     term, its jump rates built as in the chain sweep) plus the centered
-    Laplacian, with the boundary ring re-frozen.  Each rate build must show
+    Laplacian, with the boundary ring re-frozen, on the chain solver's block
+    sweep: each block's box gets its own work rows (``finish``).  Each rate build must show
     the step monotone, the chain's peak rate plus the Laplacian's
     d*sigma^2/dx^2 times dt at most 1 (``MonotoneStepError`` otherwise).
     ``domain.h`` doubles as the spatial spacing dx.  Checkpoints follow the
@@ -84,36 +85,37 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     if sigma < 0:
         raise GameSpecError(f"sigma must be >= 0, got {sigma}")
     dx = domain.h
-    states = domain.states()
-    shape = domain.shape
-    # per axis: all but the last layer, all but the first, the first, the last
-    axes = [_axis_slices(spec.d, i) for i in range(spec.d)]
-    # the Laplacian's jumps, sigma^2 / (2 dx^2) to each of the 2d neighbours
-    rates_at = _rates_by_time(spec, domain, states, extra_rate=spec.d * sigma**2 / dx**2)
+    dt, want = _schedule(spec, dt, checkpoints, cfl_ceiling(spec, dx, sigma),
+                         "CFL stability ceiling")
     half_sig2 = 0.5 * sigma**2
-    # the Laplacian's work rows, reused by every step of this sweep
-    lap, second, two = np.empty((3, domain.n_points))
 
-    def step(values, t, t_next, dt):
-        out = hamiltonian_field(values, spec, t, domain, kind, rates=rates_at(t, dt))
-        if sigma > 0:
-            _laplacian(values, shape, axes, dx * dx, lap, second, two)
-            np.multiply(lap, half_sig2, out=lap)
-            out += lap
-        out *= dt
-        out += values
-        # the boundary ring, the 2d faces of the box, stays at terminal data
-        box, frozen = values.reshape(shape), out.reshape(shape)
-        for _, _, first, last in axes:
-            frozen[first] = box[first]
-            frozen[last] = box[last]
-        return out
+    def finish(box: LatticeDomain):
+        shape = box.shape
+        # per axis: all but the last layer, all but the first, the first, the last
+        axes = [_axis_slices(spec.d, i) for i in range(spec.d)]
+        # the Laplacian's work rows, reused by every step of this block
+        lap, second, two = np.empty((3, box.n_points))
 
-    dt, slices = _sweep(spec, domain, payoff_batch(spec, states).astype(float), step,
-                        dt=dt, checkpoints=checkpoints, ceiling=cfl_ceiling(spec, dx, sigma),
-                        ceiling_name="CFL stability ceiling")
-    return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, scheme="euler",
-                       boundary="dirichlet", slices=slices, sigma=sigma)
+        def step_end(out, values, dt):
+            if sigma > 0:
+                _laplacian(values, shape, axes, dx * dx, lap, second, two)
+                np.multiply(lap, half_sig2, out=lap)
+                out += lap
+            out *= dt
+            out += values
+            # the boundary ring, the 2d faces of the box, stays at terminal
+            # data; a face of a block's box that is a halo slab is not kept
+            held, frozen = values.reshape(shape), out.reshape(shape)
+            for _, _, first, last in axes:
+                frozen[first] = held[first]
+                frozen[last] = held[last]
+        return step_end
+
+    # the Laplacian's jumps, sigma^2 / (2 dx^2) to each of the 2d neighbours
+    slices = _sweep(spec, domain, kind, dt=dt, want=want, extra_rate=spec.d * sigma**2 / dx**2,
+                    finish=finish)
+    return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, boundary="dirichlet",
+                       slices=slices, sigma=sigma)
 
 
 def viscosity_gap(slice_a: ValueGrid, slice_b: ValueGrid) -> float:

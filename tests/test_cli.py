@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import re
 
 import pytest
 
 from latticegames.cli import config_sha256, main
 from latticegames.solver import read_slice_csv
+from oracles import forced_blocks
 
 
 def run(*argv):
@@ -618,3 +620,68 @@ def test_g1_model_files_match_golden_digests(tmp_path):
     assert run("converge", "--game", "g1", "--kind", "lower", "--h", "0.1", "0.05",
                "--out", str(tmp_path / "converge")) == 0
     assert _digests(tmp_path) == GOLDEN_G1_MODEL_FILES
+
+
+def test_solve_rejects_a_dt_whose_grid_misses_a_checkpoint(tmp_path, capsys):
+    # the grid 1 - k*0.015 holds 0.01 and -0.005, not 0: exit 2 before any sweep
+    out = tmp_path / "out"
+    assert run("solve", "--game", "g1", "--h", "0.05", "--dt-policy", "0.015",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint 0 lies between the grid times -0.005 and 0.01 of dt=0.015" in err
+    assert not list(out.glob("*"))
+    # so does a grid that tiles [0, T] but misses another checkpoint
+    assert run("solve", "--game", "g1", "--h", "0.05", "--dt-policy", "0.01",
+               "--checkpoints", "0", "0.555", "--out", str(out)) == 2
+    assert ("checkpoint 0.555 lies between the grid times 0.55 and 0.56 of dt=0.01"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*"))
+    assert run("solve", "--game", "g1", "--h", "0.05", "--dt-policy", "0.01",
+               "--checkpoints", "0", "0.55", "--out", str(out)) == 0
+    assert (out / "eta_upper_t0.55.csv").exists()
+
+
+def test_converge_sweep_rejects_a_checkpoint_below_zero(tmp_path, capsys):
+    # converge records t=0 from the sweep itself, which refuses to snap below 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "--dt-policy", "0.015",
+               "--out", str(tmp_path)) == 2
+    assert "would snap down below t=0" in capsys.readouterr().err
+    assert not (tmp_path / "converge.csv").exists()
+
+
+# each fails only in the rows of the last of three blocks of axis-0 slabs;
+# per game: the JSON, --pad, the exit code and the start of the message
+FAILING_GAMES = {
+    # 2 x1 + 1.5 outruns M1 where x1 > 1.25: the Euler step is not monotone
+    "monotone": ({"d": 2, "T": 1.0, "u_grid": [0], "v_grid": [0], "payoff": {"kind": "norm"},
+                  "drift": {"kind": "affine", "a": [[2, 0], [0, 0]], "bu": [[0], [0]],
+                            "bv": [[0], [0]], "c": [1.5, 0]},
+                  "R": 1.0, "M1": 1.0, "K1": 2.0}, "0.5", 2, "total jump rate 45 times dt=0.025"),
+    # 1e308 x + 1e308 overflows where x > 0.797
+    "drift": ({"d": 1, "T": 1.0, "u_grid": [0], "v_grid": [0], "payoff": {"kind": "norm"},
+               "drift": {"kind": "affine", "a": [[1e308]], "bu": [[0]], "bv": [[0]],
+                         "c": [1e308]},
+               "R": 1.0, "M1": 1.0, "K1": 1e308}, "0.5", 2, "drift not finite at t=1.0, x=[0.8"),
+    # the generator (x + 1) * 1e308 overflows where x > 0.797; the step is monotone
+    "range": ({"d": 1, "T": 1.0, "u_grid": [0], "v_grid": [0],
+               "payoff": {"kind": "linear", "a": [1e308]},
+               "drift": {"kind": "affine", "a": [[1]], "bu": [[0]], "bv": [[0]], "c": [1]},
+               "R": 1e308, "M1": 1.5, "K1": 1.0}, "0", 3, "values at t=0.966667 leave the"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("name", list(FAILING_GAMES))
+def test_block_sweep_failures_keep_their_exit_codes(tmp_path, capsys, name):
+    data, pad, code, message = FAILING_GAMES[name]
+    game = tmp_path / f"{name}.json"
+    game.write_text(json.dumps(data))
+    argv = ("solve", "--game", str(game), "--h", "0.1", "--pad", pad, "--out", str(tmp_path))
+    assert run(*argv) == code
+    one = capsys.readouterr().err
+    assert message in one
+    with forced_blocks(3):
+        assert run(*argv) == code
+    assert capsys.readouterr().err == one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

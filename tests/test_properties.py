@@ -19,17 +19,22 @@ slice must equal, bit for bit, the argmin and the min of max_v of the
 ``chain.apply_generator`` tables on that slice.  The kernel, which skips
 zero terms and takes a term of few one-signed runs without a per-point
 select, must equal the copyto/where kernel it replaced, bit for bit, index
-included.
+included.  A sweep split into blocks of axis-0 slabs stepped by forked
+workers must equal the one-block sweep, bit for bit or error for error, and
+leave no worker behind.
 """
 
 import dataclasses
+import os
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import latticegames as lg
 from latticegames import solver
 from latticegames.games import game_from_dict
+from oracles import forced_blocks, solve_rk4
 
 T = 0.5
 PAD = 0.5
@@ -105,9 +110,8 @@ def test_rate_cache_matches_per_step_rates(data, h, sigma):
     def runs(spec):
         out = {}
         for kind in ("upper", "lower"):
-            for scheme in ("euler", "rk4"):
-                out[kind, scheme] = _outcome(lambda: _slices(lg.solve_backward(
-                    spec, dom, kind=kind, scheme=scheme)))
+            for scheme, solve in (("euler", lg.solve_backward), ("rk4", solve_rk4)):
+                out[kind, scheme] = _outcome(lambda: _slices(solve(spec, dom, kind=kind)))
         out["viscous"] = _outcome(lambda: _slices(lg.solve_viscous(spec, dom, sigma)))
         out["table"] = _outcome(lambda: _table(lg.feedback_table(spec, dom)))
         return out
@@ -448,3 +452,39 @@ def test_panel_blocks_match_one_adversary_batches(data, order, seed, row):
     assert np.float64(single.model_outcome).tobytes() == panel.model_outcomes[row].tobytes()
     assert single.sq_gap.tobytes() == panel.sq_gap[row].tobytes()
     assert len(single.jump_times) == panel.n_jumps[row]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(max_d=3), h=st.sampled_from([0.25, 0.5]),
+       shape=st.lists(st.integers(1, 4), min_size=3, max_size=3), slabs=st.integers(3, 9),
+       n_blocks=st.integers(2, 3), time_scaled=st.booleans())
+def test_block_sweeps_match_the_one_block_sweep(data, h, shape, slabs, n_blocks, time_scaled):
+    spec = game_from_dict(data, name="random")
+    if time_scaled:
+        # a Python-built drift of t: each block rebuilds its rates at every step
+        drift = spec.drift
+        spec = dataclasses.replace(spec, autonomous=False,
+                                   drift=lambda t, x, u, v: (1.0 - t) * drift(t, x, u, v))
+    sizes = [slabs, *shape[:spec.d - 1]]
+    dom = lg.LatticeDomain(h=h, lo=tuple(-(s // 2) for s in sizes),
+                           hi=tuple(s - 1 - s // 2 for s in sizes))
+
+    def runs():
+        out = {}
+        for kind in ("upper", "lower"):
+            out[kind] = _outcome(lambda: _slices(lg.solve_backward(spec, dom, kind=kind)))
+            out["viscous", kind] = _outcome(lambda: _slices(lg.solve_viscous(
+                spec, dom, 0.2, kind=kind, checkpoints=[0.0, T / 2])))
+        out["table"] = _outcome(lambda: _table(lg.feedback_table(spec, dom)))
+        return out
+
+    one = runs()
+    with forced_blocks(n_blocks):
+        assert len(solver._block_slabs(dom)) == min(n_blocks, slabs)
+        split = runs()
+    assert one.keys() == split.keys()
+    for key in one:
+        assert one[key] == split[key], key
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling,
                                  feedback_table, hamiltonian_field, read_slice_csv,
                                  solve_backward, truncate_domain, weighted_norm,
                                  write_slice_csv)
+from oracles import forced_blocks, solve_rk4
 
 
 def g1_domain(h=0.1, lo=-20, hi=20):
@@ -265,7 +268,7 @@ def test_rk4_close_to_euler():
     spec = lg.g1()
     dom = g1_domain()
     a = solve_backward(spec, dom, dt=0.002, checkpoints=[0.0]).slice_at(0.0)
-    b = solve_backward(spec, dom, dt=0.002, scheme="rk4", checkpoints=[0.0]).slice_at(0.0)
+    b = solve_rk4(spec, dom, dt=0.002, checkpoints=[0.0]).slice_at(0.0)
     assert np.max(np.abs(a.values - b.values)) < 5e-3
 
 
@@ -423,8 +426,13 @@ def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
     assert np.all(np.diff(table.times) > 0)
     assert np.array_equal(u_index, ref_u_index)
     assert table.dt == dense.dt and table.h == dom.h and table.domain == dom
-    at0 = solve_backward(spec, dom, dt=dt, checkpoints=[0.0])
-    last = at0.slice_at(0.0) if dt is None else at0.slices[-1]
+    if dt is None:
+        last = solve_backward(spec, dom, dt=dt, checkpoints=[0.0]).slice_at(0.0)
+    else:
+        # a checkpoint never snaps below t=0; the dense sweep ends there
+        with pytest.raises(lg.GameSpecError, match="would snap down below t=0"):
+            solve_backward(spec, dom, dt=dt, checkpoints=[0.0])
+        last = dense.slices[-1]
     assert table.value0.t == last.t
     assert np.array_equal(table.value0.values, last.values)
 
@@ -637,11 +645,18 @@ def test_g2_outputs_match_golden_digests():
     dom = truncate_domain(spec, [0.0, 0.0], 0.1)
     at = [0.0, 0.5]
     got = {
-        "rk4_upper": solve_backward(spec, dom, scheme="rk4", checkpoints=at),
+        "rk4_upper": solve_rk4(spec, dom, checkpoints=at),
         "euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
         "viscous_lower": lg.solve_viscous(spec, dom, 0.1, kind="lower", checkpoints=at),
     }
     assert {name: _slices_sha256(res) for name, res in got.items()} == GOLDEN_G2
+    # the same bits from sweeps split into three blocks of slabs
+    with forced_blocks(3):
+        split = {"euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
+                 "viscous_lower": lg.solve_viscous(spec, dom, 0.1, kind="lower",
+                                                   checkpoints=at)}
+    assert {name: _slices_sha256(res) for name, res in split.items()} == {
+        name: GOLDEN_G2[name] for name in split}
 
 
 AFFINE_3D = {
@@ -668,15 +683,22 @@ def test_affine_3d_outputs_match_golden_digests():
     spec = game_from_dict(AFFINE_3D, name="affine3")
     dom = LatticeDomain(h=0.25, lo=(-4, -3, -2), hi=(4, 3, 5))
     at = [0.0, 0.25]
-    got = {name: _slices_sha256(res) for name, res in {
-        "euler_upper": solve_backward(spec, dom, checkpoints=at),
-        "euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
-        "viscous_upper": lg.solve_viscous(spec, dom, 0.3, checkpoints=at),
-    }.items()}
-    table = feedback_table(spec, dom)
-    got["feedback_u_words"] = hashlib.sha256(table.u_words.tobytes()).hexdigest()
-    got["feedback_value0"] = hashlib.sha256(table.value0.values.tobytes()).hexdigest()
-    assert got == GOLDEN_AFFINE_3D
+
+    def digests():
+        got = {name: _slices_sha256(res) for name, res in {
+            "euler_upper": solve_backward(spec, dom, checkpoints=at),
+            "euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
+            "viscous_upper": lg.solve_viscous(spec, dom, 0.3, checkpoints=at),
+        }.items()}
+        table = feedback_table(spec, dom)
+        got["feedback_u_words"] = hashlib.sha256(table.u_words.tobytes()).hexdigest()
+        got["feedback_value0"] = hashlib.sha256(table.value0.values.tobytes()).hexdigest()
+        return got
+
+    assert digests() == GOLDEN_AFFINE_3D
+    # the same bits from sweeps split into three blocks of slabs
+    with forced_blocks(3):
+        assert digests() == GOLDEN_AFFINE_3D
 
 
 _SWEEP_FAULTS = """
@@ -690,8 +712,11 @@ at = [spec.T - steps * dt]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 if sweep == "viscous":
     lg.solve_viscous(spec, dom, 0.1, dt=dt, checkpoints=at)
+elif sweep == "rk4":
+    from oracles import forced_blocks, solve_rk4
+    solve_rk4(spec, dom, dt=dt, checkpoints=at)
 else:
-    lg.solve_backward(spec, dom, dt=dt, scheme=sweep, checkpoints=at)
+    lg.solve_backward(spec, dom, dt=dt, checkpoints=at)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -700,7 +725,8 @@ def _sweep_faults(sweep: str, h: float, steps: int) -> int:
     """Minor page faults of a ``steps``-step g2 sweep, in a fresh process as a
     CLI run is: in a warm one, earlier frees have raised malloc's thresholds
     and per-step work arrays stop faulting."""
-    paths = [str(Path(lg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    paths = [str(Path(lg.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     run = subprocess.run([sys.executable, "-c", _SWEEP_FAULTS, sweep, str(h), str(steps)],
                          env=env, check=True, capture_output=True, text=True, timeout=300)
@@ -719,3 +745,135 @@ def test_sweep_steps_do_not_page_fault(sweep, h, steps):
     pytest.importorskip("resource")
     per_step = (_sweep_faults(sweep, h, 2 * steps) - _sweep_faults(sweep, h, steps)) / steps
     assert per_step < 5, f"{per_step:.1f} minor page faults per {sweep} sweep step"
+
+
+# ---------------------------------------------------------------------------
+# sweeps split into blocks of axis-0 slabs
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _error_of(run):
+    """(type, message) of the error ``run()`` raises."""
+    with pytest.raises(lg.LatticeGamesError) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+# f1 = 2 x1 + 1.5 outruns M1 = 1 only where x1 > 1.25: on the h=0.1 box
+# [-1.5, 1.5]^2 (31 slabs), inside the last of three blocks, slabs 20-30
+LAST_BLOCK_RUSH = {"d": 2, "T": 1.0, "u_grid": [0], "v_grid": [0], "payoff": {"kind": "norm"},
+                   "drift": {"kind": "affine", "a": [[2, 0], [0, 0]], "bu": [[0], [0]],
+                             "bv": [[0], [0]], "c": [1.5, 0]},
+                   "R": 1.0, "M1": 1.0, "K1": 2.0}
+
+
+def _split_drift(t, x, u, v):
+    # not finite for u = 0 above x1 = 1 (the last block), for u = 1 below
+    # x1 = -1 (the caller's first block)
+    bad = x[..., :1] > 1.0 if u == 0.0 else x[..., :1] < -1.0
+    return np.where(bad, np.nan, 0.5) * np.ones_like(x)
+
+
+def _overflowing_sweep():
+    # f = x + 1 times the payoff's slope 8.5e307 overflows only where
+    # x + 1 > 2.11, in the last of three blocks; the step stays monotone
+    spec = lg.GameSpec(name="overflow", d=1, T=1.0, drift=lambda t, x, u, v: x + 1.0,
+                       u_grid=(0.0,), v_grid=(0.0,), payoff=lg.payoff_linear([8.5e307]),
+                       R=8.5e307, M1=3.0, K1=1.0, vectorized=True)
+    with np.errstate(over="ignore"):
+        solve_backward(spec, LatticeDomain(h=0.05, lo=(-40,), hi=(40,)), checkpoints=[0.0])
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: solve_backward(game_from_dict(LAST_BLOCK_RUSH), truncate_domain(
+        game_from_dict(LAST_BLOCK_RUSH), [0.0, 0.0], 0.1)), MonotoneStepError,
+     r"total jump rate 45 times dt=0\.025 is 1\.125 > 1 at x=\[1\.5, -1\.5\]"),
+    (lambda: feedback_table(lg.GameSpec(
+        name="split", d=2, T=1.0, drift=_split_drift, u_grid=(0.0, 1.0), v_grid=(0.0,),
+        payoff=payoff_norm(), R=1.0, M1=1.0, K1=0.0, vectorized=True),
+        LatticeDomain(h=0.1, lo=(-15, -15), hi=(15, 15))), lg.GameSpecError,
+     # the whole domain's first failure: pair u=0, which fails in the last block only
+     r"drift not finite at t=1\.0, x=\[1\.1[0-9]*, -1\.5\]"),
+    (_overflowing_sweep, lg.StepSizeError, r"values at t=0\.9\d* leave the terminal payoff range"),
+], ids=["monotone-last-block", "nonfinite-drift-in-two-blocks", "range"])
+def test_block_sweeps_raise_the_one_block_errors(run, error, message):
+    one = _error_of(run)
+    _no_children_left()
+    assert one[0] is error and re.match(message, one[1]), one
+    with forced_blocks(3):
+        assert _error_of(run) == one
+    _no_children_left()
+
+
+_KILLED_SWEEP = """
+import os, sys
+import latticegames as lg
+from oracles import forced_blocks
+fork = os.fork
+
+def announced_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced_fork
+spec = lg.g2()
+dom = lg.truncate_domain(spec, [0.0, 0.0], 0.05)
+with forced_blocks(2):
+    while True:
+        lg.solve_backward(spec, dom, checkpoints=[0.0])
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited: no such process, or a zombie left to a
+    reaper that does not reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+def test_a_worker_exits_when_its_sweep_is_killed():
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("reads process states from /proc")
+    paths = [str(Path(lg.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    with subprocess.Popen([sys.executable, "-c", _KILLED_SWEEP], env=env,
+                          stdout=subprocess.PIPE, text=True) as caller:
+        try:
+            worker = int(caller.stdout.readline())
+            assert not _gone(worker)
+        finally:
+            caller.kill()
+    deadline = time.monotonic() + 60
+    while not _gone(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(worker)
+
+
+def test_a_block_whose_fork_fails_is_stepped_by_the_caller(monkeypatch):
+    spec = lg.g2()
+    dom = truncate_domain(spec, [0.0, 0.0], 0.2)
+    one = solve_backward(spec, dom, checkpoints=[0.0, 0.5])
+    fork, forks = os.fork, []
+
+    def first_fork_only():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", first_fork_only)
+    with forced_blocks(3):
+        split = solve_backward(spec, dom, checkpoints=[0.0, 0.5])
+    assert len(forks) == 1
+    assert _slices_sha256(split) == _slices_sha256(one)
+    _no_children_left()
