@@ -9,12 +9,10 @@ statistics.
 """
 
 from .bounds import BoundsReport, assemble, beta, empirical_m0_2
-from .chain import (LatticeDomain, apply_generator, chain_characteristics, chi,
-                    jump_measure, kolmogorov_rates, neighbor_tables, pick_axis)
+from .chain import LatticeDomain, chain_characteristics, kolmogorov_rates, pick_axis
 from .errors import (GameSpecError, LatticeGamesError, ResourceError,
                      StepSizeError, TruncationError)
-from .games import (GameSpec, IsaacsReport, check_isaacs, drift_batch, eval_drift,
-                    eval_payoff, g1, g2, game_from_dict, load_game, payoff_batch,
+from .games import (GameSpec, drift_batch, g1, g2, game_from_dict, load_game, payoff_batch,
                     payoff_constant, payoff_linear, payoff_norm)
 from .shift import (BatchOutcomes, BangBangAdversary, ConstantAdversary,
                     MirrorAdversary, PairedTrajectory, Partition, RandomAdversary,
@@ -24,25 +22,23 @@ from .simulate import (ChainPath, MomentReport, OutcomeEstimate, ResidualReport,
                        replica_rng, simulate_chain)
 from .solver import (FeedbackTable, SolveResult, ValueGrid, auto_dt, dt_ceiling,
                      feedback_table, hamiltonian_field, read_slice_csv, solve_backward,
-                     truncate_domain, weighted_norm, write_slice_csv)
-from .viscous import auto_cfl_dt, cfl_ceiling, solve_viscous, viscosity_gap
+                     truncate_domain, write_slice_csv)
+from .viscous import cfl_ceiling, solve_viscous
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BangBangAdversary", "BatchOutcomes", "BoundsReport", "ChainPath",
-    "ConstantAdversary", "FeedbackTable", "GameSpec", "GameSpecError", "IsaacsReport",
+    "ConstantAdversary", "FeedbackTable", "GameSpec", "GameSpecError",
     "LatticeDomain", "LatticeGamesError", "MirrorAdversary", "MomentReport",
     "OutcomeEstimate", "PairedTrajectory", "Partition", "RandomAdversary",
     "ResidualReport", "ResourceError", "SolveResult", "StepSizeError",
-    "TruncationError", "ValueGrid", "apply_generator", "assemble",
-    "auto_cfl_dt", "auto_dt", "beta", "chain_characteristics", "check_isaacs", "chi",
-    "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2", "eval_drift",
-    "eval_payoff", "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian_field",
-    "jump_measure", "kolmogorov_rates", "load_game", "martingale_residual",
-    "moment_growth_check", "neighbor_tables", "payoff_batch", "payoff_constant",
-    "payoff_linear", "payoff_norm", "pick_axis", "rate_majorant", "read_slice_csv",
-    "replica_rng", "run_extremal_shift", "run_extremal_shift_batch", "simulate_chain",
-    "solve_backward", "solve_viscous", "standard_adversaries", "truncate_domain",
-    "viscosity_gap", "weighted_norm", "write_slice_csv",
+    "TruncationError", "ValueGrid", "assemble", "auto_dt", "beta",
+    "chain_characteristics", "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2",
+    "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian_field", "kolmogorov_rates",
+    "load_game", "martingale_residual", "moment_growth_check", "payoff_batch",
+    "payoff_constant", "payoff_linear", "payoff_norm", "pick_axis", "rate_majorant",
+    "read_slice_csv", "replica_rng", "run_extremal_shift", "run_extremal_shift_batch",
+    "simulate_chain", "solve_backward", "solve_viscous", "standard_adversaries",
+    "truncate_domain", "write_slice_csv",
 ]

@@ -7,8 +7,7 @@ characteristic is h * sum_i |f_i| -- vanishing linearly in h.  This one rule
 is ``kolmogorov_rates``, on one state or an (n, d) batch, and an accepted
 thinning candidate picks its axis with ``pick_axis``: the backward sweep's
 rates, ``chain_characteristics`` and both thinning samplers are built on the
-two.  ``jump_measure`` and ``apply_generator`` restate the rule one point at
-a time, as reference oracles.  Time stepping lives elsewhere.
+two.  Time stepping lives elsewhere.
 """
 
 from __future__ import annotations
@@ -20,22 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GameSpecError, TruncationError
-from .games import Control, GameSpec, drift_batch
+from .games import GameSpec, drift_batch
 
 # components with |f_i| below this are treated as exact zeros (no jump)
 RATE_DROP_TOL = 1e-14
 
 # a state lies on the mesh-h lattice when within this times max(1, h) of it
 _STATE_TOL = 1e-9
-
-
-def chi(component: float) -> int:
-    """Jump direction along one axis: the sign of the drift component."""
-    if component > RATE_DROP_TOL:
-        return 1
-    if component < -RATE_DROP_TOL:
-        return -1
-    return 0
 
 
 def _check_mesh(h: float) -> float:
@@ -93,14 +83,6 @@ class LatticeDomain:
             raise TruncationError(f"lattice point {k.tolist()} outside box {self.lo}..{self.hi}")
         return int(np.ravel_multi_index(tuple(rel), self.shape))
 
-    def lattice_of(self, idx: int) -> np.ndarray:
-        """Integer lattice coordinates for a flat index."""
-        rel = np.unravel_index(int(idx), self.shape)
-        return np.asarray(rel, dtype=int) + np.asarray(self.lo)
-
-    def state_of(self, idx: int) -> np.ndarray:
-        return self.h * self.lattice_of(idx)
-
     def states(self) -> np.ndarray:
         """All lattice states as an (n_points, d) array (C order)."""
         axes = [np.arange(a, b + 1) for a, b in zip(self.lo, self.hi)]
@@ -111,9 +93,6 @@ class LatticeDomain:
         """Integer coordinates of the nearest lattice point; ties round down."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.array([math.ceil(c / self.h - 0.5) for c in x], dtype=int)
-
-    def contains_state(self, x) -> bool:
-        return bool(self.indices_of_states(x)[0] >= 0)
 
     def indices_of_states(self, xs) -> np.ndarray:
         """Flat indices of a batch of states, one per row of ``xs``; -1 marks
@@ -134,86 +113,6 @@ class LatticeDomain:
         if np.max(np.abs(x - self.h * k)) > _STATE_TOL * max(1.0, self.h):
             raise TruncationError(f"state {x.tolist()} is not on the mesh-{self.h} lattice")
         return self.index_of(k)
-
-
-def neighbor_tables(domain: LatticeDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-coordinate neighbour indices with out-of-box moves clamped to self.
-
-    Returns (up, down, interior) where up[i]/down[i] have shape (n_points,)
-    and interior marks points whose 2d axis neighbours all lie in the box.
-    Clamping to self encodes the freezing boundary policy: a frozen move
-    contributes value difference zero.  The sweeps never build these tables:
-    they take each neighbour one stride away in the C-order box, and the
-    tables are the reference that rule is tested against.
-    """
-    shape = domain.shape
-    n = domain.n_points
-    d = domain.d
-    up = np.empty((d, n), dtype=np.int64)
-    down = np.empty((d, n), dtype=np.int64)
-    interior = np.ones(n, dtype=bool)
-    idx = np.arange(n).reshape(shape)
-    for i in range(d):
-        upper = np.roll(idx, -1, axis=i)
-        lower = np.roll(idx, 1, axis=i)
-        # clamp the wrapped faces back onto themselves
-        sl_hi = [slice(None)] * d
-        sl_hi[i] = -1
-        sl_lo = [slice(None)] * d
-        sl_lo[i] = 0
-        upper[tuple(sl_hi)] = idx[tuple(sl_hi)]
-        lower[tuple(sl_lo)] = idx[tuple(sl_lo)]
-        up[i] = upper.reshape(-1)
-        down[i] = lower.reshape(-1)
-        face = np.zeros(shape, dtype=bool)
-        face[tuple(sl_hi)] = True
-        face[tuple(sl_lo)] = True
-        interior &= ~face.reshape(-1)
-    return up, down, interior
-
-
-def jump_measure(spec: GameSpec, t: float, x, u: Control, v: Control, h: float
-                 ) -> list[tuple[np.ndarray, float]]:
-    """Finite jump measure at (t, x, u, v): [(offset, mass)] per active axis.
-
-    Offsets are h*sign(f_i)*e_i with mass |f_i|/h; components with
-    |f_i| <= RATE_DROP_TOL are dropped.
-    """
-    h = _check_mesh(h)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f = np.atleast_1d(np.asarray(spec.drift(t, x, u, v), dtype=float))
-    if f.shape != (spec.d,):
-        raise GameSpecError(f"drift returned shape {f.shape}, expected ({spec.d},)")
-    if not np.all(np.isfinite(f)):
-        raise GameSpecError(f"drift not finite at t={t}, x={x.tolist()}")
-    out: list[tuple[np.ndarray, float]] = []
-    for i in range(spec.d):
-        sign = chi(f[i])
-        if sign == 0:
-            continue
-        offset = np.zeros(spec.d)
-        offset[i] = h * sign
-        out.append((offset, abs(f[i]) / h))
-    return out
-
-def apply_generator(values, spec: GameSpec, t: float, x, u: Control, v: Control, h: float) -> float:
-    """Generator action sum_i mass_i * (values(x + offset_i) - values(x)) over
-    the jump measure.
-
-    ``values`` is a callable on states.  Lookup failures (KeyError/IndexError
-    from the callable) become TruncationError: the value table does not cover
-    a reachable neighbour.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    measure = jump_measure(spec, t, x, u, v, h)
-    try:
-        base = float(values(x))
-        acc = 0.0
-        for offset, mass in measure:
-            acc += mass * (float(values(x + offset)) - base)
-    except (KeyError, IndexError) as exc:
-        raise TruncationError(f"value table missing a neighbour of {x.tolist()}") from exc
-    return acc
 
 
 def kolmogorov_rates(spec: GameSpec, t, x, u, v, h: float) -> tuple[np.ndarray, np.ndarray]:

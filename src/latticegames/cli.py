@@ -27,15 +27,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import solver, viscous
 from .errors import GameSpecError, LatticeGamesError
 from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
-from .solver import (_checkpoint_steps, _off_grid, auto_dt, feedback_table, read_slice_csv,
-                     read_slice_meta, read_slice_value, solve_backward, truncate_domain,
-                     write_slice_csv)
-from .viscous import solve_viscous
+from .solver import (_off_grid, _schedule, auto_dt, dt_ceiling, feedback_table,
+                     read_slice_csv, read_slice_meta, read_slice_value, solve_backward,
+                     truncate_domain, write_slice_csv)
+from .viscous import cfl_ceiling, solve_viscous
 
 _ALL = ("solve", "converge", "simulate", "bounds")
 _MODEL = ("solve", "converge", "simulate")
@@ -220,20 +221,30 @@ def _solve(cfg: dict, spec: GameSpec, domain, sigma: float | None, checkpoints):
                          checkpoints=checkpoints)
 
 
+def _sweep_dt(cfg: dict, spec: GameSpec, h: float, sigma: float | None, checkpoints) -> float:
+    """The dt that ``_solve``'s sweep of (h, sigma) runs at, as its ``_schedule`` resolves it."""
+    if sigma is None:
+        ceiling = dt_ceiling(spec, h), solver._CEILING_NAME
+    else:
+        ceiling = cfl_ceiling(spec, h, sigma), viscous._CEILING_NAME
+    return _schedule(spec, _dt(cfg), checkpoints, *ceiling)[0]
+
+
 def cmd_solve(cfg: dict) -> int:
     spec = load_game(cfg["game"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
     checkpoints = [float(t) for t in cfg["checkpoints"]]
-    dt = _dt(cfg)
-    if dt is not None and dt > 0:
-        # every checkpoint's slice is written, so an explicit dt's grid must hold it
-        _checkpoint_steps(spec, checkpoints, dt)
-        missed = [m for m in (_off_grid(spec, t, dt) for t in checkpoints) if m]
-        if missed:
-            raise UsageError(f"{missed[0]}; choose a --dt-policy whose grid T - k*dt "
-                             f"holds every checkpoint")
+    # every checkpoint's slice is written, so each sweep's grid must hold it:
+    # check them all before the first sweep
+    for h in cfg["h"]:
+        for sigma in cfg["sigma"] or [None]:
+            dt = _sweep_dt(cfg, spec, h, sigma, checkpoints)
+            missed = [m for m in (_off_grid(spec, t, dt) for t in checkpoints) if m]
+            if missed:
+                raise UsageError(f"{missed[0]}; choose a --dt-policy whose grid T - k*dt "
+                                 f"holds every checkpoint")
     for h in cfg["h"]:
         domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
         for sigma in cfg["sigma"] or [None]:

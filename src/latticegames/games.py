@@ -25,9 +25,6 @@ Control = float | tuple[float, ...]
 DriftFn = Callable[[float, np.ndarray, Control, Control], np.ndarray]
 PayoffFn = Callable[[np.ndarray], np.ndarray]
 
-# check_isaacs samples states from [-_ISAACS_BOX, _ISAACS_BOX]^d
-_ISAACS_BOX = 2.0
-
 
 def _as_control(value) -> Control:
     if np.isscalar(value):
@@ -103,69 +100,6 @@ class GameSpec:
         object.__setattr__(self, "v_grid", tuple(_as_control(v) for v in self.v_grid))
 
 
-@dataclass(frozen=True)
-class IsaacsReport:
-    """Worst sampled gap between minimax and maximin of <xi, f(t, x, u, v)>."""
-
-    max_gap: float
-    n_samples: int
-    seed: int
-
-
-# ---------------------------------------------------------------------------
-# evaluation with validation
-
-
-def _check_time(spec: GameSpec, t: float) -> float:
-    t = float(t)
-    if not (-1e-12 <= t <= spec.T + 1e-12):
-        raise GameSpecError(f"time {t} outside [0, {spec.T}]")
-    return t
-
-
-def _check_state(spec: GameSpec, x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (spec.d,):
-        raise GameSpecError(f"state shape {arr.shape} does not match d={spec.d}")
-    if not np.all(np.isfinite(arr)):
-        raise GameSpecError(f"state {arr!r} is not finite")
-    return arr
-
-
-def _check_control(spec: GameSpec, c, grid: tuple[Control, ...], label: str) -> Control:
-    c = _as_control(c)
-    if c not in grid:
-        raise GameSpecError(f"{label}={c!r} is not an element of the {label} grid {grid}")
-    return c
-
-
-def eval_drift(spec: GameSpec, t: float, x, u, v) -> np.ndarray:
-    """Evaluate f(t, x, u, v) with full argument validation.
-
-    Controls must be exact elements of the respective grids; anything else is
-    rejected so that a mistyped control never silently plays a nearby one.
-    """
-    t = _check_time(spec, t)
-    x = _check_state(spec, x)
-    u = _check_control(spec, u, spec.u_grid, "u")
-    v = _check_control(spec, v, spec.v_grid, "v")
-    out = np.atleast_1d(np.asarray(spec.drift(t, x, u, v), dtype=float))
-    if out.shape != (spec.d,):
-        raise GameSpecError(f"drift returned shape {out.shape}, expected ({spec.d},)")
-    if not np.all(np.isfinite(out)):
-        raise GameSpecError(f"drift not finite at t={t}, x={x!r}, u={u!r}, v={v!r}")
-    return out
-
-
-def eval_payoff(spec: GameSpec, x) -> float:
-    """Evaluate the terminal payoff g(x) with validation."""
-    x = _check_state(spec, x)
-    val = float(np.asarray(spec.payoff(x)))
-    if not math.isfinite(val):
-        raise GameSpecError(f"payoff not finite at x={x!r}")
-    return val
-
-
 def drift_batch(spec: GameSpec, t, states: np.ndarray, u, v) -> np.ndarray:
     """Drift on an (n, d) batch of states, shape (n, d).
 
@@ -174,8 +108,8 @@ def drift_batch(spec: GameSpec, t, states: np.ndarray, u, v) -> np.ndarray:
     channel, an (n, k) array for a vector one.  A vectorized drift receives
     per-row times as given and per-row controls as (n, 1) or (n, k) arrays;
     any other drift is called row by row with that row's time and grid
-    elements.  No grid-membership validation here: hot path used by the
-    solvers, the coupling engine and the chain characteristics.
+    elements.  Controls are not checked against the grids: this is the hot
+    path of the solvers, the coupling engine and the chain characteristics.
     """
     states = np.asarray(states, dtype=float)
     # per-row controls arrive as arrays: scalar channels become (n, 1) columns
@@ -210,32 +144,6 @@ def payoff_batch(spec: GameSpec, states: np.ndarray) -> np.ndarray:
         return out
     # non-broadcasting payoff: evaluate row by row
     return np.array([float(spec.payoff(row)) for row in states])
-
-
-def check_isaacs(spec: GameSpec, n_samples: int = 200, seed: int = 0) -> IsaacsReport:
-    """Sample the gap between min-max and max-min of <xi, f(t, x, u, v)>.
-
-    Sampling scheme (fixed so results are reproducible): for each sample draw
-    t ~ U(0, T), then x ~ U(-_ISAACS_BOX, _ISAACS_BOX)^d, then xi ~ U(-1, 1)^d, from
-    ``numpy.random.default_rng(seed)`` in that order.  The gap at each sample
-    is produced by exhaustive enumeration over both control grids.
-    """
-    if n_samples < 1:
-        raise GameSpecError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        t = rng.uniform(0.0, spec.T)
-        x = rng.uniform(-_ISAACS_BOX, _ISAACS_BOX, size=spec.d)
-        xi = rng.uniform(-1.0, 1.0, size=spec.d)
-        pay = np.empty((len(spec.u_grid), len(spec.v_grid)))
-        for i, u in enumerate(spec.u_grid):
-            for j, v in enumerate(spec.v_grid):
-                pay[i, j] = float(np.dot(xi, spec.drift(t, x, u, v)))
-        minmax = pay.max(axis=1).min()
-        maxmin = pay.min(axis=0).max()
-        worst = max(worst, abs(minmax - maxmin))
-    return IsaacsReport(max_gap=worst, n_samples=n_samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,6 @@ class ChainPath:
     v_indices: np.ndarray      # (m,)
     n_jumps: int
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
     def state_at(self, t) -> np.ndarray:
         """State of the segment holding time t; times before the path give the
         first state, times after it the last.  An array of times gives one

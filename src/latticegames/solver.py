@@ -129,15 +129,6 @@ class FeedbackTable:
         return (self.u_words[rows, points >> (per.bit_length() - 1)] >> shift) & (2**self.bits - 1)
 
 
-def weighted_norm(grid: ValueGrid, other: ValueGrid | None = None) -> float:
-    """Mesh-weighted sup norm sup_x |a(x) - b(x)| / (h + ||x||) over the box."""
-    diff = grid.values if other is None else grid.values - other.values
-    if other is not None and grid.domain != other.domain:
-        raise GameSpecError("weighted_norm requires slices on the same domain")
-    norms = np.linalg.norm(grid.domain.states(), axis=1)
-    return float(np.max(np.abs(diff) / (grid.domain.h + norms)))
-
-
 def _lattice_floor(value: float, h: float) -> int:
     r = value / h
     rr = round(r)
@@ -369,8 +360,7 @@ def _neighbor_diffs(values: np.ndarray, shape: tuple[int, ...], d_up: np.ndarray
     differences are the flat subtractions V[k + s] - V[k] (V[k - s] - V[k]);
     the last (first) face of the axis, where that neighbour wraps into another
     row or leaves the box, is then set to +0.0, because an out-of-box move is
-    frozen (the x - x of finite values).  ``chain.neighbor_tables`` states the
-    same rule as index tables.
+    frozen (the x - x of finite values).
     """
     stride = len(values)
     for i, (du, dd) in enumerate(zip(d_up, d_down)):

@@ -21,19 +21,16 @@ from .chain import LatticeDomain
 from .errors import GameSpecError
 # drift_batch is not called here; perfbench's install_probes patches it
 from .games import GameSpec, drift_batch  # noqa: F401
-from .solver import (SolveResult, ValueGrid, VALUE_KINDS, _axis_slices, _schedule, _sweep,
-                     _tiling_dt)
+from .solver import SolveResult, VALUE_KINDS, _axis_slices, _schedule, _sweep
 
-__all__ = ["cfl_ceiling", "auto_cfl_dt", "solve_viscous", "viscosity_gap"]
+__all__ = ["cfl_ceiling", "solve_viscous"]
+
+_CEILING_NAME = "CFL stability ceiling"
 
 
 def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
     """Stability ceiling 1 / (2 * (d*M1/dx + d*sigma^2/dx^2))."""
     return 1.0 / (2.0 * (spec.d * spec.M1 / dx + spec.d * sigma**2 / dx**2))
-
-
-def auto_cfl_dt(spec: GameSpec, dx: float, sigma: float) -> float:
-    return _tiling_dt(spec.T, cfl_ceiling(spec, dx, sigma))
 
 
 def _laplacian(values: np.ndarray, shape: tuple[int, ...], axes: list[tuple], dx2: float,
@@ -85,8 +82,7 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     if sigma < 0:
         raise GameSpecError(f"sigma must be >= 0, got {sigma}")
     dx = domain.h
-    dt, want = _schedule(spec, dt, checkpoints, cfl_ceiling(spec, dx, sigma),
-                         "CFL stability ceiling")
+    dt, want = _schedule(spec, dt, checkpoints, cfl_ceiling(spec, dx, sigma), _CEILING_NAME)
     half_sig2 = 0.5 * sigma**2
 
     def finish(box: LatticeDomain):
@@ -116,16 +112,3 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
                     finish=finish)
     return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, boundary="dirichlet",
                        slices=slices, sigma=sigma)
-
-
-def viscosity_gap(slice_a: ValueGrid, slice_b: ValueGrid) -> float:
-    """Sup-norm gap between two slices on their shared lattice points.
-
-    Slices may live on different meshes; points are matched by state
-    (``LatticeDomain.indices_of_states``).  Raises when they share no points.
-    """
-    idx_b = slice_b.domain.indices_of_states(slice_a.domain.states())
-    shared = idx_b >= 0
-    if not np.any(shared):
-        raise GameSpecError("slices share no lattice points")
-    return float(np.max(np.abs(slice_a.values[shared] - slice_b.values[idx_b[shared]])))

@@ -2,7 +2,7 @@
 
 Every expected value is either closed-form arithmetic on declared constants
 or is cross-checked in-test against an independent oracle implemented here
-with no package code on the oracle path.
+or in ``oracles`` with no package code on the oracle path.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 import latticegames as lg
 from latticegames.chain import LatticeDomain
 from latticegames.cli import main as cli_main
-from oracles import solve_rk4
+from oracles import apply_generator, solve_rk4, weighted_norm
 
 H_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 X0_SET = (0.0, 0.5, -0.5, 1.0, -1.0)
@@ -269,9 +269,9 @@ def test_criterion_07_generator_identities():
         b2, sigma2 = lg.chain_characteristics(spec, t, x, u, v, h)
         f = np.atleast_1d(np.asarray(spec.drift(t, x, u, v), dtype=float))
 
-        lin = lg.apply_generator(lambda y: float(a @ y), spec, t, x, u, v, h)
-        quad = lg.apply_generator(lambda y: float((y - a) @ (y - a)), spec, t, x, u, v, h)
-        const = lg.apply_generator(lambda y: 1.0, spec, t, x, u, v, h)
+        lin = apply_generator(lambda y: float(a @ y), spec, t, x, u, v, h)
+        quad = apply_generator(lambda y: float((y - a) @ (y - a)), spec, t, x, u, v, h)
+        const = apply_generator(lambda y: 1.0, spec, t, x, u, v, h)
 
         worst["linear"] = max(worst["linear"], abs(lin - float(a @ b2)))
         worst["quadratic"] = max(worst["quadratic"],
@@ -297,8 +297,8 @@ def test_criterion_08_hamiltonian_lipschitz():
             rho2 = rng.standard_normal(dom.n_points) * scale
             h1 = lg.hamiltonian_field(rho1, spec, t, dom, "upper")
             h2 = lg.hamiltonian_field(rho2, spec, t, dom, "upper")
-            lhs = lg.weighted_norm(lg.ValueGrid(t, dom, h1 - h2))
-            rhs = 3.0 * spec.M1 * lg.weighted_norm(lg.ValueGrid(t, dom, rho1 - rho2))
+            lhs = weighted_norm(lg.ValueGrid(t, dom, h1 - h2))
+            rhs = 3.0 * spec.M1 * weighted_norm(lg.ValueGrid(t, dom, rho1 - rho2))
             worst = max(worst, lhs - rhs)
     report(8, worst <= 1e-9, f"max(lhs - 3*M1*rhs) = {worst:.2e} <= 1e-9 over 100 pairs")
 

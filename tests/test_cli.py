@@ -641,6 +641,20 @@ def test_solve_rejects_a_dt_whose_grid_misses_a_checkpoint(tmp_path, capsys):
     assert (out / "eta_upper_t0.55.csv").exists()
 
 
+@pytest.mark.parametrize("model, grid", [
+    # auto dt = 1/60 tiles [0, 1] under h/(2*d*M1) = 1/60
+    ([], "the grid times 0.55 and 0.566667 of dt=0.0166667"),
+    # auto dt = 1/32 tiles [0, 1] under the CFL ceiling 1/(2*(M1/h + sigma^2/h^2))
+    (["--h", "0.1", "--sigma", "0.1"], "the grid times 0.53125 and 0.5625 of dt=0.03125"),
+], ids=["chain", "viscous"])
+def test_solve_rejects_a_checkpoint_off_the_auto_grid(tmp_path, capsys, model, grid):
+    out = tmp_path / "out"
+    assert run("solve", "--game", "g1", "--h", "0.05", *model, "--checkpoints", "0", "0.555",
+               "--out", str(out)) == 2
+    assert f"checkpoint 0.555 lies between {grid}" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_converge_sweep_rejects_a_checkpoint_below_zero(tmp_path, capsys):
     # converge records t=0 from the sweep itself, which refuses to snap below 0
     assert run("converge", "--game", "g1", "--h", "0.1", "--dt-policy", "0.015",

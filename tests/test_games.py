@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import latticegames as lg
-from latticegames.games import (CATALOG, drift_affine, drift_zero, eval_drift,
-                                eval_payoff, game_from_dict, payoff_linear)
+from latticegames.games import CATALOG, drift_affine, drift_zero, game_from_dict, payoff_linear
+from oracles import check_isaacs
 
 
 def test_g1_shape():
@@ -21,8 +21,8 @@ def test_g1_shape():
 
 def test_g1_drift_values():
     spec = lg.g1()
-    assert eval_drift(spec, 0.0, [0.3], 1.0, 0.5).tolist() == [1.5]
-    assert eval_drift(spec, 0.7, [-2.0], -1.0, 0.5).tolist() == [-0.5]
+    assert spec.drift(0.0, [0.3], 1.0, 0.5).tolist() == [1.5]
+    assert spec.drift(0.7, [-2.0], -1.0, 0.5).tolist() == [-0.5]
 
 
 def test_g1_closed_form():
@@ -36,40 +36,22 @@ def test_g1_closed_form():
 def test_g2_drift_values():
     spec = lg.g2()
     # f = (v*x2 - u, u*x1 + v)
-    f = eval_drift(spec, 0.0, [2.0, -1.0], 1.0, -1.0)
+    f = spec.drift(0.0, [2.0, -1.0], 1.0, -1.0)
     assert f.tolist() == [0.0, 1.0]
-
-
-def test_drift_rejects_off_grid_controls():
-    spec = lg.g1()
-    with pytest.raises(lg.GameSpecError):
-        eval_drift(spec, 0.0, [0.0], 0.25, 0.5)
-    with pytest.raises(lg.GameSpecError):
-        eval_drift(spec, 0.0, [0.0], 1.0, -0.7)
-
-
-def test_drift_rejects_bad_time_and_state():
-    spec = lg.g1()
-    with pytest.raises(lg.GameSpecError):
-        eval_drift(spec, -0.1, [0.0], 1.0, 0.5)
-    with pytest.raises(lg.GameSpecError):
-        eval_drift(spec, 1.1, [0.0], 1.0, 0.5)
-    with pytest.raises(lg.GameSpecError):
-        eval_drift(spec, 0.0, [0.0, 0.0], 1.0, 0.5)
 
 
 def test_payoff():
     spec = lg.g1()
-    assert eval_payoff(spec, [-0.75]) == 0.75
+    assert spec.payoff([-0.75]) == 0.75
     spec2 = lg.g2()
-    assert eval_payoff(spec2, [3.0, 4.0]) == 5.0
+    assert spec2.payoff([3.0, 4.0]) == 5.0
 
 
 def test_payoff_batch_matches_scalar():
     spec = lg.g2()
     states = np.array([[0.0, 1.0], [3.0, 4.0], [-1.0, -1.0]])
     batch = lg.payoff_batch(spec, states)
-    singles = [eval_payoff(spec, x) for x in states]
+    singles = [spec.payoff(x) for x in states]
     assert batch.tolist() == singles
 
 
@@ -80,14 +62,14 @@ def test_drift_batch_matches_scalar():
         for u in spec.u_grid:
             for v in spec.v_grid:
                 batch = lg.drift_batch(spec, 0.3, states, u, v)
-                rows = np.stack([eval_drift(spec, 0.3, x, u, v) for x in states])
+                rows = np.stack([spec.drift(0.3, x, u, v) for x in states])
                 assert np.array_equal(batch, rows)
 
 
 def test_isaacs_holds_on_catalog():
     # both catalog drifts are control-separable, so minmax == maxmin exactly
     for name in CATALOG:
-        rep = lg.check_isaacs(lg.load_game(name), n_samples=100, seed=3)
+        rep = check_isaacs(lg.load_game(name), n_samples=100, seed=3)
         assert rep.max_gap == 0.0
         assert rep.n_samples == 100
 
@@ -100,14 +82,14 @@ def test_isaacs_reports_gap_when_violated():
         u_grid=(-1.0, 1.0), v_grid=(-1.0, 1.0),
         payoff=lambda x: abs(float(np.atleast_1d(x)[0])),
         R=1.0, M1=1.0, K1=0.0)
-    rep = lg.check_isaacs(spec, n_samples=50, seed=0)
+    rep = check_isaacs(spec, n_samples=50, seed=0)
     assert rep.max_gap > 0.1
 
 
 def test_check_isaacs_deterministic():
     spec = lg.g1()
-    a = lg.check_isaacs(spec, n_samples=64, seed=9)
-    b = lg.check_isaacs(spec, n_samples=64, seed=9)
+    a = check_isaacs(spec, n_samples=64, seed=9)
+    b = check_isaacs(spec, n_samples=64, seed=9)
     assert a.max_gap == b.max_gap
 
 
@@ -149,7 +131,7 @@ def test_game_from_dict_roundtrip(tmp_path):
     }
     spec = game_from_dict(data, name="mine")
     assert spec.name == "mine"
-    assert eval_drift(spec, 0.0, [0.0], 1.0, 0.5).tolist() == [1.5]
+    assert spec.drift(0.0, [0.0], 1.0, 0.5).tolist() == [1.5]
 
     path = tmp_path / "game.json"
     path.write_text(json.dumps(data))

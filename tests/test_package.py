@@ -1,6 +1,24 @@
 """Package surface: the names ``latticegames`` exports."""
 
+import pytest
+
 import latticegames as lg
+from latticegames import chain, games, simulate, solver, viscous
+
+# reference oracles the package never runs live in tests/oracles.py;
+# the rest had no caller but the tests
+TEST_ONLY = {
+    lg: ("IsaacsReport", "apply_generator", "auto_cfl_dt", "check_isaacs", "chi",
+         "eval_drift", "eval_payoff", "jump_measure", "neighbor_tables", "viscosity_gap",
+         "weighted_norm"),
+    chain: ("apply_generator", "chi", "jump_measure", "neighbor_tables"),
+    games: ("IsaacsReport", "_ISAACS_BOX", "_check_control", "_check_state", "_check_time",
+            "check_isaacs", "eval_drift", "eval_payoff"),
+    solver: ("weighted_norm",),
+    viscous: ("auto_cfl_dt", "viscosity_gap"),
+    chain.LatticeDomain: ("contains_state", "lattice_of", "state_of"),
+    simulate.ChainPath: ("final_state",),
+}
 
 
 def test_every_exported_name_resolves():
@@ -8,3 +26,10 @@ def test_every_exported_name_resolves():
     missing = [name for name in lg.__all__ if not hasattr(lg, name)]
     assert missing == []
     assert len(set(lg.__all__)) == len(lg.__all__)
+
+
+@pytest.mark.parametrize("owner", list(TEST_ONLY), ids=lambda o: o.__name__)
+def test_test_only_names_are_gone(owner):
+    names = TEST_ONLY[owner]
+    assert [name for name in names if hasattr(owner, name)] == []
+    assert set(names).isdisjoint(getattr(owner, "__all__", ()))

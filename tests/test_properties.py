@@ -16,12 +16,12 @@ inside the payoff range, keep the upper value above the lower one, and not
 lower any value when the payoff rises by a constant.  At the interior
 points, the feedback table's first row and the upper Hamiltonian of its t=0
 slice must equal, bit for bit, the argmin and the min of max_v of the
-``chain.apply_generator`` tables on that slice.  The kernel, which skips
-zero terms and takes a term of few one-signed runs without a per-point
-select, must equal the copyto/where kernel it replaced, bit for bit, index
-included.  A sweep split into blocks of axis-0 slabs stepped by forked
-workers must equal the one-block sweep, bit for bit or error for error, and
-leave no worker behind.
+``apply_generator`` tables on that slice.  The kernel, which skips zero
+terms and takes a term of few one-signed runs without a per-point select,
+must equal the copyto/where kernel it replaced (``oracle_minimax``), bit for
+bit, index included.  The references live in ``oracles``.  A sweep split
+into blocks of axis-0 slabs stepped by forked workers must equal the
+one-block sweep, bit for bit or error for error, and leave no worker behind.
 """
 
 import dataclasses
@@ -34,7 +34,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import latticegames as lg
 from latticegames import solver
 from latticegames.games import game_from_dict
-from oracles import forced_blocks, solve_rk4
+from oracles import (apply_generator, forced_blocks, jump_measure, neighbor_tables,
+                     oracle_minimax, solve_rk4)
 
 T = 0.5
 PAD = 0.5
@@ -167,7 +168,7 @@ def test_raising_the_payoff_does_not_lower_the_value(data, h, c, kind):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=json_games(), h=st.sampled_from([0.25, 0.5]))
 def test_feedback_argmin_matches_the_generator_reference(data, h):
-    # the kernel against chain.apply_generator, one point and control pair at a time
+    # the kernel against apply_generator, one point and control pair at a time
     spec = game_from_dict(data, name="random")
     dom = lg.truncate_domain(spec, np.zeros(spec.d), h, pad=PAD)
     table = lg.feedback_table(spec, dom)
@@ -176,58 +177,14 @@ def test_feedback_argmin_matches_the_generator_reference(data, h):
     def lookup(y):
         return value0.values[dom.index_of_state(y)]
 
-    points = np.flatnonzero(lg.neighbor_tables(dom)[2])
-    tables = np.array([[[lg.apply_generator(lookup, spec, value0.t, dom.state_of(p), u, v, h)
+    points = np.flatnonzero(neighbor_tables(dom)[2])
+    states = dom.states()
+    tables = np.array([[[apply_generator(lookup, spec, value0.t, states[p], u, v, h)
                          for v in spec.v_grid] for u in spec.u_grid] for p in points])
     inner = tables.max(axis=2)
     assert np.array_equal(table.u_at(0, points), np.argmin(inner, axis=1))
     field = lg.hamiltonian_field(value0.values, spec, value0.t, dom, "upper")
     assert field[points].tobytes() == inner.min(axis=1).tobytes()
-
-
-def _oracle_minimax(values, spec, dom, kind, index=None):
-    """The kernel as it was before term shapes: rates and jump directions
-    straight from ``kolmogorov_rates``, neighbour differences gathered
-    through ``neighbor_tables``, and every (pair, axis) term selecting its
-    direction per point with copyto/where, zero terms included.  The first
-    axis's term goes into the pair's row, later ones are added, and the
-    field is normalised with += 0.0."""
-    up_idx, down_idx, _ = lg.neighbor_tables(dom)
-    d_up, d_down = np.take(values, up_idx) - values, np.take(values, down_idx) - values
-    pairs = [[lg.kolmogorov_rates(spec, spec.T, dom.states(), u, v, dom.h) for v in spec.v_grid]
-             for u in spec.u_grid]
-    ups = np.array([[((f > 0) & (r > 0)).T for f, r in row] for row in pairs])
-    rate = np.array([[r.T for _, r in row] for row in pairs])
-    inner_best, outer_best, improves = np.maximum, np.minimum, np.less
-    if kind == "lower":
-        ups, rate = ups.swapaxes(0, 1), rate.swapaxes(0, 1)
-        inner_best, outer_best, improves = np.minimum, np.maximum, np.greater
-    g, inner, w = np.empty((3, dom.n_points))
-
-    def generator(pair_up, pair_rate, out):
-        for i in range(dom.d):
-            term = out if i == 0 else w
-            np.copyto(term, d_down[i])
-            np.copyto(term, d_up[i], where=pair_up[i])
-            term *= pair_rate[i]
-            if i > 0:
-                out += w
-
-    field = np.empty(dom.n_points)
-    if index is not None:
-        index.fill(0)
-    for a in range(rate.shape[0]):
-        acc = field if a == 0 else inner
-        generator(ups[a, 0], rate[a, 0], acc)
-        for b in range(1, rate.shape[1]):
-            generator(ups[a, b], rate[a, b], g)
-            inner_best(acc, g, out=acc)
-        if a > 0:
-            if index is not None:
-                np.copyto(index, a, where=improves(inner, field))
-            outer_best(field, inner, out=field)
-    field += 0.0
-    return field
 
 
 def _shape_class(runs) -> str:
@@ -244,7 +201,7 @@ def _kernel_matches_oracle(spec, dom, seed) -> set:
     for kind in ("upper", "lower"):
         got_index, want_index = np.full((2, dom.n_points), -1, dtype=np.intp)
         got = solver._minimax(values, rates, dom, kind, index=got_index)
-        assert got.tobytes() == _oracle_minimax(values, spec, dom, kind, want_index).tobytes()
+        assert got.tobytes() == oracle_minimax(values, spec, dom, kind, want_index).tobytes()
         assert got_index.tobytes() == want_index.tobytes(), kind
         assert solver._minimax(values, rates, dom, kind).tobytes() == got.tobytes(), kind
     return {_shape_class(runs) for pair_row in rates.terms for pair in pair_row for runs in pair}
@@ -304,7 +261,7 @@ def _rates_from_measure(spec, t, x, u, v, h):
     """Per-axis rates and jump directions of the jump measure at one point:
     the reference rows the batched ``kolmogorov_rates`` must reproduce."""
     rates, signs = np.zeros(spec.d), np.zeros(spec.d)
-    for offset, mass in lg.jump_measure(spec, t, x, u, v, h):
+    for offset, mass in jump_measure(spec, t, x, u, v, h):
         i = int(np.flatnonzero(offset)[0])
         rates[i], signs[i] = mass, np.sign(offset[i])
     return rates, signs
@@ -315,7 +272,7 @@ def _characteristics_from_measure(spec, t, x, u, v, h):
     reference the batched ``chain_characteristics`` must reproduce."""
     b2 = np.zeros(spec.d)
     sigma2 = 0.0
-    for offset, mass in lg.jump_measure(spec, t, x, u, v, h):
+    for offset, mass in jump_measure(spec, t, x, u, v, h):
         b2 += mass * offset
         sigma2 += mass * float(offset @ offset)
     return b2, sigma2

@@ -109,7 +109,7 @@ def test_simulate_chain_zero_drift_never_jumps():
     up, vp = const_policies(0.0, 0.0)
     path = lg.simulate_chain(spec, up, vp, 0.5, 0.1, rng=11)
     assert path.n_jumps == 0
-    assert path.final_state[0] == 0.5
+    assert path.states[-1][0] == 0.5
 
 
 def test_simulate_chain_detects_rate_above_majorant():
@@ -133,7 +133,7 @@ def test_majorant_check_rejects_nan():
 
 def test_simulate_chain_mean_drift(chain_paths):
     spec, h, paths = chain_paths
-    finals = np.array([p.final_state[0] for p in paths])
+    finals = np.array([p.states[-1][0] for p in paths])
     est = lg.OutcomeEstimate.from_outcomes(finals)
     # E Y(T) = integral of b2 = 1.5 T
     assert abs(est.mean - 1.5) <= 3 * est.std_error

@@ -15,14 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 import latticegames as lg
 from latticegames import solver
-from latticegames.chain import LatticeDomain, apply_generator, neighbor_tables
+from latticegames.chain import LatticeDomain
 from latticegames.errors import MonotoneStepError
 from latticegames.games import game_from_dict, payoff_norm
 from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling,
                                  feedback_table, hamiltonian_field, read_slice_csv,
-                                 solve_backward, truncate_domain, weighted_norm,
-                                 write_slice_csv)
-from oracles import forced_blocks, solve_rk4
+                                 solve_backward, truncate_domain, write_slice_csv)
+from oracles import apply_generator, forced_blocks, neighbor_tables, solve_rk4, weighted_norm
 
 
 def g1_domain(h=0.1, lo=-20, hi=20):
@@ -125,13 +124,14 @@ AFFINE_GAME = {
 
 
 def generator_tables(values, spec, t, dom):
-    """Per interior point, the (u, v) table of chain.apply_generator."""
+    """Per interior point, the (u, v) table of ``apply_generator``."""
     def lookup(y):
         return values[dom.index_of_state(y)]
 
     _, _, interior = neighbor_tables(dom)
     points = np.flatnonzero(interior)
-    tables = np.array([[[apply_generator(lookup, spec, t, dom.state_of(i), u, v, dom.h)
+    states = dom.states()
+    tables = np.array([[[apply_generator(lookup, spec, t, states[i], u, v, dom.h)
                          for v in spec.v_grid] for u in spec.u_grid] for i in points])
     return points, tables
 

@@ -5,9 +5,9 @@ import pytest
 
 import latticegames as lg
 from latticegames import solver
-from latticegames.chain import LatticeDomain, neighbor_tables
-from latticegames.viscous import (_laplacian, auto_cfl_dt, cfl_ceiling, solve_viscous,
-                                  viscosity_gap)
+from latticegames.chain import LatticeDomain
+from latticegames.viscous import _laplacian, cfl_ceiling, solve_viscous
+from oracles import neighbor_tables
 
 
 def domain(dx=0.05, lo=-60, hi=60):
@@ -21,14 +21,6 @@ def test_cfl_ceiling_formula():
     assert cfl_ceiling(spec, dx, sigma) == pytest.approx(want)
     # sigma = 0 reduces to the advection ceiling
     assert cfl_ceiling(spec, dx, 0.0) == pytest.approx(dx / (2.0 * spec.M1))
-
-
-def test_auto_cfl_dt_tiles():
-    spec = lg.g1()
-    dt = auto_cfl_dt(spec, 0.05, 0.2)
-    assert dt <= cfl_ceiling(spec, 0.05, 0.2) * (1 + 1e-9)
-    n = spec.T / dt
-    assert abs(n - round(n)) < 1e-9
 
 
 def test_dt_above_cfl_rejected():
@@ -146,20 +138,12 @@ def test_viscosity_gap_shared_points():
                       checkpoints=[0.0]).slice_at(0.0)
     b = solve_viscous(spec, domain(dx=0.05, lo=-50, hi=50), 0.2,
                       checkpoints=[0.0]).slice_at(0.0)
-    gap = viscosity_gap(a, b)
+    # every point of the coarse mesh lies on the fine one
+    idx = b.domain.indices_of_states(a.domain.states())
+    assert np.all(idx >= 0)
+    gap = float(np.max(np.abs(a.values - b.values[idx])))
     assert gap >= 0.0
     assert gap < 0.05  # same sigma on nested meshes agrees closely
-
-
-def test_viscosity_gap_requires_overlap():
-    spec = lg.g1()
-    a = solve_viscous(spec, domain(dx=0.1, lo=-20, hi=20), 0.2,
-                      checkpoints=[0.0]).slice_at(0.0)
-    # 0.07k is a multiple of 0.1 only when k is a multiple of 10; keep k <= 9
-    b = solve_viscous(spec, LatticeDomain(h=0.07, lo=(1,), hi=(9,)), 0.2,
-                      checkpoints=[0.0]).slice_at(0.0)
-    with pytest.raises(lg.GameSpecError):
-        viscosity_gap(a, b)
 
 
 def test_upper_lower_orders_for_viscous():
