@@ -156,7 +156,7 @@ def pick_axis(rates: np.ndarray, uniform):
     """
     cum = np.cumsum(rates, axis=-1)
     pick = np.asarray(uniform) * cum[..., -1]
-    return np.count_nonzero(pick[..., None] >= cum, axis=-1)
+    return (pick[..., None] >= cum).sum(axis=-1)
 
 
 def chain_characteristics(spec: GameSpec, t, x, u, v, h: float

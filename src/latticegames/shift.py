@@ -25,6 +25,13 @@ a whole adversary panel at once: each replica's candidates are drawn once and
 shared by every adversary, and each adversary's ``pre_draw`` starts from the
 generator state saved after the direction uniforms, so a replica plays every
 adversary on the same stream it would see in a panel of one.
+
+Every row of a batch is computed apart from the others, so a batch splits
+into contiguous blocks of replicas that the caller and forked workers step
+at once, each holding only its own block's draws and work arrays, with
+outputs bitwise the one-block batch's (``run_extremal_shift_batch``).  A
+custom drift or adversary must keep that: each row's result may not depend
+on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -37,14 +44,24 @@ from typing import Sequence
 import numpy as np
 
 from .chain import kolmogorov_rates, pick_axis
-from .errors import GameSpecError
+from .errors import GameSpecError, ResourceError
 from .games import GameSpec, drift_batch, payoff_batch
 from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
-from .solver import FeedbackTable, _TIME_FUZZ
+from .solver import FeedbackTable, _TIME_FUZZ, _block_count, _forked_blocks, _shared
 
 # ODE substep rule inside one partition interval
 _SUBSTEP_FRACTION = 0.25
 _SUBSTEP_HORIZON_FRACTION = 1e-3
+
+# fewest rows (replica, adversary) a block of its own pays for: each block
+# repeats the engine's per-call overhead, about 0.2 s for g2, so one and two
+# blocks on 2 CPUs took the same time at about 1400 rows of the four-policy
+# g2 panel (350 replicas) and 1000 rows of one policy; two blocks took 0.85x
+# at 2000 rows and 0.67x at 8000
+_MIN_BLOCK_ROWS = 700
+
+# the per-row fields of a BatchOutcomes, in field order
+_ROW_FIELDS = ("outcomes", "model_outcomes", "sq_gap", "n_jumps", "n_frozen")
 
 
 @dataclass(frozen=True)
@@ -242,13 +259,16 @@ class BatchOutcomes:
         views = []
         for a, name in enumerate(self.adversaries):
             b = slice(a * n, (a + 1) * n)
-            views.append(BatchOutcomes((name,), n, self.outcomes[b], self.model_outcomes[b],
-                                       self.sq_gap[b], self.n_jumps[b], self.n_frozen[b]))
+            views.append(BatchOutcomes((name,), n, *(getattr(self, f)[b] for f in _ROW_FIELDS)))
         return views
 
 
 # ---------------------------------------------------------------------------
 # engine
+
+
+def _names(panel: Sequence) -> tuple[str, ...]:
+    return tuple(getattr(a, "name", "custom") for a in panel)
 
 
 def _drift_not_finite(t: float, states: np.ndarray, finite_rows: np.ndarray,
@@ -266,14 +286,11 @@ def _aim(spec: GameSpec, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     over all rows, with the drift taken at x; tiling the rows once per pair
     instead made temporaries nu*nv times larger, which the allocator mapped
     and faulted in afresh at every partition interval."""
-    U, V = np.asarray(spec.u_grid), np.asarray(spec.v_grid)
-    n = len(x)
     gap = x - y
-    w = np.empty((len(U), len(V), n))
-    for iu in range(len(U)):
-        for iv in range(len(V)):
-            f = drift_batch(spec, t, x, U[np.full(n, iu)], V[np.full(n, iv)])
-            w[iu, iv] = np.einsum("nd,nd->n", f, gap)
+    w = np.empty((len(spec.u_grid), len(spec.v_grid), len(x)))
+    for iu, u in enumerate(spec.u_grid):
+        for iv, v in enumerate(spec.v_grid):
+            w[iu, iv] = np.einsum("nd,nd->n", drift_batch(spec, t, x, u, v), gap)
     if not np.isfinite(w).all():
         raise _drift_not_finite(t, x, np.isfinite(w).all(axis=(0, 1)))
     return np.argmin(w.max(axis=1), axis=0), np.argmax(w.min(axis=0), axis=0)
@@ -329,8 +346,8 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
     for rng, start, c in zip(rngs, offsets, counts):
         sl = slice(start, start + c)
         cand[0, sl] = np.sort(rng.uniform(t0, spec.T, size=c))
-        cand[1, sl] = rng.uniform(size=c)
-        cand[2, sl] = rng.uniform(size=c)
+        cand[1, sl] = rng.random(size=c)  # uniform(size=c) is 0 + 1 * random(size=c)
+        cand[2, sl] = rng.random(size=c)
     flat_times, flat_accept, flat_dir = cand
     # every adversary's pre_draw starts from the state after the candidates
     saved = [rng.bit_generator.state for rng in rngs]
@@ -470,8 +487,7 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
         node_x[r] = X[0]
         node_y[r] = Y[0]
 
-    batch = BatchOutcomes(adversaries=tuple(getattr(a, "name", "custom") for a in panel),
-                          n_replicas=n,
+    batch = BatchOutcomes(adversaries=_names(panel), n_replicas=n,
                           outcomes=outcomes, model_outcomes=model_outcomes,
                           sq_gap=sq_gap, n_jumps=n_jumps, n_frozen=n_frozen)
     paths: list[PairedTrajectory] = []
@@ -504,10 +520,52 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
     whole panel: ``n_replicas`` per adversary, stacked adversary-major
     (``BatchOutcomes.split`` gives one block per adversary).  Replica i draws
     from the documented stream SeedSequence(entropy=seed, spawn_key=(i,))
-    against every adversary, identical to a looped sequence of single runs."""
+    against every adversary, identical to a looped sequence of single runs.
+
+    The replicas are split into contiguous blocks, as many as the CPUs, the
+    replicas and ``_MIN_BLOCK_ROWS`` rows per block allow (``_block_count``,
+    the sweep's rule): the caller steps the first and a forked worker each
+    other (``_forked_blocks``).  A block builds the streams of its own
+    replicas, runs them against the whole panel and writes its rows into
+    output arrays shared with the caller, which the result views.  Every row
+    is computed apart from the rest of its batch, so each output is bitwise
+    the one-block batch's.  When a block raises, the whole batch is replayed
+    in one block, so the error names the interval and row the unsplit batch
+    names; a worker that ended is a ``ResourceError``.
+    """
     if n_replicas < 2:
         raise GameSpecError("n_replicas must be >= 2")
-    rngs = [replica_rng(seed, i) for i in range(n_replicas)]
-    batch, _ = _run_replicas(spec, eta, partition, x0, adversaries, rngs,
-                             record_paths=False)
-    return batch
+    panel = tuple(adversaries)
+
+    def replicas(lo: int, hi: int) -> BatchOutcomes:
+        rngs = [replica_rng(seed, i) for i in range(lo, hi)]
+        return _run_replicas(spec, eta, partition, x0, panel, rngs, record_paths=False)[0]
+
+    rows = len(panel) * n_replicas
+    n_blocks = min(n_replicas, _block_count(rows, _MIN_BLOCK_ROWS))
+    if n_blocks == 1:
+        return replicas(0, n_replicas)
+    cuts = [n_replicas * b // n_blocks for b in range(n_blocks + 1)]
+    width = partition.n_intervals + 1
+    out = BatchOutcomes(_names(panel), n_replicas, outcomes=_shared((rows,)),
+                        model_outcomes=_shared((rows,)), sq_gap=_shared((rows, width)),
+                        n_jumps=_shared((rows,), np.int64), n_frozen=_shared((rows,), np.int64))
+
+    def stepper(b: int):
+        lo, hi = cuts[b], cuts[b + 1]
+
+        def step(k: int) -> None:
+            block = replicas(lo, hi)
+            for field in _ROW_FIELDS:  # rows a * n_replicas + i, i in [lo, hi)
+                whole = getattr(out, field).reshape(len(panel), n_replicas, -1)
+                whole[:, lo:hi] = getattr(block, field).reshape(len(panel), hi - lo, -1)
+        return step
+
+    with _forked_blocks(n_blocks, stepper, "coupling engine") as evaluate:
+        _, errors = evaluate(1)
+    if errors:
+        # a worker that ended leaves no error to replay
+        if not all(isinstance(error, ResourceError) for _, error in errors):
+            replicas(0, n_replicas)  # raises the unsplit batch's first error
+        raise errors[0][1]
+    return out

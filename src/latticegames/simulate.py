@@ -180,11 +180,12 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
         f, rates = kolmogorov_rates(spec, t_cand, y, u, v, h)
         total = float(rates.sum())
         check_majorant(total, lam)
-        accept = gen.uniform() < total / lam if total > 0 else False
+        # uniform() is 0 + 1 * random(): the same double from the same stream
+        accept = gen.random() < total / lam if total > 0 else False
         u_idx.append(iu)
         v_idx.append(iv)
         if accept:
-            i = pick_axis(rates, gen.uniform())
+            i = pick_axis(rates, gen.random())
             offset = np.zeros(spec.d)
             offset[i] = math.copysign(h, f[i])
             y = y + offset

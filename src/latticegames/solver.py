@@ -11,6 +11,7 @@ of the terminal data.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -20,7 +21,7 @@ import pickle
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -585,15 +586,21 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _block_count(work: int, min_work: int) -> int:
+    """How many blocks to split ``work`` units into: as many as the CPUs
+    and ``min_work`` units per block allow.  One when the process cannot
+    fork, or when another thread is alive: a forked child holds only the
+    forking thread, and a lock another thread held stays locked in it.  The
+    sweep and the coupling engine both split by this rule."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_cpu_count(), work // min_work))
+
+
 def _block_slabs(domain: LatticeDomain) -> list[tuple[int, int]]:
-    """A sweep's blocks: runs [a, b) of whole axis-0 slabs, as many as the
-    CPUs, the slabs and ``_MIN_BLOCK_POINTS`` allow.  One block when the
-    process cannot fork, or when another thread is alive: a forked child
-    holds only the forking thread, and a lock another thread held stays
-    locked in it."""
-    n = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        n = max(1, min(_cpu_count(), domain.shape[0], domain.n_points // _MIN_BLOCK_POINTS))
+    """A sweep's blocks: runs [a, b) of whole axis-0 slabs, as many as
+    ``_block_count`` gives for the lattice points and the slabs allow."""
+    n = min(domain.shape[0], _block_count(domain.n_points, _MIN_BLOCK_POINTS))
     cuts = [domain.shape[0] * i // n for i in range(n + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
@@ -668,9 +675,9 @@ def _fork_worker(make: Callable[[], Callable[[int], object]],
     """Fork a worker that builds its evaluation with ``make`` and runs it
     once per byte on its command pipe, k = 1, 2, ..., answering each with a
     pickled None or the exception it raised, until the pipe ends: when the
-    sweep closes it, or the sweep's process dies.  ``others`` are the
+    caller closes it, or the caller's process dies.  ``others`` are the
     (block, pid, command fd, reply pipe) of the workers forked before; the
-    child closes their ends and its own, so only the sweep holds a command
+    child closes their ends and its own, so only the caller holds a command
     pipe.  Returns (pid, command fd, reply pipe)."""
     fds: list[int] = []
     try:
@@ -708,6 +715,61 @@ def _fork_worker(make: Callable[[], Callable[[int], object]],
     return pid, cmd_w, os.fdopen(reply_r, "rb")
 
 
+@contextlib.contextmanager
+def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], object]],
+                   what: str) -> Iterator[Callable[[int], tuple[object, list]]]:
+    """Blocks 0, ..., n_blocks - 1 of one computation, block b evaluated by
+    ``stepper(b)``: the caller evaluates block 0, and a worker forked here
+    (``_fork_worker``) each other; the caller evaluates a block whose fork
+    fails (no process to spare) itself.  Yields ``evaluate(k)``, which runs
+    evaluation k of every block, one command byte and one reply per worker,
+    and returns the caller's last result and the (block, exception) of each
+    block that raised, by block; a worker that ended is a ``ResourceError``
+    naming ``what``.  The workers are reaped on exit, return or raise."""
+    # (block, pid, command fd, reply pipe) per worker
+    workers: list[tuple[int, int, int, io.BufferedReader]] = []
+    mine = [0]  # the blocks the caller evaluates
+    try:
+        for b in range(1, n_blocks):
+            try:
+                workers.append((b, *_fork_worker(functools.partial(stepper, b), workers)))
+            except OSError:  # no process to spare (EAGAIN): the caller evaluates it
+                mine.append(b)
+        evaluators = [(b, stepper(b)) for b in mine]
+
+        def evaluate(k: int) -> tuple[object, list[tuple[int, BaseException]]]:
+            for _, _, cmd, _ in workers:
+                try:
+                    os.write(cmd, b"\0")
+                except BrokenPipeError:  # the worker is gone: its reply says so
+                    pass
+            result, errors = None, []
+            for b, step in evaluators:
+                try:
+                    result = step(k)
+                except Exception as exc:
+                    errors.append((b, exc))
+            for b, _, _, reply in workers:
+                try:
+                    error = pickle.load(reply)
+                except EOFError:
+                    error = ResourceError(f"a {what} worker ended during step {k}")
+                if error is not None:
+                    errors.append((b, error))
+            return result, sorted(errors, key=lambda error: error[0])
+
+        yield evaluate
+    finally:
+        for _, _, cmd, reply in workers:
+            os.close(cmd)
+            reply.close()
+        for _, pid, _, _ in workers:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                pass
+
+
 def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
            want: set[int] | None, extra_rate: float = 0.0, finish: Callable | None = None,
            feedback: tuple[np.ndarray, Callable[[int, float], None]] | None = None
@@ -727,10 +789,8 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     the last slice's after one more evaluation.
 
     The steps are split into the blocks of ``_block_slabs``
-    (``_block_stepper``): the caller evaluates the first, and a worker
-    forked for the sweep each other (the caller steps a block whose fork
-    fails), over the shared double buffer of slices, one command byte and
-    one reply per evaluation.  The caller then checks the combined peak
+    (``_block_stepper``), evaluated by the caller and forked workers
+    (``_forked_blocks``) over the shared double buffer of slices.  The caller then checks the combined peak
     rates and range and records the slices, so every slice, table row and
     error is the one-block sweep's: a worker's exception is re-raised here,
     and when several blocks fail, the error of the whole domain's rate
@@ -758,40 +818,15 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
         return _block_stepper(spec, domain, kind, states, blocks[b], dt, n_steps, slices,
                               stats, b, index, finish)
 
-    # (block, pid, command fd, reply pipe) per worker
-    workers: list[tuple[int, int, int, io.BufferedReader]] = []
-    mine = [0]  # the blocks the caller steps
-    try:
-        for b in range(1, len(blocks)):
-            try:
-                workers.append((b, *_fork_worker(functools.partial(stepper, b), workers)))
-            except OSError:  # no process to spare (EAGAIN): the caller steps it
-                mine.append(b)
-        evaluators = [(b, stepper(b)) for b in mine]
+    with _forked_blocks(len(blocks), stepper, "sweep") as evaluate:
         for k in range(1, n_steps + 1 + (feedback is not None)):
-            for _, _, cmd, _ in workers:
-                try:
-                    os.write(cmd, b"\0")
-                except BrokenPipeError:  # the worker is gone: its reply says so
-                    pass
-            errors: list[tuple[int, BaseException]] = []
-            for b, evaluate in evaluators:
-                try:
-                    rates = evaluate(k)  # every block builds its rates at the same steps
-                except Exception as exc:
-                    errors.append((b, exc))
-            for b, _, _, reply in workers:
-                try:
-                    error = pickle.load(reply)
-                except EOFError:
-                    error = ResourceError(f"a sweep worker ended during step {k}")
-                if error is not None:
-                    errors.append((b, error))
+            # every block builds its rates at the same steps
+            rates, errors = evaluate(k)
             t = spec.T - (k - 1) * dt
             if errors:
                 if len(errors) > 1:  # the first failure of the whole domain's build
                     _pair_rates(spec, spec.T if spec.autonomous else t, states, domain.h)
-                raise min(errors, key=lambda error: error[0])[1]
+                raise errors[0][1]
             if k <= n_steps and rates is not None:
                 peaks = stats[:, 2:2 + pairs]
                 first = (np.argmax(peaks, axis=0), np.arange(pairs))  # block order is point order
@@ -806,15 +841,6 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
                 if want is None or k in want:
                     recorded.append(ValueGrid(t=spec.T - k * dt, domain=domain,
                                               values=slices[k % 2].copy()))
-    finally:
-        for _, _, cmd, reply in workers:
-            os.close(cmd)
-            reply.close()
-        for _, pid, _, _ in workers:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already: SIGCHLD is ignored
-                pass
     return tuple(recorded)
 
 

@@ -3,7 +3,8 @@
 The package itself runs none of them.
 
 - ``forced_blocks(n)`` splits every sweep into n blocks where the slabs
-  allow, so a test can hold it against the one-block sweep.
+  allow, and every coupling engine batch into n blocks where the replicas
+  allow, so a test can hold either against its one-block run.
 - ``neighbor_tables`` gives each point's neighbours as index tables, out-of-box
   moves clamped to the point itself: the freezing boundary rule that the
   kernel and the viscous step apply by stride.
@@ -28,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 
-from latticegames import solver
+from latticegames import shift, solver
 from latticegames.chain import RATE_DROP_TOL, LatticeDomain, _check_mesh, kolmogorov_rates
 from latticegames.errors import GameSpecError, StepSizeError, TruncationError
 from latticegames.games import Control, GameSpec, payoff_batch
@@ -40,8 +41,10 @@ _ISAACS_BOX = 2.0
 
 @contextlib.contextmanager
 def forced_blocks(n: int):
-    """Sweeps in n blocks, or one per axis-0 slab when there are fewer."""
+    """Sweeps in n blocks, or one per axis-0 slab when there are fewer, and
+    engine batches in n blocks, or one per replica when there are fewer."""
     with mock.patch.object(solver, "_MIN_BLOCK_POINTS", 1), \
+            mock.patch.object(shift, "_MIN_BLOCK_ROWS", 1), \
             mock.patch.object(solver, "_cpu_count", lambda: n):
         yield
 

@@ -314,6 +314,19 @@ def test_simulate_runs_the_panel_as_one_engine_call(tmp_path, monkeypatch):
     assert len(result.outcomes) == 4 * 12
 
 
+def test_simulate_csv_is_the_same_in_engine_blocks(tmp_path):
+    assert run("solve", "--game", "g1", "--h", "0.1", "--out", str(tmp_path)) == 0
+    argv = ("simulate", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
+            "--replicas", "10", "--partition-diam", "0.1")
+    assert run(*argv) == 0
+    one = (tmp_path / "simulate.csv").read_bytes()
+    with forced_blocks(3):  # blocks of 3, 3 and 4 replicas
+        assert run(*argv) == 0
+    assert (tmp_path / "simulate.csv").read_bytes() == one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate", "bounds"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -21,11 +21,13 @@ terms and takes a term of few one-signed runs without a per-point select,
 must equal the copyto/where kernel it replaced (``oracle_minimax``), bit for
 bit, index included.  The references live in ``oracles``.  A sweep split
 into blocks of axis-0 slabs stepped by forked workers must equal the
-one-block sweep, bit for bit or error for error, and leave no worker behind.
+one-block sweep, bit for bit or error for error, and leave no worker behind;
+so must an engine batch split into blocks of replicas.
 """
 
 import dataclasses
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import latticegames as lg
 from latticegames import solver
 from latticegames.games import game_from_dict
+from latticegames.shift import _ROW_FIELDS
 from oracles import (apply_generator, forced_blocks, jump_measure, neighbor_tables,
                      oracle_minimax, solve_rk4)
 
@@ -443,5 +446,32 @@ def test_block_sweeps_match_the_one_block_sweep(data, h, shape, slabs, n_blocks,
     assert one.keys() == split.keys()
     for key in one:
         assert one[key] == split[key], key
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=json_games(max_d=3), order=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       seed=st.integers(0, 2**16), n=st.sampled_from([5, 7]))
+@example(data=AFFINE_3D, order=[2, 3, 1], seed=5, n=7)
+def test_engine_blocks_match_one_block(data, order, seed, n):
+    # n is a multiple of neither block count: the blocks differ in size
+    spec = game_from_dict(data, name="random")
+    table = lg.feedback_table(spec, lg.LatticeDomain(h=0.5, lo=(-4,) * spec.d,
+                                                     hi=(4,) * spec.d))
+    part = lg.Partition.uniform(0.0, T, 0.05)
+    advs = [lg.standard_adversaries(spec)[a] for a in order]
+    x0 = np.zeros(spec.d)
+
+    def batch():
+        out = lg.run_extremal_shift_batch(spec, table, part, x0, advs, n_replicas=n, seed=seed)
+        return [getattr(out, field).tobytes() for field in _ROW_FIELDS]
+
+    one = batch()
+    for n_blocks in (2, 3):
+        with forced_blocks(n_blocks), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert batch() == one, n_blocks
+        assert fork.call_count == n_blocks - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

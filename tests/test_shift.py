@@ -1,12 +1,15 @@
 """Gap-aiming feedback coupling: aiming rule, adversaries, paired replicas."""
 
 import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
 
 import latticegames as lg
-from latticegames.shift import _aim
+from latticegames.shift import _ROW_FIELDS, _aim
+from oracles import forced_blocks
 
 AFFINE_GAME = {
     "d": 2, "T": 1.0,
@@ -339,3 +342,111 @@ def test_excess_falls_as_the_partition_refines(g1_solution):
     for (coarse, se_c), (fine, se_f) in zip(rows, rows[1:]):
         assert coarse - fine > 3.0 * np.hypot(se_c, se_f)
     assert all(excess < bound for excess, _ in rows)
+
+
+# ---------------------------------------------------------------------------
+# batches split into blocks of replicas
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rows(batch) -> list[bytes]:
+    return [getattr(batch, field).tobytes() for field in _ROW_FIELDS]
+
+
+class _Recorder(lg.ConstantAdversary):
+    """Keeps each replica's first adversary draw, in replica order."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def pre_draw(self, rng, n_intervals):
+        self.keys.append(rng.random())
+
+
+class _Tripwire(lg.ConstantAdversary):
+    """Raises at the interval ``trips`` maps a replica's first adversary draw
+    to, naming the interval and the row of the batch it runs in."""
+
+    def __init__(self, trips: dict):
+        super().__init__()
+        self.trips = trips
+
+    def pre_draw(self, rng, n_intervals):
+        return np.array([self.trips.get(rng.random(), n_intervals)])
+
+    def select(self, interval, t, x, y, drawn, v_hat):
+        hit = np.flatnonzero(drawn[:, 0] == interval)
+        if len(hit):
+            raise lg.GameSpecError(f"tripped at interval {interval}, row {hit[0]}")
+        return super().select(interval, t, x, y, drawn, v_hat)
+
+
+@pytest.mark.parametrize("trips, message", [
+    # only the last replica, in the last block, trips
+    ({9: 3}, "tripped at interval 3, row 9"),
+    # the caller's block trips later than the last block
+    ({0: 6, 9: 3}, "tripped at interval 3, row 9"),
+], ids=["worker-only", "worker-first"])
+def test_engine_blocks_raise_the_one_block_errors(g1_solution, trips, message):
+    spec, table = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.1)
+    recorder = _Recorder()
+    lg.run_extremal_shift_batch(spec, table, part, [0.0], [recorder], n_replicas=10, seed=3)
+    adversary = _Tripwire({recorder.keys[i]: interval for i, interval in trips.items()})
+
+    def run():
+        with pytest.raises(lg.GameSpecError) as info:
+            lg.run_extremal_shift_batch(spec, table, part, [0.0], [adversary], n_replicas=10,
+                                        seed=3)
+        return str(info.value)
+
+    assert run() == message
+    with forced_blocks(3):  # replicas 0-2, 3-5 and 6-9
+        assert run() == message
+    _no_children_left()
+
+
+class _WorkerKiller(lg.ConstantAdversary):
+    """Kills any process but the one that made it."""
+
+    def __init__(self):
+        super().__init__()
+        self.caller = os.getpid()
+
+    def pre_draw(self, rng, n_intervals):
+        if os.getpid() != self.caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_killed_engine_worker_is_a_resource_error(g1_solution):
+    spec, table = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.1)
+    with forced_blocks(2), pytest.raises(lg.ResourceError, match="worker ended"):
+        lg.run_extremal_shift_batch(spec, table, part, [0.0], [_WorkerKiller()], n_replicas=4)
+    _no_children_left()
+
+
+def test_an_engine_block_whose_fork_fails_is_stepped_by_the_caller(g1_solution, monkeypatch):
+    spec, table = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.1)
+    panel = lg.standard_adversaries(spec)
+    one = _rows(lg.run_extremal_shift_batch(spec, table, part, [0.0], panel, n_replicas=7))
+    fork, forks = os.fork, []
+
+    def first_fork_only():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", first_fork_only)
+    with forced_blocks(3):
+        split = _rows(lg.run_extremal_shift_batch(spec, table, part, [0.0], panel, n_replicas=7))
+    assert len(forks) == 1
+    assert split == one
+    _no_children_left()
