@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,11 +29,11 @@ RATE_DROP_TOL = 1e-14
 _STATE_TOL = 1e-9
 
 
-def _check_mesh(h: float) -> float:
+def _check_mesh(h: float, warn: bool = True) -> float:
     h = float(h)
     if not (h > 0 and math.isfinite(h)):
         raise GameSpecError(f"mesh h must be positive, got {h}")
-    if h >= 1.0:
+    if warn and h >= 1.0:
         warnings.warn(
             f"mesh h={h} >= 1: jump sizes reach outside the unit ball, so the"
             " identification of the chain's mean velocity with the drift relies"
@@ -132,6 +133,12 @@ def kolmogorov_rates(spec: GameSpec, t, x, u, v, h: float) -> tuple[np.ndarray, 
     f = drift_batch(spec, t, xs, u, v)
     if f.shape[1:] != (spec.d,):
         raise GameSpecError(f"drift returned rows of shape {f.shape[1:]}, expected ({spec.d},)")
+    if point:
+        # one state in Python floats, which cost less than numpy's per-call
+        # overhead on one row; a non-finite row falls through to the batch's message
+        row = f[0].tolist()
+        if all(map(math.isfinite, row)):
+            return f[0], np.array([abs(c) / h if abs(c) > RATE_DROP_TOL else 0.0 for c in row])
     if not np.isfinite(f).all():
         r = int(np.argmin(np.isfinite(f).all(axis=1)))
         t_r = np.broadcast_to(np.asarray(t, dtype=float), (len(f),))[r]
@@ -140,8 +147,6 @@ def kolmogorov_rates(spec: GameSpec, t, x, u, v, h: float) -> tuple[np.ndarray, 
     drop = rates <= RATE_DROP_TOL
     rates /= h
     rates[drop] = 0.0
-    if point:
-        return f[0], rates[0]
     return f, rates
 
 
@@ -152,8 +157,15 @@ def pick_axis(rates: np.ndarray, uniform):
     ``rates`` is one row of ``kolmogorov_rates``, shape (d,), with a uniform
     draw in [0, 1), or m rows, shape (m, d), with m draws.  Each row needs a
     positive total.  Since uniform * total < total, the pick never runs past
-    the last axis, and it never lands on an axis of rate 0.
+    the last axis, and it never lands on an axis of rate 0.  One row is
+    counted in Python floats: ``accumulate`` adds left to right, as
+    ``np.cumsum`` does, so the pick is bitwise the batch row's.
     """
+    rates = np.asarray(rates)
+    if rates.ndim == 1:
+        cum = list(accumulate(rates.tolist()))
+        pick = uniform * cum[-1]
+        return sum(c <= pick for c in cum)
     cum = np.cumsum(rates, axis=-1)
     pick = np.asarray(uniform) * cum[..., -1]
     return (pick[..., None] >= cum).sum(axis=-1)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import chain_characteristics, kolmogorov_rates, pick_axis
+from .chain import _check_mesh, chain_characteristics, kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import GameSpec
 
@@ -155,6 +155,7 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     Policies are feedback callables (t, y) -> control, re-evaluated at every
     candidate time of the majorant clock, hence at every jump.
     """
+    h = _check_mesh(h, warn=False)  # kolmogorov_rates warns at a candidate
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     k0 = np.round(x0 / h)
     if np.max(np.abs(x0 - h * k0)) > 1e-9 * max(1.0, h):
@@ -162,7 +163,9 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     if not (0.0 <= t0 < spec.T):
         raise GameSpecError(f"t0={t0} outside [0, T)")
     gen = as_rng(rng)
+    exponential, random = gen.exponential, gen.random
     lam = rate_majorant(spec, h)
+    scale = 1.0 / lam
     y = h * k0
     t = t0
     times = [t0]
@@ -171,7 +174,7 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     v_idx: list[int] = []
     n_jumps = 0
     while True:
-        t_cand = t + gen.exponential(1.0 / lam) if lam > 0 else spec.T
+        t_cand = t + exponential(scale)
         if t_cand >= spec.T:
             break
         u = u_policy(t_cand, y)
@@ -181,14 +184,14 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
         total = float(rates.sum())
         check_majorant(total, lam)
         # uniform() is 0 + 1 * random(): the same double from the same stream
-        accept = gen.random() < total / lam if total > 0 else False
+        accept = random() < total / lam if total > 0 else False
         u_idx.append(iu)
         v_idx.append(iv)
         if accept:
-            i = pick_axis(rates, gen.random())
+            i = pick_axis(rates, random())
             offset = np.zeros(spec.d)
             offset[i] = math.copysign(h, f[i])
-            y = y + offset
+            y = y + offset  # in place would keep a -0.0 coordinate that this makes +0.0
             n_jumps += 1
         t = t_cand
         times.append(t)

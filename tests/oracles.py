@@ -20,6 +20,10 @@ The package itself runs none of them.
   checked against exp(3*d*M1*(T-t)) growth of the mesh-weighted norm instead
   of the payoff range, under the Euler step ceiling; checkpoints snap down to
   the grid T - k*dt as in ``solve_backward``.
+- ``reference_chain`` is ``simulate_chain``'s thinning loop as it was before
+  the jump rule had a point branch: each candidate's rates are the batch row
+  of a (1, d) ``kolmogorov_rates`` call, its total is numpy's sum of that
+  row, and an accepted candidate's axis is the batch row of ``pick_axis``.
 """
 
 import contextlib
@@ -30,9 +34,12 @@ from unittest import mock
 import numpy as np
 
 from latticegames import shift, solver
-from latticegames.chain import RATE_DROP_TOL, LatticeDomain, _check_mesh, kolmogorov_rates
+from latticegames.chain import (RATE_DROP_TOL, LatticeDomain, _check_mesh, kolmogorov_rates,
+                                pick_axis)
 from latticegames.errors import GameSpecError, StepSizeError, TruncationError
 from latticegames.games import Control, GameSpec, payoff_batch
+from latticegames.simulate import (ChainPath, _grid_indices, as_rng, check_majorant,
+                                   rate_majorant)
 from latticegames.solver import SolveResult, ValueGrid, dt_ceiling, hamiltonian_field
 
 # check_isaacs samples states from [-_ISAACS_BOX, _ISAACS_BOX]^d
@@ -291,3 +298,54 @@ def solve_rk4(spec, domain, *, kind="upper", dt=None, checkpoints=None) -> Solve
             slices.append(ValueGrid(t=t, domain=domain, values=values.copy()))
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
                        slices=tuple(slices))
+
+
+def reference_chain(spec, u_policy, v_policy, x0, h, *, t0=0.0, rng=0) -> ChainPath:
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    k0 = np.round(x0 / h)
+    if np.max(np.abs(x0 - h * k0)) > 1e-9 * max(1.0, h):
+        raise GameSpecError(f"x0={x0.tolist()} is not on the mesh-{h} lattice")
+    if not (0.0 <= t0 < spec.T):
+        raise GameSpecError(f"t0={t0} outside [0, T)")
+    gen = as_rng(rng)
+    lam = rate_majorant(spec, h)
+    y = h * k0
+    t = t0
+    times = [t0]
+    states = [y]
+    u_idx: list[int] = []
+    v_idx: list[int] = []
+    n_jumps = 0
+    while True:
+        t_cand = t + gen.exponential(1.0 / lam) if lam > 0 else spec.T
+        if t_cand >= spec.T:
+            break
+        u = u_policy(t_cand, y)
+        v = v_policy(t_cand, y)
+        iu, iv = _grid_indices(spec, u, v)
+        f, rates = kolmogorov_rates(spec, t_cand, y[None, :], u, v, h)
+        f, rates = f[0], rates[0]
+        total = float(rates.sum())
+        check_majorant(total, lam)
+        accept = gen.random() < total / lam if total > 0 else False
+        u_idx.append(iu)
+        v_idx.append(iv)
+        if accept:
+            i = pick_axis(rates[None, :], np.array([gen.random()]))[0]
+            offset = np.zeros(spec.d)
+            offset[i] = math.copysign(h, f[i])
+            y = y + offset
+            n_jumps += 1
+        t = t_cand
+        times.append(t)
+        states.append(y)
+    times.append(spec.T)
+    m = len(times) - 1
+    seg_states = np.stack(states[:m])
+    tail_t = float(times[m - 1])
+    u_tail, v_tail = _grid_indices(spec, u_policy(tail_t, seg_states[-1]),
+                                   v_policy(tail_t, seg_states[-1]))
+    u_arr = np.array(u_idx + [u_tail], dtype=np.int64)
+    v_arr = np.array(v_idx + [v_tail], dtype=np.int64)
+    return ChainPath(times=np.asarray(times), states=seg_states,
+                     u_indices=u_arr, v_indices=v_arr, n_jumps=n_jumps)

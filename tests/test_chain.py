@@ -120,9 +120,10 @@ def test_kolmogorov_rates_drop_tiny_components_and_reject_non_finite():
 def _pick_by_target_loop(rates, uniform):
     """The thinning sampler's former axis choice, kept as the oracle: a
     running sum over the active axes in order picks the first with
-    uniform * total < sum, else the last active axis."""
+    uniform * total < sum, else the last active axis.  The total is the last
+    running sum: numpy's ``sum`` adds 8 or more values pairwise."""
     active = [i for i, r in enumerate(rates) if r > 0]
-    pick = uniform * float(np.sum(rates[active]))
+    pick = uniform * float(np.cumsum(rates[active])[-1])
     acc = 0.0
     for i in active:
         acc += rates[i]
@@ -133,22 +134,26 @@ def _pick_by_target_loop(rates, uniform):
 
 def test_pick_axis_matches_the_target_loop():
     below_one = np.nextafter(1.0, 0.0)
-    rows = np.array([
+    width = 10  # past numpy's block of 8 values
+    rows = np.pad(np.array([
         [0.0, 2.0, 0.0, 0.0, 6.0, 0.0, 0.0],   # zero rates between and after
         [1.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.5],
         [0.25, 0.25, 0.5, 0.0, 1.0, 0.0, 2.0],
-    ])
+    ]), ((0, 0), (0, width - 7)))
+    # ten active axes: the last running sum is 5.2, numpy's pairwise sum 1 ulp less
+    rows = np.vstack([rows, [0.5, 0.5, 0.7, 0.9, 0.1, 0.2, 0.8, 0.9, 0.3, 0.3]])
     # 0, 1 - 2^-53, and uniforms landing exactly on a cumulative boundary
-    cases = [(r, float(u)) for r in range(len(rows))
-             for u in [0.0, below_one, *np.cumsum(rows[r]) / rows[r].sum()] if u < 1.0]
-    assert sum(u * rows[r].sum() in np.cumsum(rows[r]) for r, u in cases) >= 8
+    cases = [(r, float(u)) for r in range(len(rows)) for cum in [np.cumsum(rows[r])]
+             for u in [0.0, below_one, *cum / cum[-1]] if u < 1.0]
+    on_boundary = [(r, u) for r, u in cases if u * np.cumsum(rows[r])[-1] in np.cumsum(rows[r])]
+    assert len(on_boundary) >= 8 and sum(r == 4 for r, _ in on_boundary) >= 4
     rng = np.random.default_rng(6)
     for _ in range(2000):
-        d = int(rng.integers(1, 8))
+        d = int(rng.integers(1, width + 1))
         row = np.where(rng.uniform(size=d) < 0.4, 0.0, rng.exponential(size=d))
         if row.any():
-            rows = np.vstack([rows, np.pad(row, (0, 7 - d))])
+            rows = np.vstack([rows, np.pad(row, (0, width - d))])
             cases.append((len(rows) - 1, float(rng.uniform())))
     idx = np.array([r for r, _ in cases])
     us = np.array([u for _, u in cases])

@@ -22,10 +22,13 @@ must equal the copyto/where kernel it replaced (``oracle_minimax``), bit for
 bit, index included.  The references live in ``oracles``.  A sweep split
 into blocks of axis-0 slabs stepped by forked workers must equal the
 one-block sweep, bit for bit or error for error, and leave no worker behind;
-so must an engine batch split into blocks of replicas.
+so must an engine batch split into blocks of replicas.  A ``simulate_chain``
+path must equal the thinning loop that took every candidate's rates, total
+and axis from batch rows (``reference_chain``), bit for bit or error for error.
 """
 
 import dataclasses
+import math
 import os
 from unittest import mock
 
@@ -35,10 +38,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import latticegames as lg
 from latticegames import solver
+from latticegames.chain import RATE_DROP_TOL
 from latticegames.games import game_from_dict
 from latticegames.shift import _ROW_FIELDS
 from oracles import (apply_generator, forced_blocks, jump_measure, neighbor_tables,
-                     oracle_minimax, solve_rk4)
+                     oracle_minimax, reference_chain, solve_rk4)
 
 T = 0.5
 PAD = 0.5
@@ -475,3 +479,78 @@ def test_engine_blocks_match_one_block(data, order, seed, n):
         assert fork.call_count == n_blocks - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _near_drop(spec, tiny):
+    """The game with each drift component under 0.5 in size replaced by
+    +-tiny: at tiny = RATE_DROP_TOL a state may have no jump at all, so its
+    candidates draw no acceptance, and just above it they do."""
+    def drift(t, x, u, v):
+        f = np.asarray(spec.drift(t, x, u, v), dtype=float)
+        return np.where(np.abs(f) < 0.5, np.copysign(tiny, f), f)
+
+    return dataclasses.replace(spec, drift=drift)
+
+
+def _feedback(grid, w, s):
+    """A state-feedback policy: the grid index steps with <w, y> + s t."""
+    def policy(t, y):
+        return grid[math.floor(float(np.dot(w[:len(y)], y)) + s * t) % len(grid)]
+
+    return policy
+
+
+def _path(path) -> tuple:
+    return (path.times.tobytes(), path.states.tobytes(), path.u_indices.tobytes(),
+            path.v_indices.tobytes(), path.n_jumps)
+
+
+# eight and nine axes, numpy's pairwise block and one past it: the drift is the
+# constant c, whose rates at h = 1/8 sum to 20.96 (20.08) in numpy's order and
+# one (two) ulps more left to right, and M1 puts the majorant's tolerance
+# lam * (1 + 1e-12) between the two
+AFFINE_8D = {
+    "d": 8, "T": 1.0, "R": 1.0, "M1": 0.3274999999996725, "K1": 1.0,
+    "drift": {"kind": "affine", "a": [[0.0] * 8] * 8, "bu": [[0.0]] * 8, "bv": [[0.0]] * 8,
+              "c": [-0.56, -0.06, -0.13, -0.17, 0.13, -0.56, -0.6, -0.41]},
+    "u_grid": [-1.0, 0.0, 1.0], "v_grid": [0.5, -0.5],
+    "payoff": {"kind": "constant", "value": 0.0},
+}
+AFFINE_9D = {
+    "d": 9, "T": 1.0, "R": 1.0, "M1": 0.2788888888886099, "K1": 1.0,
+    "drift": {"kind": "affine", "a": [[0.0] * 9] * 9, "bu": [[0.0]] * 9, "bv": [[0.0]] * 9,
+              "c": [-0.16, 0.33, -0.09, 0.17, 0.68, 0.45, -0.27, -0.1, -0.26]},
+    "u_grid": [-1.0, 0.0, 1.0], "v_grid": [0.5, -0.5],
+    "payoff": {"kind": "constant", "value": 0.0},
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=json_games(max_d=3), variant=st.sampled_from(["json", "python", "near_drop"]),
+       tiny=st.sampled_from([RATE_DROP_TOL, np.nextafter(RATE_DROP_TOL, 1.0), 0.0]),
+       h=st.sampled_from([0.125, 0.25, 0.5]), t0=st.floats(0.0, 0.4, exclude_min=True),
+       k0=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+       w=st.lists(st.floats(-3.0, 3.0), min_size=2 * 9, max_size=2 * 9),
+       s=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2), seed=st.integers(0, 2**16))
+@example(data=AFFINE_8D, variant="json", tiny=0.0, h=0.125, t0=0.2,
+         k0=[0, 2, -1, 0, 1, 0, -3, 0, 0], w=[1.0, -0.5, 0.0, 2.0, -1.5, 0.5, 0.25, -1.0, 0.0] * 2,
+         s=[-1.0, 2.5], seed=11)
+@example(data=AFFINE_9D, variant="json", tiny=0.0, h=0.125, t0=0.1,
+         k0=[1, 0, -2, 0, 3, 0, 0, -1, 2], w=[0.5, -1.0, 2.0, 0.0, 1.5, -0.5, 1.0, 0.25, -2.0] * 2,
+         s=[3.0, -2.0], seed=7)
+def test_simulate_chain_matches_the_reference_loop(data, variant, tiny, h, t0, k0, w, s, seed):
+    spec = game_from_dict(data, name="random")
+    if variant == "python":
+        spec = _time_scaled(spec, False)  # non-vectorized, and a drift of t
+    elif variant == "near_drop":
+        spec = _near_drop(spec, tiny)
+    up = _feedback(spec.u_grid, w[:9], s[0])
+    vp = _feedback(spec.v_grid, w[9:], s[1])
+    x0 = h * np.array(k0[:spec.d], dtype=float)
+    x0[x0 == 0.0] = -0.0  # a jump on another axis makes these +0.0
+    for i in range(4):
+        got = _outcome(lambda: _path(lg.simulate_chain(spec, up, vp, x0, h, t0=t0,
+                                                       rng=lg.replica_rng(seed, i))))
+        want = _outcome(lambda: _path(reference_chain(spec, up, vp, x0, h, t0=t0,
+                                                      rng=lg.replica_rng(seed, i))))
+        assert got == want

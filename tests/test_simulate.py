@@ -77,6 +77,20 @@ def test_simulate_chain_rejects_off_lattice_start():
         lg.simulate_chain(spec, up, vp, 0.03, 0.1)
 
 
+def test_simulate_chain_checks_the_mesh_once_and_warns_from_one_line():
+    spec = lg.g1()
+    up, vp = const_policies()
+    quiet = dataclasses.replace(spec, M1=1e-9)  # no candidate before T
+    for h in (0.0, -0.1, float("nan")):
+        with pytest.raises(lg.GameSpecError, match="mesh h must be positive"):
+            lg.simulate_chain(quiet, up, vp, 0.0, h)
+    with pytest.warns(UserWarning, match=r"mesh h=1\.0 >= 1") as caught:
+        path = lg.simulate_chain(spec, up, vp, 0.0, 1.0, rng=0)
+    assert len(path.times) > 2  # candidates were evaluated
+    assert {(w.filename, w.lineno) for w in caught} == {(caught[0].filename, caught[0].lineno)}
+    assert caught[0].filename == lg.simulate.__file__
+
+
 def test_simulate_chain_rejects_off_grid_control(monkeypatch):
     spec = lg.g1()
     calls = []
