@@ -78,7 +78,7 @@ _FLAGS = {
     "adversaries": _Flag("constant,bang_bang,random,worst_case", str, ("simulate",),
                          {"help": "comma list from constant,bang_bang,random,worst_case"}),
     "dump_trajectories": _Flag(0, int, ("simulate",), {
-        "type": int, "help": "log this many replicas per adversary to CSV"}),
+        "type": int, "help": "log this many replicas per adversary to CSV, at most --replicas"}),
 }
 
 
@@ -159,6 +159,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("sigma values must be nonnegative")
     if cfg["dump_trajectories"] < 0:
         raise UsageError(f"dump_trajectories must be nonnegative, got {cfg['dump_trajectories']}")
+    if cfg["dump_trajectories"] > cfg["replicas"]:
+        raise UsageError(f"dump_trajectories={cfg['dump_trajectories']} exceeds "
+                         f"replicas={cfg['replicas']}")
     if cfg["seed"] < 0:
         raise UsageError(f"seed must be nonnegative, got {cfg['seed']}")
     return cfg
@@ -327,12 +330,11 @@ def cmd_converge(cfg: dict) -> int:
              "param,error,paper_bound,bound_satisfied,empirical_order"]
     for i, (param, err, bound) in enumerate(rows):
         ok = "true" if err <= bound else "false"
-        if i == 0:
-            order = ""
-        else:
-            p0, e0, _ = rows[i - 1]
-            order = (_fmt(np.log(e0 / err) / np.log(p0 / param))
-                     if err > 0 and e0 > 0 else "")
+        # no order on the first row (its own previous), for a repeated or zero
+        # param, or for a zero error
+        p0, e0, _ = rows[max(i - 1, 0)]
+        order = (_fmt(np.log(e0 / err) / np.log(p0 / param))
+                 if p0 != param and p0 > 0 and param > 0 and err > 0 and e0 > 0 else "")
         lines.append(f"{_fmt(param)},{_fmt(err)},{_fmt(bound)},{ok},{order}")
     (out / "converge.csv").write_text("\n".join(lines) + "\n")
     return 0

@@ -562,7 +562,7 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
         return step
 
     with _forked_blocks(n_blocks, stepper, "coupling engine") as evaluate:
-        _, errors = evaluate(1)
+        errors = evaluate(1)
     if errors:
         # a worker that ended leaves no error to replay
         if not all(isinstance(error, ResourceError) for _, error in errors):

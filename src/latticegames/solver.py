@@ -621,19 +621,20 @@ def _euler_end(field: np.ndarray, values: np.ndarray, dt: float) -> None:
 
 def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.ndarray,
                    slabs: tuple[int, int], dt: float, n_steps: int, slices: np.ndarray,
-                   stats: np.ndarray, row: int, index: np.ndarray | None,
-                   finish: Callable | None) -> Callable[[int], Rates | None]:
+                   index: np.ndarray | None, finish: Callable | None, extra_rate: float,
+                   in_range: Callable[[float, float, float], None]) -> Callable[[int], None]:
     """Evaluation k of one block of a sweep (``_sweep``).
 
     The block steps its slabs [a, b) on the box that adds one halo slab on
     each side, inside the domain, since a jump moves one slab at most: it
     reads that box of slice k-1 from ``slices[(k-1) % 2]``, evaluates the
     kernel there with rates built on the box's own points, and writes its
-    own rows of slice k into ``slices[k % 2]``, of the committing player's
-    index into ``index``, and their smallest and largest value, and the
-    per-pair peak rates of a fresh rate build, into ``stats[row]``.  Every
-    operation is pointwise, so each row gets the bits the whole-domain step
-    gives it.  Returns the rates when this evaluation built them.
+    own rows of slice k into ``slices[k % 2]`` and of the committing
+    player's index into ``index``.  Every operation is pointwise, so each
+    row gets the bits the whole-domain step gives it.  The block checks its
+    own step: each fresh rate build of a step k <= n_steps on its box
+    (``_check_monotone``, with ``extra_rate``) and its rows of slice k
+    (``in_range``).
     """
     a, b = slabs
     size = domain.n_points // domain.shape[0]
@@ -645,19 +646,16 @@ def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.
     rates_at = _rates_by_time(spec, box, states[ext])
     end = finish(box) if finish else _euler_end
     box_index = None if index is None else np.empty(box.n_points, dtype=index.dtype)
-    pairs = len(spec.u_grid) * len(spec.v_grid)
-    last = None
+    checked = None
 
-    def evaluate(k: int) -> Rates | None:
-        nonlocal last
+    def evaluate(k: int) -> None:
+        nonlocal checked
         t = spec.T - (k - 1) * dt
         values = slices[(k - 1) % 2, ext]
         rates = rates_at(t)
-        fresh = rates is not last
-        if fresh:
-            last = rates
-            stats[row, 2:2 + pairs] = rates.peaks.ravel()
-            stats[row, 2 + pairs:] = rates.peak_points.ravel() + ext.start
+        if k <= n_steps and rates is not checked:
+            checked = rates
+            _check_monotone(spec, states[ext], rates, dt, extra_rate)
         field = hamiltonian_field(values, spec, t, box, kind, rates=rates, index=box_index)
         if index is not None:
             index[rows] = box_index[own]
@@ -665,8 +663,7 @@ def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.
             end(field, values, dt)
             new = slices[k % 2, rows]
             new[:] = field[own]
-            stats[row, :2] = new.min(), new.max()
-        return rates if fresh else None
+            in_range(new.min(), new.max(), spec.T - k * dt)
     return evaluate
 
 
@@ -717,15 +714,15 @@ def _fork_worker(make: Callable[[], Callable[[int], object]],
 
 @contextlib.contextmanager
 def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], object]],
-                   what: str) -> Iterator[Callable[[int], tuple[object, list]]]:
+                   what: str) -> Iterator[Callable[[int], list[tuple[int, BaseException]]]]:
     """Blocks 0, ..., n_blocks - 1 of one computation, block b evaluated by
     ``stepper(b)``: the caller evaluates block 0, and a worker forked here
     (``_fork_worker``) each other; the caller evaluates a block whose fork
     fails (no process to spare) itself.  Yields ``evaluate(k)``, which runs
     evaluation k of every block, one command byte and one reply per worker,
-    and returns the caller's last result and the (block, exception) of each
-    block that raised, by block; a worker that ended is a ``ResourceError``
-    naming ``what``.  The workers are reaped on exit, return or raise."""
+    and returns the (block, exception) of each block that raised, by block;
+    a worker that ended is a ``ResourceError`` naming ``what``.  The
+    workers are reaped on exit, return or raise."""
     # (block, pid, command fd, reply pipe) per worker
     workers: list[tuple[int, int, int, io.BufferedReader]] = []
     mine = [0]  # the blocks the caller evaluates
@@ -737,16 +734,16 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
                 mine.append(b)
         evaluators = [(b, stepper(b)) for b in mine]
 
-        def evaluate(k: int) -> tuple[object, list[tuple[int, BaseException]]]:
+        def evaluate(k: int) -> list[tuple[int, BaseException]]:
             for _, _, cmd, _ in workers:
                 try:
                     os.write(cmd, b"\0")
                 except BrokenPipeError:  # the worker is gone: its reply says so
                     pass
-            result, errors = None, []
+            errors = []
             for b, step in evaluators:
                 try:
-                    result = step(k)
+                    step(k)
                 except Exception as exc:
                     errors.append((b, exc))
             for b, _, _, reply in workers:
@@ -756,7 +753,7 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
                     error = ResourceError(f"a {what} worker ended during step {k}")
                 if error is not None:
                     errors.append((b, error))
-            return result, sorted(errors, key=lambda error: error[0])
+            return sorted(errors, key=lambda error: error[0])
 
         yield evaluate
     finally:
@@ -790,12 +787,14 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
 
     The steps are split into the blocks of ``_block_slabs``
     (``_block_stepper``), evaluated by the caller and forked workers
-    (``_forked_blocks``) over the shared double buffer of slices.  The caller then checks the combined peak
-    rates and range and records the slices, so every slice, table row and
-    error is the one-block sweep's: a worker's exception is re-raised here,
-    and when several blocks fail, the error of the whole domain's rate
-    build comes first.  Workers are reaped before this returns or raises.
-    Returns the recorded slices by decreasing time.
+    (``_forked_blocks``) over the shared double buffer of slices; each
+    block checks its own rates and rows, and the caller records the slices.
+    Every slice, table row and error is the one-block sweep's.  A block's
+    exception is re-raised here: one failing block's is the whole domain's,
+    since a larger peak in its halo fails the neighbour block too.  When
+    several blocks fail, the caller replays the whole domain's rate build
+    and monotone check, whose error comes first.  Workers are reaped before
+    this returns or raises.  Returns the recorded slices by decreasing time.
     """
     states = domain.states()
     if spec.autonomous:
@@ -809,38 +808,27 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     recorded = [ValueGrid(t=spec.T, domain=domain, values=slices[0].copy())
                 ] if want is None or 0 in want else []
     blocks = _block_slabs(domain)
-    pairs = len(spec.u_grid) * len(spec.v_grid)
-    # per block: smallest and largest value, then per-pair peak rates and points
-    stats = _shared((len(blocks), 2 + 2 * pairs))
     index, pack = feedback or (None, None)
 
-    def stepper(b: int) -> Callable[[int], Rates | None]:
+    def stepper(b: int) -> Callable[[int], None]:
         return _block_stepper(spec, domain, kind, states, blocks[b], dt, n_steps, slices,
-                              stats, b, index, finish)
+                              index, finish, extra_rate, in_range)
 
     with _forked_blocks(len(blocks), stepper, "sweep") as evaluate:
         for k in range(1, n_steps + 1 + (feedback is not None)):
-            # every block builds its rates at the same steps
-            rates, errors = evaluate(k)
+            errors = evaluate(k)
             t = spec.T - (k - 1) * dt
             if errors:
-                if len(errors) > 1:  # the first failure of the whole domain's build
-                    _pair_rates(spec, spec.T if spec.autonomous else t, states, domain.h)
+                if len(errors) > 1:  # the first failure of the whole domain's step
+                    rates = _pair_rates(spec, spec.T if spec.autonomous else t, states, domain.h)
+                    if k <= n_steps:
+                        _check_monotone(spec, states, rates, dt, extra_rate)
                 raise errors[0][1]
-            if k <= n_steps and rates is not None:
-                peaks = stats[:, 2:2 + pairs]
-                first = (np.argmax(peaks, axis=0), np.arange(pairs))  # block order is point order
-                _check_monotone(spec, states, rates._replace(
-                    peaks=peaks[first].reshape(rates.peaks.shape),
-                    peak_points=stats[:, 2 + pairs:][first].astype(np.intp).reshape(
-                        rates.peaks.shape)), dt, extra_rate)
             if pack is not None:
                 pack(k - 1, t)
-            if k <= n_steps:
-                in_range(stats[:, 0].min(), stats[:, 1].max(), spec.T - k * dt)
-                if want is None or k in want:
-                    recorded.append(ValueGrid(t=spec.T - k * dt, domain=domain,
-                                              values=slices[k % 2].copy()))
+            if k <= n_steps and (want is None or k in want):
+                recorded.append(ValueGrid(t=spec.T - k * dt, domain=domain,
+                                          values=slices[k % 2].copy()))
     return tuple(recorded)
 
 

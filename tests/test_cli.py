@@ -166,6 +166,15 @@ def test_converge_single_h_has_no_order(tmp_path):
     assert lines[5].endswith(",true,")
 
 
+@pytest.mark.parametrize("params", [["--h", "0.1", "--sigma", "0.2", "0"], ["--h", "0.1", "0.1"]],
+                         ids=["sigma-to-zero", "repeated-h"])
+def test_converge_has_no_order_between_a_repeated_or_zero_param(tmp_path, params):
+    assert run("converge", "--game", "g1", "--out", str(tmp_path), *params) == 0
+    rows = (tmp_path / "converge.csv").read_text().splitlines()[5:]
+    assert len(rows) == 2
+    assert all(row.split(",")[4] == "" for row in rows), rows
+
+
 def test_simulate_requires_solve_first(tmp_path, capsys):
     code = run("simulate", "--game", "g1", "--out", str(tmp_path),
                "--replicas", "10")
@@ -453,7 +462,10 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, key):
     (["converge", "--sigma", "0.3", "--h", "0.1", "0.05"], "--h"),
     (["bounds", "--sigma", "0.3", "0.2"], "--sigma"),
     (["simulate", "--dump-trajectories", "-2"], "dump_trajectories"),
-], ids=["converge-sigma-two-h", "bounds-two-sigma", "simulate-negative-dump"])
+    (["simulate", "--h", "0.1", "--replicas", "2", "--dump-trajectories", "3"],
+     "dump_trajectories"),
+], ids=["converge-sigma-two-h", "bounds-two-sigma", "simulate-negative-dump",
+        "simulate-dump-above-replicas"])
 def test_commands_reject_values_they_would_drop(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert run(*argv, "--game", "g1", "--out", str(out)) == 2

@@ -770,6 +770,11 @@ LAST_BLOCK_RUSH = {"d": 2, "T": 1.0, "u_grid": [0], "v_grid": [0], "payoff": {"k
                              "bv": [[0], [0]], "c": [1.5, 0]},
                    "R": 1.0, "M1": 1.0, "K1": 2.0}
 
+# f1 = 2 x1 + 1 outruns M1 = 1 where x1 > 0 or x1 < -1: on the h=0.1 box
+# [-3, 3] x [-0.2, 0.2] (61 slabs), at rate 50 (x1 = -3) in the first of three
+# blocks and at rate 70 (x1 = 3) in the last
+TWO_BLOCK_RUSH = {**LAST_BLOCK_RUSH, "drift": {**LAST_BLOCK_RUSH["drift"], "c": [1, 0]}}
+
 
 def _split_drift(t, x, u, v):
     # not finite for u = 0 above x1 = 1 (the last block), for u = 1 below
@@ -799,7 +804,11 @@ def _overflowing_sweep():
      # the whole domain's first failure: pair u=0, which fails in the last block only
      r"drift not finite at t=1\.0, x=\[1\.1[0-9]*, -1\.5\]"),
     (_overflowing_sweep, lg.StepSizeError, r"values at t=0\.9\d* leave the terminal payoff range"),
-], ids=["monotone-last-block", "nonfinite-drift-in-two-blocks", "range"])
+    (lambda: solve_backward(game_from_dict(TWO_BLOCK_RUSH),
+                            LatticeDomain(h=0.1, lo=(-30, -2), hi=(30, 2))), MonotoneStepError,
+     # the whole domain's peak: rate 70 in the last block, not 50 in the first
+     r"total jump rate 70 times dt=0\.025 is 1\.75 > 1 at x=\[3\.0, -0\.2\]"),
+], ids=["monotone-last-block", "nonfinite-drift-in-two-blocks", "range", "monotone-two-blocks"])
 def test_block_sweeps_raise_the_one_block_errors(run, error, message):
     one = _error_of(run)
     _no_children_left()
