@@ -313,17 +313,27 @@ def cmd_converge(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     x0 = _x0(cfg, spec)
-    rows = []
+    # the error is scored on each box's points in |x|_inf <= 1: check every
+    # box holds one, and the reference every such point, before the first sweep
+    boxes = []
     for h in cfg["h"]:
         domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
         keep = _eval_mask(domain)
-        ref = _reference_values(cfg, spec, h, domain.states()[keep])
+        if not keep.any():
+            box = " x ".join(f"[{h * a:g}, {h * b:g}]" for a, b in zip(domain.lo, domain.hi))
+            raise UsageError(f"the mesh-{h} box {box} around x0={x0.tolist()} holds no "
+                             f"lattice point with |x|_inf <= 1, where converge scores the "
+                             f"error; choose an x0 nearer the origin")
+        boxes.append((h, domain, keep, _reference_values(cfg, spec, h, domain.states()[keep])))
+    rows = []
+    for h, domain, keep, ref in boxes:
         for sigma in cfg["sigma"] or [None]:
             res = _solve(cfg, spec, domain, sigma, [0.0])
             err = float(np.max(np.abs(res.slice_at(0.0).values[keep] - ref)))
             report = bounds_mod.assemble(spec, h, sigma, seed=cfg["seed"])
+            # a sigma row's error holds the viscous and the lattice error (README)
             rows.append((h, err, report.bound_thm2) if sigma is None
-                        else (sigma, err, report.bound_visc))
+                        else (sigma, err, report.bound_visc + report.bound_thm2))
     param_kind = "sigma" if cfg["sigma"] else "h"
     lines = [f"# config_sha256={config_sha256(cfg)}", f"# seed={cfg['seed']}",
              f"# game={spec.name}", f"# param_kind={param_kind}",

@@ -29,9 +29,11 @@ adversary on the same stream it would see in a panel of one.
 Every row of a batch is computed apart from the others, so a batch splits
 into contiguous blocks of replicas that the caller and forked workers step
 at once, each holding only its own block's draws and work arrays, with
-outputs bitwise the one-block batch's (``run_extremal_shift_batch``).  A
-custom drift or adversary must keep that: each row's result may not depend
-on the rest of the batch.
+outputs bitwise the one-block batch's (``run_extremal_shift_batch``).  An
+error is the one-block batch's too: when a block raises, the batch is
+replayed as one block, by the rule the backward sweep's blocks share
+(``solver._forked_blocks``).  A custom drift or adversary must keep that:
+each row's result may not depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import kolmogorov_rates, pick_axis
-from .errors import GameSpecError, ResourceError
+from .errors import GameSpecError
 from .games import GameSpec, drift_batch, payoff_batch
 from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
 from .solver import FeedbackTable, _TIME_FUZZ, _block_count, _forked_blocks, _shared
@@ -529,8 +531,9 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
     replicas, runs them against the whole panel and writes its rows into
     output arrays shared with the caller, which the result views.  Every row
     is computed apart from the rest of its batch, so each output is bitwise
-    the one-block batch's.  When a block raises, the whole batch is replayed
-    in one block, so the error names the interval and row the unsplit batch
+    the one-block batch's.  So is each error, by ``_forked_blocks``' rule:
+    when a block raises, the whole batch is replayed as one block in the
+    caller, and its error names the interval and row the unsplit batch
     names; a worker that ended is a ``ResourceError``.
     """
     if n_replicas < 2:
@@ -561,11 +564,7 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
                 whole[:, lo:hi] = getattr(block, field).reshape(len(panel), hi - lo, -1)
         return step
 
-    with _forked_blocks(n_blocks, stepper, "coupling engine") as evaluate:
-        errors = evaluate(1)
-    if errors:
-        # a worker that ended leaves no error to replay
-        if not all(isinstance(error, ResourceError) for _, error in errors):
-            replicas(0, n_replicas)  # raises the unsplit batch's first error
-        raise errors[0][1]
+    with _forked_blocks(n_blocks, stepper, "coupling engine",
+                        lambda k: replicas(0, n_replicas)) as evaluate:
+        evaluate(1)
     return out

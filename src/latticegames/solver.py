@@ -324,25 +324,6 @@ def _check_autonomous(spec: GameSpec, states: np.ndarray) -> None:
                             f"differs at t=0 and t=T={spec.T:g}")
 
 
-def _rates_by_time(spec: GameSpec, domain: LatticeDomain,
-                   states: np.ndarray) -> Callable[[float], Rates]:
-    """The kernel's rates at time t over ``states``, the domain's points.
-
-    An autonomous spec's rates are built once, at T (a sweep spot-checks the
-    declaration first, ``_check_autonomous``).  Other specs' are rebuilt at
-    each new kernel time; consecutive calls at one time share the build.
-    """
-    built: dict[float, Rates] = {}
-
-    def at(t: float) -> Rates:
-        t = spec.T if spec.autonomous else t
-        if t not in built:
-            built.clear()
-            built[t] = _pair_rates(spec, t, states, domain.h)
-        return built[t]
-    return at
-
-
 def _axis_slices(d: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
     """Index tuples into a d-axis box along axis i: (all but the last layer,
     all but the first layer, the first layer, the last layer).  Each selects
@@ -560,13 +541,15 @@ def _checkpoint_steps(spec: GameSpec, checkpoints: Sequence[float], dt: float) -
 def _schedule(spec: GameSpec, dt: float | None, checkpoints: Sequence[float] | None,
               ceiling: float, ceiling_name: str) -> tuple[float, set[int] | None]:
     """A sweep's dt, as given and validated or the largest under ``ceiling``
-    that tiles [first checkpoint, T], and the steps whose slices it records:
-    those of ``_checkpoint_steps``, or None (every step down to t=0) when
-    ``checkpoints`` is None."""
+    that tiles [first checkpoint, T], or [0, T] when the first checkpoint is
+    T, and the steps whose slices it records: those of ``_checkpoint_steps``,
+    or None (every step down to t=0) when ``checkpoints`` is None."""
     if checkpoints is None:
         return _resolve_dt(spec, dt, 0.0, ceiling, ceiling_name), None
     targets = [float(c) for c in checkpoints]
-    dt = _resolve_dt(spec, dt, min(targets, default=0.0), ceiling, ceiling_name)
+    first = min(targets, default=0.0)
+    dt = _resolve_dt(spec, dt, first if first < spec.T - _TIME_FUZZ else 0.0, ceiling,
+                     ceiling_name)
     return dt, _checkpoint_steps(spec, targets, dt)
 
 
@@ -631,10 +614,13 @@ def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.
     kernel there with rates built on the box's own points, and writes its
     own rows of slice k into ``slices[k % 2]`` and of the committing
     player's index into ``index``.  Every operation is pointwise, so each
-    row gets the bits the whole-domain step gives it.  The block checks its
-    own step: each fresh rate build of a step k <= n_steps on its box
-    (``_check_monotone``, with ``extra_rate``) and its rows of slice k
-    (``in_range``).
+    row gets the bits the whole-domain step gives it.  The rates of an
+    autonomous spec are built once, at T (the sweep spot-checks the
+    declaration first, ``_check_autonomous``), and other specs' at each
+    kernel time.  The block checks its own step: each fresh rate build of a
+    step k <= n_steps on its box (``_check_monotone``, with ``extra_rate``)
+    and its rows of slice k (``in_range``).  The slabs (0, domain.shape[0])
+    make the one-block step, whose box is the domain.
     """
     a, b = slabs
     size = domain.n_points // domain.shape[0]
@@ -643,19 +629,19 @@ def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.
                         hi=(domain.lo[0] + hi - 1, *domain.hi[1:]))
     ext, rows = slice(lo * size, hi * size), slice(a * size, b * size)
     own = slice(rows.start - ext.start, rows.stop - ext.start)
-    rates_at = _rates_by_time(spec, box, states[ext])
     end = finish(box) if finish else _euler_end
     box_index = None if index is None else np.empty(box.n_points, dtype=index.dtype)
-    checked = None
+    rates = None
 
     def evaluate(k: int) -> None:
-        nonlocal checked
+        nonlocal rates
         t = spec.T - (k - 1) * dt
         values = slices[(k - 1) % 2, ext]
-        rates = rates_at(t)
-        if k <= n_steps and rates is not checked:
-            checked = rates
-            _check_monotone(spec, states[ext], rates, dt, extra_rate)
+        if rates is None or not spec.autonomous:
+            rates = None  # the last step's rates are unmapped before the next build
+            rates = _pair_rates(spec, spec.T if spec.autonomous else t, states[ext], box.h)
+            if k <= n_steps:
+                _check_monotone(spec, states[ext], rates, dt, extra_rate)
         field = hamiltonian_field(values, spec, t, box, kind, rates=rates, index=box_index)
         if index is not None:
             index[rows] = box_index[own]
@@ -714,15 +700,21 @@ def _fork_worker(make: Callable[[], Callable[[int], object]],
 
 @contextlib.contextmanager
 def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], object]],
-                   what: str) -> Iterator[Callable[[int], list[tuple[int, BaseException]]]]:
+                   what: str, whole: Callable[[int], object]) -> Iterator[Callable[[int], None]]:
     """Blocks 0, ..., n_blocks - 1 of one computation, block b evaluated by
     ``stepper(b)``: the caller evaluates block 0, and a worker forked here
     (``_fork_worker``) each other; the caller evaluates a block whose fork
     fails (no process to spare) itself.  Yields ``evaluate(k)``, which runs
-    evaluation k of every block, one command byte and one reply per worker,
-    and returns the (block, exception) of each block that raised, by block;
-    a worker that ended is a ``ResourceError`` naming ``what``.  The
-    workers are reaped on exit, return or raise."""
+    evaluation k of every block, one command byte and one reply per worker.
+
+    This is the one place a block's failure becomes an error.  When any
+    block of evaluation k raises something other than a dead worker's
+    ``ResourceError`` (naming ``what``), ``evaluate`` runs ``whole(k)``,
+    evaluation k of the computation as one block, in the caller and raises
+    what it raises; so an error is the one-block computation's, whichever
+    blocks fail.  Should the replay raise nothing, or only dead workers
+    fail, it raises the error of the first block that failed.  The workers
+    are reaped on exit, return or raise."""
     # (block, pid, command fd, reply pipe) per worker
     workers: list[tuple[int, int, int, io.BufferedReader]] = []
     mine = [0]  # the blocks the caller evaluates
@@ -734,13 +726,13 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
                 mine.append(b)
         evaluators = [(b, stepper(b)) for b in mine]
 
-        def evaluate(k: int) -> list[tuple[int, BaseException]]:
+        def evaluate(k: int) -> None:
             for _, _, cmd, _ in workers:
                 try:
                     os.write(cmd, b"\0")
                 except BrokenPipeError:  # the worker is gone: its reply says so
                     pass
-            errors = []
+            errors, dead = [], 0
             for b, step in evaluators:
                 try:
                     step(k)
@@ -751,9 +743,13 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
                     error = pickle.load(reply)
                 except EOFError:
                     error = ResourceError(f"a {what} worker ended during step {k}")
+                    dead += 1
                 if error is not None:
                     errors.append((b, error))
-            return sorted(errors, key=lambda error: error[0])
+            if errors:
+                if len(errors) > dead:  # a dead worker leaves no error to replay
+                    whole(k)
+                raise min(errors, key=lambda error: error[0])[1]
 
         yield evaluate
     finally:
@@ -789,12 +785,11 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     (``_block_stepper``), evaluated by the caller and forked workers
     (``_forked_blocks``) over the shared double buffer of slices; each
     block checks its own rates and rows, and the caller records the slices.
-    Every slice, table row and error is the one-block sweep's.  A block's
-    exception is re-raised here: one failing block's is the whole domain's,
-    since a larger peak in its halo fails the neighbour block too.  When
-    several blocks fail, the caller replays the whole domain's rate build
-    and monotone check, whose error comes first.  Workers are reaped before
-    this returns or raises.  Returns the recorded slices by decreasing time.
+    Every slice and table row is the one-block sweep's, and so is every
+    error: when a block fails, ``_forked_blocks`` replays the step as one
+    block, on the whole domain, and raises its error.  Workers are reaped
+    before this returns or raises.  Returns the recorded slices by
+    decreasing time.
     """
     states = domain.states()
     if spec.autonomous:
@@ -810,22 +805,16 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     blocks = _block_slabs(domain)
     index, pack = feedback or (None, None)
 
-    def stepper(b: int) -> Callable[[int], None]:
-        return _block_stepper(spec, domain, kind, states, blocks[b], dt, n_steps, slices,
-                              index, finish, extra_rate, in_range)
+    def stepper(slabs: tuple[int, int]) -> Callable[[int], None]:
+        return _block_stepper(spec, domain, kind, states, slabs, dt, n_steps, slices, index,
+                              finish, extra_rate, in_range)
 
-    with _forked_blocks(len(blocks), stepper, "sweep") as evaluate:
+    with _forked_blocks(len(blocks), lambda b: stepper(blocks[b]), "sweep",
+                        lambda k: stepper((0, domain.shape[0]))(k)) as evaluate:
         for k in range(1, n_steps + 1 + (feedback is not None)):
-            errors = evaluate(k)
-            t = spec.T - (k - 1) * dt
-            if errors:
-                if len(errors) > 1:  # the first failure of the whole domain's step
-                    rates = _pair_rates(spec, spec.T if spec.autonomous else t, states, domain.h)
-                    if k <= n_steps:
-                        _check_monotone(spec, states, rates, dt, extra_rate)
-                raise errors[0][1]
+            evaluate(k)
             if pack is not None:
-                pack(k - 1, t)
+                pack(k - 1, spec.T - (k - 1) * dt)
             if k <= n_steps and (want is None or k in want):
                 recorded.append(ValueGrid(t=spec.T - k * dt, domain=domain,
                                           values=slices[k % 2].copy()))

@@ -241,11 +241,17 @@ def solve_rk4(spec, domain, *, kind="upper", dt=None, checkpoints=None) -> Solve
     states = domain.states()
     if spec.autonomous:
         solver._check_autonomous(spec, states)
-    rates_at = solver._rates_by_time(spec, domain, states)
     values = payoff_batch(spec, states).astype(float)
+    built = {}  # the rates of the latest build time
 
     def H(vals, t):
-        return hamiltonian_field(vals, spec, t, domain, kind, rates=rates_at(t))
+        # an autonomous spec's rates are built once, at T, and others' at each
+        # new stage time; consecutive stages at one time share the build
+        at = spec.T if spec.autonomous else t
+        if at not in built:
+            built.clear()
+            built[at] = solver._pair_rates(spec, at, states, domain.h)
+        return hamiltonian_field(vals, spec, t, domain, kind, rates=built[at])
 
     # the stage input and the check's scaled values, reused by every step;
     # the kernel's fresh results k1..k4 take the stage sums in place

@@ -6,10 +6,14 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
+from latticegames import g1
+from latticegames import cli
 from latticegames.cli import config_sha256, main
-from latticegames.solver import read_slice_csv
+from latticegames.games import payoff_batch
+from latticegames.solver import read_slice_csv, read_slice_meta
 from oracles import forced_blocks
 
 
@@ -152,6 +156,19 @@ def test_converge_rejects_a_reference_mesh_without_the_points(tmp_path, capsys):
     assert not (tmp_path / "converge.csv").exists()
 
 
+def test_converge_checks_every_mesh_against_the_reference_before_a_sweep(tmp_path, monkeypatch,
+                                                                        capsys):
+    ref = tmp_path / "ref"
+    assert run("solve", "--game", "g1", "--h", "0.05", "--out", str(ref)) == 0
+    sweeps = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: sweeps.append(args))
+    # the mesh-0.05 slice holds the mesh-0.1 points, not the mesh-0.03 ones
+    assert run("converge", "--game", "g1", "--h", "0.1", "0.03", "--out", str(tmp_path),
+               "--reference", str(ref / "eta_upper_t0.csv")) == 2
+    assert "mesh-0.03 point" in capsys.readouterr().err
+    assert sweeps == []
+
+
 def test_converge_needs_the_reference_file(tmp_path, capsys):
     assert run("converge", "--game", "g1", "--h", "0.1", "--out", str(tmp_path),
                "--reference", str(tmp_path / "missing.csv")) == 2
@@ -173,6 +190,28 @@ def test_converge_has_no_order_between_a_repeated_or_zero_param(tmp_path, params
     rows = (tmp_path / "converge.csv").read_text().splitlines()[5:]
     assert len(rows) == 2
     assert all(row.split(",")[4] == "" for row in rows), rows
+
+
+def test_converge_sigma_rows_bound_the_viscous_and_the_lattice_error(tmp_path):
+    # sigma = 0 is the upwind scheme at dx = h: its error is the lattice
+    # error alone, which bound_thm2(h) covers, and bound_visc(0) is 0
+    assert run("converge", "--game", "g1", "--h", "0.1", "--sigma", "0.2", "0",
+               "--out", str(tmp_path)) == 0
+    rows = [row.split(",") for row in (tmp_path / "converge.csv").read_text().splitlines()[5:]]
+    thm2 = 1.0527860251920127  # bound_thm2 of g1 at h = 0.1
+    assert [float(row[2]) for row in rows] == [0.5436563656918091 + thm2, thm2]
+    assert [row[3] for row in rows] == ["true", "true"]
+
+
+@pytest.mark.parametrize("x0", [["5"], ["-3.1"]], ids=["far", "just-out"])
+def test_converge_refuses_an_x0_whose_box_misses_the_scored_points(tmp_path, capsys, x0):
+    # g1's box reaches M1*T + pad = 2 from x0; the error is scored where |x| <= 1
+    assert run("converge", "--game", "g1", "--h", "0.05", "0.1", "--x0", *x0,
+               "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"box [{float(x0[0]) - 2:g}, {float(x0[0]) + 2:g}] around x0=[{float(x0[0])}]" in err
+    assert "no lattice point with |x|_inf <= 1" in err
+    assert not list(tmp_path.glob("*"))
 
 
 def test_simulate_requires_solve_first(tmp_path, capsys):
@@ -586,7 +625,7 @@ GOLDEN_G1_REPORTS = {
     "bounds/bounds.json": "be16df6de208bb2177f4e2d4824220dc79dfc12d96dadf76c52d6427ad947065",
     "bounds/bounds.txt": "4f69074055582dcece452047d0051b20fe2824d4ff36015aab2e69ddb3023dfd",
     "mesh/converge.csv": "fa6580df22cfa9b10d59693563ad66c908b5bd9d2224ad979149e156747de532",
-    "sigma/converge.csv": "bfed9ff74a91df7976c6fa2a9addbbb9c096f19826bc80de2f44a6e34752798c",
+    "sigma/converge.csv": "238d50502feee8205e88a805403c9e15976dc18ee88e3c75ef97c51795bc5bf3",
 }
 
 
@@ -688,7 +727,27 @@ def test_converge_sweep_rejects_a_checkpoint_below_zero(tmp_path, capsys):
     assert not (tmp_path / "converge.csv").exists()
 
 
-# each fails only in the rows of the last of three blocks of axis-0 slabs;
+@pytest.mark.parametrize("model, name", [
+    ([], "eta_upper_t1.csv"), (["--sigma", "0.1"], "psi_upper_t1_s0.1.csv"),
+], ids=["chain", "viscous"])
+def test_solve_writes_a_lone_checkpoint_at_the_horizon(tmp_path, model, name):
+    # a first checkpoint at T tiles no span: the auto dt tiles [0, T] instead
+    argv = ("solve", "--game", "g1", "--h", "0.1", *model)
+    assert run(*argv, "--checkpoints", "1", "--out", str(tmp_path / "T")) == 0
+    assert run(*argv, "--out", str(tmp_path / "0")) == 0
+    grid, meta = read_slice_csv(tmp_path / "T" / name, 0.1)
+    assert grid.t == 1.0
+    assert np.array_equal(grid.values, payoff_batch(g1(), grid.domain.states()))
+    assert meta["dt"] == read_slice_meta(tmp_path / "0" / name.replace("t1", "t0"))["dt"]
+
+
+def test_solve_refuses_a_checkpoint_beyond_the_horizon(tmp_path, capsys):
+    assert run("solve", "--game", "g1", "--checkpoints", "2", "--out", str(tmp_path)) == 2
+    assert "checkpoints must lie in [0, 1.0]" in capsys.readouterr().err
+
+
+# each fails in the rows of the last of three blocks of axis-0 slabs ("drift"
+# in the others too, at the infinite rate |f|/h where |x + 1| > 0.18);
 # per game: the JSON, --pad, the exit code and the start of the message
 FAILING_GAMES = {
     # 2 x1 + 1.5 outruns M1 where x1 > 1.25: the Euler step is not monotone

@@ -190,7 +190,7 @@ def test_kernel_results_survive_later_calls_on_the_same_rates():
     # because RK4 keeps four results alive across calls
     spec = lg.g2()
     dom = LatticeDomain(h=0.1, lo=(-8, -8), hi=(8, 8))
-    rates = solver._rates_by_time(spec, dom, dom.states())(spec.T)
+    rates = solver._pair_rates(spec, spec.T, dom.states(), dom.h)
     first_values, second_values = np.random.default_rng(5).normal(size=(2, dom.n_points))
     for kind in ("upper", "lower"):
         first = hamiltonian_field(first_values, spec, 1.0, dom, kind, rates=rates)
@@ -254,6 +254,15 @@ def test_checkpoints_snap_down():
     res = solve_backward(spec, dom, dt=0.02, checkpoints=[0.0, 0.55, 1.0])
     # 0.55 is not on the grid T - k*0.02; snapped to 0.54
     assert set(np.round(res.times, 10)) == {0.0, 0.54, 1.0}
+
+
+def test_a_lone_checkpoint_at_the_horizon_takes_the_auto_dt():
+    spec = lg.g1()
+    dom = g1_domain()
+    res = solve_backward(spec, dom, checkpoints=[spec.T])
+    assert res.dt == auto_dt(spec, dom.h)
+    assert res.times.tolist() == [spec.T]
+    assert np.array_equal(res.slice_at(spec.T).values, terminal_grid(spec, dom).values)
 
 
 def test_slice_at_missing_time_raises():
