@@ -20,7 +20,7 @@ from .shift import (BatchOutcomes, BangBangAdversary, ConstantAdversary,
 from .simulate import (ChainPath, MomentReport, OutcomeEstimate, ResidualReport,
                        martingale_residual, moment_growth_check, rate_majorant,
                        replica_rng, simulate_chain)
-from .solver import (FeedbackTable, SolveResult, ValueGrid, auto_dt, dt_ceiling,
+from .solver import (FeedbackTable, SolveResult, ValueGrid, dt_ceiling,
                      feedback_table, hamiltonian_field, read_slice_csv, solve_backward,
                      truncate_domain, write_slice_csv)
 from .viscous import cfl_ceiling, solve_viscous
@@ -33,7 +33,7 @@ __all__ = [
     "LatticeDomain", "LatticeGamesError", "MirrorAdversary", "MomentReport",
     "OutcomeEstimate", "PairedTrajectory", "Partition", "RandomAdversary",
     "ResidualReport", "ResourceError", "SolveResult", "StepSizeError",
-    "TruncationError", "ValueGrid", "assemble", "auto_dt", "beta",
+    "TruncationError", "ValueGrid", "assemble", "beta",
     "chain_characteristics", "cfl_ceiling", "drift_batch", "dt_ceiling", "empirical_m0_2",
     "feedback_table", "g1", "g2", "game_from_dict", "hamiltonian_field", "kolmogorov_rates",
     "load_game", "martingale_residual", "moment_growth_check", "payoff_batch",

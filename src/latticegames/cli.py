@@ -33,7 +33,7 @@ from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
-from .solver import (_off_grid, _schedule, auto_dt, dt_ceiling, feedback_table,
+from .solver import (_off_grid, _schedule, dt_ceiling, feedback_table,
                      read_slice_csv, read_slice_meta, read_slice_value, solve_backward,
                      truncate_domain, write_slice_csv)
 from .viscous import cfl_ceiling, solve_viscous
@@ -387,8 +387,8 @@ def cmd_simulate(cfg: dict) -> int:
     if not eta_path.exists():
         raise UsageError(f"missing {eta_path.name} in --out; run 'solve' first")
     domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
-    dt = _dt(cfg)
-    dt = auto_dt(spec, h) if dt is None else dt
+    # the dt of the sweep that wrote the slice, or solve's refusal of it
+    dt = _sweep_dt(cfg, spec, h, None, [0.0])
     _check_reused_slice(eta_path.name, read_slice_meta(eta_path), game=spec.name, h=h,
                         kind=cfg["kind"], dt=dt)
     x_ref = domain.nearest_lattice(x0) * h

@@ -51,8 +51,11 @@ class GameSpec:
     v_grid:    finite control grid of the maximising player.
     payoff:    terminal payoff ``g(x)``; accepts (d,) and (n, d) batches.
     R:         Lipschitz constant of ``g``.
-    M1:        uniform bound on ``max(||f||, 1)``-type magnitudes: sampled
-               drifts must satisfy ``||f|| <= M1``.
+    M1:        declared drift bound.  No code checks ||f|| <= M1; the code
+               checks sum_i |f_i| <= d * M1 at every thinning candidate
+               (``simulate.check_majorant``), and in each Euler sweep that
+               the box's peak of sum_i |f_i| / h times dt is at most 1
+               (``MonotoneStepError``; the viscous sweep adds d*sigma^2/h^2).
     K1:        Lipschitz constant of ``f`` in the state variable.
     vectorized: whether ``drift`` accepts batches and returns (n, d): ``x``
                of shape (n, d), ``t`` a scalar or one time per row (n,), and
@@ -319,14 +322,25 @@ _PAYOFF_KINDS = {
 }
 
 
+def _control_widths(kind: str, drift_def: dict) -> tuple[int, ...] | None:
+    """Numbers per u and per v grid entry that a drift kind reads; None: any."""
+    if kind == "affine":
+        return tuple(np.atleast_2d(np.asarray(drift_def[key], dtype=float)).shape[1]
+                     for key in ("bu", "bv"))
+    return None if kind == "zero" else (1, 1)
+
+
 def game_from_dict(data: dict, name: str = "custom") -> GameSpec:
     """Build a GameSpec from a parsed definition dictionary.
 
     Required keys: d, T, drift{kind,...}, u_grid, v_grid, payoff{kind,...},
     R, M1, K1.  Drift kinds: control_sum (alias g1), rotation_mix (alias g2),
     affine (a, bu, bv, c), zero.  Payoff kinds: norm (optional center),
-    linear (a), constant (value).  A field of the wrong type or value
-    raises ``GameSpecError``, like a missing one.
+    linear (a), constant (value).  d is a JSON integer.  Each grid entry is
+    a number or a list of as many numbers as its player's drift channel
+    takes: one for control_sum and rotation_mix, bu's (u) or bv's (v)
+    column count for affine, any for zero.  A field of the wrong type or
+    value raises ``GameSpecError``, like a missing one.
     """
     try:
         return _game_from_dict(data, name)
@@ -348,7 +362,9 @@ def _game_from_dict(data: dict, name: str) -> GameSpec:
         drift = factory(drift_def)
     except KeyError as exc:
         raise GameSpecError(f"drift kind {kind!r} missing parameter {exc}") from exc
-    d = int(data["d"])
+    d = data["d"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise TypeError(f"d must be an integer, got {d!r}")
     if fixed_d is not None and d != fixed_d:
         raise GameSpecError(f"drift kind {kind!r} requires d={fixed_d}, got {d}")
     payoff_def = data["payoff"]
@@ -359,13 +375,20 @@ def _game_from_dict(data: dict, name: str) -> GameSpec:
         payoff = _PAYOFF_KINDS[pkind](payoff_def)
     except KeyError as exc:
         raise GameSpecError(f"payoff kind {pkind!r} missing parameter {exc}") from exc
+    grids = [tuple(_as_control(c) for c in data[key]) for key in ("u_grid", "v_grid")]
+    for key, grid, width in zip(("u_grid", "v_grid"), grids,
+                                _control_widths(kind, drift_def) or ()):
+        for c in grid:
+            if np.size(c) != width:
+                raise ValueError(f"drift kind {kind!r} takes {key} entries of {width} "
+                                 f"number(s), got {c!r}")
     return GameSpec(
         name=str(data.get("name", name)),
         d=d,
         T=float(data["T"]),
         drift=drift,
-        u_grid=tuple(_as_control(u) for u in data["u_grid"]),
-        v_grid=tuple(_as_control(v) for v in data["v_grid"]),
+        u_grid=grids[0],
+        v_grid=grids[1],
         payoff=payoff,
         R=float(data["R"]),
         M1=float(data["M1"]),

@@ -246,27 +246,26 @@ def _pair_rates(spec: GameSpec, t: float, states: np.ndarray, h: float) -> Rates
     These are ``chain.kolmogorov_rates``: along axis i the chain jumps at
     ``rate`` to the up neighbour where f_i > 0 and the rate is positive, and
     to the down neighbour elsewhere.
-    The rates and the kernel's work arrays live in one anonymous memory
-    mapping of their own, which is unmapped when the last view goes: in the
-    malloc heap the freed block stayed resident under the later phases of a
-    process, and work arrays allocated per kernel call would be mapped and
-    faulted in afresh at every sweep step of a fresh process.  The mapping
-    starts zeroed, so the rate rows of zero terms and the up rows of all but
-    mixed terms are left unwritten: their pages never become resident, and
-    the kernel never reads them.  Each pair's total rate is summed into a
+    The rates and the kernel's work arrays are carved out of two anonymous
+    memory mappings of their own (``_shared``), one of floats and one of the
+    up flags, each unmapped when its last view goes: in the malloc heap the
+    freed block stayed resident under the later phases of a process, and
+    work arrays allocated per kernel call would be mapped and faulted in
+    afresh at every sweep step of a fresh process.  The mappings start
+    zeroed, so the rate rows of zero terms and the up rows of all but mixed
+    terms are left unwritten: their pages never become resident, and the
+    kernel never reads them.  Each pair's total rate is summed into a
     work row, so finding the peaks allocates nothing of size (nu, nv, n).
     """
     n = len(states)
     shape = (len(spec.u_grid), len(spec.v_grid), spec.d, n)
     peaks, peak_points = np.zeros(shape[:2]), np.zeros(shape[:2], dtype=np.intp)
     size = math.prod(shape)
-    n_floats = size + (2 * spec.d + 3) * n
-    block = mmap.mmap(-1, max(1, 8 * n_floats + size))  # a mapping cannot be empty
-    floats = np.frombuffer(block, dtype=float, count=n_floats)
+    floats = _shared((size + (2 * spec.d + 3) * n,))
     rate = floats[:size].reshape(shape)
     diffs = floats[size:size + 2 * spec.d * n].reshape(2, spec.d, n)
     work = floats[size + 2 * spec.d * n:].reshape(3, n)
-    up = np.frombuffer(block, dtype=bool, count=size, offset=8 * n_floats).reshape(shape)
+    up = _shared(shape, bool)
     terms = []
     for iu, u in enumerate(spec.u_grid):
         terms.append([])
@@ -463,17 +462,6 @@ def dt_ceiling(spec: GameSpec, h: float) -> float:
     return h / (2.0 * spec.d * spec.M1)
 
 
-def _tiling_dt(span: float, ceiling: float) -> float:
-    """Largest dt <= ceiling that tiles ``span`` with an integer number of steps."""
-    n = max(1, math.ceil(span / ceiling * (1.0 - 1e-12)))
-    return span / n
-
-
-def auto_dt(spec: GameSpec, h: float) -> float:
-    """Largest dt <= ceiling that tiles [0, T] with an integer number of steps."""
-    return _tiling_dt(spec.T, dt_ceiling(spec, h))
-
-
 def _range_check(g: np.ndarray) -> Callable[[float, float, float], None]:
     """Maximum principle of a monotone step: values stay in [min g, max g].
     The check reads the smallest and the largest value of the slice at t."""
@@ -488,20 +476,6 @@ def _range_check(g: np.ndarray) -> Callable[[float, float, float], None]:
                 f"[{lo:.6g}, {hi:.6g}]; reduce dt"
             )
     return check
-
-
-def _resolve_dt(spec: GameSpec, dt: float | None, t_min: float, ceiling: float,
-                ceiling_name: str) -> float:
-    """The given dt, validated, or the largest one under ``ceiling`` that
-    tiles [t_min, T]."""
-    if dt is None:
-        dt = _tiling_dt(spec.T - t_min, ceiling)
-    dt = float(dt)
-    if dt <= 0:
-        raise GameSpecError(f"dt must be positive, got {dt}")
-    if dt > ceiling * (1 + 1e-9):
-        raise StepSizeError(f"dt={dt:.6g} exceeds the {ceiling_name}={ceiling:.6g}")
-    return dt
 
 
 def _snapped_steps(spec: GameSpec, c: float, dt: float) -> int:
@@ -519,38 +493,34 @@ def _off_grid(spec: GameSpec, c: float, dt: float) -> str | None:
             f"{spec.T - (k - 1) * dt:.6g} of dt={dt:g}")
 
 
-def _checkpoint_steps(spec: GameSpec, checkpoints: Sequence[float], dt: float) -> set[int]:
-    """Step counts k of the grid times T - k*dt the checkpoints snap down to,
-    each the largest grid time <= it.
-
-    A checkpoint outside [0, T] raises GameSpecError, and so does one whose
-    grid time would fall below 0, which a dt that does not tile [c, T] gives.
-    """
-    targets = sorted(float(c) for c in checkpoints)
+def _schedule(spec: GameSpec, dt: float | None, checkpoints: Sequence[float] | None,
+              ceiling: float, ceiling_name: str) -> tuple[float, Sequence[int]]:
+    """Every sweep's time grid t_k = T - k*dt: its dt, as given or the
+    largest under ``ceiling`` that tiles [first checkpoint, T] ([0, T] when
+    that is T), and the ascending steps k whose slices it records, those
+    the checkpoints snap down to, or ``range(n + 1)`` down to t=0 when
+    ``checkpoints`` is None.  A checkpoint outside [0, T] raises
+    GameSpecError, and so does one that would snap below t=0, so no sweep
+    runs past t = 0."""
+    targets = sorted(float(c) for c in ([0.0] if checkpoints is None else checkpoints))
+    if dt is None:
+        first = targets[0] if targets and targets[0] < spec.T - _TIME_FUZZ else 0.0
+        span = spec.T - first
+        dt = span / max(1, math.ceil(span / ceiling * (1.0 - 1e-12)))
+    dt = float(dt)
+    if not dt > 0:  # NaN too
+        raise GameSpecError(f"dt must be positive, got {dt}")
+    if dt > ceiling * (1 + 1e-9):
+        raise StepSizeError(f"dt={dt:.6g} exceeds the {ceiling_name}={ceiling:.6g}")
     if not targets:
         raise GameSpecError("checkpoints must be non-empty when given")
-    if targets[0] < -_TIME_FUZZ or targets[-1] > spec.T + _TIME_FUZZ:
+    if not all(-_TIME_FUZZ <= c <= spec.T + _TIME_FUZZ for c in targets):  # NaN too
         raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
-    steps = {_snapped_steps(spec, c, dt) for c in targets}
-    if spec.T - max(steps) * dt < -_TIME_FUZZ:
+    steps = sorted({_snapped_steps(spec, c, dt) for c in targets})
+    if spec.T - steps[-1] * dt < -_TIME_FUZZ:
         raise GameSpecError(f"{_off_grid(spec, targets[0], dt)} and would snap down below "
                             f"t=0; choose a dt that tiles [{targets[0]:g}, {spec.T:g}]")
-    return steps
-
-
-def _schedule(spec: GameSpec, dt: float | None, checkpoints: Sequence[float] | None,
-              ceiling: float, ceiling_name: str) -> tuple[float, set[int] | None]:
-    """A sweep's dt, as given and validated or the largest under ``ceiling``
-    that tiles [first checkpoint, T], or [0, T] when the first checkpoint is
-    T, and the steps whose slices it records: those of ``_checkpoint_steps``,
-    or None (every step down to t=0) when ``checkpoints`` is None."""
-    if checkpoints is None:
-        return _resolve_dt(spec, dt, 0.0, ceiling, ceiling_name), None
-    targets = [float(c) for c in checkpoints]
-    first = min(targets, default=0.0)
-    dt = _resolve_dt(spec, dt, first if first < spec.T - _TIME_FUZZ else 0.0, ceiling,
-                     ceiling_name)
-    return dt, _checkpoint_steps(spec, targets, dt)
+    return dt, range(steps[-1] + 1) if checkpoints is None else steps
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +559,11 @@ def _block_slabs(domain: LatticeDomain) -> list[tuple[int, int]]:
 
 
 def _shared(shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """A zeroed array in an anonymous shared mapping, which the workers a
-    sweep forks afterwards read and write in place."""
+    """A zeroed array in an anonymous shared mapping of its own, unmapped
+    when its last view goes and resident only where touched; workers forked
+    afterwards read and write it in place."""
     count = math.prod(shape)
-    block = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # MAP_SHARED
+    block = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # MAP_SHARED, never empty
     return np.frombuffer(block, dtype=dtype, count=count).reshape(shape)
 
 
@@ -764,22 +735,22 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
 
 
 def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
-           want: set[int] | None, extra_rate: float = 0.0, finish: Callable | None = None,
-           feedback: tuple[np.ndarray, Callable[[int, float], None]] | None = None
+           steps: Sequence[int], extra_rate: float = 0.0, finish: Callable | None = None,
+           feedback: tuple[np.ndarray, Callable[[int], None]] | None = None
            ) -> tuple[ValueGrid, ...]:
     """Backward explicit sweep from the terminal payoff at T.
 
     Step k maps slice k-1, at t = T - (k-1)*dt, to slice k: the kernel
     (``hamiltonian_field``) at t, then ``finish(box)(field, values, dt)`` in
-    place on a block's box (default: values + dt * field).  The sweep runs
-    to the largest step of ``want`` and records those steps' slices, or,
-    when ``want`` is None, to the first grid time <= 0, recording every
-    slice.  Each rate build must keep the step monotone
-    (``_check_monotone``, with ``extra_rate``) and each slice stay inside
-    the payoff range (``StepSizeError`` otherwise).  With ``feedback`` =
-    (index, pack) the kernel writes the committing player's control index
-    into the shared row ``index`` and ``pack(j, t)`` reads it for slice j,
-    the last slice's after one more evaluation.
+    place on a block's box (default: values + dt * field).  ``steps`` are
+    the ascending steps of ``_schedule``, whose grid never runs past t = 0:
+    the sweep runs to the last of them and records their slices.  Each rate
+    build must keep the step monotone (``_check_monotone``, with
+    ``extra_rate``) and each slice stay inside the payoff range
+    (``StepSizeError`` otherwise).  With ``feedback`` = (index, pack) the
+    kernel writes the committing player's control index into the shared row
+    ``index`` and ``pack(j)`` reads it for slice j, the last slice's after
+    one more evaluation.
 
     The steps are split into the blocks of ``_block_slabs``
     (``_block_stepper``), evaluated by the caller and forked workers
@@ -794,14 +765,12 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     states = domain.states()
     if spec.autonomous:
         _check_autonomous(spec, states)
-    n_steps = 0 if want is None else max(want)
-    while want is None and spec.T - n_steps * dt > _TIME_FUZZ:
-        n_steps += 1
+    n_steps = steps[-1]
     slices = _shared((2, domain.n_points))
     slices[0] = payoff_batch(spec, states)
     in_range = _range_check(slices[0])
     recorded = [ValueGrid(t=spec.T, domain=domain, values=slices[0].copy())
-                ] if want is None or 0 in want else []
+                ] if 0 in steps else []
     blocks = _block_slabs(domain)
     index, pack = feedback or (None, None)
 
@@ -814,8 +783,8 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
         for k in range(1, n_steps + 1 + (feedback is not None)):
             evaluate(k)
             if pack is not None:
-                pack(k - 1, spec.T - (k - 1) * dt)
-            if k <= n_steps and (want is None or k in want):
+                pack(k - 1)
+            if k in steps:
                 recorded.append(ValueGrid(t=spec.T - k * dt, domain=domain,
                                           values=slices[k % 2].copy()))
     return tuple(recorded)
@@ -827,17 +796,18 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
     """Integrate the value system backward from the terminal payoff with
     explicit Euler, the monotone scheme.
 
-    Checkpoints snap down to the integration grid t_k = T - k*dt;
-    ``checkpoints=None`` records every step down to t=0 (the coupling engine
-    reads a ``FeedbackTable`` from ``feedback_table`` instead).  Each rate
-    build must show the step monotone (``MonotoneStepError`` otherwise), and
-    each step is checked against the maximum principle.
+    Checkpoints snap down to the grid t_k = T - k*dt of ``_schedule``,
+    which never passes t=0; ``checkpoints=None`` records every step down to
+    t=0 (the coupling engine reads a ``FeedbackTable`` from
+    ``feedback_table`` instead).  Each rate build must show the step
+    monotone (``MonotoneStepError`` otherwise), and each step is checked
+    against the maximum principle.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
-    dt, want = _schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h), _CEILING_NAME)
+    dt, steps = _schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h), _CEILING_NAME)
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
-                       slices=_sweep(spec, domain, kind, dt=dt, want=want))
+                       slices=_sweep(spec, domain, kind, dt=dt, steps=steps))
 
 
 def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
@@ -846,14 +816,13 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
 
     Each step already evaluates min_u max_v of the generator on the current
     slice; the table records the u index attaining it, and the last slice
-    gets one more evaluation.  The values of every step are the ones
-    ``solve_backward(spec, domain, dt=dt)`` computes, down to its last grid
-    time, but only the last slice is kept.  Like the sweep, the table
-    evaluates the drift at each slice's grid time t_k (once, at T, for an
-    autonomous spec), and checks each step's rates for monotonicity.
+    gets one more evaluation.  The grid and the values of every step are
+    ``solve_backward(spec, domain, dt=dt)``'s (``_schedule``), so ``times``
+    runs from 0 to T, but only the t=0 slice is kept.  Like the sweep, the
+    table evaluates the drift at each slice's grid time t_k (once, at T, for
+    an autonomous spec), and checks each step's rates for monotonicity.
     """
-    dt = _resolve_dt(spec, dt, 0.0, dt_ceiling(spec, domain.h), _CEILING_NAME)
-    n_steps = _snapped_steps(spec, 0.0, dt)
+    dt, (n_steps,) = _schedule(spec, dt, [0.0], dt_ceiling(spec, domain.h), _CEILING_NAME)
     bits = next(b for b in (1, 2, 4, 8, 16, 32) if len(spec.u_grid) <= 2**b)
     per = max(1, 8 // bits)
     dtype = np.dtype(f"uint{max(8, bits)}")
@@ -862,19 +831,18 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     # the sweep's row of unpacked indices, padded with zeros to whole words
     index = _shared((n_words * per,), dtype)
     entries = index.reshape(n_words, per)
-    times = np.empty(n_steps + 1)
 
-    def pack(j: int, t: float) -> None:
-        times[n_steps - j] = t
+    def pack(j: int) -> None:
         words = u_words[n_steps - j]
         np.copyto(words, entries[:, 0])
         for k in range(1, per):  # a column loop: reducing over the short axis is ~6x slower
             words |= entries[:, k] << k * bits
 
-    (value0,) = _sweep(spec, domain, "upper", dt=dt, want={n_steps},
+    (value0,) = _sweep(spec, domain, "upper", dt=dt, steps=[n_steps],
                        feedback=(index[:domain.n_points], pack))
-    return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain, times=times,
-                         bits=bits, u_words=u_words, value0=value0)
+    return FeedbackTable(game=spec.name, h=domain.h, dt=dt, domain=domain,
+                         times=spec.T - dt * np.arange(n_steps, -1, -1), bits=bits,
+                         u_words=u_words, value0=value0)
 
 
 # ---------------------------------------------------------------------------

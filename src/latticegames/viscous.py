@@ -71,10 +71,10 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     sweep: each block's box gets its own work rows (``finish``).  Each rate build must show
     the step monotone, the chain's peak rate plus the Laplacian's
     d*sigma^2/dx^2 times dt at most 1 (``MonotoneStepError`` otherwise).
-    ``domain.h`` doubles as the spatial spacing dx.  Checkpoints follow the
-    chain solver's snap-down convention; ``None`` records every step down to
-    t=0.  sigma=0 degenerates to the first-order upwind scheme for the
-    inviscid equation.
+    ``domain.h`` doubles as the spatial spacing dx.  Checkpoints snap down
+    to the chain solver's grid (``_schedule``, under ``cfl_ceiling``), which
+    never passes t=0; ``None`` records every step down to t=0.  sigma=0
+    degenerates to the first-order upwind scheme for the inviscid equation.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
@@ -82,7 +82,7 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     if sigma < 0:
         raise GameSpecError(f"sigma must be >= 0, got {sigma}")
     dx = domain.h
-    dt, want = _schedule(spec, dt, checkpoints, cfl_ceiling(spec, dx, sigma), _CEILING_NAME)
+    dt, steps = _schedule(spec, dt, checkpoints, cfl_ceiling(spec, dx, sigma), _CEILING_NAME)
     half_sig2 = 0.5 * sigma**2
 
     def finish(box: LatticeDomain):
@@ -108,7 +108,7 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
         return step_end
 
     # the Laplacian's jumps, sigma^2 / (2 dx^2) to each of the 2d neighbours
-    slices = _sweep(spec, domain, kind, dt=dt, want=want, extra_rate=spec.d * sigma**2 / dx**2,
-                    finish=finish)
+    slices = _sweep(spec, domain, kind, dt=dt, steps=steps,
+                    extra_rate=spec.d * sigma**2 / dx**2, finish=finish)
     return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, boundary="dirichlet",
                        slices=slices, sigma=sigma)

@@ -236,8 +236,8 @@ def check_isaacs(spec: GameSpec, n_samples: int = 200, seed: int = 0) -> IsaacsR
 def solve_rk4(spec, domain, *, kind="upper", dt=None, checkpoints=None) -> SolveResult:
     if kind not in solver.VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {solver.VALUE_KINDS}, got {kind!r}")
-    dt, want = solver._schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h),
-                                solver._CEILING_NAME)
+    dt, steps = solver._schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h),
+                                 solver._CEILING_NAME)
     states = domain.states()
     if spec.autonomous:
         solver._check_autonomous(spec, states)
@@ -291,16 +291,14 @@ def solve_rk4(spec, domain, *, kind="upper", dt=None, checkpoints=None) -> Solve
                 f"exp({growth_rate:.3g}*(T-t)) * terminal norm; reduce dt"
             )
 
-    t, k = spec.T, 0
-    slices = [ValueGrid(t=t, domain=domain, values=values.copy())
-              ] if want is None or 0 in want else []
-    while t > solver._TIME_FUZZ if want is None else k < max(want):
-        k += 1
+    t = spec.T
+    slices = [ValueGrid(t=t, domain=domain, values=values.copy())] if 0 in steps else []
+    for k in range(1, steps[-1] + 1):
         t_next = spec.T - k * dt
         values = step(values, t, t_next)
         t = t_next
         check(values, t)
-        if want is None or k in want:
+        if k in steps:
             slices.append(ValueGrid(t=t, domain=domain, values=values.copy()))
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
                        slices=tuple(slices))

@@ -252,6 +252,15 @@ def test_simulate_checks_the_reused_slice(tmp_path, capsys):
     assert run("solve", "--game", "g1", "--out", str(dt_dir), "--dt-policy", "0.001") == 0
     assert run("simulate", "--game", "g1", "--out", str(dt_dir), "--replicas", "10") == 2
     assert "dt=0.001" in capsys.readouterr().err
+    # a dt solve refuses is refused by simulate with solve's exit code and message
+    for dt, code, message in (("0.5", 3, "exceeds the stability ceiling"),
+                              ("0.015", 2, "would snap down below t=0")):
+        assert run("solve", "--game", "g1", "--out", str(dt_dir), "--dt-policy", dt) == code
+        refusal = capsys.readouterr().err
+        assert message in refusal
+        assert run("simulate", "--game", "g1", "--out", str(dt_dir), "--replicas", "10",
+                   "--dt-policy", dt) == code
+        assert capsys.readouterr().err == refusal
     # matching metadata but a different value at x0 fails the cross-check
     path = g1_dir / "eta_upper_t0.csv"
     lines = path.read_text().splitlines()
@@ -402,11 +411,14 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_malformed_game_field_is_a_usage_error(tmp_path, capsys):
     game = tmp_path / "bad.json"
-    game.write_text(json.dumps({
-        "d": 1, "T": "abc", "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],
-        "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}))
-    assert run("solve", "--game", str(game), "--out", str(tmp_path)) == 2
-    assert "malformed game definition" in capsys.readouterr().err
+    good = {"d": 1, "T": 1, "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],
+            "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}
+    # a u entry of two numbers for a one-column bu once solved with v ignored
+    affine = {"kind": "affine", "a": [[0]], "bu": [[1]], "bv": [[1]], "c": [0]}
+    for bad in ({"T": "abc"}, {"d": 1.7}, {"drift": affine, "u_grid": [[1, 0.5], [1, -0.5]]}):
+        game.write_text(json.dumps({**good, **bad}))
+        assert run("solve", "--game", str(game), "--out", str(tmp_path)) == 2
+        assert "malformed game definition" in capsys.readouterr().err
 
 
 def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):

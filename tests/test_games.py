@@ -148,15 +148,46 @@ def test_game_from_dict_rejects_bad_input():
                         "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0})
 
 
-@pytest.mark.parametrize("field, value", [
-    ("T", "abc"), ("d", "two"), ("u_grid", 5), ("v_grid", [["a"]]), ("M1", None),
-    ("drift", {"kind": "affine", "a": [["x"]], "bu": [[1]], "bv": [[1]], "c": [0]}),
+AFFINE_1D = {"kind": "affine", "a": [[0]], "bu": [[1]], "bv": [[1]], "c": [0]}
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"T": "abc"}, id="T-abc"),
+    pytest.param({"d": "two"}, id="d-two"),
+    pytest.param({"u_grid": 5}, id="u_grid-5"),
+    pytest.param({"v_grid": [["a"]]}, id="v_grid-value3"),
+    pytest.param({"M1": None}, id="M1-None"),
+    pytest.param({"drift": {**AFFINE_1D, "a": [["x"]]}}, id="drift-value5"),
+    # d is a JSON integer, not a float or a boolean
+    pytest.param({"d": 1.7}, id="d-1.7"),
+    pytest.param({"d": True}, id="d-true"),
+    # a grid entry has as many numbers as its player's drift channel
+    pytest.param({"u_grid": [[0.5, 1.0]]}, id="control_sum-vector-u"),
+    pytest.param({"d": 2, "drift": {"kind": "rotation_mix"}, "v_grid": [[1, 0]]},
+                 id="rotation_mix-vector-v"),
+    pytest.param({"drift": AFFINE_1D, "u_grid": [[1, -0.5], [-1, 0.5]]}, id="affine-wide-u"),
+    pytest.param({"drift": {**AFFINE_1D, "bu": [[1, 1]]}}, id="affine-scalar-u"),
+    pytest.param({"drift": {**AFFINE_1D, "bv": [[1, 1]]}, "v_grid": [[1, 0, 0]]},
+                 id="affine-wide-v"),
 ])
-def test_game_from_dict_wraps_malformed_fields(field, value):
+def test_game_from_dict_wraps_malformed_fields(fields):
     data = {"d": 1, "T": 1, "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],
-            "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0, field: value}
+            "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0, **fields}
     with pytest.raises(lg.GameSpecError, match="malformed game definition"):
         game_from_dict(data)
+
+
+def test_game_from_dict_takes_controls_of_the_drift_width():
+    data = {"d": 1, "T": 1, "drift": {**AFFINE_1D, "bu": [[1, 2]]}, "u_grid": [[1, -0.5]],
+            "v_grid": [[0.5]], "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}
+    spec = game_from_dict(data)
+    assert spec.u_grid == ((1.0, -0.5),) and spec.v_grid == (0.5,)
+    # 0 x + (1 * 1 + 2 * -0.5) + 1 * v: v moves the drift
+    for v in (0.5, -0.5):
+        assert lg.drift_batch(spec, 0.0, np.array([[2.0]]), spec.u_grid[0], v).tolist() == [[v]]
+    # the zero drift reads no control: entries of any width
+    spec = game_from_dict({**data, "drift": {"kind": "zero"}, "u_grid": [[1, 2, 3], 0]})
+    assert spec.u_grid == ((1.0, 2.0, 3.0), 0.0)
 
 
 def test_load_game_unknown_source():

@@ -6,15 +6,15 @@ import latticegames as lg
 from latticegames import chain, games, simulate, solver, viscous
 
 # reference oracles the package never runs live in tests/oracles.py;
-# the rest had no caller but the tests
+# the rest had no caller but the tests, or folded into solver._schedule
 TEST_ONLY = {
-    lg: ("IsaacsReport", "apply_generator", "auto_cfl_dt", "check_isaacs", "chi",
+    lg: ("IsaacsReport", "apply_generator", "auto_cfl_dt", "auto_dt", "check_isaacs", "chi",
          "eval_drift", "eval_payoff", "jump_measure", "neighbor_tables", "viscosity_gap",
          "weighted_norm"),
     chain: ("apply_generator", "chi", "jump_measure", "neighbor_tables"),
     games: ("IsaacsReport", "_ISAACS_BOX", "_check_control", "_check_state", "_check_time",
             "check_isaacs", "eval_drift", "eval_payoff"),
-    solver: ("weighted_norm",),
+    solver: ("_checkpoint_steps", "_resolve_dt", "auto_dt", "weighted_norm"),
     viscous: ("auto_cfl_dt", "viscosity_gap"),
     chain.LatticeDomain: ("contains_state", "lattice_of", "state_of"),
     simulate.ChainPath: ("final_state",),

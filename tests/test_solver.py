@@ -18,7 +18,7 @@ from latticegames import solver
 from latticegames.chain import LatticeDomain
 from latticegames.errors import MonotoneStepError
 from latticegames.games import game_from_dict, payoff_norm
-from latticegames.solver import (ValueGrid, auto_dt, dt_ceiling,
+from latticegames.solver import (ValueGrid, dt_ceiling,
                                  feedback_table, hamiltonian_field, read_slice_csv,
                                  solve_backward, truncate_domain, write_slice_csv)
 from oracles import apply_generator, forced_blocks, neighbor_tables, solve_rk4, weighted_norm
@@ -46,12 +46,55 @@ def test_dt_ceiling_formula():
     assert dt_ceiling(lg.g2(), 0.1) == pytest.approx(0.1 / 18.0)
 
 
+def tiling_dt(spec, h):
+    """The dt a chain sweep down to t=0 takes when none is given."""
+    return solver._schedule(spec, None, None, dt_ceiling(spec, h), solver._CEILING_NAME)[0]
+
+
 def test_auto_dt_tiles_horizon():
     spec = lg.g1()
-    dt = auto_dt(spec, 0.05)
+    dt, steps = solver._schedule(spec, None, None, dt_ceiling(spec, 0.05), solver._CEILING_NAME)
     n = spec.T / dt
     assert abs(n - round(n)) < 1e-9
     assert dt <= dt_ceiling(spec, 0.05) * (1 + 1e-9)
+    # no checkpoints: every step down to the checkpoint 0
+    assert steps == range(round(n) + 1)
+
+
+def test_a_dense_sweep_ends_at_t0():
+    spec = lg.g1()
+    dom = g1_domain()
+    # auto, and given dt whose grids tile [0, T] up to rounding
+    for dt in (None, 0.02, 0.025, 1 / 48):
+        for res in (solve_backward(spec, dom, dt=dt), solve_rk4(spec, dom, dt=dt),
+                    lg.solve_viscous(spec, dom, 0.1, dt=dt)):
+            assert abs(res.slices[-1].t) <= solver._TIME_FUZZ
+            assert res.times.min() >= -solver._TIME_FUZZ
+            assert len(res.slices) == round(spec.T / res.dt) + 1
+    table = feedback_table(spec, dom, dt=0.025)
+    assert abs(table.times[0]) <= solver._TIME_FUZZ and table.value0.t == table.times[0]
+
+
+def test_a_dt_that_does_not_tile_the_horizon_is_refused_by_every_sweep():
+    # T - k*0.013 steps over 0: 0.012 at k=76, then -0.001
+    spec = lg.g1()
+    dom = truncate_domain(spec, [-1.0, 1.0], 0.05)
+    sweeps = [lambda: solve_backward(spec, dom, dt=0.013),
+              lambda: solve_backward(spec, dom, dt=0.013, checkpoints=[0.0]),
+              lambda: feedback_table(spec, dom, dt=0.013),
+              lambda: solve_rk4(spec, dom, dt=0.013)]
+    messages = set()
+    for sweep in sweeps:
+        with pytest.raises(lg.GameSpecError, match="would snap down below t=0") as info:
+            sweep()
+        messages.add(str(info.value))
+    assert messages == {"checkpoint 0 lies between the grid times -0.001 and 0.012 of "
+                        "dt=0.013 and would snap down below t=0; choose a dt that tiles [0, 1]"}
+    # the viscous sweep follows the same rule: 0.007 steps from 0.006 to -0.001
+    box = truncate_domain(spec, [-1.0, 1.0], 0.1)
+    with pytest.raises(lg.GameSpecError, match="grid times -0.001 and 0.006 of dt=0.007 "
+                                               "and would snap down below t=0"):
+        lg.solve_viscous(spec, box, 0.1, dt=0.007)
 
 
 def test_truncate_domain_reaches_everything():
@@ -248,6 +291,15 @@ def test_solve_dt_above_ceiling_rejected():
         solve_backward(spec, dom, dt=0.5)
 
 
+def test_a_nan_dt_or_checkpoint_is_refused():
+    spec = lg.g1()
+    dom = g1_domain()
+    with pytest.raises(lg.GameSpecError, match="dt must be positive, got nan"):
+        solve_backward(spec, dom, dt=float("nan"))
+    with pytest.raises(lg.GameSpecError, match=r"checkpoints must lie in \[0, 1.0\]"):
+        solve_backward(spec, dom, checkpoints=[0.0, float("nan"), 1.0])
+
+
 def test_checkpoints_snap_down():
     spec = lg.g1()
     dom = g1_domain()
@@ -260,7 +312,8 @@ def test_a_lone_checkpoint_at_the_horizon_takes_the_auto_dt():
     spec = lg.g1()
     dom = g1_domain()
     res = solve_backward(spec, dom, checkpoints=[spec.T])
-    assert res.dt == auto_dt(spec, dom.h)
+    # the ceiling 0.1/3 tiles [0, T] in 30 steps
+    assert res.dt == spec.T / 30 == tiling_dt(spec, dom.h)
     assert res.times.tolist() == [spec.T]
     assert np.array_equal(res.slice_at(spec.T).values, terminal_grid(spec, dom).values)
 
@@ -407,22 +460,20 @@ def test_catalog_games_step_monotone_on_their_boxes():
     for spec, h, want in ((lg.g1(), 0.05, 0.5), (lg.g2(), 0.05, 2 / 3)):
         dom = truncate_domain(spec, np.zeros(spec.d), h)
         rates = solver._pair_rates(spec, spec.T, dom.states(), h)
-        assert rates.peak_rate * auto_dt(spec, h) == pytest.approx(want)
-        solver._check_monotone(spec, dom.states(), rates, auto_dt(spec, h))
+        assert rates.peak_rate * tiling_dt(spec, h) == pytest.approx(want)
+        solver._check_monotone(spec, dom.states(), rates, tiling_dt(spec, h))
     p, iu, iv = rates.peak_at
     assert np.abs(dom.states()[p]).tolist() == [5.0, 5.0] and (iu, iv) == (0, 0)
 
 
-@pytest.mark.parametrize("spec, dom, dt", [
-    (lg.g1(), truncate_domain(lg.g1(), [-1.0, 1.0], 0.05), None),
-    # a dt that does not tile [0, T]: the last grid time is below 0
-    (lg.g1(), truncate_domain(lg.g1(), [-1.0, 1.0], 0.05), 0.013),
-    (lg.g2(), truncate_domain(lg.g2(), [0.0, 0.0], 0.1), None),
-    (game_from_dict(AFFINE_GAME, name="affine"), LatticeDomain(h=0.1, lo=(-6, -6), hi=(6, 6)), None),
-], ids=["g1", "g1-untiled-dt", "g2", "affine"])
-def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
-    table = feedback_table(spec, dom, dt=dt)
-    dense = solve_backward(spec, dom, dt=dt)  # every step recorded
+@pytest.mark.parametrize("spec, dom", [
+    (lg.g1(), truncate_domain(lg.g1(), [-1.0, 1.0], 0.05)),
+    (lg.g2(), truncate_domain(lg.g2(), [0.0, 0.0], 0.1)),
+    (game_from_dict(AFFINE_GAME, name="affine"), LatticeDomain(h=0.1, lo=(-6, -6), hi=(6, 6))),
+], ids=["g1", "g2", "affine"])
+def test_feedback_table_matches_converted_dense_solve(spec, dom):
+    table = feedback_table(spec, dom)
+    dense = solve_backward(spec, dom)  # every step recorded
     # oracle: the feedback of each recorded slice, in ascending time
     ascending = dense.slices[::-1]
     ref_times = np.array([grid.t for grid in ascending])
@@ -435,14 +486,8 @@ def test_feedback_table_matches_converted_dense_solve(spec, dom, dt):
     assert np.all(np.diff(table.times) > 0)
     assert np.array_equal(u_index, ref_u_index)
     assert table.dt == dense.dt and table.h == dom.h and table.domain == dom
-    if dt is None:
-        last = solve_backward(spec, dom, dt=dt, checkpoints=[0.0]).slice_at(0.0)
-    else:
-        # a checkpoint never snaps below t=0; the dense sweep ends there
-        with pytest.raises(lg.GameSpecError, match="would snap down below t=0"):
-            solve_backward(spec, dom, dt=dt, checkpoints=[0.0])
-        last = dense.slices[-1]
-    assert table.value0.t == last.t
+    last = solve_backward(spec, dom, checkpoints=[0.0]).slice_at(0.0)
+    assert table.value0.t == last.t == dense.slices[-1].t
     assert np.array_equal(table.value0.values, last.values)
 
 
