@@ -20,10 +20,10 @@ from .shift import (BatchOutcomes, BangBangAdversary, ConstantAdversary,
 from .simulate import (ChainPath, MomentReport, OutcomeEstimate, ResidualReport,
                        martingale_residual, moment_growth_check, rate_majorant,
                        replica_rng, simulate_chain)
-from .solver import (FeedbackTable, SolveResult, ValueGrid, dt_ceiling,
+from .solver import (FeedbackTable, SolveResult, ValueGrid, cfl_ceiling, dt_ceiling,
                      feedback_table, hamiltonian_field, read_slice_csv, solve_backward,
                      truncate_domain, write_slice_csv)
-from .viscous import cfl_ceiling, solve_viscous
+from .viscous import solve_viscous
 
 __version__ = "0.1.0"
 

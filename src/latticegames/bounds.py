@@ -64,9 +64,14 @@ def beta(spec: GameSpec) -> float:
     return 2.0 + 2.0 * spec.K1
 
 
+def certified_m0_2(spec: GameSpec, h: float) -> float:
+    """The mesh-h chain's certified quadratic characteristic d^{3/2}*M1*h."""
+    return spec.d ** 1.5 * spec.M1 * h
+
+
 def empirical_m0_2(spec: GameSpec, h: float, seed: int = 0) -> float:
     """Observed sup of the chain's quadratic characteristic over sampled
-    (t, x, u, v); always dominated by the certified d^{3/2}*M1*h."""
+    (t, x, u, v); always dominated by ``certified_m0_2``."""
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, spec.T, size=N_SAMPLES)
     xs = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(N_SAMPLES, spec.d))
@@ -87,7 +92,7 @@ def assemble(spec: GameSpec, h: float, sigma: float | None = None, *, seed: int 
         raise GameSpecError(f"mesh h must lie in (0, 1) for the certified constants, got {h}")
     k = 0.0  # the chain's mean velocity is the drift itself (criterion 07, property tests)
     m0_1 = 0.0  # the steered system is deterministic
-    m0_2 = spec.d ** 1.5 * spec.M1 * h
+    m0_2 = certified_m0_2(spec, h)
     theta = k + m0_1 + m0_2
     b = beta(spec)
     c = math.sqrt(spec.T * math.exp(b * spec.T))

@@ -27,16 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import solver, viscous
 from .errors import GameSpecError, LatticeGamesError
 from .games import GameSpec, load_game
 from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
                     standard_adversaries)
 from .simulate import OutcomeEstimate, replica_rng
-from .solver import (_off_grid, _schedule, dt_ceiling, feedback_table,
-                     read_slice_csv, read_slice_meta, read_slice_value, solve_backward,
-                     truncate_domain, write_slice_csv)
-from .viscous import cfl_ceiling, solve_viscous
+from .solver import (_schedule, feedback_table, read_slice_csv, read_slice_meta,
+                     read_slice_value, solve_backward, truncate_domain, write_slice_csv)
+from .viscous import solve_viscous
 
 _ALL = ("solve", "converge", "simulate", "bounds")
 _MODEL = ("solve", "converge", "simulate")
@@ -224,15 +222,6 @@ def _solve(cfg: dict, spec: GameSpec, domain, sigma: float | None, checkpoints):
                          checkpoints=checkpoints)
 
 
-def _sweep_dt(cfg: dict, spec: GameSpec, h: float, sigma: float | None, checkpoints) -> float:
-    """The dt that ``_solve``'s sweep of (h, sigma) runs at, as its ``_schedule`` resolves it."""
-    if sigma is None:
-        ceiling = dt_ceiling(spec, h), solver._CEILING_NAME
-    else:
-        ceiling = cfl_ceiling(spec, h, sigma), viscous._CEILING_NAME
-    return _schedule(spec, _dt(cfg), checkpoints, *ceiling)[0]
-
-
 def cmd_solve(cfg: dict) -> int:
     spec = load_game(cfg["game"])
     out = Path(cfg["out"])
@@ -243,11 +232,7 @@ def cmd_solve(cfg: dict) -> int:
     # check them all before the first sweep
     for h in cfg["h"]:
         for sigma in cfg["sigma"] or [None]:
-            dt = _sweep_dt(cfg, spec, h, sigma, checkpoints)
-            missed = [m for m in (_off_grid(spec, t, dt) for t in checkpoints) if m]
-            if missed:
-                raise UsageError(f"{missed[0]}; choose a --dt-policy whose grid T - k*dt "
-                                 f"holds every checkpoint")
+            _schedule(spec, h, sigma, _dt(cfg), checkpoints)
     for h in cfg["h"]:
         domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
         for sigma in cfg["sigma"] or [None]:
@@ -388,7 +373,7 @@ def cmd_simulate(cfg: dict) -> int:
         raise UsageError(f"missing {eta_path.name} in --out; run 'solve' first")
     domain = truncate_domain(spec, x0, h, pad=cfg["pad"])
     # the dt of the sweep that wrote the slice, or solve's refusal of it
-    dt = _sweep_dt(cfg, spec, h, None, [0.0])
+    dt, _ = _schedule(spec, h, None, _dt(cfg), [0.0])
     _check_reused_slice(eta_path.name, read_slice_meta(eta_path), game=spec.name, h=h,
                         kind=cfg["kind"], dt=dt)
     x_ref = domain.nearest_lattice(x0) * h
@@ -445,10 +430,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[cfg["command"]](cfg)
-    except (UsageError, GameSpecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UsageError, GameSpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except LatticeGamesError as e:

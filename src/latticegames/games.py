@@ -273,11 +273,13 @@ def _make_g2() -> GameSpec:
     u, v in {-1, 0, 1}, and payoff |x|.
 
     Its constants hold on the sampling box [-2, 2]^2 only: there
-    ||f|| <= sqrt(2) * 3 < M1 = 4.5, and the state-Lipschitz constant is
-    max(|u|, |v|) <= K1 = 1.  The box ``truncate_domain`` builds from
-    M1 * T + pad reaches further ([-5, 5]^2 around the origin), and near its
-    corners some control pairs' total jump rate exceeds d * M1 / h (240
-    against 180 at h = 0.05).
+    sum_i |f_i| = |v*x2 - u| + |u*x1 + v| <= 6 <= d * M1 = 9, the bound the
+    code checks (a total jump rate of at most d * M1 / h), and the
+    state-Lipschitz constant is max(|u|, |v|) <= K1 = 1.  The box
+    ``truncate_domain`` builds from M1 * T + pad reaches further
+    ([-5, 5]^2 around the origin): at its corners sum_i |f_i| reaches 12,
+    so some control pairs' total jump rate exceeds d * M1 / h (240 against
+    180 at h = 0.05).
     """
     return GameSpec(
         name="g2",
@@ -310,16 +312,28 @@ _DRIFT_KINDS = {
     "g2": (lambda params: drift_rotation_mix(), 2),
     "zero": (lambda params: drift_zero(), None),
     "affine": (
-        lambda params: drift_affine(params["a"], params["bu"], params["bv"], params["c"]),
+        lambda params: drift_affine(*(_numbers(params[k], k) for k in ("a", "bu", "bv", "c"))),
         None,
     ),
 }
 
 _PAYOFF_KINDS = {
-    "norm": lambda params: payoff_norm(params.get("center")),
-    "linear": lambda params: payoff_linear(params["a"]),
-    "constant": lambda params: payoff_constant(params["value"]),
+    "norm": lambda params: payoff_norm(_numbers(params.get("center"), "center")),
+    "linear": lambda params: payoff_linear(_numbers(params["a"], "a")),
+    "constant": lambda params: payoff_constant(_numbers(params["value"], "value")),
 }
+
+
+def _numbers(value, key: str):
+    """``value`` itself, once no entry of it is a bool or a str: float() and
+    numpy would read true as 1.0 and "2.5" as 2.5 where a game file gives a
+    number or a (nested) list of numbers."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{key} must hold numbers, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            _numbers(entry, key)
+    return value
 
 
 def _control_widths(kind: str, drift_def: dict) -> tuple[int, ...] | None:
@@ -336,7 +350,8 @@ def game_from_dict(data: dict, name: str = "custom") -> GameSpec:
     Required keys: d, T, drift{kind,...}, u_grid, v_grid, payoff{kind,...},
     R, M1, K1.  Drift kinds: control_sum (alias g1), rotation_mix (alias g2),
     affine (a, bu, bv, c), zero.  Payoff kinds: norm (optional center),
-    linear (a), constant (value).  d is a JSON integer.  Each grid entry is
+    linear (a), constant (value).  d is a JSON integer, and every other
+    number is a JSON number, not a boolean or a string.  Each grid entry is
     a number or a list of as many numbers as its player's drift channel
     takes: one for control_sum and rotation_mix, bu's (u) or bv's (v)
     column count for affine, any for zero.  A field of the wrong type or
@@ -375,6 +390,8 @@ def _game_from_dict(data: dict, name: str) -> GameSpec:
         payoff = _PAYOFF_KINDS[pkind](payoff_def)
     except KeyError as exc:
         raise GameSpecError(f"payoff kind {pkind!r} missing parameter {exc}") from exc
+    for key in ("T", "R", "M1", "K1", "u_grid", "v_grid"):
+        _numbers(data[key], key)
     grids = [tuple(_as_control(c) for c in data[key]) for key in ("u_grid", "v_grid")]
     for key, grid, width in zip(("u_grid", "v_grid"), grids,
                                 _control_widths(kind, drift_def) or ()):

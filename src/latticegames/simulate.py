@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import certified_m0_2
 from .chain import _check_mesh, chain_characteristics, kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import GameSpec
@@ -218,7 +219,8 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
 def moment_growth_check(paths: Sequence[ChainPath], s: float, t: float, spec: GameSpec, *,
                         h: float, exact: float | None = None) -> MomentReport:
     """Empirical E||Y(t) - Y(s)||^2 of mesh-h chain paths against the model
-    growth ceiling m02*(t-s) + alpha*(t-s)^{3/2}, with m02 = d^{3/2}*M1*h and
+    growth ceiling m02*(t-s) + alpha*(t-s)^{3/2}, with m02 =
+    ``bounds.certified_m0_2`` (d^{3/2}*M1*h) and
     alpha = (2/3)*M1*(m02 + M1^2)*e^T.  ``exact`` additionally checks a known
     closed-form second moment within three standard errors.
     """
@@ -230,7 +232,7 @@ def moment_growth_check(paths: Sequence[ChainPath], s: float, t: float, spec: Ga
         raise GameSpecError("need at least 2 paths")
     emp = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
-    m02 = spec.d ** 1.5 * spec.M1 * h
+    m02 = certified_m0_2(spec, h)
     alpha = (2.0 / 3.0) * spec.M1 * (m02 + spec.M1**2) * math.exp(spec.T)
     bound = m02 * delta + alpha * delta ** 1.5
     report = MomentReport(

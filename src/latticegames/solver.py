@@ -32,7 +32,7 @@ from .games import GameSpec, drift_batch, payoff_batch
 
 VALUE_KINDS = ("upper", "lower")
 
-# tolerance for snapping times to the integration grid
+# tolerance for matching times to the integration grid
 _TIME_FUZZ = 1e-9
 
 # lattice points a truncated domain may hold
@@ -454,12 +454,14 @@ def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: Latt
 # backward integration
 
 
-_CEILING_NAME = "stability ceiling h/(2*d*M1)"
-
-
 def dt_ceiling(spec: GameSpec, h: float) -> float:
     """Largest stable explicit step: per-step outflow rate * dt <= 1/2."""
     return h / (2.0 * spec.d * spec.M1)
+
+
+def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
+    """Stability ceiling 1 / (2 * (d*M1/dx + d*sigma^2/dx^2)) of the viscous sweep."""
+    return 1.0 / (2.0 * (spec.d * spec.M1 / dx + spec.d * sigma**2 / dx**2))
 
 
 def _range_check(g: np.ndarray) -> Callable[[float, float, float], None]:
@@ -478,30 +480,21 @@ def _range_check(g: np.ndarray) -> Callable[[float, float, float], None]:
     return check
 
 
-def _snapped_steps(spec: GameSpec, c: float, dt: float) -> int:
-    """Step count k = ceil((T - c)/dt) of the grid time a checkpoint c snaps to."""
-    return max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
-
-
-def _off_grid(spec: GameSpec, c: float, dt: float) -> str | None:
-    """None when checkpoint c is a grid time T - k*dt, else a message that
-    names the two grid times around it."""
-    k = _snapped_steps(spec, c, dt)
-    if abs(spec.T - k * dt - c) <= _TIME_FUZZ:
-        return None
-    return (f"checkpoint {c:g} lies between the grid times {spec.T - k * dt:.6g} and "
-            f"{spec.T - (k - 1) * dt:.6g} of dt={dt:g}")
-
-
-def _schedule(spec: GameSpec, dt: float | None, checkpoints: Sequence[float] | None,
-              ceiling: float, ceiling_name: str) -> tuple[float, Sequence[int]]:
-    """Every sweep's time grid t_k = T - k*dt: its dt, as given or the
-    largest under ``ceiling`` that tiles [first checkpoint, T] ([0, T] when
-    that is T), and the ascending steps k whose slices it records, those
-    the checkpoints snap down to, or ``range(n + 1)`` down to t=0 when
-    ``checkpoints`` is None.  A checkpoint outside [0, T] raises
-    GameSpecError, and so does one that would snap below t=0, so no sweep
-    runs past t = 0."""
+def _schedule(spec: GameSpec, h: float, sigma: float | None, dt: float | None,
+              checkpoints: Sequence[float] | None) -> tuple[float, Sequence[int]]:
+    """Every sweep's time grid t_k = T - k*dt on mesh h, under the chain
+    sweep's ``dt_ceiling`` when ``sigma`` is None and the viscous sweep's
+    ``cfl_ceiling`` otherwise: its dt, as given or the largest under the
+    ceiling that tiles [first checkpoint, T] ([0, T] when that is T), and
+    the ascending steps k whose slices it records, one per checkpoint, or
+    ``range(n + 1)`` down to t=0 when ``checkpoints`` is None, the
+    checkpoint 0.  A checkpoint outside [0, T] or off the grid raises
+    GameSpecError, so no sweep runs past t = 0 or records a time that was
+    not asked for."""
+    if sigma is None:
+        ceiling, name = dt_ceiling(spec, h), "stability ceiling h/(2*d*M1)"
+    else:
+        ceiling, name = cfl_ceiling(spec, h, sigma), "CFL stability ceiling"
     targets = sorted(float(c) for c in ([0.0] if checkpoints is None else checkpoints))
     if dt is None:
         first = targets[0] if targets and targets[0] < spec.T - _TIME_FUZZ else 0.0
@@ -511,16 +504,21 @@ def _schedule(spec: GameSpec, dt: float | None, checkpoints: Sequence[float] | N
     if not dt > 0:  # NaN too
         raise GameSpecError(f"dt must be positive, got {dt}")
     if dt > ceiling * (1 + 1e-9):
-        raise StepSizeError(f"dt={dt:.6g} exceeds the {ceiling_name}={ceiling:.6g}")
+        raise StepSizeError(f"dt={dt:.6g} exceeds the {name}={ceiling:.6g}")
     if not targets:
         raise GameSpecError("checkpoints must be non-empty when given")
     if not all(-_TIME_FUZZ <= c <= spec.T + _TIME_FUZZ for c in targets):  # NaN too
         raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
-    steps = sorted({_snapped_steps(spec, c, dt) for c in targets})
-    if spec.T - steps[-1] * dt < -_TIME_FUZZ:
-        raise GameSpecError(f"{_off_grid(spec, targets[0], dt)} and would snap down below "
-                            f"t=0; choose a dt that tiles [{targets[0]:g}, {spec.T:g}]")
-    return dt, range(steps[-1] + 1) if checkpoints is None else steps
+    steps = set()
+    for c in targets:
+        k = max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
+        if abs(spec.T - k * dt - c) > _TIME_FUZZ:
+            raise GameSpecError(f"checkpoint {c:g} lies between the grid times "
+                                f"{spec.T - k * dt:.6g} and {spec.T - (k - 1) * dt:.6g} of "
+                                f"dt={dt:g}; choose a dt whose grid T - k*dt holds every "
+                                f"checkpoint")
+        steps.add(k)
+    return dt, range(max(steps) + 1) if checkpoints is None else sorted(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -796,16 +794,16 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
     """Integrate the value system backward from the terminal payoff with
     explicit Euler, the monotone scheme.
 
-    Checkpoints snap down to the grid t_k = T - k*dt of ``_schedule``,
-    which never passes t=0; ``checkpoints=None`` records every step down to
-    t=0 (the coupling engine reads a ``FeedbackTable`` from
+    Each checkpoint must be a time of the grid t_k = T - k*dt of
+    ``_schedule``; ``checkpoints=None`` records every step down to t=0
+    (the coupling engine reads a ``FeedbackTable`` from
     ``feedback_table`` instead).  Each rate build must show the step
     monotone (``MonotoneStepError`` otherwise), and each step is checked
     against the maximum principle.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
-    dt, steps = _schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h), _CEILING_NAME)
+    dt, steps = _schedule(spec, domain.h, None, dt, checkpoints)
     return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
                        slices=_sweep(spec, domain, kind, dt=dt, steps=steps))
 
@@ -822,7 +820,7 @@ def feedback_table(spec: GameSpec, domain: LatticeDomain, *,
     table evaluates the drift at each slice's grid time t_k (once, at T, for
     an autonomous spec), and checks each step's rates for monotonicity.
     """
-    dt, (n_steps,) = _schedule(spec, dt, [0.0], dt_ceiling(spec, domain.h), _CEILING_NAME)
+    dt, (n_steps,) = _schedule(spec, domain.h, None, dt, [0.0])
     bits = next(b for b in (1, 2, 4, 8, 16, 32) if len(spec.u_grid) <= 2**b)
     per = max(1, 8 // bits)
     dtype = np.dtype(f"uint{max(8, bits)}")

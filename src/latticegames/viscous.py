@@ -21,16 +21,9 @@ from .chain import LatticeDomain
 from .errors import GameSpecError
 # drift_batch is not called here; perfbench's install_probes patches it
 from .games import GameSpec, drift_batch  # noqa: F401
-from .solver import SolveResult, VALUE_KINDS, _axis_slices, _schedule, _sweep
+from .solver import SolveResult, VALUE_KINDS, _axis_slices, _schedule, _sweep, cfl_ceiling
 
 __all__ = ["cfl_ceiling", "solve_viscous"]
-
-_CEILING_NAME = "CFL stability ceiling"
-
-
-def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
-    """Stability ceiling 1 / (2 * (d*M1/dx + d*sigma^2/dx^2))."""
-    return 1.0 / (2.0 * (spec.d * spec.M1 / dx + spec.d * sigma**2 / dx**2))
 
 
 def _laplacian(values: np.ndarray, shape: tuple[int, ...], axes: list[tuple], dx2: float,
@@ -71,10 +64,11 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     sweep: each block's box gets its own work rows (``finish``).  Each rate build must show
     the step monotone, the chain's peak rate plus the Laplacian's
     d*sigma^2/dx^2 times dt at most 1 (``MonotoneStepError`` otherwise).
-    ``domain.h`` doubles as the spatial spacing dx.  Checkpoints snap down
-    to the chain solver's grid (``_schedule``, under ``cfl_ceiling``), which
-    never passes t=0; ``None`` records every step down to t=0.  sigma=0
-    degenerates to the first-order upwind scheme for the inviscid equation.
+    ``domain.h`` doubles as the spatial spacing dx.  The time grid is the
+    chain solver's (``_schedule``, under ``cfl_ceiling``): each checkpoint
+    must be one of its times, and ``None`` records every step down to t=0.
+    sigma=0 degenerates to the first-order upwind scheme for the inviscid
+    equation.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
@@ -82,7 +76,7 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     if sigma < 0:
         raise GameSpecError(f"sigma must be >= 0, got {sigma}")
     dx = domain.h
-    dt, steps = _schedule(spec, dt, checkpoints, cfl_ceiling(spec, dx, sigma), _CEILING_NAME)
+    dt, steps = _schedule(spec, dx, sigma, dt, checkpoints)
     half_sig2 = 0.5 * sigma**2
 
     def finish(box: LatticeDomain):

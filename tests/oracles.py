@@ -18,8 +18,8 @@ The package itself runs none of them.
 - ``solve_rk4`` is the classical fourth-order Runge-Kutta backward sweep on
   the package's kernel (``hamiltonian_field``).  It is not monotone, so it is
   checked against exp(3*d*M1*(T-t)) growth of the mesh-weighted norm instead
-  of the payoff range, under the Euler step ceiling; checkpoints snap down to
-  the grid T - k*dt as in ``solve_backward``.
+  of the payoff range, under the Euler step ceiling; each checkpoint must be
+  a time of the grid T - k*dt, as in ``solve_backward``.
 - ``reference_chain`` is ``simulate_chain``'s thinning loop as it was before
   the jump rule had a point branch: each candidate's rates are the batch row
   of a (1, d) ``kolmogorov_rates`` call, its total is numpy's sum of that
@@ -40,7 +40,7 @@ from latticegames.errors import GameSpecError, StepSizeError, TruncationError
 from latticegames.games import Control, GameSpec, payoff_batch
 from latticegames.simulate import (ChainPath, _grid_indices, as_rng, check_majorant,
                                    rate_majorant)
-from latticegames.solver import SolveResult, ValueGrid, dt_ceiling, hamiltonian_field
+from latticegames.solver import SolveResult, ValueGrid, hamiltonian_field
 
 # check_isaacs samples states from [-_ISAACS_BOX, _ISAACS_BOX]^d
 _ISAACS_BOX = 2.0
@@ -236,8 +236,7 @@ def check_isaacs(spec: GameSpec, n_samples: int = 200, seed: int = 0) -> IsaacsR
 def solve_rk4(spec, domain, *, kind="upper", dt=None, checkpoints=None) -> SolveResult:
     if kind not in solver.VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {solver.VALUE_KINDS}, got {kind!r}")
-    dt, steps = solver._schedule(spec, dt, checkpoints, dt_ceiling(spec, domain.h),
-                                 solver._CEILING_NAME)
+    dt, steps = solver._schedule(spec, domain.h, None, dt, checkpoints)
     states = domain.states()
     if spec.autonomous:
         solver._check_autonomous(spec, states)

@@ -254,7 +254,8 @@ def test_simulate_checks_the_reused_slice(tmp_path, capsys):
     assert "dt=0.001" in capsys.readouterr().err
     # a dt solve refuses is refused by simulate with solve's exit code and message
     for dt, code, message in (("0.5", 3, "exceeds the stability ceiling"),
-                              ("0.015", 2, "would snap down below t=0")):
+                              ("0.015", 2, "checkpoint 0 lies between the grid times "
+                                           "-0.005 and 0.01 of dt=0.015; choose a dt")):
         assert run("solve", "--game", "g1", "--out", str(dt_dir), "--dt-policy", dt) == code
         refusal = capsys.readouterr().err
         assert message in refusal
@@ -415,7 +416,8 @@ def test_malformed_game_field_is_a_usage_error(tmp_path, capsys):
             "payoff": {"kind": "norm"}, "R": 1, "M1": 1, "K1": 0}
     # a u entry of two numbers for a one-column bu once solved with v ignored
     affine = {"kind": "affine", "a": [[0]], "bu": [[1]], "bv": [[1]], "c": [0]}
-    for bad in ({"T": "abc"}, {"d": 1.7}, {"drift": affine, "u_grid": [[1, 0.5], [1, -0.5]]}):
+    for bad in ({"T": "abc"}, {"d": 1.7}, {"drift": affine, "u_grid": [[1, 0.5], [1, -0.5]]},
+                {"R": "2.5"}):
         game.write_text(json.dumps({**good, **bad}))
         assert run("solve", "--game", str(game), "--out", str(tmp_path)) == 2
         assert "malformed game definition" in capsys.readouterr().err
@@ -732,10 +734,11 @@ def test_solve_rejects_a_checkpoint_off_the_auto_grid(tmp_path, capsys, model, g
 
 
 def test_converge_sweep_rejects_a_checkpoint_below_zero(tmp_path, capsys):
-    # converge records t=0 from the sweep itself, which refuses to snap below 0
+    # converge records t=0 from the sweep itself, which refuses a grid that misses it
     assert run("converge", "--game", "g1", "--h", "0.1", "--dt-policy", "0.015",
                "--out", str(tmp_path)) == 2
-    assert "would snap down below t=0" in capsys.readouterr().err
+    assert ("checkpoint 0 lies between the grid times -0.005 and 0.01 of dt=0.015; choose a "
+            "dt whose grid T - k*dt holds every checkpoint") in capsys.readouterr().err
     assert not (tmp_path / "converge.csv").exists()
 
 

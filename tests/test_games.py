@@ -169,6 +169,17 @@ AFFINE_1D = {"kind": "affine", "a": [[0]], "bu": [[1]], "bv": [[1]], "c": [0]}
     pytest.param({"drift": {**AFFINE_1D, "bu": [[1, 1]]}}, id="affine-scalar-u"),
     pytest.param({"drift": {**AFFINE_1D, "bv": [[1, 1]]}, "v_grid": [[1, 0, 0]]},
                  id="affine-wide-v"),
+    # a number is a JSON number: float() would read true as 1.0 and "2.5" as 2.5
+    pytest.param({"T": True}, id="T-true"),
+    pytest.param({"M1": True}, id="M1-true"),
+    pytest.param({"K1": False}, id="K1-false"),
+    pytest.param({"R": "2.5"}, id="R-string"),
+    pytest.param({"u_grid": ["1", "-1"]}, id="u_grid-strings"),
+    pytest.param({"u_grid": [True, False]}, id="u_grid-booleans"),
+    pytest.param({"u_grid": "12"}, id="u_grid-string"),
+    pytest.param({"drift": {**AFFINE_1D, "c": [True]}}, id="affine-c-true"),
+    pytest.param({"payoff": {"kind": "constant", "value": True}}, id="constant-value-true"),
+    pytest.param({"payoff": {"kind": "norm", "center": ["0.5"]}}, id="norm-center-string"),
 ])
 def test_game_from_dict_wraps_malformed_fields(fields):
     data = {"d": 1, "T": 1, "drift": {"kind": "control_sum"}, "u_grid": [0], "v_grid": [1],

@@ -3,7 +3,7 @@
 import pytest
 
 import latticegames as lg
-from latticegames import chain, games, simulate, solver, viscous
+from latticegames import chain, cli, games, simulate, solver, viscous
 
 # reference oracles the package never runs live in tests/oracles.py;
 # the rest had no caller but the tests, or folded into solver._schedule
@@ -14,8 +14,10 @@ TEST_ONLY = {
     chain: ("apply_generator", "chi", "jump_measure", "neighbor_tables"),
     games: ("IsaacsReport", "_ISAACS_BOX", "_check_control", "_check_state", "_check_time",
             "check_isaacs", "eval_drift", "eval_payoff"),
-    solver: ("_checkpoint_steps", "_resolve_dt", "auto_dt", "weighted_norm"),
-    viscous: ("auto_cfl_dt", "viscosity_gap"),
+    solver: ("_CEILING_NAME", "_checkpoint_steps", "_off_grid", "_resolve_dt", "_snapped_steps",
+             "auto_dt", "weighted_norm"),
+    viscous: ("_CEILING_NAME", "auto_cfl_dt", "viscosity_gap"),
+    cli: ("_sweep_dt",),
     chain.LatticeDomain: ("contains_state", "lattice_of", "state_of"),
     simulate.ChainPath: ("final_state",),
 }

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticegames as lg
-from latticegames import solver
+from latticegames import cli, solver
 from latticegames.chain import LatticeDomain
 from latticegames.errors import MonotoneStepError
 from latticegames.games import game_from_dict, payoff_norm
@@ -48,12 +48,12 @@ def test_dt_ceiling_formula():
 
 def tiling_dt(spec, h):
     """The dt a chain sweep down to t=0 takes when none is given."""
-    return solver._schedule(spec, None, None, dt_ceiling(spec, h), solver._CEILING_NAME)[0]
+    return solver._schedule(spec, h, None, None, None)[0]
 
 
 def test_auto_dt_tiles_horizon():
     spec = lg.g1()
-    dt, steps = solver._schedule(spec, None, None, dt_ceiling(spec, 0.05), solver._CEILING_NAME)
+    dt, steps = solver._schedule(spec, 0.05, None, None, None)
     n = spec.T / dt
     assert abs(n - round(n)) < 1e-9
     assert dt <= dt_ceiling(spec, 0.05) * (1 + 1e-9)
@@ -85,15 +85,15 @@ def test_a_dt_that_does_not_tile_the_horizon_is_refused_by_every_sweep():
               lambda: solve_rk4(spec, dom, dt=0.013)]
     messages = set()
     for sweep in sweeps:
-        with pytest.raises(lg.GameSpecError, match="would snap down below t=0") as info:
+        with pytest.raises(lg.GameSpecError) as info:
             sweep()
         messages.add(str(info.value))
     assert messages == {"checkpoint 0 lies between the grid times -0.001 and 0.012 of "
-                        "dt=0.013 and would snap down below t=0; choose a dt that tiles [0, 1]"}
+                        "dt=0.013; choose a dt whose grid T - k*dt holds every checkpoint"}
     # the viscous sweep follows the same rule: 0.007 steps from 0.006 to -0.001
     box = truncate_domain(spec, [-1.0, 1.0], 0.1)
-    with pytest.raises(lg.GameSpecError, match="grid times -0.001 and 0.006 of dt=0.007 "
-                                               "and would snap down below t=0"):
+    with pytest.raises(lg.GameSpecError, match="checkpoint 0 lies between the grid times "
+                                               "-0.001 and 0.006 of dt=0.007; choose a dt"):
         lg.solve_viscous(spec, box, 0.1, dt=0.007)
 
 
@@ -300,12 +300,31 @@ def test_a_nan_dt_or_checkpoint_is_refused():
         solve_backward(spec, dom, checkpoints=[0.0, float("nan"), 1.0])
 
 
-def test_checkpoints_snap_down():
+def test_an_off_grid_checkpoint_is_refused():
     spec = lg.g1()
     dom = g1_domain()
-    res = solve_backward(spec, dom, dt=0.02, checkpoints=[0.0, 0.55, 1.0])
-    # 0.55 is not on the grid T - k*0.02; snapped to 0.54
+    # 0.55 is not on the grid T - k*0.02: no slice is recorded at 0.54 in its place
+    with pytest.raises(lg.GameSpecError, match="checkpoint 0.55 lies between the grid times "
+                                               "0.54 and 0.56 of dt=0.02"):
+        solve_backward(spec, dom, dt=0.02, checkpoints=[0.0, 0.55, 1.0])
+    res = solve_backward(spec, dom, dt=0.02, checkpoints=[0.0, 0.54, 1.0])
     assert set(np.round(res.times, 10)) == {0.0, 0.54, 1.0}
+    assert res.slice_at(0.54).t == pytest.approx(0.54)
+
+
+def test_every_sweep_refuses_an_off_grid_checkpoint_with_one_message(tmp_path, capsys):
+    spec = lg.g1()
+    dom = truncate_domain(spec, [-1.0, 1.0], 0.1)
+    message = ("checkpoint 0.55 lies between the grid times 0.54 and 0.56 of dt=0.02; "
+               "choose a dt whose grid T - k*dt holds every checkpoint")
+    for sweep in (solve_backward, solve_rk4, lambda *a, **k: lg.solve_viscous(*a, 0.1, **k)):
+        with pytest.raises(lg.GameSpecError) as info:
+            sweep(spec, dom, dt=0.02, checkpoints=[0.0, 0.55])
+        assert str(info.value) == message
+    assert cli.main(["solve", "--game", "g1", "--h", "0.1", "--dt-policy", "0.02",
+                     "--checkpoints", "0", "0.55", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_lone_checkpoint_at_the_horizon_takes_the_auto_dt():
@@ -737,12 +756,15 @@ def test_affine_3d_outputs_match_golden_digests():
     spec = game_from_dict(AFFINE_3D, name="affine3")
     dom = LatticeDomain(h=0.25, lo=(-4, -3, -2), hi=(4, 3, 5))
     at = [0.0, 0.25]
+    # the viscous auto dt, 1/442, has no grid time at 0.25: take the one below it
+    visc_dt = solver._schedule(spec, dom.h, 0.3, None, [0.0])[0]
+    visc_at = [0.0, spec.T - 111 * visc_dt]
 
     def digests():
         got = {name: _slices_sha256(res) for name, res in {
             "euler_upper": solve_backward(spec, dom, checkpoints=at),
             "euler_lower": solve_backward(spec, dom, kind="lower", checkpoints=at),
-            "viscous_upper": lg.solve_viscous(spec, dom, 0.3, checkpoints=at),
+            "viscous_upper": lg.solve_viscous(spec, dom, 0.3, checkpoints=visc_at),
         }.items()}
         table = feedback_table(spec, dom)
         got["feedback_u_words"] = hashlib.sha256(table.u_words.tobytes()).hexdigest()
