@@ -511,7 +511,7 @@ def _schedule(spec: GameSpec, h: float, sigma: float | None, dt: float | None,
         raise GameSpecError(f"checkpoints must lie in [0, {spec.T}]")
     steps = set()
     for c in targets:
-        k = max(0, math.ceil((spec.T - c) / dt - _TIME_FUZZ))
+        k = max(0, math.ceil((spec.T - c - _TIME_FUZZ) / dt))
         if abs(spec.T - k * dt - c) > _TIME_FUZZ:
             raise GameSpecError(f"checkpoint {c:g} lies between the grid times "
                                 f"{spec.T - k * dt:.6g} and {spec.T - (k - 1) * dt:.6g} of "

@@ -310,6 +310,10 @@ def test_an_off_grid_checkpoint_is_refused():
     res = solve_backward(spec, dom, dt=0.02, checkpoints=[0.0, 0.54, 1.0])
     assert set(np.round(res.times, 10)) == {0.0, 0.54, 1.0}
     assert res.slice_at(0.54).t == pytest.approx(0.54)
+    # a checkpoint within _TIME_FUZZ of a grid time, on either side, is that time
+    for c in (0.55 - 5e-10, 0.55 + 5e-10):
+        res = solve_backward(spec, dom, dt=0.01, checkpoints=[0.0, c])
+        assert res.slice_at(c).t == spec.T - 45 * 0.01
 
 
 def test_every_sweep_refuses_an_off_grid_checkpoint_with_one_message(tmp_path, capsys):
