@@ -666,6 +666,36 @@ def test_g1_outputs_match_golden_digests(tmp_path):
     assert _digests(tmp_path) == GOLDEN_G1
 
 
+
+# sha256 of every file a g1 simulate with trajectory dumps writes: three
+# replicas of each of the four adversaries and the verdict table, as produced
+# when each dump was its own engine run
+GOLDEN_G1_DUMPS = {
+    "simulate.csv": "be14a103c97cc9443c7db6216737ffef089970bd41f579fd3bd7e69bb8261120",
+    "trajectory_bang_bang_0.csv": "e0e16f3d8f4ef37bd9f63967def54674d930733332b58332d6c8ef2ebe269230",
+    "trajectory_bang_bang_1.csv": "df1535ab27336fcac2931c26948815f5b90d62af46329bbe40b5d4d780be5a30",
+    "trajectory_bang_bang_2.csv": "a0429d1753ae1109e582507bf63c54459433aa26d0895c32e9ec1884179e8b46",
+    "trajectory_constant_0.csv": "ae6156ddb0dbae1a51e82e04ebd6c22fef9c03131e66e2c6ad35de03dd66b3d9",
+    "trajectory_constant_1.csv": "2fe4a313dc9555ebaf3b87d3911e6b50c0b08c334955161ef4b48904a52ff631",
+    "trajectory_constant_2.csv": "c6446e6a2a06dd136ec903b72a1b00fc98889699b038548899a89d9ebedb0f3f",
+    "trajectory_random_0.csv": "5960fc3700cae59c8f3e1816673750fca99580e73ff069755254dc052a2ced0e",
+    "trajectory_random_1.csv": "f951f751e54c6012c4070deca92f75376b031bcc5476a4cdda8cecc645b26bc8",
+    "trajectory_random_2.csv": "03b75cfd314063565dfa1811cab3bb2856e59a1b64005d03c2c56bf74edda55e",
+    "trajectory_worst_case_0.csv": "5ca9a8e2653215cfd3706c839b5e3a23d28693d0374a51a987eac07cbcb5e165",
+    "trajectory_worst_case_1.csv": "764102b1d45bc504152e6f10906c0ce6c41528441d067deaff9ec01fa922d0ca",
+    "trajectory_worst_case_2.csv": "430c6ad8cd6539aa5fc7e55c8f0ec8fb0468f0a94360e0b9124085cada41f7d8",
+}
+
+
+def test_g1_dumps_match_golden_digests(tmp_path):
+    assert run("solve", "--game", "g1", "--h", "0.05", "--out", str(tmp_path)) == 0
+    solved = set(_digests(tmp_path))
+    assert run("simulate", "--game", "g1", "--h", "0.05", "--replicas", "50",
+               "--partition-diam", "0.02", "--dump-trajectories", "3",
+               "--out", str(tmp_path)) == 0
+    written = {k: v for k, v in _digests(tmp_path).items() if k not in solved}
+    assert written == GOLDEN_G1_DUMPS
+
 # sha256 of the g1 files whose names carry both an _h and an _s tag, of the
 # lower-value files, and of a lower-value converge report, as produced before
 # solve and converge chose the model in one place
