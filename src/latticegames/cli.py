@@ -29,8 +29,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import GameSpecError, LatticeGamesError
 from .games import GameSpec, load_game
-from .shift import (Partition, run_extremal_shift, run_extremal_shift_batch,
-                    standard_adversaries)
+from .shift import Partition, _run_replicas, run_extremal_shift_batch, standard_adversaries
 from .simulate import OutcomeEstimate, replica_rng
 from .solver import (_schedule, feedback_table, read_slice_csv, read_slice_meta,
                      read_slice_value, solve_backward, truncate_domain, write_slice_csv)
@@ -399,7 +398,7 @@ def cmd_simulate(cfg: dict) -> int:
     advs = [panel[name] for name in wanted]
     batches = run_extremal_shift_batch(spec, eta, partition, x0, advs,
                                        n_replicas=cfg["replicas"], seed=cfg["seed"]).split()
-    for name, adv, batch in zip(wanted, advs, batches):
+    for name, batch in zip(wanted, batches):
         frozen = int(batch.n_frozen.sum())
         if frozen:
             print(f"warning: {name}: {frozen} model jumps in "
@@ -411,9 +410,10 @@ def cmd_simulate(cfg: dict) -> int:
         lines.append(",".join([name, str(est.n), _fmt(est.mean), _fmt(est.std_error),
                                _fmt(est.ci_low), _fmt(est.ci_high), _fmt(eta_ref),
                                _fmt(bound), _fmt(threshold), ok]))
-        for i in range(cfg["dump_trajectories"]):
-            path = run_extremal_shift(spec, eta, partition, x0, adv,
-                                      rng=replica_rng(cfg["seed"], i))
+    for i in range(cfg["dump_trajectories"]):
+        _, paths = _run_replicas(spec, eta, partition, x0, advs,
+                                 [replica_rng(cfg["seed"], i)], record_paths=True)
+        for name, path in zip(wanted, paths):
             path.write_csv(out / f"trajectory_{name}_{i}.csv",
                            _meta(cfg, spec, adversary=name, replica=i))
     (out / "simulate.csv").write_text("\n".join(lines) + "\n")

@@ -19,12 +19,15 @@ A drift that is not finite in an aiming form or along the real path raises
 
 All replica randomness follows a fixed per-replica draw protocol (candidate
 count, candidate times, acceptance uniforms, direction uniforms, adversary
-draws, in that order), so a single logged replica and a vectorized batch
-consume identical streams and produce identical trajectories.  A batch runs
-a whole adversary panel at once: each replica's candidates are drawn once and
-shared by every adversary, and each adversary's ``pre_draw`` starts from the
-generator state saved after the direction uniforms, so a replica plays every
-adversary on the same stream it would see in a panel of one.
+draws, in that order; ``_draw_candidates``), so a logged replica and a
+vectorized batch consume identical streams and produce identical
+trajectories.  A batch runs a whole adversary panel at once: each replica's
+candidates are drawn once and shared by every adversary, and each
+adversary's ``pre_draw`` starts from the generator state saved after the
+direction uniforms, so a replica plays every adversary on the same stream it
+would see in a panel of one.  A logged batch logs every row, so one call
+logs a replica against a whole panel.  ``_real_step`` is the one integrator
+of the real system, and an adversary must select one index per row.
 
 Every row of a batch is computed apart from the others, so a batch splits
 into contiguous blocks of replicas that the caller and forked workers step
@@ -298,11 +301,60 @@ def _aim(spec: GameSpec, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     return np.argmin(w.max(axis=1), axis=0), np.argmax(w.min(axis=0), axis=0)
 
 
+def _draw_candidates(rngs: Sequence[np.random.Generator], panel: tuple, lam: float,
+                     t0: float, T: float, r: int):
+    """The module docstring's draw protocol: per row, the candidate count and
+    offset into the (3, total + 1) array of candidate times, acceptance and
+    direction uniforms, whose last column is +inf; that array; and per
+    adversary its pre-draws, each from the state after the candidates."""
+    # every replica has its own generator, so drawing all counts first changes no stream
+    counts = np.array([rng.poisson(lam * (T - t0)) for rng in rngs], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+    cand = np.full((3, int(counts.sum()) + 1), np.inf)  # times, accept and direction uniforms
+    for rng, start, c in zip(rngs, offsets, counts):
+        sl = slice(start, start + c)
+        cand[0, sl] = np.sort(rng.uniform(t0, T, size=c))
+        cand[1, sl] = rng.random(size=c)  # uniform(size=c) is 0 + 1 * random(size=c)
+        cand[2, sl] = rng.random(size=c)
+    saved = [rng.bit_generator.state for rng in rngs]
+    drawn = []
+    for a, adversary in enumerate(panel):
+        if a:
+            for rng, state in zip(rngs, saved):
+                rng.bit_generator.state = state
+        rows = [adversary.pre_draw(rng, r) for rng in rngs]
+        drawn.append(np.stack(rows) if rows[0] is not None else None)
+    return np.tile(counts, len(panel)), np.tile(offsets, len(panel)), cand, drawn
+
+
+def _real_step(spec: GameSpec, t: float, X: np.ndarray, u_held: np.ndarray,
+               v_held: np.ndarray, delta: float):
+    """RK4 substeps of the real states X over [t, t + delta] under held per-row
+    controls, yielding (time, states) after each, so a caller that keeps only
+    the last holds one substep's states; past the last it checks finiteness."""
+    n_sub = max(1, math.ceil(delta / min(delta * _SUBSTEP_FRACTION,
+                                         _SUBSTEP_HORIZON_FRACTION * spec.T)))
+    dt = delta / n_sub
+    X_start = X
+    for s in range(n_sub):
+        ts = t + s * dt
+        k1 = drift_batch(spec, ts, X, u_held, v_held)
+        k2 = drift_batch(spec, ts + 0.5 * dt, X + 0.5 * dt * k1, u_held, v_held)
+        k3 = drift_batch(spec, ts + 0.5 * dt, X + 0.5 * dt * k2, u_held, v_held)
+        k4 = drift_batch(spec, ts + dt, X + dt * k3, u_held, v_held)
+        X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield ts + dt, X
+    if not np.isfinite(X).all():
+        raise _drift_not_finite(t, X_start, np.isfinite(X).all(axis=1),
+                                f" or on the real path from there to t={t + delta}")
+
+
 def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
                   panel: Sequence, rngs: Sequence[np.random.Generator],
                   record_paths: bool) -> tuple[BatchOutcomes, list[PairedTrajectory]]:
-    """Replica i of ``rngs`` against every adversary of ``panel``, as one
-    batch of len(panel) * len(rngs) rows, adversary-major."""
+    """Replica i of ``rngs`` against every adversary of ``panel``, as one batch
+    of len(panel) * len(rngs) rows, adversary-major; with ``record_paths``,
+    also one ``PairedTrajectory`` per row, in row order."""
     panel = tuple(panel)
     if not panel:
         raise GameSpecError("the adversary panel is empty")
@@ -337,32 +389,12 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
     n = len(rngs)
     n_rows = len(panel) * n
     lam = rate_majorant(spec, h)
-    span = spec.T - t0
     r = partition.n_intervals
+    names = _names(panel)
 
-    # fixed per-replica draw protocol (see module docstring); every replica
-    # has its own generator, so drawing all counts first changes no stream
-    counts = np.array([rng.poisson(lam * span) for rng in rngs], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    cand = np.empty((3, int(counts.sum())))  # times, accept and direction uniforms
-    for rng, start, c in zip(rngs, offsets, counts):
-        sl = slice(start, start + c)
-        cand[0, sl] = np.sort(rng.uniform(t0, spec.T, size=c))
-        cand[1, sl] = rng.random(size=c)  # uniform(size=c) is 0 + 1 * random(size=c)
-        cand[2, sl] = rng.random(size=c)
-    flat_times, flat_accept, flat_dir = cand
-    # every adversary's pre_draw starts from the state after the candidates
-    saved = [rng.bit_generator.state for rng in rngs]
-    drawn = []
-    for a, adversary in enumerate(panel):
-        if a:
-            for rng, state in zip(rngs, saved):
-                rng.bit_generator.state = state
-        rows = [adversary.pre_draw(rng, r) for rng in rngs]
-        drawn.append(np.stack(rows) if rows[0] is not None else None)
+    counts, offsets, (flat_times, flat_accept, flat_dir), drawn = _draw_candidates(
+        rngs, panel, lam, t0, spec.T, r)
     blocks = [slice(a * n, (a + 1) * n) for a in range(len(panel))]
-    counts = np.tile(counts, len(panel))
-    offsets = np.tile(offsets, len(panel))
 
     X = np.tile(x0, (n_rows, 1))
     K = np.tile(k0, (n_rows, 1)).astype(np.int64)
@@ -373,17 +405,11 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
     n_jumps = np.zeros(n_rows, dtype=np.int64)
     n_frozen = np.zeros(n_rows, dtype=np.int64)
 
+    # the log keeps whole-batch arrays, none changed in place: per interval
+    # start, per substep and per jump round
     log = record_paths
-    if log:
-        dense_times: list[float] = [t0]
-        dense_x: list[np.ndarray] = [X[0].copy()]
-        jump_times: list[float] = []
-        jump_states: list[np.ndarray] = []
-        u_log = np.empty(r, dtype=np.int64)
-        v_adv_log = np.empty(r, dtype=np.int64)
-        v_hat_log = np.empty(r, dtype=np.int64)
-        node_x = np.empty((r + 1, d))
-        node_y = np.empty((r + 1, d))
+    starts, dense_times, dense_x = [], [t0], [X]
+    jumps = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, d)))]
 
     nv = len(spec.v_grid)
     U, V = np.asarray(spec.u_grid), np.asarray(spec.v_grid)
@@ -391,61 +417,37 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
     for l in range(r):
         t_l = partition.times[l]
         t_hi = partition.times[l + 1]
-        delta = t_hi - t_l
         Y = h * K.astype(float)
         sq_gap[:, l] = np.sum((X - Y) ** 2, axis=1)
-        if log:
-            node_x[l] = X[0]
-            node_y[l] = Y[0]
 
         # aiming selections from the gap at the interval start
         u_sel, v_hat = _aim(spec, t_l, X, Y)                       # (rows,) each
-        v_adv = np.concatenate([
-            adversary.select(l, t_l, X[b], Y[b], drawn_a, v_hat[b])
-            for adversary, drawn_a, b in zip(panel, drawn, blocks)])
-        v_adv = np.where(v_adv < 0, v_adv + nv, v_adv).astype(np.int64)
+        v_adv = []
+        for adversary, name, drawn_a, b in zip(panel, names, drawn, blocks):
+            v = np.asarray(adversary.select(l, t_l, X[b], Y[b], drawn_a, v_hat[b]))
+            if v.shape != (n,) or v.dtype.kind not in "iu" or np.any((v < -nv) | (v >= nv)):
+                raise GameSpecError(f"adversary {name!r} must select {n} integer indices in "
+                                    f"[{-nv}, {nv}) on interval {l} (t={t_l:g}), got {v!r}")
+            v_adv.append(v)
+        v_adv = (np.concatenate(v_adv) % nv).astype(np.int64)
         if log:
-            u_log[l] = u_sel[0]
-            v_adv_log[l] = v_adv[0]
-            v_hat_log[l] = v_hat[0]
+            starts.append((X, Y, u_sel, v_adv, v_hat))
 
-        # real system: 4th-order steps with controls held over the interval
-        n_sub = max(1, math.ceil(delta / min(delta * _SUBSTEP_FRACTION,
-                                             _SUBSTEP_HORIZON_FRACTION * spec.T)))
-        dt_sub = delta / n_sub
-        u_held, v_held = U[u_sel], V[v_adv]
-
-        def f_sel(tt, states):
-            return drift_batch(spec, tt, states, u_held, v_held)
-
-        X_start = X
-        for s in range(n_sub):
-            ts = t_l + s * dt_sub
-            k1 = f_sel(ts, X)
-            k2 = f_sel(ts + 0.5 * dt_sub, X + 0.5 * dt_sub * k1)
-            k3 = f_sel(ts + 0.5 * dt_sub, X + 0.5 * dt_sub * k2)
-            k4 = f_sel(ts + dt_sub, X + dt_sub * k3)
-            X = X + (dt_sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # real system with controls held over the interval
+        for ts, X in _real_step(spec, t_l, X, U[u_sel], V[v_adv], t_hi - t_l):
             if log:
-                dense_times.append(ts + dt_sub)
-                dense_x.append(X[0].copy())
-        if not np.isfinite(X).all():
-            raise _drift_not_finite(t_l, X_start, np.isfinite(X).all(axis=1),
-                                    f" or on the real path from there to t={t_hi}")
+                dense_times.append(ts)
+                dense_x.append(X)
 
-        # model chain: consume thinning candidates inside [t_l, t_hi)
+        # model chain: consume thinning candidates inside [t_l, t_hi); a row
+        # with none left reads the last slot, at time +inf
         while True:
-            idx_rep = np.flatnonzero(ptr < counts)
+            slots = np.where(ptr < counts, offsets + ptr, len(flat_times) - 1)
+            idx_rep = np.flatnonzero(flat_times[slots] < t_hi)
             if len(idx_rep) == 0:
                 break
-            slots = offsets[idx_rep] + ptr[idx_rep]
+            slots = slots[idx_rep]
             tc = flat_times[slots]
-            active = tc < t_hi
-            idx_rep = idx_rep[active]
-            if len(idx_rep) == 0:
-                break
-            slots = slots[active]
-            tc = tc[active]
             ys = h * K[idx_rep].astype(float)
             js = np.clip(np.searchsorted(eta.times, tc + _TIME_FUZZ, side="right") - 1,
                          0, len(eta.times) - 1)
@@ -475,41 +477,42 @@ def _run_replicas(spec: GameSpec, eta: FeedbackTable, partition: Partition, x0,
                 K[reps, coord] = newk
                 flat[reps] += sign * strides[coord]
                 n_jumps[reps] += 1
-                if log and 0 in reps:
-                    pos = int(np.flatnonzero(reps == 0)[0])
-                    jump_times.append(float(tc[acc_rows[pos]]))
-                    jump_states.append(h * K[0].astype(float))
+                if log:
+                    jumps.append((reps, tc[acc_rows], h * K[reps].astype(float)))
             ptr[idx_rep] += 1
 
     Y = h * K.astype(float)
     sq_gap[:, r] = np.sum((X - Y) ** 2, axis=1)
     outcomes = payoff_batch(spec, X)
     model_outcomes = payoff_batch(spec, Y)
-    if log:
-        node_x[r] = X[0]
-        node_y[r] = Y[0]
 
-    batch = BatchOutcomes(adversaries=_names(panel), n_replicas=n,
+    batch = BatchOutcomes(adversaries=names, n_replicas=n,
                           outcomes=outcomes, model_outcomes=model_outcomes,
                           sq_gap=sq_gap, n_jumps=n_jumps, n_frozen=n_frozen)
-    paths: list[PairedTrajectory] = []
-    if log:
+    if not log:
+        return batch, []
+    xs, ys, *controls = zip(*starts)
+    node_x, node_y = np.stack([*xs, X], axis=1), np.stack([*ys, Y], axis=1)
+    u_log, v_adv_log, v_hat_log = (np.stack(c, axis=1) for c in controls)
+    jump_rows, jump_times, jump_states = (np.concatenate(j) for j in zip(*jumps))
+    dense_times, dense_x = np.asarray(dense_times), np.stack(dense_x, axis=1)
+    paths = []
+    for i in range(n_rows):
+        hit = jump_rows == i
         paths.append(PairedTrajectory(
-            times=np.asarray(partition.times),
-            node_x=node_x, node_y=node_y,
-            u_indices=u_log, v_adv_indices=v_adv_log, v_hat_indices=v_hat_log,
-            jump_times=np.asarray(jump_times), jump_states=(np.stack(jump_states)
-                                                            if jump_states else np.zeros((0, d))),
-            dense_times=np.asarray(dense_times), dense_x=np.stack(dense_x),
-            sq_gap=sq_gap[0].copy(),
-            outcome=float(outcomes[0]), model_outcome=float(model_outcomes[0]),
-        ))
+            times=np.asarray(partition.times), node_x=node_x[i], node_y=node_y[i],
+            u_indices=u_log[i], v_adv_indices=v_adv_log[i], v_hat_indices=v_hat_log[i],
+            jump_times=jump_times[hit], jump_states=jump_states[hit],
+            dense_times=dense_times, dense_x=dense_x[i], sq_gap=sq_gap[i].copy(),
+            outcome=float(outcomes[i]), model_outcome=float(model_outcomes[i])))
     return batch, paths
 
 
 def run_extremal_shift(spec: GameSpec, eta: FeedbackTable, partition: Partition,
                        x0, adversary, rng: RngLike = 0) -> PairedTrajectory:
-    """One fully logged coupled replica driven by ``adversary``."""
+    """One fully logged coupled replica driven by ``adversary``.  An int
+    ``rng`` seeds SeedSequence(rng), no replica's stream, so ``rng=0`` is not
+    row 0 of a batch of seed 0; ``rng=replica_rng(seed, i)`` is row i."""
     _, paths = _run_replicas(spec, eta, partition, x0, [adversary], [as_rng(rng)],
                              record_paths=True)
     return paths[0]

@@ -9,8 +9,9 @@ monotone schemes inside the payoff range; a failure would still have to be
 the same failure on both paths.  The batched jump rates and chain
 characteristics must equal the point-by-point jump-measure sums, bit for bit,
 on the same games; a batch of coupled replicas must equal the replicas run
-one at a time, and each adversary's block of a panel batch the batch of that
-adversary alone; and a drift batch with one control pair per row must equal
+one at a time, each adversary's block of a panel batch the batch of that
+adversary alone, and each row of a logged panel call its single logged run,
+array by array; and a drift batch with one control pair per row must equal
 the looped one-pair batches.  The monotone Euler sweep must keep every recorded slice
 inside the payoff range, keep the upper value above the lower one, and not
 lower any value when the payoff rises by a constant.  At the interior
@@ -40,7 +41,7 @@ import latticegames as lg
 from latticegames import solver
 from latticegames.chain import RATE_DROP_TOL
 from latticegames.games import game_from_dict
-from latticegames.shift import _ROW_FIELDS
+from latticegames.shift import _ROW_FIELDS, _run_replicas
 from oracles import (apply_generator, forced_blocks, jump_measure, neighbor_tables,
                      oracle_minimax, reference_chain, solve_rk4)
 
@@ -416,6 +417,22 @@ def test_panel_blocks_match_one_adversary_batches(data, order, seed, row):
     assert np.float64(single.model_outcome).tobytes() == panel.model_outcomes[row].tobytes()
     assert single.sq_gap.tobytes() == panel.sq_gap[row].tobytes()
     assert len(single.jump_times) == panel.n_jumps[row]
+    # one replica stream logged against the whole panel: each row is its single
+    i = row % n
+    _, paths = _run_replicas(spec, table, part, x0, advs, [lg.replica_rng(seed, i)],
+                             record_paths=True)
+    assert len(paths) == len(advs)
+    for a, (adv, logged) in enumerate(zip(advs, paths)):
+        single = lg.run_extremal_shift(spec, table, part, x0, adv, rng=lg.replica_rng(seed, i))
+        for field in ("node_x", "node_y", "u_indices", "v_adv_indices", "v_hat_indices",
+                      "jump_times", "jump_states", "dense_times", "dense_x", "sq_gap"):
+            got, want = getattr(logged, field), getattr(single, field)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                             want.tobytes()), field
+        for field in ("outcome", "model_outcome"):
+            assert (np.float64(getattr(logged, field)).tobytes()
+                    == np.float64(getattr(single, field)).tobytes()), field
+        assert np.float64(logged.outcome).tobytes() == panel.outcomes[a * n + i].tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,

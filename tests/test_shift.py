@@ -200,6 +200,37 @@ def test_empty_panel_is_rejected(g1_solution):
         lg.run_extremal_shift_batch(spec, eta, part, [0.0], [], n_replicas=4)
 
 
+class _PicksOnInterval2:
+    """Plays grid element 0, and ``picks`` as is on interval 2."""
+
+    name = "picks"
+
+    def __init__(self, picks):
+        self.picks = picks
+
+    def pre_draw(self, rng, n_intervals):
+        return None
+
+    def select(self, interval, t, x, y, drawn, v_hat):
+        return self.picks if interval == 2 else np.zeros(len(x), dtype=np.int64)
+
+
+def test_adversary_selections_are_checked(g1_solution):
+    spec, eta = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.02)
+    nv = len(spec.v_grid)
+    for picks in (np.full(4, nv), np.full(4, -nv - 1), np.zeros(1, dtype=np.int64), np.zeros(4)):
+        with pytest.raises(lg.GameSpecError) as err:
+            lg.run_extremal_shift_batch(spec, eta, part, [0.0],
+                                        [lg.ConstantAdversary(), _PicksOnInterval2(picks)],
+                                        n_replicas=4)
+        assert str(err.value) == (f"adversary 'picks' must select 4 integer indices in "
+                                  f"[{-nv}, {nv}) on interval 2 (t=0.04), got {picks!r}")
+    # -nv..-1 count from the end of the grid, as ConstantAdversary's default does
+    lg.run_extremal_shift_batch(spec, eta, part, [0.0], [_PicksOnInterval2(np.full(4, -nv))],
+                                n_replicas=4)
+
+
 def test_frozen_boundary_moves_are_counted():
     # one control each and drift +1: the real state ends at the box face
     # x = M1*T when pad = 0, and about half the model chains try to pass it
