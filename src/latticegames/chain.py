@@ -29,6 +29,13 @@ RATE_DROP_TOL = 1e-14
 _STATE_TOL = 1e-9
 
 
+def _on_lattice(xs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """k = round(x/h) (floats) of states ``xs`` on the last axis, and whether
+    each is on the mesh-h lattice: every |x - h*k| <= _STATE_TOL * max(1, h)."""
+    k = np.round(xs / h)
+    return k, np.max(np.abs(xs - h * k), axis=-1) <= _STATE_TOL * max(1.0, h)
+
+
 def _check_mesh(h: float, warn: bool = True) -> float:
     h = float(h)
     if not (h > 0 and math.isfinite(h)):
@@ -99,9 +106,9 @@ class LatticeDomain:
         """Flat indices of a batch of states, one per row of ``xs``; -1 marks
         a state off the mesh-h lattice (beyond ``_STATE_TOL``) or outside the box."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
-        k = np.round(xs / self.h).astype(int)
+        k, ok = _on_lattice(xs, self.h)
+        k = k.astype(int)
         rel = k - np.asarray(self.lo)
-        ok = np.max(np.abs(xs - self.h * k), axis=1) <= _STATE_TOL * max(1.0, self.h)
         ok &= np.all((rel >= 0) & (k <= np.asarray(self.hi)), axis=1)
         out = np.full(len(xs), -1, dtype=np.int64)
         out[ok] = np.ravel_multi_index(tuple(rel[ok].T), self.shape)
@@ -110,10 +117,10 @@ class LatticeDomain:
     def index_of_state(self, x) -> int:
         """Flat index of an (exactly representable) lattice state."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = np.round(x / self.h).astype(int)
-        if np.max(np.abs(x - self.h * k)) > _STATE_TOL * max(1.0, self.h):
+        k, ok = _on_lattice(x, self.h)
+        if not np.all(ok):
             raise TruncationError(f"state {x.tolist()} is not on the mesh-{self.h} lattice")
-        return self.index_of(k)
+        return self.index_of(k.astype(int))
 
 
 def kolmogorov_rates(spec: GameSpec, t, x, u, v, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import certified_m0_2
-from .chain import _check_mesh, chain_characteristics, kolmogorov_rates, pick_axis
+from .chain import _check_mesh, _on_lattice, chain_characteristics, kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import GameSpec
 
@@ -158,8 +158,8 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     """
     h = _check_mesh(h, warn=False)  # kolmogorov_rates warns at a candidate
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    k0 = np.round(x0 / h)
-    if np.max(np.abs(x0 - h * k0)) > 1e-9 * max(1.0, h):
+    k0, on = _on_lattice(x0, h)
+    if not on:
         raise GameSpecError(f"x0={x0.tolist()} is not on the mesh-{h} lattice")
     if not (0.0 <= t0 < spec.T):
         raise GameSpecError(f"t0={t0} outside [0, T)")

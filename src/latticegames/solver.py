@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, kolmogorov_rates
+from .chain import LatticeDomain, _on_lattice, kolmogorov_rates
 from .errors import (GameSpecError, MonotoneStepError, ResourceError, StepSizeError,
                      TruncationError)
 from .games import GameSpec, drift_batch, payoff_batch
@@ -65,16 +65,15 @@ class ValueGrid:
 class SolveResult:
     """Backward solve output: recorded slices ordered by decreasing time.
 
-    ``sigma`` is the viscosity of a ``solve_viscous`` run (whose ``h`` is the
-    spatial step dx) and None for the chain solver.  ``boundary`` is
-    "dirichlet" for ``solve_viscous`` and "freeze" for the chain solver.
+    ``sigma`` is the viscosity of a ``solve_viscous`` run, whose ``h`` is the
+    spatial step dx and whose boundary ring stays at the terminal payoff; it
+    is None for the chain solver, whose out-of-box jumps are frozen.
     """
 
     game: str
     kind: str
     h: float
     dt: float
-    boundary: str
     slices: tuple[ValueGrid, ...]
     sigma: float | None = None
 
@@ -388,19 +387,23 @@ def _upwind_generator(terms: tuple, ups: np.ndarray, rates: np.ndarray, d_up: np
     return wrote
 
 
-def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
-             index: np.ndarray | None = None) -> np.ndarray:
+def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
+                      kind: str, *, rates: Rates | None = None,
+                      index: np.ndarray | None = None) -> np.ndarray:
     """Minimax (upper: min_u max_v) or maximin (lower: max_v min_u) of the
-    generator at every point of ``domain``, with ``rates`` built on
-    ``domain.states()``.
+    generator over both grids, at every point of ``domain``.
 
-    Returns a fresh array; only the rates' work arrays are overwritten.  When
-    given, ``index`` receives the lowest grid index of the committing player's
-    control (u for upper, v for lower) attaining the outer min (max), with
-    ``np.argmin``'s (``np.argmax``'s) ties.
+    ``rates`` are the ``_pair_rates`` of ``domain.states()``, built here at
+    t when not given.  The result is a fresh array that later calls with the
+    same rates leave alone; only the rates' work arrays are overwritten.
+    When given, ``index`` receives the lowest grid index of the committing
+    player's control (u for upper, v for lower) attaining the outer min
+    (max), with ``np.argmin``'s (``np.argmax``'s) ties.
     """
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
+    if rates is None:
+        rates = _pair_rates(spec, t, domain.states(), domain.h)
     d_up, d_down = rates.diffs
     _neighbor_diffs(values, domain.shape, d_up, d_down)
     # u always minimises and v always maximises; upper commits u first
@@ -434,22 +437,6 @@ def _minimax(values: np.ndarray, rates: Rates, domain: LatticeDomain, kind: str,
     return field
 
 
-def hamiltonian_field(values: np.ndarray, spec: GameSpec, t: float, domain: LatticeDomain,
-                      kind: str, *, rates: Rates | None = None,
-                      index: np.ndarray | None = None) -> np.ndarray:
-    """Minimax (upper) or maximin (lower) of the generator over both grids.
-
-    ``rates`` are the ``_pair_rates`` of ``domain.states()``, which a sweep
-    builds once per solve for an autonomous spec; without them they are
-    built here at t.  The result is a fresh array that later calls with the
-    same rates leave alone.  ``index``, when given, receives the committing
-    player's control index (``_minimax``).
-    """
-    if rates is None:
-        rates = _pair_rates(spec, t, domain.states(), domain.h)
-    return _minimax(values, rates, domain, kind, index)
-
-
 # ---------------------------------------------------------------------------
 # backward integration
 
@@ -462,22 +449,6 @@ def dt_ceiling(spec: GameSpec, h: float) -> float:
 def cfl_ceiling(spec: GameSpec, dx: float, sigma: float) -> float:
     """Stability ceiling 1 / (2 * (d*M1/dx + d*sigma^2/dx^2)) of the viscous sweep."""
     return 1.0 / (2.0 * (spec.d * spec.M1 / dx + spec.d * sigma**2 / dx**2))
-
-
-def _range_check(g: np.ndarray) -> Callable[[float, float, float], None]:
-    """Maximum principle of a monotone step: values stay in [min g, max g].
-    The check reads the smallest and the largest value of the slice at t."""
-    lo, hi = float(g.min()), float(g.max())
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-
-    def check(low: float, high: float, t: float) -> None:
-        # written so that a NaN anywhere fails the comparison too
-        if not (low >= lo - tol and high <= hi + tol):
-            raise StepSizeError(
-                f"values at t={t:.6g} leave the terminal payoff range "
-                f"[{lo:.6g}, {hi:.6g}]; reduce dt"
-            )
-    return check
 
 
 def _schedule(spec: GameSpec, h: float, sigma: float | None, dt: float | None,
@@ -563,63 +534,6 @@ def _shared(shape: tuple[int, ...], dtype=float) -> np.ndarray:
     count = math.prod(shape)
     block = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))  # MAP_SHARED, never empty
     return np.frombuffer(block, dtype=dtype, count=count).reshape(shape)
-
-
-def _euler_end(field: np.ndarray, values: np.ndarray, dt: float) -> None:
-    """values + dt * H, in the kernel's fresh result."""
-    field *= dt
-    field += values
-
-
-def _block_stepper(spec: GameSpec, domain: LatticeDomain, kind: str, states: np.ndarray,
-                   slabs: tuple[int, int], dt: float, n_steps: int, slices: np.ndarray,
-                   index: np.ndarray | None, finish: Callable | None, extra_rate: float,
-                   in_range: Callable[[float, float, float], None]) -> Callable[[int], None]:
-    """Evaluation k of one block of a sweep (``_sweep``).
-
-    The block steps its slabs [a, b) on the box that adds one halo slab on
-    each side, inside the domain, since a jump moves one slab at most: it
-    reads that box of slice k-1 from ``slices[(k-1) % 2]``, evaluates the
-    kernel there with rates built on the box's own points, and writes its
-    own rows of slice k into ``slices[k % 2]`` and of the committing
-    player's index into ``index``.  Every operation is pointwise, so each
-    row gets the bits the whole-domain step gives it.  The rates of an
-    autonomous spec are built once, at T (the sweep spot-checks the
-    declaration first, ``_check_autonomous``), and other specs' at each
-    kernel time.  The block checks its own step: each fresh rate build of a
-    step k <= n_steps on its box (``_check_monotone``, with ``extra_rate``)
-    and its rows of slice k (``in_range``).  The slabs (0, domain.shape[0])
-    make the one-block step, whose box is the domain.
-    """
-    a, b = slabs
-    size = domain.n_points // domain.shape[0]
-    lo, hi = max(a - 1, 0), min(b + 1, domain.shape[0])
-    box = LatticeDomain(h=domain.h, lo=(domain.lo[0] + lo, *domain.lo[1:]),
-                        hi=(domain.lo[0] + hi - 1, *domain.hi[1:]))
-    ext, rows = slice(lo * size, hi * size), slice(a * size, b * size)
-    own = slice(rows.start - ext.start, rows.stop - ext.start)
-    end = finish(box) if finish else _euler_end
-    box_index = None if index is None else np.empty(box.n_points, dtype=index.dtype)
-    rates = None
-
-    def evaluate(k: int) -> None:
-        nonlocal rates
-        t = spec.T - (k - 1) * dt
-        values = slices[(k - 1) % 2, ext]
-        if rates is None or not spec.autonomous:
-            rates = None  # the last step's rates are unmapped before the next build
-            rates = _pair_rates(spec, spec.T if spec.autonomous else t, states[ext], box.h)
-            if k <= n_steps:
-                _check_monotone(spec, states[ext], rates, dt, extra_rate)
-        field = hamiltonian_field(values, spec, t, box, kind, rates=rates, index=box_index)
-        if index is not None:
-            index[rows] = box_index[own]
-        if k <= n_steps:
-            end(field, values, dt)
-            new = slices[k % 2, rows]
-            new[:] = field[own]
-            in_range(new.min(), new.max(), spec.T - k * dt)
-    return evaluate
 
 
 def _fork_worker(make: Callable[[], Callable[[int], object]],
@@ -736,29 +650,32 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
            steps: Sequence[int], extra_rate: float = 0.0, finish: Callable | None = None,
            feedback: tuple[np.ndarray, Callable[[int], None]] | None = None
            ) -> tuple[ValueGrid, ...]:
-    """Backward explicit sweep from the terminal payoff at T.
+    """Backward explicit sweep from the terminal payoff g at T.
 
     Step k maps slice k-1, at t = T - (k-1)*dt, to slice k: the kernel
     (``hamiltonian_field``) at t, then ``finish(box)(field, values, dt)`` in
     place on a block's box (default: values + dt * field).  ``steps`` are
     the ascending steps of ``_schedule``, whose grid never runs past t = 0:
-    the sweep runs to the last of them and records their slices.  Each rate
-    build must keep the step monotone (``_check_monotone``, with
-    ``extra_rate``) and each slice stay inside the payoff range
-    (``StepSizeError`` otherwise).  With ``feedback`` = (index, pack) the
-    kernel writes the committing player's control index into the shared row
-    ``index`` and ``pack(j)`` reads it for slice j, the last slice's after
-    one more evaluation.
+    the sweep runs to the last of them and records their slices.  With
+    ``feedback`` = (index, pack) the kernel writes the committing player's
+    control index into the shared row ``index`` and ``pack(j)`` reads it
+    for slice j, the last slice's after one more evaluation.
 
-    The steps are split into the blocks of ``_block_slabs``
-    (``_block_stepper``), evaluated by the caller and forked workers
-    (``_forked_blocks``) over the shared double buffer of slices; each
-    block checks its own rates and rows, and the caller records the slices.
-    Every slice and table row is the one-block sweep's, and so is every
-    error: when a block fails, ``_forked_blocks`` replays the step as one
-    block, on the whole domain, and raises its error.  Workers are reaped
-    before this returns or raises.  Returns the recorded slices by
-    decreasing time.
+    The caller and forked workers (``_forked_blocks``) step the blocks of
+    ``_block_slabs`` over a shared double buffer of slices.  ``stepper``
+    steps axis-0 slabs [a, b) on their box plus one halo slab on each side
+    (a jump moves one slab at most), with rates built on the box's points:
+    once, at T, for an autonomous spec (spot-checked by
+    ``_check_autonomous``), else at each kernel time.  Every operation is
+    pointwise, so each row gets the whole-domain step's bits.  Each block
+    checks its own step: every rate build of a step k <= n_steps must keep
+    it monotone (``_check_monotone``, with ``extra_rate``), and its rows of
+    slice k must stay in [min g, max g], the maximum principle
+    (``StepSizeError`` otherwise).  When a block fails, ``_forked_blocks``
+    replays the step on the slabs (0, domain.shape[0]), the whole domain,
+    and raises its error, so every error is the one-block sweep's.  Workers
+    are reaped before this returns or raises.  Returns the recorded slices
+    by decreasing time.
     """
     states = domain.states()
     if spec.autonomous:
@@ -766,15 +683,51 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     n_steps = steps[-1]
     slices = _shared((2, domain.n_points))
     slices[0] = payoff_batch(spec, states)
-    in_range = _range_check(slices[0])
+    g_lo, g_hi = float(slices[0].min()), float(slices[0].max())
+    tol = 1e-12 * max(1.0, abs(g_lo), abs(g_hi))
     recorded = [ValueGrid(t=spec.T, domain=domain, values=slices[0].copy())
                 ] if 0 in steps else []
     blocks = _block_slabs(domain)
     index, pack = feedback or (None, None)
+    size = domain.n_points // domain.shape[0]
 
     def stepper(slabs: tuple[int, int]) -> Callable[[int], None]:
-        return _block_stepper(spec, domain, kind, states, slabs, dt, n_steps, slices, index,
-                              finish, extra_rate, in_range)
+        a, b = slabs
+        lo, hi = max(a - 1, 0), min(b + 1, domain.shape[0])
+        box = LatticeDomain(h=domain.h, lo=(domain.lo[0] + lo, *domain.lo[1:]),
+                            hi=(domain.lo[0] + hi - 1, *domain.hi[1:]))
+        ext, rows = slice(lo * size, hi * size), slice(a * size, b * size)
+        own = slice(rows.start - ext.start, rows.stop - ext.start)
+        end = finish(box) if finish else None
+        box_index = None if index is None else np.empty(box.n_points, dtype=index.dtype)
+        rates = None
+
+        def evaluate(k: int) -> None:
+            nonlocal rates
+            t = spec.T - (k - 1) * dt
+            values = slices[(k - 1) % 2, ext]
+            if rates is None or not spec.autonomous:
+                rates = None  # the last step's rates are unmapped before the next build
+                rates = _pair_rates(spec, spec.T if spec.autonomous else t, states[ext], box.h)
+                if k <= n_steps:
+                    _check_monotone(spec, states[ext], rates, dt, extra_rate)
+            field = hamiltonian_field(values, spec, t, box, kind, rates=rates, index=box_index)
+            if index is not None:
+                index[rows] = box_index[own]
+            if k <= n_steps:
+                if end:
+                    end(field, values, dt)
+                else:
+                    field *= dt
+                    field += values
+                new = slices[k % 2, rows]
+                new[:] = field[own]
+                # written so that a NaN anywhere fails the comparison too
+                if not (new.min() >= g_lo - tol and new.max() <= g_hi + tol):
+                    raise StepSizeError(
+                        f"values at t={spec.T - k * dt:.6g} leave the terminal payoff range "
+                        f"[{g_lo:.6g}, {g_hi:.6g}]; reduce dt")
+        return evaluate
 
     with _forked_blocks(len(blocks), lambda b: stepper(blocks[b]), "sweep",
                         lambda k: stepper((0, domain.shape[0]))(k)) as evaluate:
@@ -804,7 +757,7 @@ def solve_backward(spec: GameSpec, domain: LatticeDomain, *, kind: str = "upper"
     if kind not in VALUE_KINDS:
         raise GameSpecError(f"kind must be one of {VALUE_KINDS}, got {kind!r}")
     dt, steps = _schedule(spec, domain.h, None, dt, checkpoints)
-    return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
+    return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt,
                        slices=_sweep(spec, domain, kind, dt=dt, steps=steps))
 
 
@@ -942,9 +895,10 @@ def read_slice_csv(path: str | Path, h: float) -> tuple[ValueGrid, dict]:
     t = float(data[0, 0])
     states = data[:, 1:-1]
     vals = data[:, -1]
-    ks = np.round(states / h).astype(int)
-    if np.max(np.abs(states - h * ks)) > 1e-9 * max(1.0, h):
+    ks, on = _on_lattice(states, h)
+    if not on.all():
         raise GameSpecError(f"states in {path} do not sit on a mesh-{h} lattice")
+    ks = ks.astype(int)
     lo = tuple(int(a) for a in ks.min(axis=0))
     hi = tuple(int(b) for b in ks.max(axis=0))
     domain = LatticeDomain(h=h, lo=lo, hi=hi)

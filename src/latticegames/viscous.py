@@ -104,5 +104,4 @@ def solve_viscous(spec: GameSpec, domain: LatticeDomain, sigma: float, *,
     # the Laplacian's jumps, sigma^2 / (2 dx^2) to each of the 2d neighbours
     slices = _sweep(spec, domain, kind, dt=dt, steps=steps,
                     extra_rate=spec.d * sigma**2 / dx**2, finish=finish)
-    return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, boundary="dirichlet",
-                       slices=slices, sigma=sigma)
+    return SolveResult(game=spec.name, kind=kind, h=dx, dt=dt, slices=slices, sigma=sigma)

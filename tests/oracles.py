@@ -299,8 +299,7 @@ def solve_rk4(spec, domain, *, kind="upper", dt=None, checkpoints=None) -> Solve
         check(values, t)
         if k in steps:
             slices.append(ValueGrid(t=t, domain=domain, values=values.copy()))
-    return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, boundary="freeze",
-                       slices=tuple(slices))
+    return SolveResult(game=spec.name, kind=kind, h=domain.h, dt=dt, slices=tuple(slices))
 
 
 def reference_chain(spec, u_policy, v_policy, x0, h, *, t0=0.0, rng=0) -> ChainPath:

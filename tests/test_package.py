@@ -1,4 +1,10 @@
-"""Package surface: the names ``latticegames`` exports."""
+"""Package surface: the names ``latticegames`` exports, and the README's examples."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +20,14 @@ TEST_ONLY = {
     chain: ("apply_generator", "chi", "jump_measure", "neighbor_tables"),
     games: ("IsaacsReport", "_ISAACS_BOX", "_check_control", "_check_state", "_check_time",
             "check_isaacs", "eval_drift", "eval_payoff"),
-    solver: ("_CEILING_NAME", "_checkpoint_steps", "_off_grid", "_resolve_dt", "_snapped_steps",
-             "auto_dt", "weighted_norm"),
+    solver: ("_CEILING_NAME", "_block_stepper", "_checkpoint_steps", "_euler_end", "_minimax",
+             "_off_grid", "_range_check", "_resolve_dt", "_snapped_steps", "auto_dt",
+             "weighted_norm"),
     viscous: ("_CEILING_NAME", "auto_cfl_dt", "viscosity_gap"),
     cli: ("_sweep_dt",),
     chain.LatticeDomain: ("contains_state", "lattice_of", "state_of"),
     simulate.ChainPath: ("final_state",),
+    solver.SolveResult: ("boundary",),
 }
 
 
@@ -33,5 +41,18 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("owner", list(TEST_ONLY), ids=lambda o: o.__name__)
 def test_test_only_names_are_gone(owner):
     names = TEST_ONLY[owner]
-    assert [name for name in names if hasattr(owner, name)] == []
+    # a dataclass field without a default is no class attribute
+    fields = getattr(owner, "__dataclass_fields__", {})
+    assert [name for name in names if hasattr(owner, name) or name in fields] == []
     assert set(names).isdisjoint(getattr(owner, "__all__", ()))
+
+
+def test_every_readme_python_block_runs_on_its_own(tmp_path):
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    env = dict(os.environ, PYTHONPATH=str(Path(lg.__file__).parents[1]))
+    for block in blocks:
+        run = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, (block, run.stderr)

@@ -202,16 +202,18 @@ def _shape_class(runs) -> str:
 
 
 def _kernel_matches_oracle(spec, dom, seed) -> set:
-    """``_minimax`` against the oracle, bit for bit, for both kinds with and
-    without the committing player's index; returns the term shapes seen."""
+    """``hamiltonian_field`` on given rates against the oracle, bit for bit,
+    for both kinds with and without the committing player's index (``index=``);
+    returns the term shapes seen."""
     rates = solver._pair_rates(spec, spec.T, dom.states(), dom.h)
     values = np.random.default_rng(seed).normal(size=dom.n_points)
     for kind in ("upper", "lower"):
         got_index, want_index = np.full((2, dom.n_points), -1, dtype=np.intp)
-        got = solver._minimax(values, rates, dom, kind, index=got_index)
+        got = lg.hamiltonian_field(values, spec, spec.T, dom, kind, rates=rates, index=got_index)
         assert got.tobytes() == oracle_minimax(values, spec, dom, kind, want_index).tobytes()
         assert got_index.tobytes() == want_index.tobytes(), kind
-        assert solver._minimax(values, rates, dom, kind).tobytes() == got.tobytes(), kind
+        assert lg.hamiltonian_field(values, spec, spec.T, dom, kind,
+                                    rates=rates).tobytes() == got.tobytes(), kind
     return {_shape_class(runs) for pair_row in rates.terms for pair in pair_row for runs in pair}
 
 

@@ -37,7 +37,7 @@ def upper_argmin(values, spec, t, dom):
     """Lowest u index attaining min_u max_v of the generator, at every point."""
     index = np.empty(dom.n_points, dtype=np.intp)
     rates = solver._pair_rates(spec, t, dom.states(), dom.h)
-    solver._minimax(values, rates, dom, "upper", index=index)
+    hamiltonian_field(values, spec, t, dom, "upper", rates=rates, index=index)
     return index
 
 
@@ -244,8 +244,8 @@ def test_kernel_results_survive_later_calls_on_the_same_rates():
         assert np.array_equal(second, hamiltonian_field(second_values, spec, 1.0, dom, kind))
     # the committing player's index on shared rates equals the one on fresh rates
     first, second = np.empty((2, dom.n_points), dtype=np.intp)
-    solver._minimax(first_values, rates, dom, "upper", index=first)
-    solver._minimax(second_values, rates, dom, "upper", index=second)
+    hamiltonian_field(first_values, spec, 1.0, dom, "upper", rates=rates, index=first)
+    hamiltonian_field(second_values, spec, 1.0, dom, "upper", rates=rates, index=second)
     assert np.array_equal(first, upper_argmin(first_values, spec, 1.0, dom))
     assert np.array_equal(second, upper_argmin(second_values, spec, 1.0, dom))
 
@@ -430,14 +430,14 @@ def test_boundary_influence_vanishes_when_pad_doubles():
 
 def test_instability_detector():
     # an anti-dissipative "generator" is emulated by a huge explicit dt on a
-    # drift whose declared bound is a lie; the runaway check must fire
+    # drift whose declared bound is a lie; the monotone check must fire
     spec = lg.GameSpec(name="lie", d=1, T=1.0,
                        drift=lambda t, x, u, v: np.array([40.0 * np.sign(float(np.atleast_1d(x)[0]) or 1.0)]),
                        u_grid=(0.0,), v_grid=(0.0,),
                        payoff=payoff_norm(),
                        R=1.0, M1=0.1, K1=0.0)
     dom = LatticeDomain(h=0.1, lo=(-40,), hi=(40,))
-    with pytest.raises(lg.StepSizeError):
+    with pytest.raises(MonotoneStepError, match="total jump rate 400 times dt=0.5 is 200 > 1"):
         solve_backward(spec, dom)
 
 

@@ -45,7 +45,7 @@ def test_result_records_sigma():
     spec = lg.g1()
     res = solve_viscous(spec, domain(dx=0.1, lo=-25, hi=25), 0.3, checkpoints=[0.0, 0.5])
     assert isinstance(res, lg.SolveResult)
-    assert res.sigma == 0.3 and res.h == 0.1 and res.boundary == "dirichlet"
+    assert res.sigma == 0.3 and res.h == 0.1
     assert res.times.tolist() == [0.5, 0.0]
     assert lg.solve_backward(spec, domain(dx=0.1, lo=-25, hi=25), checkpoints=[0.0]).sigma is None
 
@@ -100,14 +100,15 @@ def test_laplacian_equals_the_box_copy_form(shape):
 
 
 def test_range_check_fires():
-    # a drift 400 times its declared bound M1: the step under the CFL ceiling
-    # for M1 is no longer a convex combination and values leave [min g, max g]
-    spec = lg.GameSpec(name="lie", d=1, T=1.0,
-                       drift=lambda t, x, u, v: 40.0 * np.sign(x),
-                       u_grid=(0.0,), v_grid=(0.0,), payoff=lg.payoff_norm(),
-                       R=1.0, M1=0.1, K1=0.0, vectorized=True)
-    with pytest.raises(lg.StepSizeError, match="payoff range"):
-        solve_viscous(spec, domain(dx=0.1, lo=-40, hi=40), 0.0)
+    # f = x + 1 times the payoff's slope 8.5e307 overflows where x + 1 > 2.11:
+    # the step stays monotone, but the values leave [min g, max g]
+    spec = lg.GameSpec(name="overflow", d=1, T=1.0, drift=lambda t, x, u, v: x + 1.0,
+                       u_grid=(0.0,), v_grid=(0.0,), payoff=lg.payoff_linear([8.5e307]),
+                       R=8.5e307, M1=3.0, K1=1.0, vectorized=True)
+    with np.errstate(over="ignore"), pytest.raises(lg.StepSizeError) as caught:
+        solve_viscous(spec, domain(dx=0.05, lo=-40, hi=40), 0.0)
+    assert caught.type is lg.StepSizeError
+    assert str(caught.value).startswith("values at t=0.991667 leave the terminal payoff range")
 
 
 def test_boundary_ring_frozen():
