@@ -107,11 +107,10 @@ class LatticeDomain:
         a state off the mesh-h lattice (beyond ``_STATE_TOL``) or outside the box."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.d)
         k, ok = _on_lattice(xs, self.h)
-        k = k.astype(int)
         rel = k - np.asarray(self.lo)
         ok &= np.all((rel >= 0) & (k <= np.asarray(self.hi)), axis=1)
         out = np.full(len(xs), -1, dtype=np.int64)
-        out[ok] = np.ravel_multi_index(tuple(rel[ok].T), self.shape)
+        out[ok] = np.ravel_multi_index(tuple(rel[ok].astype(int).T), self.shape)
         return out
 
     def index_of_state(self, x) -> int:

@@ -159,7 +159,7 @@ def simulate_chain(spec: GameSpec, u_policy, v_policy, x0, h: float, *,
     h = _check_mesh(h, warn=False)  # kolmogorov_rates warns at a candidate
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     k0, on = _on_lattice(x0, h)
-    if not on:
+    if not np.all(on):
         raise GameSpecError(f"x0={x0.tolist()} is not on the mesh-{h} lattice")
     if not (0.0 <= t0 < spec.T):
         raise GameSpecError(f"t0={t0} outside [0, T)")

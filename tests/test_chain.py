@@ -42,6 +42,20 @@ def test_indices_of_states_marks_misses():
     assert dom.indices_of_states([1.5])[0] >= 0 and not dom.indices_of_states([0.25])[0] >= 0
 
 
+def test_a_nan_state_is_off_the_lattice(tmp_path):
+    # every on-lattice check refuses NaN, and casts no NaN to an integer
+    dom = make_domain(h=0.5, lo=(-4,), hi=(4,))
+    assert dom.indices_of_states([[np.nan], [1.5]]).tolist() == [-1, 7]
+    with pytest.raises(lg.TruncationError, match="not on the mesh-0.5 lattice"):
+        dom.index_of_state([np.nan])
+    with pytest.raises(lg.GameSpecError, match="not on the mesh-0.5 lattice"):
+        lg.simulate_chain(lg.g1(), lambda t, y: 0.0, lambda t, y: 0.0, [np.nan], 0.5)
+    path = tmp_path / "nan.csv"
+    path.write_text("t,x_1,value\n0,0,1\n0,nan,1\n")
+    with pytest.raises(lg.GameSpecError, match="do not sit on a mesh-0.5 lattice"):
+        lg.read_slice_csv(path, 0.5)
+
+
 def test_nearest_lattice_ties_round_down():
     dom = make_domain(h=0.5, lo=(-4,), hi=(4,))
     assert dom.nearest_lattice(np.array([0.74])).tolist() == [1]
