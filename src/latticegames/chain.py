@@ -66,6 +66,8 @@ class LatticeDomain:
         _check_mesh(self.h)
         if len(self.lo) != len(self.hi):
             raise GameSpecError("lo and hi must have the same length")
+        if not all(float(k).is_integer() for k in (*self.lo, *self.hi)):
+            raise GameSpecError(f"lo and hi must be integers, got lo={self.lo} hi={self.hi}")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise GameSpecError(f"empty lattice box lo={self.lo} hi={self.hi}")
         object.__setattr__(self, "lo", tuple(int(a) for a in self.lo))

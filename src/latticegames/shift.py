@@ -79,6 +79,8 @@ class Partition:
         ts = tuple(float(t) for t in self.times)
         if len(ts) < 2:
             raise GameSpecError("partition needs at least two times")
+        if not all(math.isfinite(t) for t in ts):
+            raise GameSpecError(f"partition times must be finite, got {ts}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise GameSpecError("partition times must be strictly increasing")
         object.__setattr__(self, "times", ts)
@@ -101,8 +103,10 @@ class Partition:
 
     @classmethod
     def uniform(cls, t0: float, t_end: float, diameter: float) -> "Partition":
-        if diameter <= 0 or t_end <= t0:
-            raise GameSpecError("need diameter > 0 and t_end > t0")
+        if not diameter > 0:  # NaN too
+            raise GameSpecError(f"diameter must be > 0, got {diameter}")
+        if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
+            raise GameSpecError(f"need finite t0 < t_end, got t0={t0}, t_end={t_end}")
         n = max(1, math.ceil((t_end - t0) / diameter * (1.0 - 1e-12)))
         return cls(times=tuple(t0 + (t_end - t0) * k / n for k in range(n + 1)))
 
@@ -530,14 +534,14 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
     The replicas are split into contiguous blocks, as many as the CPUs, the
     replicas and ``_MIN_BLOCK_ROWS`` rows per block allow (``_block_count``,
     the sweep's rule): the caller steps the first and a forked worker each
-    other (``_forked_blocks``).  A block builds the streams of its own
-    replicas, runs them against the whole panel and writes its rows into
-    output arrays shared with the caller, which the result views.  Every row
-    is computed apart from the rest of its batch, so each output is bitwise
-    the one-block batch's.  So is each error, by ``_forked_blocks``' rule:
-    when a block raises, the whole batch is replayed as one block in the
-    caller, and its error names the interval and row the unsplit batch
-    names; a worker that ended is a ``ResourceError``.
+    other (``_forked_blocks``).  Every block, one too, builds the streams of
+    its own replicas, runs them against the whole panel and writes its rows
+    into output arrays shared with the caller, which the result views.  Each
+    row is computed apart from the rest of its batch, so each output is
+    bitwise the one-block batch's.  So is each error, by ``_forked_blocks``'
+    rule: when one of several blocks raises, the whole batch is replayed as
+    one block in the caller, and its error names the interval and row the
+    unsplit batch names; a worker that ended is a ``ResourceError``.
     """
     if n_replicas < 2:
         raise GameSpecError("n_replicas must be >= 2")
@@ -549,8 +553,6 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
 
     rows = len(panel) * n_replicas
     n_blocks = min(n_replicas, _block_count(rows, _MIN_BLOCK_ROWS))
-    if n_blocks == 1:
-        return replicas(0, n_replicas)
     cuts = [n_replicas * b // n_blocks for b in range(n_blocks + 1)]
     width = partition.n_intervals + 1
     out = BatchOutcomes(_names(panel), n_replicas, outcomes=_shared((rows,)),

@@ -305,6 +305,8 @@ def martingale_residual(paths: Sequence[ChainPath], spec: GameSpec, h: float, ph
     checkpoints = np.asarray(sorted(float(c) for c in checkpoints))
     if len(checkpoints) == 0:
         raise GameSpecError("need at least one checkpoint")
+    if not np.all(np.isfinite(checkpoints)):
+        raise GameSpecError(f"checkpoints must be finite, got {checkpoints.tolist()}")
     if len(paths) < 2:
         raise GameSpecError("need at least 2 paths")
     phi_fn, gen_fn = _phi_and_generator(phi, a, spec, h)

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import LatticeDomain, _on_lattice, kolmogorov_rates
+from .chain import LatticeDomain, _check_mesh, _on_lattice, kolmogorov_rates
 from .errors import (GameSpecError, MonotoneStepError, ResourceError, StepSizeError,
                      TruncationError)
 from .games import GameSpec, drift_batch, payoff_batch
@@ -149,9 +149,12 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, pad: float = 0.5) -> Latti
     coordinates.  ``x0_box`` is a point, a (lo, hi) pair for d=1, or a (d, 2)
     array of per-coordinate intervals.
     """
-    if pad < 0:
-        raise GameSpecError("pad must be >= 0")
+    _check_mesh(h, warn=False)  # the domain warns for h >= 1
+    if not 0 <= pad < math.inf:  # NaN too
+        raise GameSpecError(f"pad must be finite and >= 0, got {pad}")
     box = np.asarray(x0_box, dtype=float)
+    if not np.all(np.isfinite(box)):
+        raise GameSpecError(f"x0_box must be finite, got {box.tolist()}")
     if box.ndim == 0:
         box = np.full((spec.d, 2), float(box))
     elif box.ndim == 1:
@@ -350,6 +353,33 @@ def _neighbor_diffs(values: np.ndarray, shape: tuple[int, ...], d_up: np.ndarray
         _, _, first, last = _axis_slices(len(shape), i)
         du.reshape(shape)[last] = 0.0
         dd.reshape(shape)[first] = 0.0
+
+
+def _laplacian(values: np.ndarray, shape: tuple[int, ...], axes: list[tuple], dx2: float,
+               lap: np.ndarray, second: np.ndarray, two: np.ndarray) -> None:
+    """Write into ``lap`` the centered Laplacian sum_i ((V[up_i] - 2V) +
+    V[down_i]) / dx2 of the C-order box ``shape``, an out-of-box neighbour
+    read as the point itself; ``axes`` holds ``_axis_slices`` per axis.
+
+    The neighbours are read straight from the box into the work row
+    ``second``; ``two`` receives 2V once.  The first axis's quotient is
+    written into ``lap`` directly, so a sum of -0.0 terms stays -0.0 where a
+    sum from +0.0 would not; the step adds ``lap`` to a field that holds no
+    -0.0, which makes the two sums give the same bits.
+    """
+    box = values.reshape(shape)
+    np.multiply(values, 2.0, out=two)
+    two_box, sec = two.reshape(shape), second.reshape(shape)
+    for i, (below, above, first, last) in enumerate(axes):
+        np.subtract(box[above], two_box[below], out=sec[below])
+        np.subtract(box[last], two_box[last], out=sec[last])
+        np.add(sec[above], box[below], out=sec[above])
+        np.add(sec[first], box[first], out=sec[first])
+        if i == 0:
+            np.divide(second, dx2, out=lap)
+        else:
+            np.divide(second, dx2, out=second)
+            lap += second
 
 
 def _upwind_generator(terms: tuple, ups: np.ndarray, rates: np.ndarray, d_up: np.ndarray,
@@ -590,14 +620,15 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
     fails (no process to spare) itself.  Yields ``evaluate(k)``, which runs
     evaluation k of every block, one command byte and one reply per worker.
 
-    This is the one place a block's failure becomes an error.  When any
-    block of evaluation k raises something other than a dead worker's
-    ``ResourceError`` (naming ``what``), ``evaluate`` runs ``whole(k)``,
-    evaluation k of the computation as one block, in the caller and raises
-    what it raises; so an error is the one-block computation's, whichever
-    blocks fail.  Should the replay raise nothing, or only dead workers
-    fail, it raises the error of the first block that failed.  The workers
-    are reaped on exit, return or raise."""
+    This is the one place a block's failure becomes an error.  When one of
+    several blocks of evaluation k raises something other than a dead
+    worker's ``ResourceError`` (naming ``what``), ``evaluate`` runs
+    ``whole(k)``, evaluation k of the computation as one block, in the
+    caller and raises what it raises; so an error is the one-block
+    computation's, whichever blocks fail.  It replays only when there are
+    several blocks: one block is the whole computation.  Should the replay
+    raise nothing, or only dead workers fail, it raises the error of the
+    first block that failed.  The workers are reaped on exit, return or raise."""
     # (block, pid, command fd, reply pipe) per worker
     workers: list[tuple[int, int, int, io.BufferedReader]] = []
     mine = [0]  # the blocks the caller evaluates
@@ -630,7 +661,7 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
                 if error is not None:
                     errors.append((b, error))
             if errors:
-                if len(errors) > dead:  # a dead worker leaves no error to replay
+                if n_blocks > 1 and len(errors) > dead:  # a dead worker leaves none to replay
                     whole(k)
                 raise min(errors, key=lambda error: error[0])[1]
 
@@ -647,14 +678,16 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
 
 
 def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
-           steps: Sequence[int], extra_rate: float = 0.0, finish: Callable | None = None,
+           steps: Sequence[int], sigma: float | None = None,
            feedback: tuple[np.ndarray, Callable[[int], None]] | None = None
            ) -> tuple[ValueGrid, ...]:
     """Backward explicit sweep from the terminal payoff g at T.
 
     Step k maps slice k-1, at t = T - (k-1)*dt, to slice k: the kernel
-    (``hamiltonian_field``) at t, then ``finish(box)(field, values, dt)`` in
-    place on a block's box (default: values + dt * field).  ``steps`` are
+    (``hamiltonian_field``) at t, plus sigma^2/2 times the centered
+    Laplacian (``_laplacian``) when sigma > 0, then values + dt * field; a
+    viscous sweep (``sigma`` set) then copies the boundary ring, the 2d faces
+    of a block's box, back from the values it stepped.  ``steps`` are
     the ascending steps of ``_schedule``, whose grid never runs past t = 0:
     the sweep runs to the last of them and records their slices.  With
     ``feedback`` = (index, pack) the kernel writes the committing player's
@@ -669,13 +702,13 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     ``_check_autonomous``), else at each kernel time.  Every operation is
     pointwise, so each row gets the whole-domain step's bits.  Each block
     checks its own step: every rate build of a step k <= n_steps must keep
-    it monotone (``_check_monotone``, with ``extra_rate``), and its rows of
-    slice k must stay in [min g, max g], the maximum principle
-    (``StepSizeError`` otherwise).  When a block fails, ``_forked_blocks``
-    replays the step on the slabs (0, domain.shape[0]), the whole domain,
-    and raises its error, so every error is the one-block sweep's.  Workers
-    are reaped before this returns or raises.  Returns the recorded slices
-    by decreasing time.
+    it monotone (``_check_monotone``, plus the Laplacian's rate), and its
+    rows of slice k must stay in [min g, max g], the maximum principle
+    (``StepSizeError`` otherwise).  When one of several blocks fails,
+    ``_forked_blocks`` replays the step on the slabs (0, domain.shape[0]),
+    the whole domain, and raises its error, so every error is the one-block
+    sweep's.  Workers are reaped before this returns or raises.  Returns the
+    recorded slices by decreasing time.
     """
     states = domain.states()
     if spec.autonomous:
@@ -690,6 +723,9 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     blocks = _block_slabs(domain)
     index, pack = feedback or (None, None)
     size = domain.n_points // domain.shape[0]
+    # the Laplacian's jumps, sigma^2 / (2 h^2) to each of the 2d neighbours
+    extra_rate = 0.0 if sigma is None else spec.d * sigma**2 / domain.h**2
+    axes = [_axis_slices(spec.d, i) for i in range(spec.d)]
 
     def stepper(slabs: tuple[int, int]) -> Callable[[int], None]:
         a, b = slabs
@@ -698,7 +734,8 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
                             hi=(domain.lo[0] + hi - 1, *domain.hi[1:]))
         ext, rows = slice(lo * size, hi * size), slice(a * size, b * size)
         own = slice(rows.start - ext.start, rows.stop - ext.start)
-        end = finish(box) if finish else None
+        if sigma:  # the Laplacian's work rows, reused by every step of this block
+            lap, second, two = np.empty((3, box.n_points))
         box_index = None if index is None else np.empty(box.n_points, dtype=index.dtype)
         rates = None
 
@@ -715,11 +752,17 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
             if index is not None:
                 index[rows] = box_index[own]
             if k <= n_steps:
-                if end:
-                    end(field, values, dt)
-                else:
-                    field *= dt
-                    field += values
+                if sigma:
+                    _laplacian(values, box.shape, axes, domain.h * domain.h, lap, second, two)
+                    np.multiply(lap, 0.5 * sigma**2, out=lap)
+                    field += lap
+                field *= dt
+                field += values
+                if sigma is not None:  # hold the ring; a halo slab's face is not kept
+                    held, frozen = values.reshape(box.shape), field.reshape(box.shape)
+                    for _, _, first, last in axes:
+                        frozen[first] = held[first]
+                        frozen[last] = held[last]
                 new = slices[k % 2, rows]
                 new[:] = field[own]
                 # written so that a NaN anywhere fails the comparison too

@@ -74,6 +74,16 @@ def test_mesh_validation():
         LatticeDomain(h=1.5, lo=(0,), hi=(1,))
 
 
+def test_a_non_integral_bound_is_refused():
+    # int() would truncate lo=0.5 to 0 without a word
+    for lo, hi in [((0.5,), (3,)), ((0,), (np.nan,)), ((0,), (np.inf,))]:
+        with pytest.raises(lg.GameSpecError, match="lo and hi must be integers"):
+            LatticeDomain(h=0.1, lo=lo, hi=hi)
+    dom = LatticeDomain(h=0.1, lo=(np.int64(-2), 1.0), hi=(3.0, np.int32(4)))
+    assert (dom.lo, dom.hi) == ((-2, 1), (3, 4))
+    assert all(type(k) is int for k in dom.lo + dom.hi)
+
+
 def test_jump_measure_single_coordinate():
     # f = 2 at mesh 0.5: one jump of +0.5 at rate 4
     spec = lg.GameSpec(name="c", d=1, T=1.0,

@@ -1,5 +1,6 @@
 """Package surface: the names ``latticegames`` exports, and the README's examples."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -23,7 +24,7 @@ TEST_ONLY = {
     solver: ("_CEILING_NAME", "_block_stepper", "_checkpoint_steps", "_euler_end", "_minimax",
              "_off_grid", "_range_check", "_resolve_dt", "_snapped_steps", "auto_dt",
              "weighted_norm"),
-    viscous: ("_CEILING_NAME", "auto_cfl_dt", "viscosity_gap"),
+    viscous: ("_CEILING_NAME", "_laplacian", "auto_cfl_dt", "viscosity_gap"),
     cli: ("_sweep_dt",),
     chain.LatticeDomain: ("contains_state", "lattice_of", "state_of"),
     simulate.ChainPath: ("final_state",),
@@ -45,6 +46,12 @@ def test_test_only_names_are_gone(owner):
     fields = getattr(owner, "__dataclass_fields__", {})
     assert [name for name in names if hasattr(owner, name) or name in fields] == []
     assert set(names).isdisjoint(getattr(owner, "__all__", ()))
+
+
+def test_the_sweep_takes_no_step_hook():
+    # the viscous step is the sweep's own, chosen by sigma
+    params = inspect.signature(solver._sweep).parameters
+    assert "sigma" in params and not {"finish", "extra_rate"} & set(params)
 
 
 def test_every_readme_python_block_runs_on_its_own(tmp_path):

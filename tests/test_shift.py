@@ -3,11 +3,13 @@
 import dataclasses
 import os
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import latticegames as lg
+from latticegames import shift
 from latticegames.shift import _ROW_FIELDS, _aim
 from oracles import forced_blocks
 
@@ -34,6 +36,18 @@ def test_partition_validation():
         lg.Partition(times=(0.0, 0.5, 0.5))
     with pytest.raises(lg.GameSpecError):
         lg.Partition.uniform(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: lg.Partition(times=(0.0, np.nan, 1.0)), "partition times must be finite"),
+    (lambda: lg.Partition(times=(0.0, np.inf)), "partition times must be finite"),
+    (lambda: lg.Partition.uniform(0.0, 1.0, np.nan), "diameter must be > 0, got nan"),
+    (lambda: lg.Partition.uniform(0.0, np.nan, 0.1), "need finite t0 < t_end"),
+    (lambda: lg.Partition.uniform(0.0, np.inf, 0.1), "need finite t0 < t_end"),
+], ids=["times-nan", "times-inf", "diameter-nan", "t_end-nan", "t_end-inf"])
+def test_partition_refuses_non_finite_times(make, message):
+    with pytest.raises(lg.GameSpecError, match=message):
+        make()
 
 
 def test_partition_uniform():
@@ -439,6 +453,35 @@ def test_engine_blocks_raise_the_one_block_errors(g1_solution, trips, message):
     assert run() == message
     with forced_blocks(3):  # replicas 0-2, 3-5 and 6-9
         assert run() == message
+    _no_children_left()
+
+
+def test_a_one_block_batch_is_its_replicas_run_as_one(g1_solution):
+    spec, table = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.1)
+    panel = lg.standard_adversaries(spec)
+    rngs = [lg.replica_rng(4, i) for i in range(7)]
+    want = _rows(shift._run_replicas(spec, table, part, [0.0], panel, rngs,
+                                     record_paths=False)[0])
+    with forced_blocks(1), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        batch = lg.run_extremal_shift_batch(spec, table, part, [0.0], panel, n_replicas=7,
+                                            seed=4)
+    assert fork.call_count == 0
+    assert _rows(batch) == want
+
+
+def test_a_one_block_batch_that_raises_is_run_once(g1_solution):
+    spec, table = g1_solution
+    part = lg.Partition.uniform(0.0, 1.0, 0.1)
+    recorder = _Recorder()
+    lg.run_extremal_shift_batch(spec, table, part, [0.0], [recorder], n_replicas=10, seed=3)
+    adversary = _Tripwire({recorder.keys[9]: 3})
+    with forced_blocks(1), mock.patch.object(shift, "_run_replicas",
+                                             wraps=shift._run_replicas) as run:
+        with pytest.raises(lg.GameSpecError, match="tripped at interval 3, row 9"):
+            lg.run_extremal_shift_batch(spec, table, part, [0.0], [adversary], n_replicas=10,
+                                        seed=3)
+    assert run.call_count == 1
     _no_children_left()
 
 

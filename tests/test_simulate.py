@@ -199,6 +199,13 @@ def test_martingale_residual_validation(chain_paths):
             lg.martingale_residual(few, spec, h, "linear", [2.0], [0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_martingale_residual_refuses_a_non_finite_checkpoint(chain_paths, bad):
+    spec, h, paths = chain_paths
+    with pytest.raises(lg.GameSpecError, match="checkpoints must be finite"):
+        lg.martingale_residual(paths, spec, h, "linear", [1.0], [0.5, bad])
+
+
 def _state_at_loop(path, t):
     ts = path.times
     if t <= ts[0]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,6 +290,18 @@ def test_solve_dt_above_ceiling_rejected():
     dom = g1_domain()
     with pytest.raises(lg.StepSizeError, match="stability ceiling"):
         solve_backward(spec, dom, dt=0.5)
+
+
+@pytest.mark.parametrize("x0_box, h, pad, message", [
+    ([np.nan, 0.0], 0.05, 0.5, "x0_box must be finite"),
+    ([np.inf, 0.0], 0.05, 0.5, "x0_box must be finite"),
+    ([0.0, 0.0], 0.05, np.nan, "pad must be finite and >= 0, got nan"),
+    ([0.0, 0.0], 0.05, np.inf, "pad must be finite and >= 0, got inf"),
+    ([0.0, 0.0], np.nan, 0.5, "mesh h must be positive, got nan"),
+], ids=["x0-nan", "x0-inf", "pad-nan", "pad-inf", "h-nan"])
+def test_truncate_domain_refuses_non_finite_input(x0_box, h, pad, message):
+    with pytest.raises(lg.GameSpecError, match=message):
+        truncate_domain(lg.g2(), x0_box, h, pad=pad)
 
 
 def test_a_nan_dt_or_checkpoint_is_refused():
@@ -895,6 +908,18 @@ def test_block_sweeps_raise_the_one_block_errors(run, error, message):
     assert one[0] is error and re.match(message, one[1]), one
     with forced_blocks(3):
         assert _error_of(run) == one
+    _no_children_left()
+
+
+def test_a_one_block_sweep_that_raises_is_stepped_once():
+    # one block is the whole domain: its error is raised without a replay
+    spec = game_from_dict(LAST_BLOCK_RUSH)
+    dom = truncate_domain(spec, [0.0, 0.0], 0.1)
+    with forced_blocks(1), mock.patch.object(solver, "_check_monotone",
+                                             wraps=solver._check_monotone) as check:
+        with pytest.raises(MonotoneStepError, match=r"total jump rate 45 times dt=0\.025"):
+            solve_backward(spec, dom)
+    assert check.call_count == 1
     _no_children_left()
 
 

@@ -6,7 +6,8 @@ import pytest
 import latticegames as lg
 from latticegames import solver
 from latticegames.chain import LatticeDomain
-from latticegames.viscous import _laplacian, cfl_ceiling, solve_viscous
+from latticegames.solver import _laplacian
+from latticegames.viscous import cfl_ceiling, solve_viscous
 from oracles import neighbor_tables
 
 
@@ -27,6 +28,21 @@ def test_dt_above_cfl_rejected():
     spec = lg.g1()
     with pytest.raises(lg.StepSizeError):
         solve_viscous(spec, domain(), 0.3, dt=0.1)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_a_non_finite_sigma_is_refused(sigma):
+    with pytest.raises(lg.GameSpecError, match=f"sigma must be finite and >= 0, got {sigma}"):
+        solve_viscous(lg.g1(), domain(), sigma)
+
+
+def test_both_sweeps_refuse_an_unknown_kind():
+    spec, dom = lg.g1(), domain()
+    message = r"kind must be one of \('upper', 'lower'\), got 'middle'"
+    with pytest.raises(lg.GameSpecError, match=message):
+        lg.solve_backward(spec, dom, kind="middle")
+    with pytest.raises(lg.GameSpecError, match=message):
+        solve_viscous(spec, dom, 0.1, kind="middle")
 
 
 def test_zero_viscosity_matches_backward_euler():
