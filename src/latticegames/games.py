@@ -41,7 +41,8 @@ class GameSpec:
 
     Attributes
     ----------
-    name:      short identifier used in file names and reports.
+    name:      short identifier used in file names and reports; printable,
+               with no space at either end.
     d:         state dimension.
     T:         horizon; play happens on [0, T].
     drift:     ``f(t, x, u, v) -> dx/dt``; must accept one state ``x`` of
@@ -88,6 +89,11 @@ class GameSpec:
     autonomous: bool = False
 
     def __post_init__(self):
+        # the name is a value of the slice metadata's one-line "# game=..." comment
+        if not (isinstance(self.name, str) and self.name.isprintable()
+                and self.name == self.name.strip()):
+            raise GameSpecError(f"game name must be printable, with no space at either end, "
+                                f"got {self.name!r}")
         if self.d < 1:
             raise GameSpecError(f"state dimension must be >= 1, got {self.d}")
         if not (self.T > 0 and math.isfinite(self.T)):

@@ -52,17 +52,18 @@ from .chain import kolmogorov_rates, pick_axis
 from .errors import GameSpecError
 from .games import GameSpec, drift_batch, payoff_batch
 from .simulate import RngLike, as_rng, check_majorant, replica_rng, rate_majorant
-from .solver import FeedbackTable, _TIME_FUZZ, _block_count, _forked_blocks, _shared
+from .solver import FeedbackTable, _TIME_FUZZ, _forked_blocks, _shared
 
 # ODE substep rule inside one partition interval
 _SUBSTEP_FRACTION = 0.25
 _SUBSTEP_HORIZON_FRACTION = 1e-3
 
-# fewest rows (replica, adversary) a block of its own pays for: each block
-# repeats the engine's per-call overhead, about 0.2 s for g2, so one and two
-# blocks on 2 CPUs took the same time at about 1400 rows of the four-policy
-# g2 panel (350 replicas) and 1000 rows of one policy; two blocks took 0.85x
-# at 2000 rows and 0.67x at 8000
+# fewest rows (replica, adversary) per block: each block repeats the engine's
+# per-call cost, 0.17-0.23 s at 200 rows of the four-policy g2 panel, so on 2
+# CPUs (medians of 5 alternating runs, two sets) one and two blocks took the
+# same time between 1000 and 1400 rows of that panel and between 1000 and 2000
+# rows of one policy; two blocks took 0.85x at 2000 rows of the panel and
+# 0.76-0.79x at 4000
 _MIN_BLOCK_ROWS = 700
 
 # the per-row fields of a BatchOutcomes, in field order
@@ -531,45 +532,39 @@ def run_extremal_shift_batch(spec: GameSpec, eta: FeedbackTable, partition: Part
     from the documented stream SeedSequence(entropy=seed, spawn_key=(i,))
     against every adversary, identical to a looped sequence of single runs.
 
-    The replicas are split into contiguous blocks, as many as the CPUs, the
-    replicas and ``_MIN_BLOCK_ROWS`` rows per block allow (``_block_count``,
-    the sweep's rule): the caller steps the first and a forked worker each
-    other (``_forked_blocks``).  Every block, one too, builds the streams of
-    its own replicas, runs them against the whole panel and writes its rows
-    into output arrays shared with the caller, which the result views.  Each
-    row is computed apart from the rest of its batch, so each output is
-    bitwise the one-block batch's.  So is each error, by ``_forked_blocks``'
-    rule: when one of several blocks raises, the whole batch is replayed as
-    one block in the caller, and its error names the interval and row the
-    unsplit batch names; a worker that ended is a ``ResourceError``.
+    ``_forked_blocks`` cuts the replicas into contiguous blocks, as many as
+    the CPUs, the replicas and ``_MIN_BLOCK_ROWS`` rows per block allow (the
+    sweep's rule): the caller steps the first and a forked worker each
+    other.  Every block [lo, hi), one too, builds the streams of its own
+    replicas, runs them against the whole panel and writes its rows into
+    output arrays shared with the caller, which the result views.  Each row
+    is computed apart from the rest of its batch, so each output is bitwise
+    the one-block batch's.  So is each error, by ``_forked_blocks``' rule:
+    when one of several blocks raises, it replays ``stepper(0, n_replicas)``,
+    the whole batch as one block, in the caller, and its error names the
+    interval and row the unsplit batch names; a worker that ended is a
+    ``ResourceError``.
     """
     if n_replicas < 2:
         raise GameSpecError("n_replicas must be >= 2")
     panel = tuple(adversaries)
 
-    def replicas(lo: int, hi: int) -> BatchOutcomes:
-        rngs = [replica_rng(seed, i) for i in range(lo, hi)]
-        return _run_replicas(spec, eta, partition, x0, panel, rngs, record_paths=False)[0]
-
     rows = len(panel) * n_replicas
-    n_blocks = min(n_replicas, _block_count(rows, _MIN_BLOCK_ROWS))
-    cuts = [n_replicas * b // n_blocks for b in range(n_blocks + 1)]
     width = partition.n_intervals + 1
     out = BatchOutcomes(_names(panel), n_replicas, outcomes=_shared((rows,)),
                         model_outcomes=_shared((rows,)), sq_gap=_shared((rows, width)),
                         n_jumps=_shared((rows,), np.int64), n_frozen=_shared((rows,), np.int64))
 
-    def stepper(b: int):
-        lo, hi = cuts[b], cuts[b + 1]
-
+    def stepper(lo: int, hi: int):
         def step(k: int) -> None:
-            block = replicas(lo, hi)
+            rngs = [replica_rng(seed, i) for i in range(lo, hi)]
+            block = _run_replicas(spec, eta, partition, x0, panel, rngs, record_paths=False)[0]
             for field in _ROW_FIELDS:  # rows a * n_replicas + i, i in [lo, hi)
                 whole = getattr(out, field).reshape(len(panel), n_replicas, -1)
                 whole[:, lo:hi] = getattr(block, field).reshape(len(panel), hi - lo, -1)
         return step
 
-    with _forked_blocks(n_blocks, stepper, "coupling engine",
-                        lambda k: replicas(0, n_replicas)) as evaluate:
+    with _forked_blocks(n_replicas, rows, _MIN_BLOCK_ROWS, stepper,
+                        "coupling engine") as evaluate:
         evaluate(1)
     return out

@@ -167,14 +167,20 @@ def truncate_domain(spec: GameSpec, x0_box, h: float, pad: float = 0.5) -> Latti
     if box.shape != (spec.d, 2) or np.any(box[:, 0] > box[:, 1]):
         raise GameSpecError(f"x0_box must be (d, 2) intervals, got {box!r}")
     radius = spec.M1 * spec.T + pad
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite((box + [-radius, radius]) / h)):
+            raise GameSpecError(f"x0_box {box.tolist()}, inflated by {radius:g}, has lattice "
+                                f"coordinates past the float range at h={h:g}")
     lo = tuple(_lattice_floor(box[i, 0] - radius, h) for i in range(spec.d))
     hi = tuple(_lattice_ceil(box[i, 1] + radius, h) for i in range(spec.d))
-    n = int(np.prod([b - a + 1 for a, b in zip(lo, hi)]))
+    n = math.prod(b - a + 1 for a, b in zip(lo, hi))  # a Python int: no wrap past int64
     if n > _MAX_POINTS:
-        # suggest the coarsest refinement that fits the budget
-        suggested = h * (n / _MAX_POINTS) ** (1.0 / spec.d)
+        # suggest the coarsest refinement that fits the budget, in logarithms: n
+        # may lie past the float range
+        suggested = h * math.exp((math.log(n) - math.log(_MAX_POINTS)) / spec.d)
+        shown = n if n < 10**18 else f"about 1e{math.floor(math.log10(n))}"
         raise ResourceError(
-            f"domain would hold {n} points (> budget {_MAX_POINTS}); try h >= {suggested:.3g}"
+            f"domain would hold {shown} points (> budget {_MAX_POINTS}); try h >= {suggested:.3g}"
         )
     return LatticeDomain(h=h, lo=lo, hi=hi)
 
@@ -526,35 +532,19 @@ def _schedule(spec: GameSpec, h: float, sigma: float | None, dt: float | None,
 # the sweep, in blocks of axis-0 slabs stepped by forked workers
 
 
-# fewest lattice points a block of its own pays for: a step's two pipe
-# wake-ups and the fork per sweep cost about what splitting 16 129 points of
-# g2 or 16 001 of g1 saves (same times in one and two blocks on 2 CPUs; two
-# blocks took 0.75x at 21 025 points of g2 and 0.6x at 32 001 of g1)
+# fewest lattice points per block: a step's two pipe wake-ups and the fork
+# per sweep cost about what splitting 16 000 points saves.  On 2 CPUs (medians
+# of 5 alternating runs) one and two blocks took the same time at 16 129
+# points of g2 (h=0.05) and 12 001-16 001 of g1 (h=0.02); two blocks took
+# 0.62x at 21 025 points of g2, 0.74x at 24 001 of g1 and 0.55-0.66x at 40 000
+# of either.  A sweep splits in two from 2 * 16 384 points, so up to 32 767
+# points it keeps one block where two would be faster
 _MIN_BLOCK_POINTS = 16384
 
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _block_count(work: int, min_work: int) -> int:
-    """How many blocks to split ``work`` units into: as many as the CPUs
-    and ``min_work`` units per block allow.  One when the process cannot
-    fork, or when another thread is alive: a forked child holds only the
-    forking thread, and a lock another thread held stays locked in it.  The
-    sweep and the coupling engine both split by this rule."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_cpu_count(), work // min_work))
-
-
-def _block_slabs(domain: LatticeDomain) -> list[tuple[int, int]]:
-    """A sweep's blocks: runs [a, b) of whole axis-0 slabs, as many as
-    ``_block_count`` gives for the lattice points and the slabs allow."""
-    n = min(domain.shape[0], _block_count(domain.n_points, _MIN_BLOCK_POINTS))
-    cuts = [domain.shape[0] * i // n for i in range(n + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _shared(shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -612,33 +602,45 @@ def _fork_worker(make: Callable[[], Callable[[int], object]],
 
 
 @contextlib.contextmanager
-def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], object]],
-                   what: str, whole: Callable[[int], object]) -> Iterator[Callable[[int], None]]:
-    """Blocks 0, ..., n_blocks - 1 of one computation, block b evaluated by
-    ``stepper(b)``: the caller evaluates block 0, and a worker forked here
+def _forked_blocks(units: int, work: int, min_work: int,
+                   stepper: Callable[[int, int], Callable[[int], object]],
+                   what: str) -> Iterator[Callable[[int], None]]:
+    """One computation over ``units`` units, ``work`` in all, in blocks: as
+    many as the CPUs, the units and ``min_work`` work per block allow, and one
+    when the process cannot fork or another thread is alive (a forked child
+    holds only the forking thread, and a lock another thread held stays
+    locked in it).  Of n blocks, block b holds the units [a, c) with a =
+    units*b // n and c = units*(b+1) // n, and ``stepper(a, c)`` evaluates
+    it: the caller evaluates the first block, and a worker forked here
     (``_fork_worker``) each other; the caller evaluates a block whose fork
     fails (no process to spare) itself.  Yields ``evaluate(k)``, which runs
     evaluation k of every block, one command byte and one reply per worker.
+    The sweep and the coupling engine both split by this rule.
 
     This is the one place a block's failure becomes an error.  When one of
     several blocks of evaluation k raises something other than a dead
     worker's ``ResourceError`` (naming ``what``), ``evaluate`` runs
-    ``whole(k)``, evaluation k of the computation as one block, in the
-    caller and raises what it raises; so an error is the one-block
+    ``stepper(0, units)(k)``, evaluation k of the computation as one block,
+    in the caller and raises what it raises; so an error is the one-block
     computation's, whichever blocks fail.  It replays only when there are
     several blocks: one block is the whole computation.  Should the replay
     raise nothing, or only dead workers fail, it raises the error of the
     first block that failed.  The workers are reaped on exit, return or raise."""
-    # (block, pid, command fd, reply pipe) per worker
-    workers: list[tuple[int, int, int, io.BufferedReader]] = []
-    mine = [0]  # the blocks the caller evaluates
+    n_blocks = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        n_blocks = max(1, min(units, _cpu_count(), work // min_work))
+    cuts = [units * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = list(zip(cuts, cuts[1:]))
+    # ((a, c), pid, command fd, reply pipe) per worker
+    workers: list[tuple[tuple[int, int], int, int, io.BufferedReader]] = []
+    mine = blocks[:1]  # the blocks the caller evaluates
     try:
-        for b in range(1, n_blocks):
+        for block in blocks[1:]:
             try:
-                workers.append((b, *_fork_worker(functools.partial(stepper, b), workers)))
+                workers.append((block, *_fork_worker(functools.partial(stepper, *block), workers)))
             except OSError:  # no process to spare (EAGAIN): the caller evaluates it
-                mine.append(b)
-        evaluators = [(b, stepper(b)) for b in mine]
+                mine.append(block)
+        evaluators = [(block, stepper(*block)) for block in mine]
 
         def evaluate(k: int) -> None:
             for _, _, cmd, _ in workers:
@@ -662,7 +664,7 @@ def _forked_blocks(n_blocks: int, stepper: Callable[[int], Callable[[int], objec
                     errors.append((b, error))
             if errors:
                 if n_blocks > 1 and len(errors) > dead:  # a dead worker leaves none to replay
-                    whole(k)
+                    stepper(0, units)(k)
                 raise min(errors, key=lambda error: error[0])[1]
 
         yield evaluate
@@ -694,9 +696,10 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     control index into the shared row ``index`` and ``pack(j)`` reads it
     for slice j, the last slice's after one more evaluation.
 
-    The caller and forked workers (``_forked_blocks``) step the blocks of
-    ``_block_slabs`` over a shared double buffer of slices.  ``stepper``
-    steps axis-0 slabs [a, b) on their box plus one halo slab on each side
+    ``_forked_blocks`` cuts the axis-0 slabs into blocks, by the lattice
+    points and ``_MIN_BLOCK_POINTS``, which the caller and forked workers
+    step over a shared double buffer of slices.  ``stepper(a, b)`` steps
+    slabs [a, b) on their box plus one halo slab on each side
     (a jump moves one slab at most), with rates built on the box's points:
     once, at T, for an autonomous spec (spot-checked by
     ``_check_autonomous``), else at each kernel time.  Every operation is
@@ -705,7 +708,7 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     it monotone (``_check_monotone``, plus the Laplacian's rate), and its
     rows of slice k must stay in [min g, max g], the maximum principle
     (``StepSizeError`` otherwise).  When one of several blocks fails,
-    ``_forked_blocks`` replays the step on the slabs (0, domain.shape[0]),
+    ``_forked_blocks`` replays the step as ``stepper(0, domain.shape[0])``,
     the whole domain, and raises its error, so every error is the one-block
     sweep's.  Workers are reaped before this returns or raises.  Returns the
     recorded slices by decreasing time.
@@ -720,15 +723,13 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
     tol = 1e-12 * max(1.0, abs(g_lo), abs(g_hi))
     recorded = [ValueGrid(t=spec.T, domain=domain, values=slices[0].copy())
                 ] if 0 in steps else []
-    blocks = _block_slabs(domain)
     index, pack = feedback or (None, None)
     size = domain.n_points // domain.shape[0]
     # the Laplacian's jumps, sigma^2 / (2 h^2) to each of the 2d neighbours
     extra_rate = 0.0 if sigma is None else spec.d * sigma**2 / domain.h**2
     axes = [_axis_slices(spec.d, i) for i in range(spec.d)]
 
-    def stepper(slabs: tuple[int, int]) -> Callable[[int], None]:
-        a, b = slabs
+    def stepper(a: int, b: int) -> Callable[[int], None]:
         lo, hi = max(a - 1, 0), min(b + 1, domain.shape[0])
         box = LatticeDomain(h=domain.h, lo=(domain.lo[0] + lo, *domain.lo[1:]),
                             hi=(domain.lo[0] + hi - 1, *domain.hi[1:]))
@@ -772,8 +773,8 @@ def _sweep(spec: GameSpec, domain: LatticeDomain, kind: str, *, dt: float,
                         f"[{g_lo:.6g}, {g_hi:.6g}]; reduce dt")
         return evaluate
 
-    with _forked_blocks(len(blocks), lambda b: stepper(blocks[b]), "sweep",
-                        lambda k: stepper((0, domain.shape[0]))(k)) as evaluate:
+    with _forked_blocks(domain.shape[0], domain.n_points, _MIN_BLOCK_POINTS, stepper,
+                        "sweep") as evaluate:
         for k in range(1, n_steps + 1 + (feedback is not None)):
             evaluate(k)
             if pack is not None:

@@ -127,6 +127,36 @@ def test_converge_rejects_a_reference_of_another_game(tmp_path, capsys):
     assert not (tmp_path / "converge.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["two\nlines", " padded "])
+def test_solve_refuses_a_game_name_the_slice_metadata_cannot_hold(tmp_path, capsys, name):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "name": name, "d": 1, "T": 1.0, "u_grid": [-1, 0, 1], "v_grid": [-0.5, 0, 0.5],
+        "drift": {"kind": "control_sum"}, "payoff": {"kind": "norm"},
+        "R": 1, "M1": 1.5, "K1": 0}))
+    assert run("solve", "--game", str(game), "--h", "0.05", "--out", str(tmp_path)) == 2
+    assert f"game name must be printable, with no space at either end, got {name!r}" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--game", "g2", "--h", "1e-300"),
+    ("solve", "--game", "g2", "--pad", "1e300"),
+    ("solve", "--game", "g2", "--x0", "1e308", "1e308"),
+    ("converge", "--game", "g1", "--x0", "1e308"),
+])
+def test_extreme_finite_input_is_refused_without_a_traceback(tmp_path, capsys, argv):
+    code = run(*argv, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    if "--x0" in argv:
+        assert code == 2 and "past the float range" in err
+    else:
+        assert code == 3 and re.search(r"domain would hold about 1e\d+ points "
+                                       r"\(> budget 4000000\); try h >= \S+$", err.strip())
+        assert math.isfinite(float(err.strip().rsplit(" ", 1)[1]))
+
+
 def test_converge_checks_the_reference_metadata_before_its_rows(tmp_path, capsys):
     # rows no parser accepts: the game check must not need them
     ref = tmp_path / "eta_upper_t0.csv"

@@ -1,6 +1,7 @@
 """Game catalog, drift/payoff evaluation, and Isaacs condition checks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,25 @@ def test_game_from_dict_roundtrip(tmp_path):
     path.write_text(json.dumps(data))
     spec2 = lg.load_game(path)
     assert spec2.d == 1 and spec2.M1 == 1.5
+
+
+G1_DATA = {"d": 1, "T": 1.0, "drift": {"kind": "control_sum"}, "u_grid": [-1.0, 0.0, 1.0],
+           "v_grid": [-0.5, 0.0, 0.5], "payoff": {"kind": "norm"}, "R": 1.0, "M1": 1.5,
+           "K1": 0.0}
+
+
+@pytest.mark.parametrize("name", ["two\nlines", " padded "])
+def test_a_name_the_slice_metadata_cannot_hold_is_refused(tmp_path, name):
+    # a "# game=..." comment line holds one line, read back stripped
+    message = "game name must be printable, with no space at either end, got " + repr(name)
+    with pytest.raises(lg.GameSpecError, match=re.escape(message)):
+        game_from_dict({**G1_DATA, "name": name})
+    with pytest.raises(lg.GameSpecError, match=re.escape(message)):
+        game_from_dict(G1_DATA, name=name)
+    path = tmp_path / f"{name}.json"  # the file stem is the default name
+    path.write_text(json.dumps(G1_DATA))
+    with pytest.raises(lg.GameSpecError, match=re.escape(message)):
+        lg.load_game(path)
 
 
 def test_game_from_dict_rejects_bad_input():

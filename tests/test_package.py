@@ -21,9 +21,9 @@ TEST_ONLY = {
     chain: ("apply_generator", "chi", "jump_measure", "neighbor_tables"),
     games: ("IsaacsReport", "_ISAACS_BOX", "_check_control", "_check_state", "_check_time",
             "check_isaacs", "eval_drift", "eval_payoff"),
-    solver: ("_CEILING_NAME", "_block_stepper", "_checkpoint_steps", "_euler_end", "_minimax",
-             "_off_grid", "_range_check", "_resolve_dt", "_snapped_steps", "auto_dt",
-             "weighted_norm"),
+    solver: ("_CEILING_NAME", "_block_count", "_block_slabs", "_block_stepper",
+             "_checkpoint_steps", "_euler_end", "_minimax", "_off_grid", "_range_check",
+             "_resolve_dt", "_snapped_steps", "auto_dt", "weighted_norm"),
     viscous: ("_CEILING_NAME", "_laplacian", "auto_cfl_dt", "viscosity_gap"),
     cli: ("_sweep_dt",),
     chain.LatticeDomain: ("contains_state", "lattice_of", "state_of"),
@@ -52,6 +52,22 @@ def test_the_sweep_takes_no_step_hook():
     # the viscous step is the sweep's own, chosen by sigma
     params = inspect.signature(solver._sweep).parameters
     assert "sigma" in params and not {"finish", "extra_rate"} & set(params)
+
+
+def test_the_blocks_are_cut_in_one_place():
+    # _forked_blocks cuts the units itself and replays stepper(0, units)
+    params = inspect.signature(solver._forked_blocks).parameters
+    assert "units" in params and not {"whole", "n_blocks"} & set(params)
+
+
+def test_the_readme_flag_table_lists_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (`--.*`) \|$", readme, re.M)
+    assert [command for command, _ in rows] == list(cli._ALL)
+    for command, cell in rows:
+        listed = [flag[2:].replace("-", "_") for flag in re.findall(r"`(--[\w-]+)`", cell)]
+        assert listed == [key for key, flag in cli._FLAGS.items() if command in flag.commands
+                          and key not in ("game", "seed", "out")], command
 
 
 def test_every_readme_python_block_runs_on_its_own(tmp_path):

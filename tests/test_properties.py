@@ -469,9 +469,12 @@ def test_block_sweeps_match_the_one_block_sweep(data, h, shape, slabs, n_blocks,
     one = runs()
     # the viscous sweeps record their slices, so the comparison below is of bytes
     assert all(isinstance(one["viscous", kind], list) for kind in ("upper", "lower"))
-    with forced_blocks(n_blocks):
-        assert len(solver._block_slabs(dom)) == min(n_blocks, slabs)
+    with forced_blocks(n_blocks), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(solver, "_forked_blocks", wraps=solver._forked_blocks) as sweeps:
         split = runs()
+    # each sweep forks a worker for every block but the caller's
+    assert sweeps.call_count > 0
+    assert fork.call_count == sweeps.call_count * (min(n_blocks, slabs) - 1)
     assert one.keys() == split.keys()
     for key in one:
         assert one[key] == split[key], key

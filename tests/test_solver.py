@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -110,6 +111,21 @@ def test_truncate_domain_budget():
     with pytest.raises(lg.ResourceError):
         # 10 001^2 points at h=0.001, over the 4 000 000-point budget
         truncate_domain(spec, [[0.0, 0.0], [0.0, 0.0]], 0.001)
+
+
+@pytest.mark.parametrize("h, pad", [(1e-300, 0.5), (0.05, 1e300), (1e-9, 0.5)])
+def test_truncate_domain_counts_a_domain_past_the_float_range(h, pad):
+    # n is counted exactly, past int64 too (10^20 points at h=1e-9), and the
+    # hint is finite
+    with pytest.raises(lg.ResourceError, match=r"would hold about 1e\d+ points") as info:
+        truncate_domain(lg.g2(), [0.0, 0.0], h, pad=pad)
+    assert math.isfinite(float(str(info.value).rsplit(" ", 1)[1]))
+
+
+@pytest.mark.parametrize("x0_box", [[1e308, 1e308], [[-1e308, 0.0], [0.0, 1e308]]])
+def test_truncate_domain_refuses_a_box_past_the_float_range(x0_box):
+    with pytest.raises(lg.GameSpecError, match="x0_box .* past the float range at h=0.05"):
+        truncate_domain(lg.g2(), x0_box, 0.05)
 
 
 def test_weighted_norm_spike():
@@ -920,6 +936,29 @@ def test_a_one_block_sweep_that_raises_is_stepped_once():
         with pytest.raises(MonotoneStepError, match=r"total jump rate 45 times dt=0\.025"):
             solve_backward(spec, dom)
     assert check.call_count == 1
+    _no_children_left()
+
+
+def test_forked_blocks_cut_the_units_and_replay_them_as_one_block():
+    # every stepper call, the forked blocks' too, is written to one pipe
+    read, write = os.pipe()
+
+    def stepper(a, b):
+        os.write(write, b"%d %d\n" % (a, b))
+
+        def step(k):
+            if k == 2 and (a, b) in ((1, 3), (0, 5)):
+                raise ValueError(f"block {a} {b}")
+        return step
+
+    with forced_blocks(3), solver._forked_blocks(5, 5, 1, stepper, "toy") as evaluate:
+        evaluate(1)
+        with pytest.raises(ValueError, match="^block 0 5$"):
+            evaluate(2)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        calls = fh.read().splitlines()
+    assert sorted(calls[:3]) == ["0 1", "1 3", "3 5"] and calls[3:] == ["0 5"]
     _no_children_left()
 
 
