@@ -59,11 +59,12 @@ _SUBSTEP_FRACTION = 0.25
 _SUBSTEP_HORIZON_FRACTION = 1e-3
 
 # fewest rows (replica, adversary) per block: each block repeats the engine's
-# per-call cost, 0.17-0.23 s at 200 rows of the four-policy g2 panel, so on 2
-# CPUs (medians of 5 alternating runs, two sets) one and two blocks took the
-# same time between 1000 and 1400 rows of that panel and between 1000 and 2000
-# rows of one policy; two blocks took 0.85x at 2000 rows of the panel and
-# 0.76-0.79x at 4000
+# per-call cost, 0.16-0.24 s in one block at 200 rows of the four-policy g2
+# panel.  On 2 CPUs (medians of 5 alternating runs, three sets) two blocks
+# over one took 0.89-1.00x at 1400 rows of that panel, 0.85-1.19x at 2000 and
+# 0.76-0.83x at 4000; of one policy, 0.98-1.30x at 1400 rows, 0.82-1.20x at
+# 2000 and 0.79-0.87x at 4000.  So one and two blocks tie between 1400 and
+# 4000 rows, and a batch splits in two from 2 * 700 rows
 _MIN_BLOCK_ROWS = 700
 
 # the per-row fields of a BatchOutcomes, in field order

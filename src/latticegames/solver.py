@@ -533,12 +533,13 @@ def _schedule(spec: GameSpec, h: float, sigma: float | None, dt: float | None,
 
 
 # fewest lattice points per block: a step's two pipe wake-ups and the fork
-# per sweep cost about what splitting 16 000 points saves.  On 2 CPUs (medians
-# of 5 alternating runs) one and two blocks took the same time at 16 129
-# points of g2 (h=0.05) and 12 001-16 001 of g1 (h=0.02); two blocks took
-# 0.62x at 21 025 points of g2, 0.74x at 24 001 of g1 and 0.55-0.66x at 40 000
-# of either.  A sweep splits in two from 2 * 16 384 points, so up to 32 767
-# points it keeps one block where two would be faster
+# per sweep cost about what splitting 12 000-32 000 points saves.  On 2 CPUs
+# (medians of 5 alternating runs, two sets) two blocks over one took
+# 1.12-1.20x at 12 321 points of g2 (h=0.05), 0.73-0.98x at 16 129, 0.62-0.73x
+# at 21 025 and 0.55-0.62x at 32 761-40 401; of g1 (h=0.02, shorter sweeps)
+# 0.93-1.29x at 12 001-16 001 points, 0.69-1.00x at 24 001-32 001 and
+# 0.66-0.84x at 40 001.  A sweep splits in two from 2 * 16 384 points, so g2
+# boxes of 16 000-32 767 points keep one block where two would be faster
 _MIN_BLOCK_POINTS = 16384
 
 
